@@ -10,11 +10,12 @@ from .formal_groups import (BCpModule, FglHom, FormalGroupLaw, Height,
                             fgl_multiplicative, formal_inverse,
                             frobenius_isogeny, height, lubin_tate_deformation,
                             n_series, reduce_to_residue, specialize_deformation)
-from .graded2 import (GradedMap, GradedObj, NotInvertible, SizeLimit, SymObject,
+from .graded2 import (AmbiguousFlattening, GradedMap, GradedObj, NotInvertible,
+                      NotZGraded, ShapeMismatch, SignedPerm, SymObject,
                       associator, from_z_graded, interchange, omega_obj,
                       omega_sqrt, tensor_map, to_z_graded, twisted_tensor,
                       unit_obj, verify_coherence)
-from .report import CheckResult, CongruenceReport
+from .report import CheckResult, CongruenceReport, SizeLimit
 from .series import (ContextMismatch, DegreeOverflow, NonUnitLinearCoefficient,
                      NonzeroConstantTerm, PolyTruncRing, ResidueZero,
                      TruncSeries, WeierstrassFactorization, reversion,

@@ -1,8 +1,8 @@
 """The acceptance battery: every exact algebraic claim the library commits to.
 
-Each criterion function returns a CongruenceReport; run_all() aggregates them.
-These are wired both into pytest (tests/test_acceptance.py) and the CLI
-(`fglcheck selftest`).  All sampling is seeded; everything else is exact.
+Each criterion function returns a CongruenceReport; the CRITERIA table lists
+them in order.  It is wired both into pytest (tests/test_acceptance.py) and the
+CLI (`fglcheck selftest`).  All sampling is seeded; everything else is exact.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ def criterion_3_bcp_structure():
     return CongruenceReport.from_checks(checks)
 
 
-def _standard_graded_objects(ring):
+def standard_graded_objects(ring):
+    """The unit, omega, its odd square root and a rank 1|1 object."""
     return [graded2.unit_obj(ring), graded2.omega_obj(ring),
             graded2.omega_sqrt(ring), graded2.GradedObj(ring, ("a",), ("b",))]
 
@@ -100,7 +101,7 @@ def _standard_graded_objects(ring):
 def criterion_4_coherence():
     """Coherence over Z/8 plus detection of every injected sign flip."""
     ring = WittCoefRing(2, 3)
-    objs = _standard_graded_objects(ring)
+    objs = standard_graded_objects(ring)
     rep = graded2.verify_coherence(ring, objs)
     checks = [CheckResult("coherence suite", rep.verdict,
                           None if rep.verdict else str(rep.witnesses[:1]))]
@@ -117,9 +118,9 @@ def criterion_4_coherence():
         A, B = rng.choice(pairs)
         honest = graded2.interchange(A, B)
         deg = rng.choice([0, 1])
-        m = honest.m0 if deg == 0 else honest.m1
-        entries = [(i, j) for i in range(m.nrows) for j in range(m.ncols)
-                   if not ring.is_zero(m.rows[i][j])]
+        rows = (honest.m0 if deg == 0 else honest.m1).rows
+        entries = [(i, j) for i, row in enumerate(rows)
+                   for j, e in enumerate(row) if not ring.is_zero(e)]
         if not entries:
             continue
         i, j = rng.choice(entries)
@@ -418,16 +419,3 @@ CRITERIA = [
     ("12 epimorphic families + inheritance", criterion_12_epi_and_inheritance),
 ]
 
-
-def run_all(emit=print):
-    reports = {}
-    all_ok = True
-    for name, fn in CRITERIA:
-        rep = fn()
-        reports[name] = rep
-        all_ok = all_ok and rep.verdict
-        emit(f"[{'PASS' if rep.verdict else 'FAIL'}] criterion {name}")
-        if not rep.verdict:
-            for wname, w in rep.witnesses[:3]:
-                emit(f"         witness {wname}: {w}")
-    return all_ok, reports

@@ -15,8 +15,8 @@ import time
 
 from . import formal_groups as fg
 from . import graded2, weights
-from .acceptance import CRITERIA
-from .exact_arith import WittCoefRing, ring_from_descriptor
+from .acceptance import CRITERIA, standard_graded_objects
+from .exact_arith import WittCoefRing, is_prime, ring_from_descriptor
 from .linalg import Mat
 from .report import CheckResult, CongruenceReport
 from .theta_congruence import (FrobeniusClassSpec, L1Data,
@@ -27,6 +27,32 @@ from .theta_congruence import (FrobeniusClassSpec, L1Data,
 from .twisted_bialgebra import (TwistedBialgebra, dualize, height1_gamma,
                                 points_category, trivial_algebra,
                                 verify_bialgebra)
+
+
+# argparse types: argparse turns their ValueError into "invalid <name> value"
+# and exit 2, before any work starts
+def prime(text):
+    """argparse type: a prime p >= 2."""
+    p = int(text)
+    if not is_prime(p):
+        raise ValueError(text)
+    return p
+
+
+def positive(text):
+    """argparse type: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
+
+
+def nonnegative(text):
+    """argparse type: an integer >= 0."""
+    n = int(text)
+    if n < 0:
+        raise ValueError(text)
+    return n
 
 
 def _digest(payload):
@@ -89,9 +115,7 @@ def cmd_fgl(args):
 
 def cmd_graded(args):
     ring = WittCoefRing(args.p, args.precision)
-    objs = [graded2.unit_obj(ring), graded2.omega_obj(ring),
-            graded2.omega_sqrt(ring), graded2.GradedObj(ring, ("a",), ("b",))]
-    rep = graded2.verify_coherence(ring, objs)
+    rep = graded2.verify_coherence(ring, standard_graded_objects(ring))
     return _emit(rep, args, "graded", _digest(f"{args.p},{args.precision}"))
 
 
@@ -243,8 +267,8 @@ def build_parser():
     s.add_argument("--builtin", default="multiplicative",
                    choices=["multiplicative", "additive", "honda", "lubin-tate"])
     s.add_argument("--file", help="FGL JSON file")
-    s.add_argument("--p", type=int, default=2)
-    s.add_argument("--n", type=int, default=1, help="height parameter")
+    s.add_argument("--p", type=prime, default=2)
+    s.add_argument("--n", type=positive, default=1, help="height parameter")
     s.add_argument("--precision", type=int, default=4)
     s.add_argument("--u-bound", type=int, default=2, dest="u_bound")
     s.add_argument("--degree-bound", type=int, default=6, dest="degree_bound")
@@ -252,7 +276,7 @@ def build_parser():
     s.set_defaults(fn=cmd_fgl)
 
     s = sub.add_parser("graded", help="coherence suite for the twisted Z/2 category")
-    s.add_argument("--p", type=int, default=2)
+    s.add_argument("--p", type=prime, default=2)
     s.add_argument("--precision", type=int, default=3)
     common(s)
     s.set_defaults(fn=cmd_graded)
@@ -289,8 +313,8 @@ def build_parser():
     common(g)
     g.set_defaults(fn=cmd_weights)
     c = ws.add_parser("certify")
-    c.add_argument("--m", type=int, required=True)
-    c.add_argument("--p", type=int, required=True)
+    c.add_argument("--m", type=nonnegative, required=True)
+    c.add_argument("--p", type=prime, required=True)
     common(c)
     c.set_defaults(fn=cmd_weights)
     e = ws.add_parser("epi")

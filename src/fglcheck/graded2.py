@@ -8,32 +8,63 @@ block by a fixed rank-1 symmetric object omega:
 
 The interchange carries a -1 on the odd-odd block; the associator is the
 block permutation repositioning the omega factor.  Coherence (pentagon,
-triangle, symmetry involution, hexagon) is checked by exact matrix equality.
+triangle, symmetry involution, hexagon) is checked by exact equality of the
+composite maps.
+
+Every structural map (identities, interchange, associators, unitors, and
+their tensor products and composites) is a signed permutation.  Those maps
+keep their blocks as SignedPerm, so composing and tensoring them is linear in
+the rank.  General graded maps keep dense Mat blocks; an operation that mixes
+the two makes the permutation dense.  Tensor objects, identities,
+interchanges, associators and unitors are built once per distinct arguments
+and cached on their first argument, so the cache lives exactly as long as the
+objects it was built from.  Tensor products and composites of maps are not
+cached: they are cheap to rebuild, and keeping them would double the memory
+a coherence run holds.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .linalg import Mat
-from .report import CheckResult, CongruenceReport
+from .report import CheckResult, CongruenceReport, SizeLimit
 from .series import ContextMismatch
-
-
-class SizeLimit(ValueError):
-    """Coherence suite guard against combinatorial blowup."""
 
 
 class NotInvertible(ValueError):
     """Z-graded assembly needs the twisting object declared invertible."""
 
 
-@dataclass(frozen=True)
+class ShapeMismatch(ValueError):
+    """A graded map's blocks do not fit the ranks of its source and target."""
+
+
+class AmbiguousFlattening(ValueError):
+    """Two basis labels of a tensor object flatten to the same atoms."""
+
+
+class NotZGraded(ValueError):
+    """The object was not assembled by from_z_graded."""
+
+
+def _cached(owner, key, build, *args):
+    """owner's value for key, built by build(*args) on first use."""
+    memo = owner._memo
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build(*args)
+    return value
+
+
+@dataclass(frozen=True, slots=True)
 class GradedObj:
     ring: object
     basis0: tuple
     basis1: tuple
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         names = list(self.basis0) + list(self.basis1)
@@ -66,11 +97,6 @@ class SymObject:
     ring: object
     gen: str = "w"
 
-    def __post_init__(self):
-        # swap on a rank-1 square is the 1x1 identity; assert the triviality
-        swap = Mat.identity(self.ring, 1)
-        assert swap == Mat.identity(self.ring, 1)
-
     def as_object(self):
         return GradedObj(self.ring, (self.gen,), ())
 
@@ -88,71 +114,115 @@ def omega_sqrt(ring, gen="h"):
     return GradedObj(ring, (), (gen,))
 
 
-@dataclass(frozen=True)
-class GradedMap:
-    source: GradedObj
-    target: GradedObj
-    m0: Mat
-    m1: Mat
+class SignedPerm:
+    """An n x n signed permutation matrix over a ring.
 
-    def __post_init__(self):
-        assert self.m0.shape == (self.target.rank0, self.source.rank0)
-        assert self.m1.shape == (self.target.rank1, self.source.rank1)
+    Column j has one nonzero entry, signs[j] (the integer 1 or -1), in row
+    perm[j].  It reads like a Mat (nrows, ncols, shape, rows, to_json) and
+    compares equal to the Mat with the same entries.  Signs are compared in
+    the ring, where -1 = 1 in characteristic 2.
+    """
+
+    __slots__ = ("ring", "perm", "signs")
+
+    def __init__(self, ring, perm, signs=None):
+        self.ring = ring
+        self.perm = tuple(perm)
+        self.signs = (1,) * len(self.perm) if signs is None else tuple(signs)
 
     @staticmethod
-    def identity(obj):
-        return GradedMap(obj, obj, Mat.identity(obj.ring, obj.rank0),
-                         Mat.identity(obj.ring, obj.rank1))
+    def identity(ring, n):
+        return SignedPerm(ring, range(n))
 
-    def compose(self, other):
+    @staticmethod
+    def direct_sum(ring, blocks):
+        perm, signs, offset = [], [], 0
+        for b in blocks:
+            perm.extend(offset + i for i in b.perm)
+            signs.extend(b.signs)
+            offset += len(b.perm)
+        return SignedPerm(ring, perm, signs)
+
+    @property
+    def nrows(self):
+        return len(self.perm)
+
+    ncols = nrows
+
+    @property
+    def shape(self):
+        return (len(self.perm), len(self.perm))
+
+    def __matmul__(self, other):
         """self after other."""
-        assert other.target.ranks() == self.source.ranks()
-        return GradedMap(other.source, self.target,
-                         self.m0 @ other.m0, self.m1 @ other.m1)
+        p, s = self.perm, self.signs
+        return SignedPerm(self.ring, tuple(p[k] for k in other.perm),
+                          tuple(s[k] * t for k, t in zip(other.perm, other.signs)))
+
+    def kron(self, other):
+        """Kronecker product, in the row-major block layout of Mat.kron."""
+        n = len(other.perm)
+        return SignedPerm(self.ring,
+                          tuple(i * n + k for i in self.perm for k in other.perm),
+                          tuple(s * t for s in self.signs for t in other.signs))
+
+    def negate_entry(self, i, j):
+        if self.perm[j] != i:
+            return self  # entry (i, j) is zero
+        signs = list(self.signs)
+        signs[j] = -signs[j]
+        return SignedPerm(self.ring, self.perm, signs)
 
     def __eq__(self, other):
-        if not isinstance(other, GradedMap):
+        if isinstance(other, Mat):
+            return self.to_mat() == other
+        if not isinstance(other, SignedPerm):
             return NotImplemented
-        return self.m0 == other.m0 and self.m1 == other.m1
+        if self.perm != other.perm:
+            return False
+        R = self.ring
+        return self.signs == other.signs or R.eq(R.neg(R.one()), R.one())
 
-    def __hash__(self):
-        raise TypeError("GradedMap is unhashable")
+    def to_mat(self):
+        R = self.ring
+        z, one = R.zero(), R.one()
+        minus = R.neg(one)
+        rows = [[z] * len(self.perm) for _ in self.perm]
+        for j, (i, s) in enumerate(zip(self.perm, self.signs)):
+            rows[i][j] = one if s > 0 else minus
+        return Mat(R, rows)
 
-    def is_identity(self):
-        ring = self.m0.ring
-        return (self.m0 == Mat.identity(ring, self.m0.nrows)
-                and self.m1 == Mat.identity(ring, self.m1.nrows))
+    @property
+    def rows(self):
+        return self.to_mat().rows
 
     def to_json(self):
-        return {"m0": self.m0.to_json(), "m1": self.m1.to_json()}
+        return self.to_mat().to_json()
+
+    def __repr__(self):
+        return f"SignedPerm(perm={self.perm}, signs={self.signs})"
 
 
-def twisted_tensor(M, N):
-    """The omega-twisted tensor object, with summand bookkeeping in the labels.
-
-    Plain pairs are labeled ("t", a, b); the odd-odd block, which carries the
-    omega factor, is labeled ("tw", a, b).
-    """
-    if not M.ring.same_ring(N.ring):
-        raise ContextMismatch("objects over different rings")
-    b0 = tuple(("t", a, b) for a in M.basis0 for b in N.basis0) + \
-        tuple(("tw", a, b) for a in M.basis1 for b in N.basis1)
-    b1 = tuple(("t", a, b) for a in M.basis0 for b in N.basis1) + \
-        tuple(("t", a, b) for a in M.basis1 for b in N.basis0)
-    return GradedObj(M.ring, b0, b1)
+def _dense(block):
+    return block.to_mat() if isinstance(block, SignedPerm) else block
 
 
-def tensor_map(f, g):
-    """f (x) g on twisted tensor objects, blockwise Kronecker products."""
-    ring = f.m0.ring
-    src = twisted_tensor(f.source, g.source)
-    tgt = twisted_tensor(f.target, g.target)
-    m0 = _block_diag(ring, [f.m0.kron(g.m0), f.m1.kron(g.m1)])
-    m1 = _block_diag(ring, [f.m0.kron(g.m1), f.m1.kron(g.m0)])
-    return GradedMap(src, tgt, m0, m1)
+def _matmul(a, b):
+    if isinstance(a, SignedPerm) and isinstance(b, SignedPerm):
+        return a @ b
+    return _dense(a) @ _dense(b)
+
+
+def _kron(a, b):
+    if isinstance(a, SignedPerm) and isinstance(b, SignedPerm):
+        return a.kron(b)
+    return _dense(a).kron(_dense(b))
 
 
 def _block_diag(ring, blocks):
+    if all(isinstance(b, SignedPerm) for b in blocks):
+        return SignedPerm.direct_sum(ring, blocks)
+    blocks = [_dense(b) for b in blocks]
     n = sum(b.nrows for b in blocks)
     m = sum(b.ncols for b in blocks)
     z = ring.zero()
@@ -167,26 +237,100 @@ def _block_diag(ring, blocks):
     return Mat(ring, rows)
 
 
-def _perm_matrix(ring, src_basis, tgt_basis, image, signs=None):
-    """Matrix of a signed permutation src -> tgt given by an image map on labels."""
-    z, one = ring.zero(), ring.one()
+@dataclass(frozen=True, slots=True)
+class GradedMap:
+    """A degree-preserving map; m0 and m1 are Mat or SignedPerm blocks."""
+
+    source: GradedObj
+    target: GradedObj
+    m0: object
+    m1: object
+
+    def __post_init__(self):
+        if (self.m0.shape != (self.target.rank0, self.source.rank0)
+                or self.m1.shape != (self.target.rank1, self.source.rank1)):
+            raise ShapeMismatch(f"blocks {self.m0.shape} and {self.m1.shape} "
+                                f"do not map {self.source!r} to {self.target!r}")
+
+    @staticmethod
+    def identity(obj):
+        return _cached(obj, "identity", _identity, obj)
+
+    def compose(self, other):
+        """self after other."""
+        if other.target.ranks() != self.source.ranks():
+            raise ShapeMismatch(f"a map from {self.source!r} cannot follow "
+                                f"a map into {other.target!r}")
+        return GradedMap(other.source, self.target, _matmul(self.m0, other.m0),
+                         _matmul(self.m1, other.m1))
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedMap):
+            return NotImplemented
+        return self.m0 == other.m0 and self.m1 == other.m1
+
+    def __hash__(self):
+        raise TypeError("GradedMap is unhashable")
+
+    def is_identity(self):
+        ring = self.source.ring
+        return (self.m0 == SignedPerm.identity(ring, self.m0.nrows)
+                and self.m1 == SignedPerm.identity(ring, self.m1.nrows))
+
+    def to_json(self):
+        return {"m0": self.m0.to_json(), "m1": self.m1.to_json()}
+
+
+def _identity(obj):
+    return GradedMap(obj, obj, SignedPerm.identity(obj.ring, obj.rank0),
+                     SignedPerm.identity(obj.ring, obj.rank1))
+
+
+def twisted_tensor(M, N):
+    """The omega-twisted tensor object, with summand bookkeeping in the labels.
+
+    Plain pairs are labeled ("t", a, b); the odd-odd block, which carries the
+    omega factor, is labeled ("tw", a, b).
+    """
+    return _cached(M, ("tensor", N), _twisted_tensor, M, N)
+
+
+def _twisted_tensor(M, N):
+    if not M.ring.same_ring(N.ring):
+        raise ContextMismatch("objects over different rings")
+    b0 = tuple(("t", a, b) for a in M.basis0 for b in N.basis0) + \
+        tuple(("tw", a, b) for a in M.basis1 for b in N.basis1)
+    b1 = tuple(("t", a, b) for a in M.basis0 for b in N.basis1) + \
+        tuple(("t", a, b) for a in M.basis1 for b in N.basis0)
+    return GradedObj(M.ring, b0, b1)
+
+
+def tensor_map(f, g):
+    """f (x) g on twisted tensor objects, blockwise Kronecker products."""
+    ring = f.source.ring
+    src = twisted_tensor(f.source, g.source)
+    tgt = twisted_tensor(f.target, g.target)
+    m0 = _block_diag(ring, [_kron(f.m0, g.m0), _kron(f.m1, g.m1)])
+    m1 = _block_diag(ring, [_kron(f.m0, g.m1), _kron(f.m1, g.m0)])
+    return GradedMap(src, tgt, m0, m1)
+
+
+def _signed_perm(ring, src_basis, tgt_basis, image, sign=None):
+    """The signed permutation sending label l of src to image(l) in tgt."""
     idx = {lbl: i for i, lbl in enumerate(tgt_basis)}
-    rows = [[z] * len(src_basis) for _ in range(len(tgt_basis))]
-    for j, lbl in enumerate(src_basis):
-        out = image(lbl)
-        s = one
-        if signs is not None:
-            sg = signs(lbl)
-            s = one if sg >= 0 else ring.neg(one)
-        rows[idx[out]][j] = s
-    return Mat(ring, rows)
+    perm = [idx[image(lbl)] for lbl in src_basis]
+    signs = None if sign is None else [sign(lbl) for lbl in src_basis]
+    return SignedPerm(ring, perm, signs)
 
 
 def interchange(M, N):
     """tau: M (x) N -> N (x) M; the odd-odd block picks up a -1."""
+    return _cached(M, ("interchange", N), _interchange, M, N)
+
+
+def _interchange(M, N):
     src = twisted_tensor(M, N)
     tgt = twisted_tensor(N, M)
-    ring = M.ring
 
     def image(lbl):
         kind, a, b = lbl
@@ -195,8 +339,8 @@ def interchange(M, N):
     def sign0(lbl):
         return -1 if lbl[0] == "tw" else 1
 
-    m0 = _perm_matrix(ring, src.basis0, tgt.basis0, image, sign0)
-    m1 = _perm_matrix(ring, src.basis1, tgt.basis1, image)
+    m0 = _signed_perm(M.ring, src.basis0, tgt.basis0, image, sign0)
+    m1 = _signed_perm(M.ring, src.basis1, tgt.basis1, image)
     return GradedMap(src, tgt, m0, m1)
 
 
@@ -213,9 +357,11 @@ def _match_by_flattening(ring, src_basis, tgt_basis):
     tgt = {}
     for lbl in tgt_basis:
         key = _flatten(lbl)
-        assert key not in tgt, f"ambiguous flattening {key}"
+        if key in tgt:
+            raise AmbiguousFlattening(f"labels {tgt[key]!r} and {lbl!r} both "
+                                      f"flatten to {key!r}")
         tgt[key] = lbl
-    return _perm_matrix(ring, src_basis, tgt_basis, lambda l: tgt[_flatten(l)])
+    return _signed_perm(ring, src_basis, tgt_basis, lambda l: tgt[_flatten(l)])
 
 
 def associator(M, N, P):
@@ -225,6 +371,10 @@ def associator(M, N, P):
     factor is repositioned (via the untwisted interchange, which is sign-free
     because omega is symmetric).
     """
+    return _cached(M, ("associator", N, P), _associator, M, N, P)
+
+
+def _associator(M, N, P):
     src = twisted_tensor(twisted_tensor(M, N), P)
     tgt = twisted_tensor(M, twisted_tensor(N, P))
     m0 = _match_by_flattening(M.ring, src.basis0, tgt.basis0)
@@ -234,20 +384,21 @@ def associator(M, N, P):
 
 def left_unitor(M):
     """1 (x) M -> M."""
-    src = twisted_tensor(unit_obj(M.ring), M)
-    image = lambda lbl: lbl[2]
-    return GradedMap(src, M,
-                     _perm_matrix(M.ring, src.basis0, M.basis0, image),
-                     _perm_matrix(M.ring, src.basis1, M.basis1, image))
+    return _cached(M, "left_unitor", _unitor, M, True)
 
 
 def right_unitor(M):
     """M (x) 1 -> M."""
-    src = twisted_tensor(M, unit_obj(M.ring))
-    image = lambda lbl: lbl[1]
+    return _cached(M, "right_unitor", _unitor, M, False)
+
+
+def _unitor(M, left):
+    unit = unit_obj(M.ring)
+    src = twisted_tensor(unit, M) if left else twisted_tensor(M, unit)
+    image = (lambda lbl: lbl[2]) if left else (lambda lbl: lbl[1])
     return GradedMap(src, M,
-                     _perm_matrix(M.ring, src.basis0, M.basis0, image),
-                     _perm_matrix(M.ring, src.basis1, M.basis1, image))
+                     _signed_perm(M.ring, src.basis0, M.basis0, image),
+                     _signed_perm(M.ring, src.basis1, M.basis1, image))
 
 
 def from_z_graded(ring, ranks, omega_invertible=True):
@@ -273,7 +424,9 @@ def to_z_graded(obj):
     """Inverse of from_z_graded on objects carrying ("zg", q, i) labels."""
     ranks = {}
     for lbl in list(obj.basis0) + list(obj.basis1):
-        assert lbl[0] == "zg", "object was not built by from_z_graded"
+        if not (isinstance(lbl, tuple) and len(lbl) == 3 and lbl[0] == "zg"):
+            raise NotZGraded(f"label {lbl!r}: object was not built by "
+                             f"from_z_graded")
         ranks[lbl[1]] = ranks.get(lbl[1], 0) + 1
     return ranks
 
@@ -289,6 +442,7 @@ def verify_coherence(ring, objects, interchange_fn=None, max_objects=5,
     if len(objects) > max_objects or any(max(o.ranks()) > max_rank for o in objects):
         raise SizeLimit(f"at most {max_objects} objects of rank <= {max_rank}")
     tau = interchange_fn or interchange
+    unit = unit_obj(ring)
     checks = []
 
     def record(name, lhs, rhs):
@@ -303,7 +457,7 @@ def verify_coherence(ring, objects, interchange_fn=None, max_objects=5,
         pair = tau(B, A).compose(tau(A, B))
         record(f"symmetry[{i}]", pair, GradedMap.identity(twisted_tensor(A, B)))
         tri_lhs = tensor_map(GradedMap.identity(A), left_unitor(B)).compose(
-            associator(A, unit_obj(ring), B))
+            associator(A, unit, B))
         tri_rhs = tensor_map(right_unitor(A), GradedMap.identity(B))
         record(f"triangle[{i}]", tri_lhs, tri_rhs)
 
@@ -326,19 +480,21 @@ def verify_coherence(ring, objects, interchange_fn=None, max_objects=5,
     for i, X in enumerate(objects):
         if X.ranks() == (0, 1):
             t = tau(X, X)
-            minus_id = Mat.identity(ring, 1).scale(ring.neg(ring.one()))
             record(f"odd_square_sign[{i}]", t,
-                   GradedMap(t.source, t.target, minus_id,
-                             Mat.zeros(ring, 0, 0)))
+                   GradedMap(t.source, t.target, SignedPerm(ring, (0,), (-1,)),
+                             SignedPerm.identity(ring, 0)))
     return CongruenceReport.from_checks(checks, meta={"objects": len(objects)})
 
 
 def flip_sign(gmap, degree, i, j):
     """Return gmap with entry (i, j) of the chosen degree negated (fault injection)."""
-    ring = gmap.m0.ring
-    mats = {0: gmap.m0, 1: gmap.m1}
-    m = mats[degree]
-    rows = [list(r) for r in m.rows]
-    rows[i][j] = ring.neg(rows[i][j])
-    mats[degree] = Mat(ring, rows)
-    return GradedMap(gmap.source, gmap.target, mats[0], mats[1])
+    blocks = {0: gmap.m0, 1: gmap.m1}
+    m = blocks[degree]
+    if isinstance(m, SignedPerm):
+        blocks[degree] = m.negate_entry(i, j)
+    else:
+        ring = m.ring
+        rows = [list(r) for r in m.rows]
+        rows[i][j] = ring.neg(rows[i][j])
+        blocks[degree] = Mat(ring, rows)
+    return GradedMap(gmap.source, gmap.target, blocks[0], blocks[1])

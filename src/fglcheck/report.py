@@ -5,6 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+class SizeLimit(ValueError):
+    """Guard against an exhaustive enumeration or a combinatorial blowup."""
+
+
 @dataclass
 class CheckResult:
     name: str

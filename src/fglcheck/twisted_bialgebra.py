@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .exact_arith import WittCoefRing, ring_from_descriptor
 from .linalg import Mat, solve
-from .report import CheckResult, CongruenceReport
+from .report import CheckResult, CongruenceReport, SizeLimit
 
 
 class IncompleteData(ValueError):
@@ -27,10 +27,6 @@ class IncompleteData(ValueError):
 
 class IncompleteAction(ValueError):
     """Module action not available at the requested weight."""
-
-
-class SizeLimit(ValueError):
-    """Exhaustive enumeration guard."""
 
 
 @dataclass

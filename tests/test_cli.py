@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fglcheck.cli import run
 
 
@@ -100,6 +102,20 @@ def test_usage_errors_exit_2(capsys):
     assert run(["congruence"]) == 2
     assert run(["theta", "check", "--file", "/nonexistent.json"]) == 2
     assert run(["nonsense"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "certify", "--m", "5", "--p", "1"],   # digit_sum never ends at p = 1
+    ["fgl", "--builtin", "honda", "--n", "0"],        # the Honda log never ends at n = 0
+    ["weights", "certify", "--m", "5", "--p", "0"],   # division by p
+    ["weights", "certify", "--m", "6", "--p", "4"],   # not a prime
+    ["weights", "certify", "--m", "-3", "--p", "3"],  # negative weight
+])
+def test_out_of_range_arguments_exit_2(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert "invalid" in err and "Traceback" not in err + out
+    assert "Case" not in out
 
 
 def test_fgl_from_file(tmp_path, capsys):

@@ -1,21 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fglcheck.acceptance import standard_graded_objects
 from fglcheck.exact_arith import WittCoefRing
-from fglcheck.graded2 import (GradedMap, GradedObj, NotInvertible, SizeLimit,
-                              SymObject, associator, flip_sign, from_z_graded,
-                              interchange, left_unitor, omega_obj, omega_sqrt,
-                              right_unitor, tensor_map, to_z_graded,
-                              twisted_tensor, unit_obj, verify_coherence)
+from fglcheck.graded2 import (AmbiguousFlattening, GradedMap, GradedObj,
+                              NotInvertible, NotZGraded, ShapeMismatch,
+                              SignedPerm, SizeLimit, SymObject, associator,
+                              flip_sign, from_z_graded, interchange,
+                              left_unitor, omega_obj, omega_sqrt, right_unitor,
+                              tensor_map, to_z_graded, twisted_tensor, unit_obj,
+                              verify_coherence)
 from fglcheck.linalg import Mat
 
 Z8 = WittCoefRing(2, 3)
-
-
-def standard_objects(ring=Z8):
-    return [unit_obj(ring), omega_obj(ring), omega_sqrt(ring),
-            GradedObj(ring, ("a",), ("b",))]
+F2 = WittCoefRing(2, 1)
 
 
 def test_tensor_ranks():
@@ -98,7 +99,7 @@ def test_pentagon_on_omega_sqrt_quadruple():
 
 
 def test_coherence_standard_set():
-    rep = verify_coherence(Z8, standard_objects())
+    rep = verify_coherence(Z8, standard_graded_objects(Z8))
     assert rep.verdict
     names = {c.name.split("[")[0] for c in rep.checks}
     assert {"pentagon", "triangle", "symmetry", "hexagon",
@@ -106,7 +107,7 @@ def test_coherence_standard_set():
 
 
 def test_coherence_detects_sign_flip():
-    objs = standard_objects()
+    objs = standard_graded_objects(Z8)
     h = objs[2]
 
     def tau_fn(X, Y):
@@ -158,3 +159,168 @@ def test_from_z_graded():
     assert to_z_graded(M) == {-2: 1, -1: 1, 0: 1, 1: 1, 2: 1}
     with pytest.raises(NotInvertible):
         from_z_graded(Z8, {0: 1}, omega_invertible=False)
+
+
+def test_graded_map_shape_checks():
+    M = GradedObj(Z8, ("a",), ("b",))
+    N = GradedObj(Z8, ("c", "d"), ())
+    with pytest.raises(ShapeMismatch):
+        GradedMap(M, M, Mat.identity(Z8, 2), Mat.identity(Z8, 1))
+    with pytest.raises(ShapeMismatch):
+        GradedMap.identity(M).compose(GradedMap.identity(N))
+
+
+def test_associator_rejects_ambiguous_flattening():
+    # ("t", ("t", "a", "b"), ("t", "c", "d")) and
+    # ("t", "a", ("t", ("t", "b", "c"), "d")) both flatten to a, b, c, d
+    M = GradedObj(Z8, (("t", "a", "b"), "a"), ())
+    N = GradedObj(Z8, ("c", ("t", "b", "c")), ())
+    P = GradedObj(Z8, ("d",), ())
+    with pytest.raises(AmbiguousFlattening):
+        associator(M, N, P)
+
+
+def test_to_z_graded_rejects_foreign_labels():
+    with pytest.raises(NotZGraded):
+        to_z_graded(GradedObj(Z8, ("a",), ()))
+
+
+def test_structural_maps_are_built_once():
+    M = GradedObj(Z8, ("a",), ("b",))
+    N = omega_sqrt(Z8)
+    assert twisted_tensor(M, N) is twisted_tensor(M, N)
+    assert interchange(M, N) is interchange(M, N)
+    assert associator(M, unit_obj(Z8), N) is associator(M, unit_obj(Z8), N)
+    assert GradedMap.identity(M) is GradedMap.identity(M)
+    assert left_unitor(N) is left_unitor(N)
+
+
+# Dense reference constructions: every structural map as a Mat, built from
+# the basis labels, and Mat arithmetic for tensor products and composites.
+
+def dense_perm(ring, src_basis, tgt_basis, image, sign=lambda lbl: 1):
+    z, one = ring.zero(), ring.one()
+    idx = {lbl: i for i, lbl in enumerate(tgt_basis)}
+    rows = [[z] * len(src_basis) for _ in tgt_basis]
+    for j, lbl in enumerate(src_basis):
+        rows[idx[image(lbl)]][j] = one if sign(lbl) > 0 else ring.neg(one)
+    return Mat(ring, rows)
+
+
+def dense_interchange(M, N):
+    src, tgt = twisted_tensor(M, N), twisted_tensor(N, M)
+    swap = lambda lbl: (lbl[0], lbl[2], lbl[1])
+    return (dense_perm(M.ring, src.basis0, tgt.basis0, swap,
+                       lambda lbl: -1 if lbl[0] == "tw" else 1),
+            dense_perm(M.ring, src.basis1, tgt.basis1, swap))
+
+
+def flatten(lbl):
+    if isinstance(lbl, tuple) and len(lbl) == 3 and lbl[0] in ("t", "tw"):
+        a, b = flatten(lbl[1]), flatten(lbl[2])
+        return a[0] + b[0], a[1] + b[1] + (lbl[0] == "tw")
+    return (lbl,), 0
+
+
+def dense_associator(M, N, P):
+    src = twisted_tensor(twisted_tensor(M, N), P)
+    tgt = twisted_tensor(M, twisted_tensor(N, P))
+    blocks = []
+    for s, t in ((src.basis0, tgt.basis0), (src.basis1, tgt.basis1)):
+        by_flat = {flatten(lbl): lbl for lbl in t}
+        blocks.append(dense_perm(M.ring, s, t, lambda lbl: by_flat[flatten(lbl)]))
+    return tuple(blocks)
+
+
+def dense_unitor(M, left):
+    unit = unit_obj(M.ring)
+    src = twisted_tensor(unit, M) if left else twisted_tensor(M, unit)
+    image = (lambda lbl: lbl[2]) if left else (lambda lbl: lbl[1])
+    return (dense_perm(M.ring, src.basis0, M.basis0, image),
+            dense_perm(M.ring, src.basis1, M.basis1, image))
+
+
+def dense_block_diag(ring, a, b):
+    n, m = a.nrows + b.nrows, a.ncols + b.ncols
+    rows = [[ring.zero()] * m for _ in range(n)]
+    for i, row in enumerate(a.rows):
+        rows[i][:a.ncols] = row
+    for i, row in enumerate(b.rows):
+        rows[a.nrows + i][a.ncols:] = row
+    return Mat(ring, rows)
+
+
+def dense_tensor(ring, f, g):
+    (f0, f1), (g0, g1) = f, g
+    return (dense_block_diag(ring, f0.kron(g0), f1.kron(g1)),
+            dense_block_diag(ring, f0.kron(g1), f1.kron(g0)))
+
+
+def as_dense(gmap):
+    return tuple(Mat(gmap.source.ring, b.rows) for b in (gmap.m0, gmap.m1))
+
+
+def assert_matches(gmap, reference, signed=True):
+    if signed:
+        assert isinstance(gmap.m0, SignedPerm) and isinstance(gmap.m1, SignedPerm)
+    assert as_dense(gmap) == reference
+
+
+@st.composite
+def graded_objects(draw, count):
+    ring = draw(st.sampled_from([Z8, F2]))
+    objs = []
+    for k in range(count):
+        r0, r1 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        objs.append(GradedObj(ring, tuple(f"e{k}_{i}" for i in range(r0)),
+                              tuple(f"o{k}_{i}" for i in range(r1))))
+    return objs
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_objects(3), st.randoms(use_true_random=False))
+def test_signed_permutations_match_dense_reference(objs, rnd):
+    M, N, P = objs
+    R = M.ring
+    tau, tau_ref = interchange(M, N), dense_interchange(M, N)
+    alpha, alpha_ref = associator(M, N, P), dense_associator(M, N, P)
+    lu, lu_ref = left_unitor(P), dense_unitor(P, True)
+    assert_matches(tau, tau_ref)
+    assert_matches(alpha, alpha_ref)
+    assert_matches(lu, lu_ref)
+    assert_matches(right_unitor(P), dense_unitor(P, False))
+    assert_matches(tensor_map(tau, lu), dense_tensor(R, tau_ref, lu_ref))
+    back = interchange(N, M)
+    assert_matches(back.compose(tau), tuple(
+        a @ b for a, b in zip(as_dense(back), tau_ref)))
+    assert back.compose(tau).is_identity()
+    entries = [(d, i, j) for d, m in enumerate(tau_ref)
+               for i in range(m.nrows) for j in range(m.ncols)]
+    if entries:
+        d, i, j = rnd.choice(entries)
+        flipped = flip_sign(tau, d, i, j)
+        ref = list(tau_ref)
+        rows = [list(r) for r in ref[d].rows]
+        rows[i][j] = R.neg(rows[i][j])
+        ref[d] = Mat(R, rows)
+        assert_matches(flipped, tuple(ref))
+        # signs compare in the ring: a flip is invisible exactly when -1 = 1
+        assert (flipped == tau) == (ref[d] == tau_ref[d])
+
+
+@settings(max_examples=30, deadline=None)
+@given(graded_objects(2), st.randoms(use_true_random=False))
+def test_mixed_dense_and_signed_maps_match_dense_reference(objs, rnd):
+    M, N = objs
+    R = M.ring
+    f = GradedMap(M, M, *(Mat(R, [[R.rand(rnd) for _ in range(r)] for _ in range(r)])
+                          for r in M.ranks()))
+    tau = interchange(N, M)
+    tau_ref = dense_interchange(N, M)
+    mixed = tensor_map(f, interchange(M, N)).compose(
+        tensor_map(GradedMap.identity(M), tau))
+    f_ref = (f.m0, f.m1)
+    identity_ref = (Mat.identity(R, M.rank0), Mat.identity(R, M.rank1))
+    lhs = dense_tensor(R, f_ref, dense_interchange(M, N))
+    rhs = dense_tensor(R, identity_ref, tau_ref)
+    assert_matches(mixed, tuple(a @ b for a, b in zip(lhs, rhs)), signed=False)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import fglcheck
 from fglcheck.exact_arith import WittCoefRing
 from fglcheck.linalg import Mat
 from fglcheck.twisted_bialgebra import (GammaModule, IncompleteData, SizeLimit,
@@ -167,7 +168,7 @@ def test_free_algebra_universal_property():
 
 
 def test_free_algebra_size_limit():
-    with pytest.raises(SizeLimit):
+    with pytest.raises(fglcheck.SizeLimit):
         free_algebra(G23, ["a", "b", "c"], 6, size_limit=100)
 
 
