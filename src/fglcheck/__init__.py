@@ -16,10 +16,11 @@ from .graded2 import (AmbiguousFlattening, GradedMap, GradedObj, NotInvertible,
                       omega_sqrt, tensor_map, to_z_graded, twisted_tensor,
                       unit_obj, verify_coherence)
 from .report import CheckResult, CongruenceReport, SizeLimit
-from .series import (ContextMismatch, DegreeOverflow, NonUnitLinearCoefficient,
-                     NonzeroConstantTerm, PolyTruncRing, ResidueZero,
-                     TruncSeries, WeierstrassFactorization, reversion,
-                     substitute, weierstrass_prepare)
+from .series import (ContextMismatch, DegreeOverflow, IdentityFailed,
+                     NonUnitLinearCoefficient, NonzeroConstantTerm, NotConverged,
+                     PolyTruncRing, ResidueZero, TruncSeries,
+                     WeierstrassFactorization, reversion, substitute,
+                     weierstrass_prepare)
 from .theta_congruence import (CharacteristicMismatch, CongruenceFails,
                                FiniteFreeShape, FrobeniusClassSpec, IllDefinedPsi,
                                L1Data, MonicQuotientShape, PolyShape,

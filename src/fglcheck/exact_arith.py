@@ -30,14 +30,36 @@ class NotDivisible(ArithmeticError):
         self.witness = witness
 
 
+# Miller-Rabin with these bases decides primality exactly below this bound,
+# the least strong pseudoprime to all of them (OEIS A014233).  The bases up to
+# 37 alone are fooled by 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(p):
+    """Deterministic Miller-Rabin; ValueError where it is no longer exact."""
     if not isinstance(p, int) or p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_EXACT_BELOW:
+        raise ValueError(f"primality of {p} is only decided below {_MR_EXACT_BELOW}")
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -339,6 +361,17 @@ class WittCoefRing(Ring):
         assert len(coeffs) == self.f
         return WittElem(self, coeffs)
 
+    def reduced(self, coeffs):
+        """The element with coefficient tuple ``coeffs``, already reduced mod p^N.
+
+        Skips the checks of ``elem``; for kernels that reduce their own output.
+        """
+        a = object.__new__(WittElem)
+        d = a.__dict__
+        d["ring"] = self
+        d["coeffs"] = coeffs
+        return a
+
     def gen(self):
         """The class of t (only meaningful when f > 1)."""
         if self.f == 1:
@@ -454,7 +487,9 @@ class WittCoefRing(Ring):
         """The same ring at precision N - drop."""
         if self.N - drop < 1:
             raise ValueError(f"cannot drop to precision {self.N - drop}")
-        return WittCoefRing(self.p, self.N - drop, self.ext, None)
+        q = self.p ** (self.N - drop)
+        lift = None if self.lift is None else [c % q for c in self.lift]
+        return WittCoefRing(self.p, self.N - drop, self.ext, lift)
 
     def truncate_to(self, other, a):
         """Reduce a into the lower-precision ring ``other``."""

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import RationalField, WittCoefRing, ring_from_descriptor
-from .series import (PolyTruncRing, TruncSeries, reversion, substitute,
+from .series import (ContextMismatch, IdentityFailed, NotConverged,
+                     PolyTruncRing, TruncSeries, reversion, substitute,
                      weierstrass_prepare)
 
 
@@ -49,8 +50,9 @@ class FormalGroupLaw:
     F: TruncSeries
 
     def __post_init__(self):
-        assert self.F.vars == ("x", "y")
-        assert self.F.bound == self.bound
+        if self.F.vars != ("x", "y") or self.F.bound != self.bound:
+            raise ContextMismatch(f"a law at D={self.bound} needs a series in x, y "
+                                  f"at that bound, got {self.F.vars}/{self.F.bound}")
 
     def axiom_residuals(self):
         """Residual series of the unit, commutativity and associativity axioms."""
@@ -74,10 +76,6 @@ class FormalGroupLaw:
 
     def verify(self):
         return {name: r.is_zero() for name, r in self.axiom_residuals().items()}
-
-    def plus(self, a, b):
-        """a +_F b for one-variable series a, b sharing a context."""
-        return substitute(self.F, [a, b])
 
     def to_json(self):
         return {"ring": self.ring.descriptor(), "D": self.bound,
@@ -140,6 +138,8 @@ def fgl_honda(p, n, N, D):
     Logarithm: sum of x^{p^{ni}} / p^i.  All coefficients of the resulting law
     lie in Z_(p); PrecisionExhausted is raised otherwise.
     """
+    if n < 1:
+        raise ValueError(f"height n={n} must be >= 1")
     QQ = RationalField()
     terms = {}
     i = 0
@@ -163,6 +163,8 @@ def lubin_tate_deformation(p, n, N, u_degree_bound, D):
     every u_i = 0 and reducing mod p recovers the Honda reduction, and
     [p](x) = x^{p^n} modulo the maximal ideal (p, u_1..u_{n-1}).
     """
+    if n < 1:
+        raise ValueError(f"height n={n} must be >= 1")
     if n == 1:
         return fgl_honda(p, 1, N, D)
     uvars = tuple(f"u{i}" for i in range(1, n))
@@ -260,7 +262,8 @@ def formal_inverse(G):
     j = -x
     for _ in range(D):
         j = j - substitute(G.F, [x, j])
-    assert substitute(G.F, [x, j]).is_zero(), "formal inverse iteration failed"
+    if not substitute(G.F, [x, j]).is_zero():
+        raise NotConverged("formal inverse iteration failed")
     return j
 
 
@@ -345,7 +348,8 @@ def frobenius_isogeny(G, r=1):
     target = frobenius_twist(G, r)
     f = TruncSeries(R, ("x",), D, {(p ** r,): R.one()})
     hom = FglHom(source=G, target=target, f=f)
-    assert hom.verify(), "Frobenius isogeny failed the homomorphism law"
+    if not hom.verify():
+        raise IdentityFailed("Frobenius isogeny failed the homomorphism law")
     return hom
 
 

@@ -5,13 +5,22 @@ coefficients, truncated at a fixed total degree bound D.  Multiplication,
 composition, reversion and Weierstrass preparation are all exact at the
 bound.  PolyTruncRing wraps these series as a coefficient ring in their own
 right, which is how Lubin-Tate style base rings W[u_1..u_{n-1}] are built.
+
+Over Z/p^N, and over a PolyTruncRing on Z/p^N, products and compositions run
+on a Kronecker-packed kernel: each operand becomes one Python int and a
+product is one int multiplication.  Every other ring multiplies term by term;
+that dict loop is the reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+import sys
+from array import array
 from dataclasses import dataclass
 
-from .exact_arith import Ring
+from .exact_arith import Ring, WittCoefRing
 
 
 class ContextMismatch(ValueError):
@@ -36,6 +45,14 @@ class DegreeOverflow(ValueError):
     """Distinguished degree exceeds the truncation bound."""
 
 
+class NotConverged(ArithmeticError):
+    """An iteration did not settle within the steps that provably suffice."""
+
+
+class IdentityFailed(ArithmeticError):
+    """A computed result fails an identity its construction guarantees."""
+
+
 class TruncSeries:
     __slots__ = ("ring", "vars", "bound", "terms")
 
@@ -50,6 +67,16 @@ class TruncSeries:
         self.terms = clean
 
     # constructors
+
+    @staticmethod
+    def _make(ring, vars, bound, terms):
+        """A series from nonzero terms within the bound, taken without checks."""
+        s = object.__new__(TruncSeries)
+        s.ring = ring
+        s.vars = vars
+        s.bound = bound
+        s.terms = terms
+        return s
 
     @staticmethod
     def zero(ring, vars, bound):
@@ -109,6 +136,10 @@ class TruncSeries:
         if isinstance(other, int):
             return self.int_scalar(other)
         self.check_context(other)
+        if min(len(self.terms), len(other.terms)) >= _PACK_MIN:
+            k = _kernel(self.ring, self.vars, self.bound)
+            if k is not None:
+                return k.series(k.mul(k.raw(self), k.raw(other)))
         R = self.ring
         out = {}
         b = self.bound
@@ -136,7 +167,8 @@ class TruncSeries:
         return self.scalar(self.ring.from_int(n))
 
     def __pow__(self, n):
-        assert n >= 0
+        if n < 0:
+            raise ValueError(f"negative power {n} of a series")
         out = TruncSeries.one(self.ring, self.vars, self.bound)
         b = self
         while n:
@@ -194,15 +226,6 @@ class TruncSeries:
         return TruncSeries(R, self.vars, self.bound,
                            {e: fn(c) for e, c in self.terms.items()})
 
-    def rename(self, new_vars):
-        assert len(new_vars) == len(self.vars)
-        return TruncSeries(self.ring, tuple(new_vars), self.bound, dict(self.terms))
-
-    def truncate(self, new_bound):
-        assert new_bound <= self.bound
-        return TruncSeries(self.ring, self.vars, new_bound,
-                           {e: c for e, c in self.terms.items() if sum(e) <= new_bound})
-
     # serialization
 
     def to_json(self):
@@ -221,7 +244,8 @@ def substitute(f, gs):
     """Formal composition f(g_1, .., g_k), truncated at the g's bound.
 
     Every g_i must share a context and have zero constant term, so that the
-    composition is finitely computable.
+    composition is finitely computable.  The terms c * prod g_i^{e_i} are
+    streamed into the ring's accumulator and reduced once, at the end.
     """
     gs = list(gs)
     if len(gs) != len(f.vars):
@@ -234,25 +258,28 @@ def substitute(f, gs):
         raise ContextMismatch("coefficient rings differ")
     ctx = gs[0]
     R, vars, bound = ctx.ring, ctx.vars, ctx.bound
-    # cache powers of each g_i up to the largest exponent appearing in f
+    k = _kernel(R, vars, bound) or _SeriesOps(R, vars, bound)
+    # powers of each g_i up to the largest exponent appearing in f
     max_e = [0] * len(gs)
     for e in f.terms:
-        for i, k in enumerate(e):
-            max_e[i] = max(max_e[i], k)
+        for i, n in enumerate(e):
+            max_e[i] = max(max_e[i], n)
     powers = []
     for g, me in zip(gs, max_e):
-        pw = [TruncSeries.one(R, vars, bound)]
-        for _ in range(me):
-            pw.append(pw[-1] * g)
+        pw = [None, k.raw(g)]
+        for _ in range(me - 1):
+            pw.append(k.mul(pw[-1], pw[1]))
         powers.append(pw)
-    out = TruncSeries.zero(R, vars, bound)
-    for e, c in f.terms.items():
-        term = TruncSeries.const(R, vars, bound, c)
-        for i, k in enumerate(e):
-            if k:
-                term = term * powers[i][k]
-        out = out + term
-    return out
+
+    def scaled_terms():
+        for e, c in f.terms.items():
+            term = None
+            for pw, n in zip(powers, e):
+                if n:
+                    term = pw[n] if term is None else k.mul(term, pw[n])
+            yield c, (k.one() if term is None else term)
+
+    return k.sum_scaled(scaled_terms(), len(f.terms))
 
 
 def reversion(f):
@@ -295,7 +322,8 @@ def inverse(f):
         b = b * (two - f * b)
         if f * b == one:
             break
-    assert f * b == one, "series inversion failed to converge"
+    if f * b != one:
+        raise NotConverged("series inversion failed to converge")
     return b
 
 
@@ -349,13 +377,16 @@ def weierstrass_prepare(f):
             break
         q = q_next
     else:
-        raise ArithmeticError("weierstrass division did not stabilize")
+        raise NotConverged("weierstrass division did not stabilize")
     r = xd - q * f
-    assert all(e[0] < d for e in r.terms), "division remainder has high terms"
-    assert all(R.in_max_ideal(c) for c in r.terms.values())
+    if any(e[0] >= d for e in r.terms):
+        raise IdentityFailed("division remainder has high terms")
+    if not all(R.in_max_ideal(c) for c in r.terms.values()):
+        raise IdentityFailed("division remainder has unit coefficients")
     distinguished = xd - r
     unit = inverse(q)
-    assert unit * distinguished == f, "weierstrass recomposition failed"
+    if unit * distinguished != f:
+        raise IdentityFailed("weierstrass recomposition failed")
     return WeierstrassFactorization(unit=unit, distinguished=distinguished, degree=d)
 
 
@@ -386,9 +417,6 @@ class PolyTruncRing(Ring):
 
     def from_int(self, n):
         return TruncSeries.const(self.base, self.vars, self.ubound, self.base.from_int(n))
-
-    def from_base(self, c):
-        return TruncSeries.const(self.base, self.vars, self.ubound, c)
 
     def var(self, name):
         return TruncSeries.var(self.base, self.vars, self.ubound, name)
@@ -453,3 +481,301 @@ def _has_chain(R):
         return True
     except NotImplementedError:
         return False
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-packed kernel over Z/p^N and (Z/p^N)[u]
+#
+# A series is packed into one int: the coefficient of a monomial sits in a
+# fixed-width slot at the monomial's index, so the product of two packed ints
+# holds the product series.  The index is affine in the exponents (see
+# _Layout), so a product's index is the sum of its factors' indices.  Over
+# (Z/p^N)[u] each outer slot is a block of S inner slots, indexed by the same
+# rule in the u-variables at their bound U; S exceeds the sum of the operands'
+# largest inner indices, so an inner product never reaches the next block.  A
+# slot holds a sum of at most min(entries of A, entries of B) products of
+# values below p^N, so it needs 2 * bits(p^N - 1) + bits(that count) + 1 bits.
+
+_PACK_MIN = 8  # an operand with fewer terms stays on the dict loop of __mul__
+
+# slot widths read and written in C through array / memoryview.cast
+_WORD = ({array(t).itemsize: t for t in "QLIHB"} if sys.byteorder == "little" else {})
+
+
+def _kernel(ring, vars, bound):
+    """The packed kernel for series over ``ring``, or None for the dict loop."""
+    if isinstance(ring, WittCoefRing) and ring.f == 1:
+        return _PackedZ(ring, vars, bound)
+    if (isinstance(ring, PolyTruncRing) and isinstance(ring.base, WittCoefRing)
+            and ring.base.f == 1):
+        return _PackedPoly(ring, vars, bound)
+    return None
+
+
+def _slot_bytes(bits):
+    """Bytes per slot: the smallest C word that holds ``bits``, else whole bytes."""
+    for wb in (1, 2, 4, 8):
+        if 8 * wb >= bits and wb in _WORD:
+            return wb
+    return (bits + 7) // 8
+
+
+def _to_int(vals, wb):
+    """The int whose wb-byte little-endian slots hold ``vals``."""
+    code = _WORD.get(wb)
+    data = (array(code, vals).tobytes() if code
+            else b"".join(v.to_bytes(wb, "little") for v in vals))
+    return int.from_bytes(data, "little")
+
+
+def _slot_values(x, wb, count):
+    """The first ``count`` wb-byte slots of the nonnegative int x."""
+    n = count * wb
+    buf = x.to_bytes((x.bit_length() + 7) // 8, "little")[:n].ljust(n, b"\0")
+    code = _WORD.get(wb)
+    if code:
+        return memoryview(buf).cast(code).tolist()
+    return [int.from_bytes(buf[o:o + wb], "little") for o in range(0, n, wb)]
+
+
+def _dot(e, w):
+    return sum(map(operator.mul, e, w))
+
+
+class _Layout:
+    """Slot indices of the monomials a product keeps.
+
+    Every monomial e of the product has e >= emin; the kept ones also have
+    e <= emax and lo <= |e| <= hi.  Every varying variable but the last is a
+    mixed-radix digit e_i - emin_i, and |e| - lo is the top digit, so
+    each kept monomial has its own index below ``size`` and each dropped one
+    (|e| > hi) lands at or above it.  The index is _dot(e, w) - origin.
+    """
+
+    def __init__(self, lo, hi, emin, emax):
+        var = [i for i, (a, b) in enumerate(zip(emin, emax)) if a < min(b, hi)]
+        self.lo, self.emin = lo, emin
+        self.last = var[-1] if var else None
+        self.heads = []  # (variable, radix), lowest digit first
+        w = [0] * len(emin)
+        place = 1
+        for i in var[:-1]:
+            radix = min(emax[i], hi) - emin[i] + 1
+            self.heads.append((i, radix))
+            w[i] = place
+            place *= radix
+        self.top = place
+        self.w = [x + place for x in w]
+        self.origin = _dot(emin, w) + lo * place
+        self.size = (hi - lo + 1) * place
+        self.fixed = sum(emin) - (emin[self.last] if var else 0)
+
+    def exponent(self, x):
+        """The monomial at index x < size."""
+        t, r = divmod(x, self.top)
+        e = list(self.emin)
+        s = self.fixed
+        for i, radix in self.heads:
+            r, d = divmod(r, radix)
+            e[i] += d
+            s += d
+        if self.last is not None:
+            e[self.last] = self.lo + t - s
+        return tuple(e)
+
+
+class _SeriesOps:
+    """Any other ring: TruncSeries multiplied by the reference dict loop."""
+
+    def __init__(self, ring, vars, bound):
+        self.ring, self.vars, self.bound = ring, vars, bound
+
+    def raw(self, s):
+        return s
+
+    def one(self):
+        return TruncSeries.one(self.ring, self.vars, self.bound)
+
+    def mul(self, a, b):
+        return a * b
+
+    def sum_scaled(self, pairs, count):
+        """sum c * term over (coefficient, term) pairs, as a series."""
+        R = self.ring
+        acc = {}
+        for c, term in pairs:
+            for e, v in term.terms.items():
+                p = R.mul(c, v)
+                acc[e] = R.add(acc[e], p) if e in acc else p
+        return TruncSeries(R, self.vars, self.bound, acc)
+
+
+class _PackedZ:
+    """Series over Z/p^N as raw terms {exponent: int in [1, p^N)}."""
+
+    def __init__(self, ring, vars, bound):
+        self.ring, self.vars, self.bound = ring, vars, bound
+        self.q = ring.modulus
+
+    def raw(self, s):
+        return {e: c.coeffs[0] for e, c in s.terms.items()}
+
+    def series(self, raw):
+        R = self.ring
+        return TruncSeries._make(R, self.vars, self.bound,
+                                 {e: R.reduced((v,)) for e, v in raw.items()})
+
+    def one(self):
+        return {(0,) * len(self.vars): 1}
+
+    def mul(self, A, B):
+        """Raw product of raw terms, truncated at the bound and reduced mod p^N."""
+        if not A or not B:
+            return {}
+        cols_a, cols_b = list(zip(*A)), list(zip(*B))
+        deg_a, deg_b = list(map(sum, A)), list(map(sum, B))
+        lo = min(deg_a) + min(deg_b)
+        hi = min(self.bound, max(deg_a) + max(deg_b))
+        if lo > hi:
+            return {}
+        lay = _Layout(lo, hi, [min(a) + min(b) for a, b in zip(cols_a, cols_b)],
+                      [max(a) + max(b) for a, b in zip(cols_a, cols_b)])
+        S = self._span(A) + self._span(B) + 1
+        count = min(self._count(A), self._count(B))
+        wb = _slot_bytes(2 * (self.q - 1).bit_length() + count.bit_length() + 1)
+        pos_a = [_dot(e, lay.w) for e in A]
+        pos_b = [_dot(e, lay.w) for e in B]
+        low_a, low_b = min(pos_a), min(pos_b)
+        prod = (self._pack(A, [p - low_a for p in pos_a], S, wb)
+                * self._pack(B, [p - low_b for p in pos_b], S, wb))
+        # product slot p holds the monomial of index p + shift
+        shift = low_a + low_b - lay.origin
+        if shift >= lay.size:
+            return {}
+        vals = _slot_values(prod, wb, (lay.size - shift) * S)
+        return self._unpack(vals, S, lay, shift)
+
+    def _span(self, raw):
+        """Largest inner slot index used by ``raw``."""
+        return 0
+
+    def _count(self, raw):
+        return len(raw)
+
+    def _pack(self, raw, pos, S, wb):
+        vals = [0] * (max(pos) + 1)
+        for p, c in zip(pos, raw.values()):
+            vals[p] = c
+        return _to_int(vals, wb)
+
+    def _unpack(self, vals, S, lay, shift):
+        q, exponent = self.q, lay.exponent
+        out = {}
+        for p in itertools.compress(range(len(vals)), vals):
+            v = vals[p] % q
+            if v:
+                out[exponent(p + shift)] = v
+        return out
+
+    def sum_scaled(self, pairs, count):
+        """sum c * term over (coefficient, raw term) pairs, as a series."""
+        acc = {}
+        get = acc.get
+        for c, term in pairs:
+            c = c.coeffs[0]
+            for e, v in term.items():
+                acc[e] = get(e, 0) + c * v
+        q = self.q
+        out = {}
+        for e, v in acc.items():
+            v %= q
+            if v:
+                out[e] = v
+        return self.series(out)
+
+
+class _PackedPoly(_PackedZ):
+    """Series over (Z/p^N)[u] as raw terms {exponent: {inner index: int}}.
+
+    The inner index of a u-monomial is its _Layout index over all
+    u-variables at the ring's bound U.
+    """
+
+    def __init__(self, ring, vars, bound):
+        self.ring, self.vars, self.bound = ring, vars, bound
+        self.q = ring.base.modulus
+        m, U = len(ring.vars), ring.ubound
+        self.uw = _Layout(0, U, [0] * m, [U] * m).w
+        self.uexp = {_dot(ue, self.uw): ue
+                     for ue in itertools.product(range(U + 1), repeat=m) if sum(ue) <= U}
+
+    def _inner(self, c):
+        w = self.uw
+        return {_dot(ue, w): v.coeffs[0] for ue, v in c.terms.items()}
+
+    def raw(self, s):
+        return {e: self._inner(c) for e, c in s.terms.items()}
+
+    def series(self, raw):
+        L = self.ring
+        W, uvars, U, uexp = L.base, L.vars, L.ubound, self.uexp
+        make = TruncSeries._make
+        return make(L, self.vars, self.bound,
+                    {e: make(W, uvars, U,
+                             {uexp[j]: W.reduced((v,)) for j, v in inner.items()})
+                     for e, inner in raw.items()})
+
+    def one(self):
+        return {(0,) * len(self.vars): {0: 1}}
+
+    def _span(self, raw):
+        return max(max(inner) for inner in raw.values())
+
+    def _count(self, raw):
+        return sum(map(len, raw.values()))
+
+    def _pack(self, raw, pos, S, wb):
+        vals = [0] * ((max(pos) + 1) * S)
+        for p, inner in zip(pos, raw.values()):
+            b = p * S
+            for j, c in inner.items():
+                vals[b + j] = c
+        return _to_int(vals, wb)
+
+    def _unpack(self, vals, S, lay, shift):
+        q, exponent, uexp = self.q, lay.exponent, self.uexp
+        out = {}
+        here = None
+        for p in itertools.compress(range(len(vals)), vals):
+            x, j = divmod(p, S)
+            v = vals[p] % q
+            if v and j in uexp:  # j outside uexp: u-degree beyond U
+                if x != here:
+                    here = x
+                    inner = out[exponent(x + shift)] = {}
+                inner[j] = v
+        return out
+
+    def sum_scaled(self, pairs, count):
+        """sum c * term; each inner product c * v is one packed int multiplication."""
+        n = max(self.uexp) + 1
+        wb = _slot_bytes(2 * (self.q - 1).bit_length() + (count * n).bit_length() + 1)
+        shift = 8 * wb
+        acc = {}
+        get = acc.get
+        for c, term in pairs:
+            cp = sum(v << (j * shift) for j, v in self._inner(c).items())
+            for e, inner in term.items():
+                acc[e] = get(e, 0) + cp * sum(v << (j * shift) for j, v in inner.items())
+        q, uexp = self.q, self.uexp
+        out = {}
+        for e, a in acc.items():
+            vals = _slot_values(a, wb, n)
+            inner = {}
+            for j in itertools.compress(range(n), vals):
+                v = vals[j] % q
+                if v and j in uexp:
+                    inner[j] = v
+            if inner:
+                out[e] = inner
+        return self.series(out)

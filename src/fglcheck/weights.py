@@ -59,6 +59,8 @@ def _prime_power_base(m):
 
 
 def digit_sum(n, p):
+    if p < 2:
+        raise ValueError(f"digit base p={p} must be >= 2")
     s = 0
     while n:
         s += n % p
@@ -99,7 +101,10 @@ class RegularityCertificate:
 def regularity_certificate(m, p):
     """Case split for weight m at the prime p, with the index valuation
     computed both by carry counting and by factorial valuations."""
-    assert m >= 0
+    if m < 0:
+        raise ValueError(f"weight m={m} must be >= 0")
+    if p < 2:
+        raise ValueError(f"p={p} must be >= 2")
     if m in (0, 1):
         return RegularityCertificate(m=m, p=p, tag="TrivialWeight")
     if m == p:

@@ -110,6 +110,7 @@ def test_usage_errors_exit_2(capsys):
     ["weights", "certify", "--m", "5", "--p", "0"],   # division by p
     ["weights", "certify", "--m", "6", "--p", "4"],   # not a prime
     ["weights", "certify", "--m", "-3", "--p", "3"],  # negative weight
+    ["fgl", "--p", str(10 ** 30 + 57)],               # beyond exact primality testing
 ])
 def test_out_of_range_arguments_exit_2(argv, capsys):
     assert run(argv) == 2
@@ -126,6 +127,36 @@ def test_fgl_from_file(tmp_path, capsys):
     f.write_text(json.dumps(G.to_json()))
     assert run(["fgl", "--file", str(f)]) == 0
     assert "Height(1)" in capsys.readouterr().out
+
+
+def _mismatched_law_file(tmp_path):
+    """A multiplicative law whose top-level D differs from its series' D."""
+    from fglcheck.exact_arith import WittCoefRing
+    from fglcheck.formal_groups import fgl_multiplicative
+    doc = fgl_multiplicative(WittCoefRing(2, 3), 5).to_json()
+    doc["D"] = 7
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    return f
+
+
+def test_fgl_file_with_mismatched_bound_exits_2(tmp_path, capsys):
+    assert run(["fgl", "--file", str(_mismatched_law_file(tmp_path))]) == 2
+    out, err = capsys.readouterr()
+    assert "a law at D=7" in err and "Traceback" not in err + out
+
+
+def test_fgl_file_with_mismatched_bound_exits_2_under_O(tmp_path):
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-m", "fglcheck", "fgl", "--file",
+                           str(_mismatched_law_file(tmp_path))],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "a law at D=7" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_selftest_exit_zero(capsys):

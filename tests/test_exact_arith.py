@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fglcheck.exact_arith import (NotDivisible, RingMismatch,
-                                  WittCoefRing, ring_from_descriptor)
+                                  WittCoefRing, is_prime, ring_from_descriptor)
 
 
 def test_zmod_products():
@@ -139,3 +139,60 @@ def test_ring_axioms_witt(a, b, c):
     assert x * (y * z) == (x * y) * z
     assert x * (y + z) == x * y + x * z
     assert x * y == y * x
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(-3, 10 ** 5) if is_prime(n) != _trial_division(n)] == []
+
+
+@pytest.mark.parametrize("n", [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051,
+    318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_large_primes_answer_fast():
+    import time
+    t0 = time.perf_counter()
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 64 - 59)
+    assert not is_prime((2 ** 61 - 1) * (2 ** 13 - 1))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_is_prime_refuses_beyond_exact_range():
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError):
+        WittCoefRing(10 ** 30 + 57, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, [1, 1, 1]), (2, [1, 1, 0, 1]), (3, [2, 2, 1])]),
+       st.integers(2, 4), st.data())
+def test_lower_keeps_the_lift(ext_case, N, data):
+    p, ext = ext_case
+    q = p ** N
+    lift = [c + p * data.draw(st.integers(0, q // p - 1)) for c in ext[:-1]] + [1]
+    W = WittCoefRing(p, N, ext, lift)
+    low = W.lower()
+    coeffs = st.lists(st.integers(0, q - 1), min_size=W.f, max_size=W.f)
+    a, b = W.elem(tuple(data.draw(coeffs))), W.elem(tuple(data.draw(coeffs)))
+    down = lambda x: W.truncate_to(low, x)
+    assert down(W.mul(a, b)) == low.mul(down(a), down(b))
+    assert down(W.add(a, b)) == low.add(down(a), down(b))
+    assert down(W.one()) == low.one()
+
+
+def test_lower_of_custom_lift_f4():
+    W = WittCoefRing(2, 3, [1, 1, 1], [3, 1, 1])
+    low = W.lower()
+    t, t_low = W.gen(), W.truncate_to(low, W.gen())
+    assert W.truncate_to(low, t * t) == low.mul(t_low, t_low)
+    assert low.mul(t_low, t_low) == low.from_int(1) + 3 * low.gen()

@@ -9,7 +9,7 @@ from fglcheck.formal_groups import (FormalGroupLaw, MalformedPSeries, NotCharP,
                                     formal_inverse, frobenius_isogeny, height,
                                     lubin_tate_deformation, n_series,
                                     reduce_to_residue, specialize_deformation)
-from fglcheck.series import ResidueZero, TruncSeries, substitute
+from fglcheck.series import ContextMismatch, ResidueZero, TruncSeries, substitute
 
 
 def test_multiplicative_terms():
@@ -197,3 +197,21 @@ def test_fgl_json_roundtrip():
               lubin_tate_deformation(2, 2, 2, 1, 4)):
         G2 = FormalGroupLaw.from_json(G.to_json())
         assert G2.F == G.F
+
+
+@pytest.mark.parametrize("build", [lambda: fgl_honda(2, 0, 3, 6),
+                                   lambda: lubin_tate_deformation(2, 0, 3, 2, 6),
+                                   lambda: fgl_honda(2, -1, 3, 6)])
+def test_height_below_one_is_refused(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_law_must_match_its_bound_and_variables():
+    Z8 = WittCoefRing(2, 3)
+    F = fgl_multiplicative(Z8, 5).F
+    with pytest.raises(ContextMismatch):
+        FormalGroupLaw(ring=Z8, bound=6, F=F)
+    uv = TruncSeries.from_int_terms(Z8, ("u", "v"), 5, {(1, 0): 1, (0, 1): 1})
+    with pytest.raises(ContextMismatch):
+        FormalGroupLaw(ring=Z8, bound=5, F=uv)

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fglcheck import series
 from fglcheck.exact_arith import IntegerRing, WittCoefRing
 from fglcheck.series import (ContextMismatch, NonUnitLinearCoefficient,
                              NonzeroConstantTerm, PolyTruncRing, ResidueZero,
@@ -202,3 +205,140 @@ def test_reversion_involution(tail, unit):
     x = TruncSeries.var(Z8, ("x",), 5, "x")
     assert substitute(f, [r]) == x
     assert substitute(r, [f]) == x
+
+
+def test_negative_power_raises():
+    x = TruncSeries.var(Z8, ("x",), 4, "x")
+    with pytest.raises(ValueError):
+        x ** -1
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against the dict loop it replaces
+
+# Z/5^30 needs slots wider than a machine word
+KERNEL_RINGS = [Z8, WittCoefRing(3, 4), PolyTruncRing(Z8, ("u1",), 4),
+                PolyTruncRing(Z8, ("u1", "u2"), 2), WittCoefRing(5, 30)]
+VARS = ("x", "y", "z")
+
+
+def dict_loop():
+    """Route every product and composition through the reference dict loop."""
+    return mock.patch.object(series, "_kernel", lambda ring, vars, bound: None)
+
+
+def packed_mul(a, b):
+    """a * b on the packed kernel, whatever the operand sizes."""
+    k = series._kernel(a.ring, a.vars, a.bound)
+    assert k is not None
+    return k.series(k.mul(k.raw(a), k.raw(b)))
+
+
+def exponents(n, bound):
+    """Exponent tuples of n variables within the bound, scaled down when over."""
+    return st.lists(st.integers(0, bound), min_size=n, max_size=n).map(
+        lambda e: tuple(x * bound // max(bound, sum(e), 1) for x in e))
+
+
+@st.composite
+def coefficients(draw, R):
+    if isinstance(R, PolyTruncRing):
+        terms = draw(st.dictionaries(exponents(len(R.vars), R.ubound),
+                                     st.integers(0, R.base.modulus - 1), max_size=4))
+        return TruncSeries.from_int_terms(R.base, R.vars, R.ubound, terms)
+    return R.from_int(draw(st.integers(0, R.modulus - 1)))
+
+
+@st.composite
+def series_over(draw, R, vars, bound, constant=True, max_terms=24):
+    exps = exponents(len(vars), bound)
+    if not constant:
+        exps = exps.filter(any)
+    keys = draw(st.lists(exps, max_size=max_terms, unique=True))
+    return TruncSeries(R, vars, bound, {e: draw(coefficients(R)) for e in keys})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_mul_matches_dict_loop(data):
+    R = data.draw(st.sampled_from(KERNEL_RINGS))
+    vars = VARS[:data.draw(st.integers(1, 3))]
+    D = data.draw(st.integers(0, 16))
+    a = data.draw(series_over(R, vars, D))
+    b = data.draw(series_over(R, vars, D))
+    with dict_loop():
+        ref = a * b
+    assert packed_mul(a, b) == ref
+    assert a * b == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_substitute_matches_dict_loop(data):
+    R = data.draw(st.sampled_from(KERNEL_RINGS))
+    vars = VARS[:data.draw(st.integers(1, 3))]
+    D = data.draw(st.integers(1, 16))
+    fvars = ("s", "t", "w")[:data.draw(st.integers(1, 3))]
+    f = data.draw(series_over(R, fvars, data.draw(st.integers(0, 8)), max_terms=10))
+    gs = [data.draw(series_over(R, vars, D, constant=False, max_terms=12))
+          for _ in fvars]
+    with dict_loop():
+        ref = substitute(f, gs)
+    assert substitute(f, gs) == ref
+
+
+def _dense(R, vars, bound, coeff):
+    """Every monomial within the bound, with coeff(exponent) as its coefficient."""
+    import itertools
+    terms = {e: coeff(e) for e in itertools.product(range(bound + 1), repeat=len(vars))
+             if 0 < sum(e) <= bound}
+    return TruncSeries(R, vars, bound, terms)
+
+
+@pytest.mark.parametrize("R", KERNEL_RINGS, ids=repr)
+def test_packed_kernel_edge_cases(R):
+    D = 6
+    one = R.one()
+    zero = TruncSeries.zero(R, VARS, D)
+    xs = _dense(R, ("x",), D, lambda e: R.from_int(e[0] + 3))
+
+    def embed(f, v):
+        return TruncSeries(R, VARS, D, {tuple(e[0] if w == v else 0 for w in VARS): c
+                                        for e, c in f.terms.items()})
+
+    x_only, y_only = embed(xs, "x"), embed(xs, "y")
+    full = _dense(R, VARS, D, lambda e: R.from_int(-1))  # largest slot sums
+    cases = [(zero, x_only), (x_only, zero), (x_only, y_only), (full, full),
+             (x_only, _dense(R, VARS, D, lambda e: one))]
+    for a, b in cases:
+        with dict_loop():
+            ref = a * b
+        assert packed_mul(a, b) == ref
+    assert packed_mul(x_only, y_only).coefficient((1, 1, 0)) == R.from_int(16)
+    f = TruncSeries(R, ("s", "t"), D, {(0, 0): one, (1, 0): one, (1, 1): R.from_int(3),
+                                      (0, 3): R.from_int(5)})
+    empty = TruncSeries.zero(R, ("s", "t"), D)
+    # an empty f; f with a constant term; a zero g; g in two variables
+    for f_, gs in [(empty, [x_only, y_only]), (f, [x_only, y_only]),
+                   (f, [zero, x_only]), (f, [x_only + y_only, y_only])]:
+        with dict_loop():
+            ref = substitute(f_, gs)
+        assert substitute(f_, gs) == ref
+    assert substitute(f, [x_only, y_only]).constant_term() == one
+
+
+def test_packed_kernel_drops_inner_degree_beyond_u_bound():
+    # over (Z/8)[u1,u2]<=2 the product of u-degree 2 coefficients has u-degree 4:
+    # those terms vanish, and must not spill into the next outer slot
+    L = PolyTruncRing(Z8, ("u1", "u2"), 2)
+    u1, u2 = L.var("u1"), L.var("u2")
+    top = [L.mul(u1, u1), L.mul(u1, u2), L.mul(u2, u2)]
+    a = _dense(L, ("x", "y"), 5, lambda e: L.add(top[e[0] % 3], L.from_int(e[1])))
+    b = _dense(L, ("x", "y"), 5, lambda e: L.add(top[e[1] % 3], u1))
+    with dict_loop():
+        ref = a * b
+        comp = substitute(a, [b, a])
+    assert packed_mul(a, b) == ref
+    assert substitute(a, [b, a]) == comp
+    high = _dense(L, ("x",), 5, lambda e: top[e[0] % 3])
+    assert packed_mul(high, high).is_zero()

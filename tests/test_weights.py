@@ -6,7 +6,7 @@ from fglcheck.exact_arith import IntegerRing, WittCoefRing
 from fglcheck.linalg import Mat
 from fglcheck.weights import (EpiFamily, InvariantViolation, NotLocal,
                               WeightedMonadData, binomial_gcd,
-                              brute_force_surjective, epi_family_check,
+                              brute_force_surjective, digit_sum, epi_family_check,
                               inherit_structure, kummer_carries,
                               legendre_valuation, regularity_certificate,
                               sym_matrix)
@@ -163,3 +163,11 @@ def test_sym_matrix_functorial():
         for k in (2, 3):
             assert sym_matrix(F2, k, A @ B) == \
                 sym_matrix(F2, k, A) @ sym_matrix(F2, k, B)
+
+
+@pytest.mark.parametrize("call", [lambda: digit_sum(5, 1), lambda: digit_sum(5, 0),
+                                  lambda: regularity_certificate(5, 1),
+                                  lambda: regularity_certificate(-3, 3)])
+def test_library_guards_refuse_out_of_range(call):
+    with pytest.raises(ValueError):
+        call()
