@@ -55,6 +55,22 @@ def nonnegative(text):
     return n
 
 
+def at_least_two(text):
+    """argparse type: an integer >= 2."""
+    n = int(text)
+    if n < 2:
+        raise ValueError(text)
+    return n
+
+
+def height1_spec(text):
+    """argparse type: "p,N,f,kmax" with p prime, N >= 1, f >= 1 and kmax >= 0."""
+    p, N, f, kmax = (int(x) for x in text.split(","))
+    if not is_prime(p) or N < 1 or f < 1 or kmax < 0:
+        raise ValueError(text)
+    return text
+
+
 def _digest(payload):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -271,7 +287,7 @@ def build_parser():
     s.add_argument("--n", type=positive, default=1, help="height parameter")
     s.add_argument("--precision", type=int, default=4)
     s.add_argument("--u-bound", type=int, default=2, dest="u_bound")
-    s.add_argument("--degree-bound", type=int, default=6, dest="degree_bound")
+    s.add_argument("--degree-bound", type=positive, default=6, dest="degree_bound")
     common(s)
     s.set_defaults(fn=cmd_fgl)
 
@@ -283,7 +299,7 @@ def build_parser():
 
     s = sub.add_parser("bialg", help="verify twisted bialgebra axioms")
     s.add_argument("--file", help="bialgebra JSON (structure constants)")
-    s.add_argument("--height1", default="2,3,2,3",
+    s.add_argument("--height1", type=height1_spec, default="2,3,2,3",
                    help="p,N,f,kmax for the built-in height-1 bialgebra")
     s.add_argument("--dualize", action="store_true",
                    help="also build and check the dual category scheme")
@@ -299,7 +315,8 @@ def build_parser():
     s.set_defaults(fn=cmd_theta)
 
     s = sub.add_parser("congruence", help="congruence checks and weight-p squares")
-    s.add_argument("--height1", help="p,N,f,kmax: canonical algebra congruence")
+    s.add_argument("--height1", type=height1_spec,
+                   help="p,N,f,kmax: canonical algebra congruence")
     s.add_argument("--squares", help="p,N: verify the weight-p module squares")
     s.add_argument("--comodule-file", help="comodule congruence data JSON")
     s.add_argument("--degree-bound", type=int, default=2, dest="degree_bound")
@@ -309,7 +326,7 @@ def build_parser():
     s = sub.add_parser("weights", help="critical-weight arithmetic")
     ws = s.add_subparsers(dest="weights_cmd", required=True)
     g = ws.add_parser("gcd")
-    g.add_argument("--max", type=int, default=100)
+    g.add_argument("--max", type=at_least_two, default=100)
     common(g)
     g.set_defaults(fn=cmd_weights)
     c = ws.add_parser("certify")

@@ -22,6 +22,14 @@ class HenselFailure(ArithmeticError):
     """Newton refinement impossible: derivative not a unit at the start point."""
 
 
+class MalformedElement(ValueError):
+    """Coefficients that do not describe an element of the ring."""
+
+
+class IdentityFailed(ArithmeticError):
+    """A computed result fails an identity its construction guarantees."""
+
+
 class NotDivisible(ArithmeticError):
     """Exact division by p requested on an element not congruent to 0 mod p."""
 
@@ -181,8 +189,12 @@ class WittElem:
 
     def __post_init__(self):
         q = self.ring.modulus
-        assert len(self.coeffs) == self.ring.f
-        assert all(isinstance(c, int) and 0 <= c < q for c in self.coeffs)
+        if len(self.coeffs) != self.ring.f:
+            raise MalformedElement(f"{len(self.coeffs)} coefficients, the ring needs "
+                                   f"{self.ring.f}")
+        if not all(isinstance(c, int) and 0 <= c < q for c in self.coeffs):
+            raise MalformedElement(f"coefficients {self.coeffs} are not integers "
+                                   f"in [0, {q})")
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -358,7 +370,8 @@ class WittCoefRing(Ring):
         coeffs = tuple(c % self.modulus for c in coeffs)
         if len(coeffs) < self.f:
             coeffs = coeffs + (0,) * (self.f - len(coeffs))
-        assert len(coeffs) == self.f
+        if len(coeffs) != self.f:
+            raise MalformedElement(f"{len(coeffs)} coefficients, the ring needs {self.f}")
         return WittElem(self, coeffs)
 
     def reduced(self, coeffs):
@@ -431,7 +444,8 @@ class WittCoefRing(Ring):
         two = self.from_int(2)
         for _ in range(max(1, self.N.bit_length()) + 1):
             b = self.mul(b, self.sub(two, self.mul(a, b)))
-        assert self.eq(self.mul(a, b), self.one())
+        if not self.eq(self.mul(a, b), self.one()):
+            raise IdentityFailed(f"{b!r} * {a!r} != 1 after Newton iteration")
         return b
 
     # local structure: maximal ideal is (p)

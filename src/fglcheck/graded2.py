@@ -28,17 +28,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .linalg import Mat
+from .linalg import Mat, ShapeMismatch
 from .report import CheckResult, CongruenceReport, SizeLimit
 from .series import ContextMismatch
 
 
 class NotInvertible(ValueError):
     """Z-graded assembly needs the twisting object declared invertible."""
-
-
-class ShapeMismatch(ValueError):
-    """A graded map's blocks do not fit the ranks of its source and target."""
 
 
 class AmbiguousFlattening(ValueError):
@@ -234,7 +230,7 @@ def _block_diag(ring, blocks):
                 rows[i0 + i][j0 + j] = b.rows[i][j]
         i0 += b.nrows
         j0 += b.ncols
-    return Mat(ring, rows)
+    return Mat(ring, rows, m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -496,5 +492,5 @@ def flip_sign(gmap, degree, i, j):
         ring = m.ring
         rows = [list(r) for r in m.rows]
         rows[i][j] = ring.neg(rows[i][j])
-        blocks[degree] = Mat(ring, rows)
+        blocks[degree] = Mat(ring, rows, m.ncols)
     return GradedMap(gmap.source, gmap.target, blocks[0], blocks[1])

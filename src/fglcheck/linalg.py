@@ -3,25 +3,39 @@
 Matrices are small and dense.  Smith normal form is implemented for chain
 rings (Z/p^N, truncated Witt rings, and their residue fields), where every
 nonzero element factors as unit * p^v; that is all the structure the pivoting
-needs.  Ranks and kernels over residue fields use plain Gaussian elimination.
+needs.  Ranks and kernels over residue fields share one reduced row echelon
+form.
+
+A matrix keeps its column count even when it has no rows, so 0 x n and
+n x 0 matrices have the shapes they were built with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .exact_arith import IdentityFailed
+
+
+class ShapeMismatch(ValueError):
+    """Matrix or graded-map shapes that do not fit together."""
+
 
 class Mat:
-    """Dense matrix over a Ring; rows is a tuple of tuples of ring elements."""
+    """Dense matrix over a Ring; rows is a tuple of tuples of ring elements.
+
+    The column count comes from the rows; ncols gives it when there are none.
+    """
 
     __slots__ = ("ring", "rows", "nrows", "ncols")
 
-    def __init__(self, ring, rows):
+    def __init__(self, ring, rows, ncols=0):
         self.ring = ring
         self.rows = tuple(tuple(r) for r in rows)
         self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        assert all(len(r) == self.ncols for r in self.rows)
+        self.ncols = len(self.rows[0]) if self.rows else ncols
+        if any(len(r) != self.ncols for r in self.rows):
+            raise ShapeMismatch(f"ragged rows of lengths {[len(r) for r in self.rows]}")
 
     @staticmethod
     def from_int_rows(ring, rows):
@@ -35,10 +49,11 @@ class Mat:
     @staticmethod
     def zeros(ring, m, n):
         z = ring.zero()
-        return Mat(ring, [[z] * n for _ in range(m)])
+        return Mat(ring, [[z] * n for _ in range(m)], n)
 
     def __matmul__(self, other):
-        assert self.ncols == other.nrows, (self.shape, other.shape)
+        if self.ncols != other.nrows:
+            raise ShapeMismatch(f"{self.shape} @ {other.shape}")
         R = self.ring
         out = []
         for i in range(self.nrows):
@@ -49,25 +64,16 @@ class Mat:
                     acc = R.add(acc, R.mul(self.rows[i][k], other.rows[k][j]))
                 row.append(acc)
             out.append(row)
-        return Mat(R, out)
+        return Mat(R, out, other.ncols)
 
     def __add__(self, other):
         R = self.ring
         return Mat(R, [[R.add(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        R = self.ring
-        return Mat(R, [[R.sub(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        R = self.ring
-        return Mat(R, [[R.neg(a) for a in r] for r in self.rows])
+                       for r1, r2 in zip(self.rows, other.rows)], self.ncols)
 
     def scale(self, c):
         R = self.ring
-        return Mat(R, [[R.mul(c, a) for a in r] for r in self.rows])
+        return Mat(R, [[R.mul(c, a) for a in r] for r in self.rows], self.ncols)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -86,22 +92,17 @@ class Mat:
         return (self.nrows, self.ncols)
 
     def transpose(self):
-        return Mat(self.ring, list(zip(*self.rows)) if self.rows else [])
-
-    def is_zero(self):
-        R = self.ring
-        return all(R.is_zero(a) for r in self.rows for a in r)
+        return Mat(self.ring, zip(*self.rows) if self.rows else [()] * self.ncols,
+                   self.nrows)
 
     def col(self, j):
         return tuple(r[j] for r in self.rows)
 
     def hstack(self, other):
-        assert self.nrows == other.nrows
-        return Mat(self.ring, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)])
-
-    def vstack(self, other):
-        assert self.ncols == other.ncols
-        return Mat(self.ring, self.rows + other.rows)
+        if self.nrows != other.nrows:
+            raise ShapeMismatch(f"hstack of {self.shape} and {other.shape}")
+        return Mat(self.ring, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
+                   self.ncols + other.ncols)
 
     def kron(self, other):
         """Kronecker product, row-major block layout."""
@@ -110,17 +111,17 @@ class Mat:
         for r1 in self.rows:
             for r2 in other.rows:
                 out.append([R.mul(a, b) for a in r1 for b in r2])
-        if not out:
-            return Mat.zeros(R, self.nrows * other.nrows, self.ncols * other.ncols)
-        return Mat(R, out)
+        return Mat(R, out, self.ncols * other.ncols)
 
     def map(self, fn, ring=None):
-        return Mat(ring or self.ring, [[fn(a) for a in r] for r in self.rows])
+        return Mat(ring or self.ring, [[fn(a) for a in r] for r in self.rows],
+                   self.ncols)
 
     def apply(self, vec):
         """Matrix times a column vector given as a tuple."""
         R = self.ring
-        assert len(vec) == self.ncols
+        if len(vec) != self.ncols:
+            raise ShapeMismatch(f"{self.shape} applied to a vector of length {len(vec)}")
         out = []
         for r in self.rows:
             acc = R.zero()
@@ -214,40 +215,20 @@ def smith_normal_form(A):
             col_op(j, s, _chain_quot(R, a[s][j], piv, v))
         pivots.append(v)
         s += 1
-    return SmithForm(Mat(R, U), Mat(R, a), Mat(R, V), pivots)
+    return SmithForm(Mat(R, U, n), Mat(R, a, m), Mat(R, V, m), pivots)
 
 
 def _chain_quot(R, x, piv, piv_val):
-    """x / piv in a chain ring, assuming val(x) >= val(piv) and piv = p^v."""
+    """x / piv in a chain ring, given val(x) >= val(piv) and piv = p^v."""
     vx, ux = R.val_unit(x)
-    assert vx is not None and vx >= piv_val
+    if vx is None or vx < piv_val:
+        raise IdentityFailed(f"val({x!r}) = {vx} is below the minimal pivot "
+                             f"valuation {piv_val}")
     return R.mul(ux, R.from_int(_char_power(R, vx - piv_val)))
 
 
 def _char_power(R, k):
     return getattr(R, "p", 0) ** k if k else 1
-
-
-def kernel_basis(A):
-    """Basis of {x : A x = 0} over a chain ring of length N (columns returned).
-
-    From U A V = D with D_ii = p^{v_i}: kernel is spanned by V e_i * p^{N-v_i}
-    for pivot columns plus V e_j for free columns.
-    """
-    R = A.ring
-    N = R.chain_length()
-    snf = smith_normal_form(A)
-    cols = []
-    for i, v in enumerate(snf.pivots):
-        if v > 0:
-            c = snf.V.col(i)
-            scale = R.from_int(getattr(R, "p") ** (N - v))
-            col = tuple(R.mul(scale, x) for x in c)
-            if any(not R.is_zero(x) for x in col):
-                cols.append(col)
-    for j in range(snf.rank, A.ncols):
-        cols.append(snf.V.col(j))
-    return cols
 
 
 def solve(A, b):
@@ -283,61 +264,45 @@ def solve_matrix(A, B):
         if x is None:
             return None
         cols.append(x)
-    return Mat(A.ring, list(zip(*cols)))
+    return Mat(A.ring, cols, A.ncols).transpose()
 
 
 def residue_rank(A):
     """Rank of A over the residue field of its (local) ring."""
     R = A.ring
-    k = R.residue_ring()
-    Ak = A.map(R.residue, ring=k)
-    return _field_rank(Ak)
-
-
-def _field_rank(A):
-    R = A.ring
-    a = [list(r) for r in A.rows]
-    n, m = A.nrows, A.ncols
-    rank = 0
-    for j in range(m):
-        piv = None
-        for i in range(rank, n):
-            if not R.is_zero(a[i][j]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = R.inv(a[rank][j])
-        a[rank] = [R.mul(inv, x) for x in a[rank]]
-        for i in range(n):
-            if i != rank and not R.is_zero(a[i][j]):
-                c = a[i][j]
-                a[i] = [R.sub(x, R.mul(c, y)) for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
+    return len(_field_rref(A.map(R.residue, ring=R.residue_ring()))[1])
 
 
 def field_left_kernel_vector(A):
     """A nonzero row vector y with y A = 0 over a field, or None if full row rank."""
-    return _field_kernel_vector(A.transpose())
-
-
-def _field_kernel_vector(A):
-    cols = field_kernel_basis(A)
+    cols = field_kernel_basis(A.transpose())
     return cols[0] if cols else None
 
 
 def field_kernel_basis(A):
-    """Kernel basis over a field by reduced row echelon form."""
+    """Kernel basis over a field, read off the reduced row echelon form."""
+    R = A.ring
+    a, pivots = _field_rref(A)
+    basis = []
+    for j in range(A.ncols):
+        if j in pivots:
+            continue
+        vec = [R.zero()] * A.ncols
+        vec[j] = R.one()
+        for r, pj in enumerate(pivots):
+            vec[pj] = R.neg(a[r][j])
+        basis.append(tuple(vec))
+    return basis
+
+
+def _field_rref(A):
+    """Reduced row echelon form over a field: (rows, pivot columns)."""
     R = A.ring
     a = [list(r) for r in A.rows]
     n, m = A.nrows, A.ncols
     pivots = []
-    rank = 0
     for j in range(m):
+        rank = len(pivots)
         piv = None
         for i in range(rank, n):
             if not R.is_zero(a[i][j]):
@@ -353,15 +318,11 @@ def field_kernel_basis(A):
                 c = a[i][j]
                 a[i] = [R.sub(x, R.mul(c, y)) for x, y in zip(a[i], a[rank])]
         pivots.append(j)
-        rank += 1
-        if rank == n:
+        if len(pivots) == n:
             break
-    free = [j for j in range(m) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = [R.zero()] * m
-        vec[j] = R.one()
-        for r, pj in enumerate(pivots):
-            vec[pj] = R.neg(a[r][j])
-        basis.append(tuple(vec))
-    return basis
+    return a, pivots
+
+
+def unit_vector(R, n, i):
+    """The i-th standard basis vector of R^n, as a tuple."""
+    return tuple(R.one() if j == i else R.zero() for j in range(n))

@@ -20,7 +20,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-from .exact_arith import Ring, WittCoefRing
+from .exact_arith import IdentityFailed, Ring, WittCoefRing
 
 
 class ContextMismatch(ValueError):
@@ -47,10 +47,6 @@ class DegreeOverflow(ValueError):
 
 class NotConverged(ArithmeticError):
     """An iteration did not settle within the steps that provably suffice."""
-
-
-class IdentityFailed(ArithmeticError):
-    """A computed result fails an identity its construction guarantees."""
 
 
 class TruncSeries:

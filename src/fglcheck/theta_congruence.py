@@ -1,5 +1,8 @@
 """psi-rings, theta-rings, and the congruence criteria.
 
+A finite-free presentation multiplies through the same structure-constant
+product as the Gamma-algebras and dual algebras of twisted_bialgebra.
+
 The Wilkerson check asks whether psi(x) = x^p mod p; on a pass, theta is
 derived by exact division and its forced addition/multiplication identities
 are re-verified.  The general (height >= 1) congruence x . sigma = x^p mod pB
@@ -14,10 +17,11 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .exact_arith import NotDivisible, WittCoefRing
-from .linalg import Mat, residue_rank, smith_normal_form, solve
+from .exact_arith import IdentityFailed, NotDivisible, WittCoefRing
+from .linalg import (Mat, ShapeMismatch, residue_rank, smith_normal_form, solve,
+                     unit_vector)
 from .report import CheckResult, CongruenceReport
-from .twisted_bialgebra import IncompleteAction, TwistedBialgebra
+from .twisted_bialgebra import IncompleteAction, TwistedBialgebra, structure_mul
 
 
 class IllDefinedPsi(ValueError):
@@ -74,6 +78,8 @@ class PsiRingPresentation:
             raise ValueError("psi_on_coeffs must be 'id' or 'sigma'")
         self._sigma = (self.W.frobenius_lift() if self.psi_on_coeffs == "sigma"
                        else None)
+        if isinstance(self.shape, FiniteFreeShape):
+            self._mult = {(i, j): vec for i, j, vec in self.shape.mult}
 
     # elements: PolyShape -> dict exps->W, others -> tuple over the basis
 
@@ -88,8 +94,6 @@ class PsiRingPresentation:
     def from_coeff(self, c):
         if isinstance(self.shape, PolyShape):
             return {} if self.W.is_zero(c) else {(0,) * len(self.shape.vars): c}
-        if isinstance(self.shape, MonicQuotientShape):
-            return (c,) + (self.W.zero(),) * (self._rank() - 1)
         return (c,) + (self.W.zero(),) * (self._rank() - 1)
 
     def gen(self, name):
@@ -98,13 +102,10 @@ class PsiRingPresentation:
             e = tuple(1 if j == i else 0 for j in range(len(self.shape.vars)))
             return {e: self.W.one()}
         if isinstance(self.shape, MonicQuotientShape):
-            assert name == self.shape.var
-            v = [self.W.zero()] * self._rank()
-            v[1] = self.W.one()
-            return tuple(v)
-        i = self.shape.basis.index(name)
-        return tuple(self.W.one() if j == i else self.W.zero()
-                     for j in range(self._rank()))
+            if name != self.shape.var:
+                raise ValueError(f"{name!r} is not the generator {self.shape.var!r}")
+            return unit_vector(self.W, self._rank(), 1)
+        return unit_vector(self.W, self._rank(), self.shape.basis.index(name))
 
     def generators(self):
         if isinstance(self.shape, PolyShape):
@@ -171,18 +172,7 @@ class PsiRingPresentation:
                     prod[k - d + j] = W.sub(prod[k - d + j],
                                             W.mul(c, self.shape.monic[j]))
             return tuple(prod[:d])
-        out = [W.zero()] * self._rank()
-        mult = {(i, j): vec for i, j, vec in self.shape.mult}
-        for i, x in enumerate(a):
-            if W.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                if W.is_zero(y):
-                    continue
-                c = W.mul(x, y)
-                for r, m in enumerate(mult[(i, j)]):
-                    out[r] = W.add(out[r], W.mul(c, m))
-        return tuple(out)
+        return structure_mul(W, self._mult, a, b)
 
     def power(self, a, n):
         out = self.one()
@@ -197,11 +187,6 @@ class PsiRingPresentation:
         if isinstance(self.shape, PolyShape):
             return not a
         return all(self.W.is_zero(c) for c in a)
-
-    def coeffs_of(self, a):
-        if isinstance(self.shape, PolyShape):
-            return list(a.values())
-        return list(a)
 
     def psi_coeff(self, c):
         return self._sigma(c) if self._sigma is not None else c
@@ -218,20 +203,24 @@ class PsiRingPresentation:
                 out = self.add(out, term)
             return out
         if isinstance(self.shape, MonicQuotientShape):
-            img = self.psi_gen_images[self.shape.var]
-            out = self.zero()
-            xpow = self.one()
-            for i, c in enumerate(a):
-                if not W.is_zero(c):
-                    out = self.add(out, self.scale(self.psi_coeff(c), xpow))
-                xpow = self.mul(xpow, img)
-            return out
+            return self._psi_of_poly(a)
         out = self.zero()
         for name, c in zip(self.shape.basis, a):
             if W.is_zero(c):
                 continue
             img = self.one() if name == "1" else self.psi_gen_images[name]
             out = self.add(out, self.scale(self.psi_coeff(c), img))
+        return out
+
+    def _psi_of_poly(self, coeffs):
+        """psi of sum c_i x^i for the generator x of a monic quotient."""
+        img = self.psi_gen_images[self.shape.var]
+        out = self.zero()
+        xpow = self.one()
+        for c in coeffs:
+            if not self.W.is_zero(c):
+                out = self.add(out, self.scale(self.psi_coeff(c), xpow))
+            xpow = self.mul(xpow, img)
         return out
 
     def scale(self, c, a):
@@ -279,9 +268,6 @@ class PsiRingPresentation:
             return {e: fn(c) for e, c in a.items()}
         return tuple(fn(c) for c in a)
 
-    def lower_elem(self, a):
-        return self.map_coeffs(a, lambda c: self.W.truncate_to(self.W.lower(), c))
-
     def divide_by_p(self, a):
         """(1/p) a, exactly, landing one precision digit down."""
         return self.map_coeffs(a, self.W.divide_by_p)
@@ -320,27 +306,18 @@ class PsiRingPresentation:
         if isinstance(self.shape, PolyShape):
             return None
         if isinstance(self.shape, MonicQuotientShape):
-            img = self.psi_gen_images[self.shape.var]
-            acc = self.zero()
-            xpow = self.one()
-            for c in self.shape.monic:
-                acc = self.add(acc, self.scale(self.psi_coeff(c), xpow))
-                xpow = self.mul(xpow, img)
+            acc = self._psi_of_poly(self.shape.monic)
             if not self.is_zero(acc):
                 return f"psi(monic relation) = {self.repr_elem(acc)} != 0"
             return None
-        mult = {(i, j): vec for i, j, vec in self.shape.mult}
-        for (i, j), vec in mult.items():
+        n = self._rank()
+        for (i, j), vec in self._mult.items():
             lhs = self.psi(tuple(vec))
-            rhs = self.mul(self.psi(self.gen_by_index(i)),
-                           self.psi(self.gen_by_index(j)))
+            rhs = self.mul(self.psi(unit_vector(W, n, i)),
+                           self.psi(unit_vector(W, n, j)))
             if not self.eq(lhs, rhs):
                 return f"psi not multiplicative on basis pair ({i},{j})"
         return None
-
-    def gen_by_index(self, i):
-        return tuple(self.W.one() if j == i else self.W.zero()
-                     for j in range(self._rank()))
 
     def to_json(self):
         W = self.W
@@ -370,23 +347,19 @@ class PsiRingPresentation:
         W = ring_from_descriptor(data["ring"])
         dec = W.decode
         sh = data["shape"]
+
+        def elem(a):
+            if sh["kind"] == "poly":
+                return {tuple(e): dec(c) for e, c in a}
+            return tuple(dec(c) for c in a)
+
         if sh["kind"] == "poly":
             shape = PolyShape(tuple(sh["vars"]))
-
-            def elem(a):
-                return {tuple(e): dec(c) for e, c in a}
         elif sh["kind"] == "monic_quotient":
-            shape = MonicQuotientShape(sh["var"], tuple(dec(c) for c in sh["monic"]))
-
-            def elem(a):
-                return tuple(dec(c) for c in a)
+            shape = MonicQuotientShape(sh["var"], elem(sh["monic"]))
         else:
             shape = FiniteFreeShape(tuple(sh["basis"]),
-                                    tuple((i, j, tuple(dec(c) for c in vec))
-                                          for i, j, vec in sh["mult"]))
-
-            def elem(a):
-                return tuple(dec(c) for c in a)
+                                    tuple((i, j, elem(vec)) for i, j, vec in sh["mult"]))
         return PsiRingPresentation(
             W=W, shape=shape, psi_on_coeffs=data.get("psi_on_coeffs", "id"),
             psi_gen_images={k: elem(v) for k, v in data["psi_gen_images"].items()})
@@ -409,7 +382,9 @@ class FrobeniusClassSpec:
     coords: tuple
 
     def __post_init__(self):
-        assert len(self.coords) == self.gamma.rank(1)
+        if len(self.coords) != self.gamma.rank(1):
+            raise ShapeMismatch(f"{len(self.coords)} coordinates for a Gamma[1] of "
+                                f"rank {self.gamma.rank(1)}")
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +449,8 @@ def derive_theta(pres, seed=0):
         # reconstruction at full precision: psi(g) = g^p + p*theta(g)
         lift = pres.map_coeffs(theta[g], lambda c: pres.W.elem(c.coeffs))
         back = pres.add(pres.power(gv, p), pres.scale(pres.W.from_int(p), lift))
-        assert pres.eq(back, pres.psi(gv)), "theta reconstruction failed"
+        if not pres.eq(back, pres.psi(gv)):
+            raise IdentityFailed(f"theta({g}) does not reconstruct psi({g})")
     return ThetaData(presentation=pres, lowered=low, theta_gens=theta)
 
 

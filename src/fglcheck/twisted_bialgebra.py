@@ -9,6 +9,12 @@ identities between coordinate vectors.
 Tensor squares Gamma[k] (x)_R Gamma[k] are written in the canonical form
 sum (gamma_u (x) gamma_v) . c_uv with all scalars pushed onto the right leg,
 which is a free basis presentation, so equality is matrix equality.
+
+Every finite commutative algebra here (a Gamma-algebra, the dual algebras
+A[k] of the category scheme, the coefficient ring as a W-algebra, a
+finite-free psi-ring) multiplies coordinate vectors through structure_mul,
+and the dual algebras and the point-enumeration presentations are one type,
+FiniteAlgebra.
 """
 
 from __future__ import annotations
@@ -16,9 +22,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .exact_arith import WittCoefRing, ring_from_descriptor
-from .linalg import Mat, solve
+from .exact_arith import IdentityFailed, WittCoefRing, ring_from_descriptor
+from .linalg import Mat, solve, unit_vector
 from .report import CheckResult, CongruenceReport, SizeLimit
+
+# enumeration guards of points_category, ring_maps and free_algebra
+POINTS_MAX_RING_SIZE = 16
+POINTS_MAX_RANK = 4
+RING_MAPS_LIMIT = 200000
+FREE_ALGEBRA_SIZE_LIMIT = 4000
 
 
 class IncompleteData(ValueError):
@@ -72,8 +84,7 @@ class TwistedBialgebra:
         return (self.ring.zero(),) * self.rank(k)
 
     def basis_vec(self, k, a):
-        R = self.ring
-        return tuple(R.one() if i == a else R.zero() for i in range(self.rank(k)))
+        return unit_vector(self.ring, self.rank(k), a)
 
     def add_vec(self, u, v):
         R = self.ring
@@ -219,10 +230,14 @@ class TwistedBialgebra:
             left_t=({int(k): mat(rows) for k, rows in data["left_t"].items()}
                     if data.get("left_t") else None),
         )
-        for k in range(out.kmax + 1):
-            if k not in out.basis or k not in out.eps or k not in out.delta:
-                raise IncompleteData(f"weight {k} missing from bialgebra data")
+        out.check_weights()
         return out
+
+    def check_weights(self):
+        """Every weight up to kmax needs a basis, eps and Delta."""
+        for k in range(self.kmax + 1):
+            if k not in self.basis or k not in self.eps or k not in self.delta:
+                raise IncompleteData(f"weight {k} missing from bialgebra data")
 
 
 def height1_gamma(p, N, f, kmax, ext=None):
@@ -234,6 +249,9 @@ def height1_gamma(p, N, f, kmax, ext=None):
     fixed so that the canonical module structure on W reduces to the p-th
     power map mod p, as the dual category scheme requires.
     """
+    if f < 1 or kmax < 0:
+        raise ValueError(f"height-1 bialgebra needs f >= 1 and kmax >= 0, "
+                         f"got f={f}, kmax={kmax}")
     if ext is None and f > 1:
         ext = find_irreducible(p, f)
     W = WittCoefRing(p, N, ext)
@@ -275,11 +293,7 @@ def verify_bialgebra(gamma):
     R = G.ring
     checks = []
     kmax = G.kmax
-
-    for k in range(kmax + 1):
-        for need in (G.basis, G.eps, G.delta):
-            if k not in need:
-                raise IncompleteData(f"weight {k} missing from bialgebra data")
+    G.check_weights()
 
     def add_check(name, ok, witness=None):
         checks.append(CheckResult(name=name, passed=ok,
@@ -353,8 +367,8 @@ def verify_bialgebra(gamma):
                       f"(id x eps)Delta={G.counit_right(k, D)} want {v}")
             add_check(f"delta_cocomm[{k},{a}]", D == D.transpose(),
                       f"Delta not symmetric: {D.to_json()}")
-            lhs3 = _delta_then_left(G, k, D)
-            rhs3 = _delta_then_right(G, k, D)
+            lhs3 = _delta_then(G, k, D, 0)
+            rhs3 = _delta_then(G, k, D, 1)
             add_check(f"delta_coassoc[{k},{a}]", lhs3 == rhs3,
                       "iterated comultiplications differ")
 
@@ -380,27 +394,9 @@ def _weight_triples(kmax):
                 yield k, l, m
 
 
-def _delta_then_left(G, k, D):
-    """(Delta (x) id) of a canonical tensor matrix, as a 3-index dict."""
-    R = G.ring
-    out = {}
-    for u in range(G.rank(k)):
-        Du = G.delta[k][u]
-        for v in range(G.rank(k)):
-            c = D.rows[u][v]
-            if R.is_zero(c):
-                continue
-            for a in range(G.rank(k)):
-                for b in range(G.rank(k)):
-                    cc = Du.rows[a][b]
-                    if R.is_zero(cc):
-                        continue
-                    key = (a, b, v)
-                    out[key] = R.add(out.get(key, R.zero()), R.mul(cc, c))
-    return _clean3(R, out)
-
-
-def _delta_then_right(G, k, D):
+def _delta_then(G, k, D, leg):
+    """Delta applied to leg 0 (left) or leg 1 (right) of a canonical tensor
+    matrix, as a 3-index dict."""
     R = G.ring
     out = {}
     for u in range(G.rank(k)):
@@ -408,19 +404,15 @@ def _delta_then_right(G, k, D):
             c = D.rows[u][v]
             if R.is_zero(c):
                 continue
-            Dv = G.delta[k][v]
+            Dx = G.delta[k][(u, v)[leg]]
             for a in range(G.rank(k)):
                 for b in range(G.rank(k)):
-                    cc = Dv.rows[a][b]
+                    cc = Dx.rows[a][b]
                     if R.is_zero(cc):
                         continue
-                    key = (u, a, b)
+                    key = (u, a, b) if leg else (a, b, v)
                     out[key] = R.add(out.get(key, R.zero()), R.mul(cc, c))
-    return _clean3(R, out)
-
-
-def _clean3(R, d):
-    return {k: v for k, v in d.items() if not R.is_zero(v)}
+    return {key: x for key, x in out.items() if not R.is_zero(x)}
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +471,7 @@ class GammaModule:
             prod = G.mul_elems(k, G.basis_vec(k, a), l, G.basis_vec(l, b))
             ok = True
             witness = None
-            for e in _unit_vectors(self):
+            for e in (unit_vector(R, n, i) for i in range(n)):
                 step = self.apply(l, G.basis_vec(l, b),
                                   self.apply(k, G.basis_vec(k, a), e))
                 direct = self.apply(k + l, prod, e)
@@ -500,16 +492,9 @@ class GammaModule:
 
 def _module_elem_matrix(mod, k, gcoords):
     """Matrix of the action of a weight-k element given by coordinates."""
-    cols = [mod.apply(k, gcoords, e) for e in _unit_vectors(mod)]
-    return Mat(mod.gamma.ring, [[cols[j][i] for j in range(mod.dim())]
-                                for i in range(mod.dim())])
-
-
-def _unit_vectors(mod):
-    R = mod.gamma.ring
-    n = mod.dim()
-    for i in range(n):
-        yield tuple(R.one() if j == i else R.zero() for j in range(n))
+    R, n = mod.gamma.ring, mod.dim()
+    cols = [mod.apply(k, gcoords, unit_vector(R, n, j)) for j in range(n)]
+    return Mat(R, [[cols[j][i] for j in range(n)] for i in range(n)])
 
 
 def trivial_module(gamma):
@@ -544,7 +529,8 @@ def tensor_modules(M, N):
             act[(k, a)] = total
     out = GammaModule(gamma=G, basis=basis, act=act)
     rep = out.verify()
-    assert rep.verdict, f"tensor module failed axioms: {rep.witnesses}"
+    if not rep.verdict:
+        raise IdentityFailed(f"tensor module failed axioms: {rep.witnesses}")
     return out
 
 
@@ -565,18 +551,7 @@ class GammaAlgebra:
         return self.module.dim()
 
     def mul_vec(self, v, w):
-        R = self.gamma.ring
-        out = [R.zero()] * self.dim()
-        for i, a in enumerate(v):
-            if R.is_zero(a):
-                continue
-            for j, b in enumerate(w):
-                if R.is_zero(b):
-                    continue
-                c = R.mul(a, b)
-                for r, m in enumerate(self.mult[(i, j)]):
-                    out[r] = R.add(out[r], R.mul(c, m))
-        return tuple(out)
+        return structure_mul(self.gamma.ring, self.mult, v, w)
 
     def power(self, v, n):
         out = self.unit
@@ -587,12 +562,12 @@ class GammaAlgebra:
     def act(self, k, gcoords, v):
         return self.module.apply(k, gcoords, v)
 
-    def verify(self, max_weight=None):
+    def verify(self):
         """Cartan rule and unit rule on all basis pairs and stored weights."""
         G, R = self.gamma, self.gamma.ring
         checks = []
-        kmax = G.kmax if max_weight is None else max_weight
-        for k in range(kmax + 1):
+        n = self.dim()
+        for k in range(G.kmax + 1):
             for a in range(G.rank(k)):
                 gv = G.basis_vec(k, a)
                 lhs = self.act(k, gv, self.unit)
@@ -600,29 +575,46 @@ class GammaAlgebra:
                 ok = all(R.eq(x, y) for x, y in zip(lhs, rhs))
                 checks.append(CheckResult(f"unit_rule[{k},{a}]", ok,
                                           None if ok else f"1.g={lhs} eps.1={rhs}"))
-                D = G.delta[k][a]
-                for i, j in itertools.product(range(self.dim()), repeat=2):
-                    x = _basis_coord(R, self.dim(), i)
-                    y = _basis_coord(R, self.dim(), j)
+                for i, j in itertools.product(range(n), repeat=2):
+                    x, y = unit_vector(R, n, i), unit_vector(R, n, j)
                     lhs = self.act(k, gv, self.mul_vec(x, y))
-                    rhs = [R.zero()] * self.dim()
-                    for u in range(G.rank(k)):
-                        for v in range(G.rank(k)):
-                            c = D.rows[u][v]
-                            if R.is_zero(c):
-                                continue
-                            xv = self.act(k, G.basis_vec(k, u), x)
-                            yv = self.act(k, G.scale_vec(c, G.basis_vec(k, v)), y)
-                            prod = self.mul_vec(xv, yv)
-                            rhs = [R.add(p, q) for p, q in zip(rhs, prod)]
+                    rhs = _cartan_sum(self, k, a, x, y)
                     ok = all(R.eq(p, q) for p, q in zip(lhs, rhs))
                     checks.append(CheckResult(f"cartan[{k},{a};{i},{j}]", ok,
-                                              None if ok else f"(xy).g={lhs} sum={tuple(rhs)}"))
+                                              None if ok else f"(xy).g={lhs} sum={rhs}"))
         return CongruenceReport.from_checks(checks)
 
 
-def _basis_coord(R, n, i):
-    return tuple(R.one() if j == i else R.zero() for j in range(n))
+def structure_mul(R, mult, v, w):
+    """v * w in a finite free algebra; mult[(i, j)] is the product of basis i and j."""
+    out = [R.zero()] * len(v)
+    for i, a in enumerate(v):
+        if R.is_zero(a):
+            continue
+        for j, b in enumerate(w):
+            if R.is_zero(b):
+                continue
+            c = R.mul(a, b)
+            for r, m in enumerate(mult[(i, j)]):
+                out[r] = R.add(out[r], R.mul(c, m))
+    return tuple(out)
+
+
+def _cartan_sum(alg, k, a, x, y):
+    """Right side of the Cartan rule: sum (x . gamma_u)(y . gamma_v c_uv) over
+    Delta(gamma^k_a) = sum gamma_u (x) gamma_v c_uv."""
+    G, R = alg.gamma, alg.gamma.ring
+    D = G.delta[k][a]
+    out = (R.zero(),) * alg.dim()
+    for u in range(G.rank(k)):
+        for v in range(G.rank(k)):
+            c = D.rows[u][v]
+            if R.is_zero(c):
+                continue
+            xv = alg.act(k, G.basis_vec(k, u), x)
+            yv = alg.act(k, G.scale_vec(c, G.basis_vec(k, v)), y)
+            out = tuple(R.add(p, q) for p, q in zip(out, alg.mul_vec(xv, yv)))
+    return out
 
 
 def trivial_algebra(gamma):
@@ -651,39 +643,45 @@ def algebra_on_w(gamma, psi_matrices):
 
 
 @dataclass
-class DualAlgebra:
-    """A[k]: the right-linear dual of Gamma[k], a commutative ring over R.
+class FiniteAlgebra:
+    """A finite free commutative algebra over W, by structure constants.
 
-    Stored in the dual basis with the "source" scalar structure; the unit is
-    eps itself.  s_star/t_star give the two ring maps R -> A[k].
+    The dual algebras A[k] of a category scheme are stored this way: the
+    right-linear dual of Gamma[k] in the dual basis with the "source" scalar
+    structure, whose unit is eps itself.  For point enumeration the algebra
+    is flattened to its additive Z/p^N generators t^j e_i.
     """
 
-    ring: object
-    weight: int
+    ring: object   # W
     basis: tuple
-    mult: dict   # (u, v) -> coordinate vector
+    mult: dict     # (i, j) -> coordinate vector of e_i e_j
     unit: tuple
 
     def mul_vec(self, v, w):
+        return structure_mul(self.ring, self.mult, v, w)
+
+    def add_gen_count(self):
+        return len(self.basis) * self.ring.f
+
+    def elem_int_coords(self, vec):
+        out = []
+        for c in vec:
+            out.extend(c.coeffs)
+        return out
+
+    def add_gen_product(self, m, n):
+        """Product of additive generators m, n as a W coordinate vector."""
         R = self.ring
-        n = len(self.basis)
-        out = [R.zero()] * n
-        for i, a in enumerate(v):
-            if R.is_zero(a):
-                continue
-            for j, b in enumerate(w):
-                if R.is_zero(b):
-                    continue
-                c = R.mul(a, b)
-                for r, m in enumerate(self.mult[(i, j)]):
-                    out[r] = R.add(out[r], R.mul(c, m))
-        return tuple(out)
+        i, a = divmod(m, R.f)
+        j, b = divmod(n, R.f)
+        t_ab = _tpow(R, a + b)
+        return tuple(R.mul(t_ab, c) for c in self.mult[(i, j)])
 
 
 @dataclass
 class CategorySchemeData:
     gamma: TwistedBialgebra
-    A: dict          # weight -> DualAlgebra
+    A: dict          # weight -> FiniteAlgebra
     s_star: dict     # weight -> (r -> vector)
     t_star: dict     # weight -> (r -> vector)
     c_star: dict     # (k, l) -> {a: Mat lambda_uv}
@@ -725,24 +723,20 @@ def dualize(gamma):
         for u in range(n):
             for v in range(n):
                 mult[(u, v)] = tuple(G.delta[k][a].rows[u][v] for a in range(n))
-        Ak = DualAlgebra(ring=R, weight=k, basis=basis, mult=mult,
-                         unit=tuple(G.eps[k]))
+        Ak = FiniteAlgebra(ring=R, basis=basis, mult=mult, unit=tuple(G.eps[k]))
         A[k] = Ak
         comm = all(mult[(u, v)] == mult[(v, u)] for u in range(n) for v in range(n))
         checks.append(CheckResult(f"dual_mult_commutative[{k}]", comm))
+        e = [unit_vector(R, n, u) for u in range(n)]
         assoc = True
         for u, v, w in itertools.product(range(n), repeat=3):
-            lhs = Ak.mul_vec(Ak.mul_vec(_basis_coord(R, n, u), _basis_coord(R, n, v)),
-                             _basis_coord(R, n, w))
-            rhs = Ak.mul_vec(_basis_coord(R, n, u),
-                             Ak.mul_vec(_basis_coord(R, n, v), _basis_coord(R, n, w)))
+            lhs = Ak.mul_vec(Ak.mul_vec(e[u], e[v]), e[w])
+            rhs = Ak.mul_vec(e[u], Ak.mul_vec(e[v], e[w]))
             if not all(R.eq(a, b) for a, b in zip(lhs, rhs)):
                 assoc = False
         checks.append(CheckResult(f"dual_mult_associative[{k}]", assoc))
-        unit_ok = all(
-            all(R.eq(a, b) for a, b in zip(Ak.mul_vec(Ak.unit, _basis_coord(R, n, u)),
-                                           _basis_coord(R, n, u)))
-            for u in range(n))
+        unit_ok = all(all(R.eq(a, b) for a, b in zip(Ak.mul_vec(Ak.unit, e[u]), e[u]))
+                      for u in range(n))
         checks.append(CheckResult(f"dual_unit_is_eps[{k}]", unit_ok))
 
         def make_s(k=k):
@@ -759,20 +753,20 @@ def dualize(gamma):
 
         s_star[k] = make_s()
         t_star[k] = make_t()
+    scheme = CategorySchemeData(gamma=G, A=A, s_star=s_star, t_star=t_star,
+                                c_star={}, report=None)
 
     # i* is an isomorphism iff evaluating at eta(1) is invertible on A[0]
-    iso = R.is_unit(R.add(R.zero(), _dot(R, G.eps[0], G.unit))) if G.rank(0) == 1 \
+    iso = R.is_unit(scheme.i_star(G.eps[0])) if G.rank(0) == 1 \
         else _square_invertible(R, G)
     checks.append(CheckResult("i_star_isomorphism", iso))
 
-    c_star = {}
     for k in range(G.kmax + 1):
         for l in range(G.kmax + 1 - k):
-            c_star[(k, l)] = _solve_c_star(G, k, l)
-            resid_ok = _check_c_star(G, k, l, c_star[(k, l)])
+            scheme.c_star[(k, l)] = _solve_c_star(G, k, l)
+            resid_ok = _check_c_star(G, k, l, scheme.c_star[(k, l)])
             checks.append(CheckResult(f"c_star_defining[{k},{l}]", resid_ok))
 
-    power = None
     if R.f > 1 and G.rank(1) == 1 and 1 in G.basis:
         # report which power of sigma t* realizes on A[1] (paper leaves the
         # direction implicit; we compute it)
@@ -781,19 +775,10 @@ def dualize(gamma):
         val = t_star[1](t)[0]
         for j in range(R.f):
             if R.eq(val, sigma.power(j)(t)):
-                power = j
+                scheme.t_star_sigma_power = j
                 break
-    rep = CongruenceReport.from_checks(checks, meta={"kmax": G.kmax})
-    return CategorySchemeData(gamma=G, A=A, s_star=s_star, t_star=t_star,
-                              c_star=c_star, report=rep,
-                              t_star_sigma_power=power)
-
-
-def _dot(R, u, v):
-    acc = R.zero()
-    for a, b in zip(u, v):
-        acc = R.add(acc, R.mul(a, b))
-    return acc
+    scheme.report = CongruenceReport.from_checks(checks, meta={"kmax": G.kmax})
+    return scheme
 
 
 def _square_invertible(R, G):
@@ -839,7 +824,8 @@ def _solve_c_star(G, k, l):
                     eqrows.append(coeffs[c])
                     rhs.append(Zp.from_int(m.coeffs[c]))
             sol = solve(Mat(Zp, eqrows), tuple(rhs))
-            assert sol is not None, "c* system inconsistent; bialgebra data invalid"
+            if sol is None:
+                raise IdentityFailed("c* system inconsistent; bialgebra data invalid")
             lam = [R.elem(tuple(sol[z * f + i].coeffs[0] for i in range(f)))
                    for z in range(nl)]
             rows.append(lam)
@@ -866,78 +852,48 @@ def _check_c_star(G, k, l, lam):
 # finite points of the dual scheme
 
 
-@dataclass
-class FinitePresentation:
-    """A finite commutative W-algebra flattened to additive Z/p^N generators."""
-
-    ring: object   # W
-    basis: tuple
-    mult: dict
-    unit: tuple
-
-    def add_gen_count(self):
-        return len(self.basis) * self.ring.f
-
-    def elem_int_coords(self, vec):
-        out = []
-        for c in vec:
-            out.extend(c.coeffs)
-        return out
-
-    def add_gen_product(self, m, n):
-        """Product of additive generators m, n as a W coordinate vector."""
-        R = self.ring
-        f = R.f
-        i, a = divmod(m, f)
-        j, b = divmod(n, f)
-        t_ab = R.pow(R.gen(), a + b) if f > 1 else R.one()
-        base = self.mult[(i, j)]
-        return tuple(R.mul(t_ab, c) for c in base)
-
-
 def presentation_of_coefficients(W):
-    return FinitePresentation(ring=W, basis=("1",), mult={(0, 0): (W.one(),)},
-                              unit=(W.one(),))
+    """W itself as a rank-1 FiniteAlgebra, whose ring maps are the objects."""
+    return FiniteAlgebra(ring=W, basis=("1",), mult={(0, 0): (W.one(),)},
+                         unit=(W.one(),))
 
 
-def presentation_of_dual(Ak):
-    return FinitePresentation(ring=Ak.ring, basis=Ak.basis, mult=Ak.mult,
-                              unit=Ak.unit)
+def _evaluate(Rp, images, int_coords):
+    """The additive map sending generator i to images[i], at integer coordinates."""
+    acc = Rp.zero()
+    for c, im in zip(int_coords, images):
+        if c:
+            acc = Rp.add(acc, Rp.scalar(c, im))
+    return acc
 
 
-def ring_maps(pres, Rp, limit=200000):
-    """All unital ring homomorphisms from the presentation into a finite ring Rp.
+def ring_maps(alg, Rp):
+    """All unital ring homomorphisms from a FiniteAlgebra into a finite ring Rp.
 
     Brute force over images of the additive generators; additivity needs each
     image killed by p^N, and multiplicativity is checked on generator pairs
     (integer bilinearity extends it to everything).
     """
-    W = pres.ring
-    n = pres.add_gen_count()
+    W = alg.ring
+    n = alg.add_gen_count()
     elems = list(Rp.elements())
-    if len(elems) ** n > limit:
+    if len(elems) ** n > RING_MAPS_LIMIT:
         raise SizeLimit(f"{len(elems)}^{n} candidate maps")
     pN = W.modulus
     ok_images = [x for x in elems if Rp.is_zero(Rp.scalar(pN, x))]
-    unit_coords = pres.elem_int_coords(pres.unit)
+    unit_coords = alg.elem_int_coords(alg.unit)
     gen_products = {}
     for m in range(n):
         for nn in range(n):
-            gen_products[(m, nn)] = pres.elem_int_coords(pres.add_gen_product(m, nn))
+            gen_products[(m, nn)] = alg.elem_int_coords(alg.add_gen_product(m, nn))
     maps = []
     for images in itertools.product(ok_images, repeat=n):
-        def ev(int_coords, images=images):
-            acc = Rp.zero()
-            for c, im in zip(int_coords, images):
-                if c:
-                    acc = Rp.add(acc, Rp.scalar(c, im))
-            return acc
-        if not Rp.eq(ev(unit_coords), Rp.one()):
+        if not Rp.eq(_evaluate(Rp, images, unit_coords), Rp.one()):
             continue
         good = True
         for m in range(n):
             for nn in range(m, n):
-                lhs = ev(gen_products[(m, nn)])
+                lhs = _evaluate(Rp, images, gen_products[(m, nn)])
                 rhs = Rp.mul(images[m], images[nn])
                 if not Rp.eq(lhs, rhs):
                     good = False
@@ -956,7 +912,7 @@ class PointsCategory:
     report: CongruenceReport
 
 
-def points_category(scheme, Rp, max_ring_size=16, max_rank=4):
+def points_category(scheme, Rp):
     """Enumerate the graded category of Rp-points and verify the axioms.
 
     Objects are ring maps R -> Rp; degree-k morphisms are ring maps
@@ -970,66 +926,49 @@ def points_category(scheme, Rp, max_ring_size=16, max_rank=4):
         size = Rp.size()
     except NotImplementedError:
         raise SizeLimit("points ring must be finite")
-    if size > max_ring_size:
-        raise SizeLimit(f"|R'| = {size} > {max_ring_size}")
-    if any(len(scheme.A[k].basis) > max_rank for k in scheme.A):
+    if size > POINTS_MAX_RING_SIZE:
+        raise SizeLimit(f"|R'| = {size} > {POINTS_MAX_RING_SIZE}")
+    if any(len(scheme.A[k].basis) > POINTS_MAX_RANK for k in scheme.A):
         raise SizeLimit("dual algebra rank exceeds the enumeration guard")
 
-    pres_R = presentation_of_coefficients(R)
-    objects = ring_maps(pres_R, Rp)
-    morphisms = {k: ring_maps(presentation_of_dual(scheme.A[k]), Rp)
-                 for k in scheme.A}
+    objects = ring_maps(presentation_of_coefficients(R), Rp)
+    morphisms = {k: ring_maps(scheme.A[k], Rp) for k in scheme.A}
     checks = []
 
-    def ev(pres, images, wvec):
-        coords = pres.elem_int_coords(wvec)
-        acc = Rp.zero()
-        for c, im in zip(coords, images):
-            if c:
-                acc = Rp.add(acc, Rp.scalar(c, im))
-        return acc
+    def ev(k, images, wvec):
+        return _evaluate(Rp, images, scheme.A[k].elem_int_coords(wvec))
 
     def src(k, alpha):
-        pres = presentation_of_dual(scheme.A[k])
-        return tuple(ev(pres, alpha, scheme.s_star[k](_tpow(R, j)))
-                     for j in range(R.f))
+        return tuple(ev(k, alpha, scheme.s_star[k](_tpow(R, j))) for j in range(R.f))
 
     def tgt(k, alpha):
-        pres = presentation_of_dual(scheme.A[k])
-        return tuple(ev(pres, alpha, scheme.t_star[k](_tpow(R, j)))
-                     for j in range(R.f))
+        return tuple(ev(k, alpha, scheme.t_star[k](_tpow(R, j))) for j in range(R.f))
 
     def identity_of(obj):
-        # id_o = o . i*, evaluated on the additive generators of A[0]
-        out = []
-        for a in range(len(scheme.A[0].basis)):
-            for j in range(R.f):
-                fvec = tuple(R.pow(R.gen(), j) if i == a else R.zero()
-                             for i in range(len(scheme.A[0].basis))) \
-                    if R.f > 1 else tuple(R.one() if i == a else R.zero()
-                                          for i in range(len(scheme.A[0].basis)))
-                val = scheme.i_star(fvec)
-                out.append(ev(pres_R, obj, (val,)))
-        return tuple(out)
+        # id_o = o . i*, evaluated on the additive generators t^j e_a of A[0]
+        n0 = len(scheme.A[0].basis)
+        return tuple(
+            _evaluate(Rp, obj, R.mul(_tpow(R, j),
+                                     scheme.i_star(unit_vector(R, n0, a))).coeffs)
+            for a in range(n0) for j in range(R.f))
 
     def compose(k, alpha, l, beta):
         """alpha o beta (beta first); src(alpha) must equal tgt(beta)."""
         lam = scheme.c_star[(k, l)]
         Ak, Al = scheme.A[k], scheme.A[l]
-        pres_k, pres_l = presentation_of_dual(Ak), presentation_of_dual(Al)
         out = []
         for a in range(len(scheme.A[k + l].basis)):
             for j in range(R.f):
                 r = _tpow(R, j)
                 acc = Rp.zero()
                 for u in range(len(Ak.basis)):
-                    au = ev(pres_k, alpha, _basis_coord(R, len(Ak.basis), u))
+                    au = ev(k, alpha, unit_vector(R, len(Ak.basis), u))
                     for z in range(len(Al.basis)):
                         lam_uz = lam[a].rows[u][z]
                         w = Al.mul_vec(scheme.t_star[l](lam_uz),
-                                       _basis_coord(R, len(Al.basis), z))
+                                       unit_vector(R, len(Al.basis), z))
                         w = Al.mul_vec(w, scheme.s_star[l](r))
-                        acc = Rp.add(acc, Rp.mul(au, ev(pres_l, beta, w)))
+                        acc = Rp.add(acc, Rp.mul(au, ev(l, beta, w)))
                 out.append(acc)
         return tuple(out)
 
@@ -1144,8 +1083,7 @@ class FreeGammaAlgebra:
 
     @property
     def unit(self):
-        R = self.gamma.ring
-        return tuple(R.one() if m == () else R.zero() for m in self.basis)
+        return self.mono_vec(())
 
     @property
     def gens(self):
@@ -1160,7 +1098,7 @@ class FreeGammaAlgebra:
         mono = tuple(sorted(mono))
         if len(mono) > self.degree_bound:
             return (R.zero(),) * self.dim()
-        return tuple(R.one() if m == mono else R.zero() for m in self.basis)
+        return unit_vector(R, self.dim(), self._index[mono])
 
     def mul_vec(self, v, w):
         R = self.gamma.ring
@@ -1177,12 +1115,6 @@ class FreeGammaAlgebra:
                 r = self._index[mono]
                 out[r] = R.add(out[r], R.mul(a, b))
         return tuple(out)
-
-    def power(self, v, n):
-        out = self.unit
-        for _ in range(n):
-            out = self.mul_vec(out, v)
-        return out
 
     def _gen_act(self, gidx, l, c):
         """(m (x) gamma_a) . gamma^l_c as a sparse generator combination."""
@@ -1257,35 +1189,25 @@ class FreeGammaAlgebra:
         checks = []
         for a in range(G.rank(weight)):
             gv = G.basis_vec(weight, a)
-            D = G.delta[weight][a]
             for (i, j) in pairs:
                 x = self.mono_vec(self.basis[i])
                 y = self.mono_vec(self.basis[j])
                 try:
                     lhs = self.act(weight, gv, self.mul_vec(x, y))
-                    rhs = [R.zero()] * self.dim()
-                    for u in range(G.rank(weight)):
-                        for v in range(G.rank(weight)):
-                            c = D.rows[u][v]
-                            if R.is_zero(c):
-                                continue
-                            xv = self.act(weight, G.basis_vec(weight, u), x)
-                            yv = self.act(weight, G.scale_vec(c, G.basis_vec(weight, v)), y)
-                            prod = self.mul_vec(xv, tuple(yv))
-                            rhs = [R.add(p, q) for p, q in zip(rhs, prod)]
+                    rhs = _cartan_sum(self, weight, a, x, y)
                 except IncompleteAction:
                     continue
                 ok = all(R.eq(p, q) for p, q in zip(lhs, rhs))
                 checks.append(CheckResult(f"cartan[{weight},{a};{i},{j}]", ok,
-                                          None if ok else f"{lhs} vs {tuple(rhs)}"))
+                                          None if ok else f"{lhs} vs {rhs}"))
         return CongruenceReport.from_checks(checks)
 
 
-def free_algebra(gamma, m_names, degree_bound, size_limit=4000):
+def free_algebra(gamma, m_names, degree_bound):
     """The free Gamma-algebra on a free module with the given generator names."""
     out = FreeGammaAlgebra(gamma=gamma, m_names=tuple(m_names),
                            degree_bound=degree_bound)
-    if out.dim() > size_limit:
+    if out.dim() > FREE_ALGEBRA_SIZE_LIMIT:
         raise SizeLimit(f"free algebra has {out.dim()} monomials")
     return out
 
@@ -1304,8 +1226,6 @@ def induced_algebra_map(free, images, target):
         gen_images[gidx] = target.act(k, G.basis_vec(k, a), images[m])
 
     def on_vec(v):
-        out = tuple(R.mul(c, u) for c, u in zip(
-            [R.zero()] * len(target.unit), target.unit))
         out = [R.zero()] * len(target.unit)
         for i, c in enumerate(v):
             if R.is_zero(c):

@@ -15,7 +15,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .linalg import Mat, field_left_kernel_vector, residue_rank, solve_matrix
+from .exact_arith import IdentityFailed
+from .linalg import (Mat, ShapeMismatch, field_left_kernel_vector, residue_rank,
+                     solve_matrix)
 from .report import CheckResult, CongruenceReport
 
 
@@ -33,7 +35,8 @@ class InvariantViolation(ValueError):
 
 def binomial_gcd(m):
     """gcd of C(m, i) for 0 < i < m: p when m is a prime power p^k, else 1."""
-    assert m >= 2
+    if m < 2:
+        raise ValueError(f"binomial gcd needs m >= 2, got m={m}")
     g = 0
     for i in range(1, m):
         g = math.gcd(g, math.comb(m, i))
@@ -41,7 +44,8 @@ def binomial_gcd(m):
             break
     base = _prime_power_base(m)
     expected = base if base is not None else 1
-    assert g == expected, f"binomial gcd lemma violated at m={m}"
+    if g != expected:
+        raise IdentityFailed(f"binomial gcd lemma violated at m={m}")
     return g
 
 
@@ -117,8 +121,7 @@ def regularity_certificate(m, p):
         v1 = kummer_carries((p ** r, m - p ** r), p)
         v2 = (legendre_valuation(m, p) - legendre_valuation(p ** r, p)
               - legendre_valuation(m - p ** r, p))
-        assert v1 == v2, f"valuation methods disagree at m={m}, p={p}"
-        assert v1 == 0, f"coprime-case index is divisible by p at m={m}"
+        _check_valuations(v1, v2, m, p, "coprime")
         return RegularityCertificate(m=m, p=p, tag="CoprimeCase", r=r,
                                      index=index, valuation=v1)
     # p | m, m != p: the stabilizer of a partition into d = m/p blocks of
@@ -128,10 +131,16 @@ def regularity_certificate(m, p):
     v1 = kummer_carries((p,) * d, p) - legendre_valuation(d, p)
     v2 = (legendre_valuation(m, p) - d * legendre_valuation(p, p)
           - legendre_valuation(d, p))
-    assert v1 == v2, f"valuation methods disagree at m={m}, p={p}"
-    assert v1 == 0, f"divisible-case index is divisible by p at m={m}"
+    _check_valuations(v1, v2, m, p, "divisible")
     return RegularityCertificate(m=m, p=p, tag="DivisibleCase", d=d,
                                  index=index, valuation=v1)
+
+
+def _check_valuations(v1, v2, m, p, case):
+    if v1 != v2:
+        raise IdentityFailed(f"valuation methods disagree at m={m}, p={p}")
+    if v1 != 0:
+        raise IdentityFailed(f"{case}-case index is divisible by p at m={m}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +157,9 @@ class EpiFamily:
 
     def __post_init__(self):
         for m in self.maps:
-            assert m.nrows == self.target_rank
+            if m.nrows != self.target_rank:
+                raise ShapeMismatch(f"a map with {m.nrows} rows into a target of "
+                                    f"rank {self.target_rank}")
 
 
 @dataclass

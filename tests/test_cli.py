@@ -111,6 +111,14 @@ def test_usage_errors_exit_2(capsys):
     ["weights", "certify", "--m", "6", "--p", "4"],   # not a prime
     ["weights", "certify", "--m", "-3", "--p", "3"],  # negative weight
     ["fgl", "--p", str(10 ** 30 + 57)],               # beyond exact primality testing
+    ["bialg", "--height1", "2,3,-2,1"],               # f <= 0 used to build f = 1
+    ["congruence", "--height1", "2,3,0,1"],
+    ["bialg", "--height1", "4,3,2,1"],                # not a prime
+    ["congruence", "--height1", "2,0,1,1"],           # precision 0
+    ["bialg", "--height1", "2,3,1,-1"],               # negative kmax
+    ["bialg", "--height1", "2,3,1"],                  # three fields, not four
+    ["fgl", "--builtin", "multiplicative", "--degree-bound", "0"],  # [2](x) = 0
+    ["weights", "gcd", "--max", "1"],                 # no m to check
 ])
 def test_out_of_range_arguments_exit_2(argv, capsys):
     assert run(argv) == 2

@@ -170,6 +170,16 @@ def test_graded_map_shape_checks():
         GradedMap.identity(M).compose(GradedMap.identity(N))
 
 
+def test_zero_map_between_objects_with_different_empty_degrees():
+    # rank 1|0 to 0|0: the even block is 0 x 1, the odd block 0 x 0
+    src, tgt = GradedObj(Z8, ("a",), ()), GradedObj(Z8, (), ())
+    zero = GradedMap(src, tgt, Mat.zeros(Z8, 0, 1), Mat.zeros(Z8, 0, 0))
+    assert zero.m0.shape == (0, 1)
+    assert zero.compose(GradedMap.identity(src)).m0.shape == (0, 1)
+    back = GradedMap(tgt, src, Mat.zeros(Z8, 1, 0), Mat.zeros(Z8, 0, 0))
+    assert (back.compose(zero)).m0 == Mat.zeros(Z8, 1, 1)
+
+
 def test_associator_rejects_ambiguous_flattening():
     # ("t", ("t", "a", "b"), ("t", "c", "d")) and
     # ("t", "a", ("t", ("t", "b", "c"), "d")) both flatten to a, b, c, d

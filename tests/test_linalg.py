@@ -1,0 +1,95 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+from fglcheck import ShapeMismatch
+from fglcheck.exact_arith import WittCoefRing
+from fglcheck.linalg import (Mat, field_kernel_basis, field_left_kernel_vector,
+                             residue_rank, unit_vector)
+
+Z8 = WittCoefRing(2, 3)
+F2 = WittCoefRing(2, 1)
+F3 = WittCoefRing(3, 1)
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0), (2, 3)])
+def test_zeros_keeps_its_shape(m, n):
+    assert Mat.zeros(Z8, m, n).shape == (m, n)
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0), (2, 3)])
+def test_transpose_keeps_its_shape(m, n):
+    A = Mat.zeros(Z8, m, n)
+    assert A.transpose().shape == (n, m)
+    assert A.transpose().transpose() == A
+
+
+@pytest.mark.parametrize("a, b", [((0, 3), (2, 2)), ((3, 0), (2, 2)),
+                                  ((2, 2), (0, 3)), ((2, 2), (3, 0)),
+                                  ((1, 2), (2, 1))])
+def test_kron_keeps_its_shape(a, b):
+    K = Mat.zeros(Z8, *a).kron(Mat.zeros(Z8, *b))
+    assert K.shape == (a[0] * b[0], a[1] * b[1])
+
+
+def test_empty_shapes_survive_products_and_stacking():
+    A = Mat.zeros(Z8, 0, 3)
+    assert (A @ Mat.identity(Z8, 3)).shape == (0, 3)
+    assert (Mat.zeros(Z8, 2, 0) @ A).shape == (2, 3)
+    assert Mat.zeros(Z8, 2, 0).hstack(Mat.zeros(Z8, 2, 0)).shape == (2, 0)
+    assert A.map(Z8.neg).shape == (0, 3)
+
+
+def test_shape_errors_are_named():
+    with pytest.raises(ShapeMismatch):
+        Mat(Z8, [[Z8.one()], []])
+    with pytest.raises(ShapeMismatch):
+        Mat.identity(Z8, 2) @ Mat.identity(Z8, 3)
+    with pytest.raises(ShapeMismatch):
+        Mat.identity(Z8, 2).hstack(Mat.identity(Z8, 3))
+    with pytest.raises(ShapeMismatch):
+        Mat.identity(Z8, 2).apply((Z8.one(),))
+
+
+def test_ragged_matrix_raises_under_python_O():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = ("from fglcheck import ShapeMismatch, WittCoefRing\n"
+            "from fglcheck.linalg import Mat\n"
+            "R = WittCoefRing(2, 3)\n"
+            "try:\n"
+            "    Mat(R, [[R.one(), R.one()], [R.one()]])\n"
+            "except ShapeMismatch:\n"
+            "    print('raised')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
+
+
+def test_field_rank_and_kernel_agree():
+    A = Mat.from_int_rows(F3, [[1, 2, 0, 1], [2, 1, 0, 2], [0, 0, 1, 1]])
+    rank = residue_rank(A)
+    kernel = field_kernel_basis(A)
+    assert rank == 2 and len(kernel) == A.ncols - rank
+    for vec in kernel:
+        assert all(F3.is_zero(x) for x in A.apply(vec))
+
+
+def test_left_kernel_vector():
+    A = Mat.from_int_rows(F2, [[1, 0], [0, 1], [1, 1]])
+    y = field_left_kernel_vector(A)
+    assert y is not None
+    assert all(F2.is_zero(x) for x in A.transpose().apply(y))
+    assert field_left_kernel_vector(Mat.identity(F2, 2)) is None
+
+
+def test_residue_rank_over_z8():
+    A = Mat.from_int_rows(Z8, [[2, 4], [1, 3]])
+    assert residue_rank(A) == 1
+
+
+def test_unit_vector_is_a_tuple():
+    assert unit_vector(Z8, 3, 1) == (Z8.zero(), Z8.one(), Z8.zero())

@@ -1,0 +1,61 @@
+"""sha256 digests of `--json` reports that the benchmark reference does not pin.
+
+Each case runs one CLI command whose report goes through the finite-algebra
+paths (structure-constant products, dual algebras, point enumeration) and
+compares the digest of the report bytes with the digest recorded before
+those paths were merged.  A mismatch means the output changed.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from fglcheck.cli import run
+
+# W[x]/(x^2 - x) over Z/2^4 with psi(x) = x
+MONIC_QUOTIENT = {
+    "ring": {"p": 2, "N": 4},
+    "shape": {"kind": "monic_quotient", "var": "x", "monic": ["0", "15", "1"]},
+    "psi_on_coeffs": "id",
+    "psi_gen_images": {"x": ["0", "1"]}}
+
+# W(F_4)<1, e, b> at precision 3: e^2 = e, eb = b, b^2 = 0; psi is sigma on
+# coefficients, psi(e) = e and psi(b) = 2b
+_Z, _O, _T = ["0", "0"], ["1", "0"], ["2", "0"]
+FINITE_FREE = {
+    "ring": {"p": 2, "N": 3, "ext": [1, 1, 1]},
+    "shape": {"kind": "finite_free", "basis": ["1", "e", "b"],
+              "mult": [[0, 0, [_O, _Z, _Z]], [0, 1, [_Z, _O, _Z]],
+                       [0, 2, [_Z, _Z, _O]], [1, 0, [_Z, _O, _Z]],
+                       [1, 1, [_Z, _O, _Z]], [1, 2, [_Z, _Z, _O]],
+                       [2, 0, [_Z, _Z, _O]], [2, 1, [_Z, _Z, _O]],
+                       [2, 2, [_Z, _Z, _Z]]]},
+    "psi_on_coeffs": "sigma",
+    "psi_gen_images": {"e": [_Z, _O, _Z], "b": [_Z, _Z, _T]}}
+
+CASES = {
+    "theta-monic-quotient": (["theta", "check", "--file", "{input}"],
+                             MONIC_QUOTIENT,
+        "7b10940f94e5d41b5ca2c8b63691169c00047e4bd150743c14c2dc1cfc1f85b2"),
+    "theta-finite-free": (["theta", "check", "--file", "{input}"],
+                          FINITE_FREE,
+        "e5cea5b79328382c1f11da239429a3c440b8a69348dde2cdbd277b3eb057313e"),
+    "bialg-points-F4": (["bialg", "--height1", "2,3,2,3", "--dualize", "--points",
+                         '{"p":2,"N":1,"ext":[1,1,1]}'], None,
+        "88469568f40a306a2aefbaf43215dc5dbd31da72827afe9f8a1d34db5add6767"),
+    "congruence-2,3,2,2": (["congruence", "--height1", "2,3,2,2"], None,
+        "2f4306cfd708422b84293a0f945ba3b3f87c7641a26f5abf7471dd51e09b44f4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_digest_is_pinned(name, tmp_path, capsys):
+    argv, doc, digest = CASES[name]
+    if doc is not None:
+        src = tmp_path / "input.json"
+        src.write_text(json.dumps(doc))
+        argv = [str(src) if a == "{input}" else a for a in argv]
+    out = tmp_path / "report.json"
+    assert run(argv + ["--json", str(out)]) == 0, capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

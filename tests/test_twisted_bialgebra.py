@@ -169,7 +169,7 @@ def test_free_algebra_universal_property():
 
 def test_free_algebra_size_limit():
     with pytest.raises(fglcheck.SizeLimit):
-        free_algebra(G23, ["a", "b", "c"], 6, size_limit=100)
+        free_algebra(G23, ["a", "b", "c"], 6)
 
 
 def test_dualize_height1():
@@ -270,3 +270,9 @@ def test_points_category_f2_over_f4():
     assert pc.report.verdict
     assert len(pc.objects) == 2
     assert all(len(v) == 2 for v in pc.morphisms.values())
+
+
+@pytest.mark.parametrize("f, kmax", [(0, 1), (-2, 1), (1, -1)])
+def test_height1_gamma_rejects_empty_parameters(f, kmax):
+    with pytest.raises(ValueError):
+        height1_gamma(2, 3, f, kmax)
