@@ -1,9 +1,9 @@
 """Exact-arithmetic verification of formal groups, twisted bialgebras and
 power-operation congruences at finite p-adic precision."""
 
-from .exact_arith import (FrobeniusLift, HenselFailure, IntegerRing,
-                          NotDivisible, RationalField, RingMismatch, WittCoefRing,
-                          WittElem, ring_from_descriptor)
+from .exact_arith import (FrobeniusLift, HenselFailure, NotDivisible,
+                          RationalField, RingMismatch, WittCoefRing, WittElem,
+                          ring_from_descriptor)
 from .formal_groups import (BCpModule, FglHom, FormalGroupLaw, Height,
                             MalformedPSeries, NotCharP, PrecisionExhausted,
                             bcp_module, fgl_additive, fgl_honda,
@@ -11,10 +11,10 @@ from .formal_groups import (BCpModule, FglHom, FormalGroupLaw, Height,
                             frobenius_isogeny, height, lubin_tate_deformation,
                             n_series, reduce_to_residue, specialize_deformation)
 from .graded2 import (AmbiguousFlattening, GradedMap, GradedObj, NotInvertible,
-                      NotZGraded, ShapeMismatch, SignedPerm, SymObject,
-                      associator, from_z_graded, interchange, omega_obj,
-                      omega_sqrt, tensor_map, to_z_graded, twisted_tensor,
-                      unit_obj, verify_coherence)
+                      NotZGraded, ShapeMismatch, SignedPerm, associator,
+                      from_z_graded, interchange, omega_obj, omega_sqrt,
+                      tensor_map, to_z_graded, twisted_tensor, unit_obj,
+                      verify_coherence)
 from .report import CheckResult, CongruenceReport, SizeLimit
 from .series import (ContextMismatch, DegreeOverflow, IdentityFailed,
                      NonUnitLinearCoefficient, NonzeroConstantTerm, NotConverged,

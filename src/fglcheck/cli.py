@@ -286,7 +286,7 @@ def build_parser():
     s.add_argument("--p", type=prime, default=2)
     s.add_argument("--n", type=positive, default=1, help="height parameter")
     s.add_argument("--precision", type=int, default=4)
-    s.add_argument("--u-bound", type=int, default=2, dest="u_bound")
+    s.add_argument("--u-bound", type=nonnegative, default=2, dest="u_bound")
     s.add_argument("--degree-bound", type=positive, default=6, dest="degree_bound")
     common(s)
     s.set_defaults(fn=cmd_fgl)
@@ -310,7 +310,7 @@ def build_parser():
     s = sub.add_parser("theta", help="Wilkerson congruence and theta derivation")
     s.add_argument("action", choices=["check"])
     s.add_argument("--file", required=True, help="psi-ring presentation JSON")
-    s.add_argument("--samples", type=int, default=25)
+    s.add_argument("--samples", type=nonnegative, default=25)
     common(s)
     s.set_defaults(fn=cmd_theta)
 
@@ -319,7 +319,7 @@ def build_parser():
                    help="p,N,f,kmax: canonical algebra congruence")
     s.add_argument("--squares", help="p,N: verify the weight-p module squares")
     s.add_argument("--comodule-file", help="comodule congruence data JSON")
-    s.add_argument("--degree-bound", type=int, default=2, dest="degree_bound")
+    s.add_argument("--degree-bound", type=nonnegative, default=2, dest="degree_bound")
     common(s)
     s.set_defaults(fn=cmd_congruence)
 

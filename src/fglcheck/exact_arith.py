@@ -415,32 +415,11 @@ class WittCoefRing(Ring):
         return any(c % self.p for c in a.coeffs)
 
     def inv(self, a):
-        """Inverse of a unit: residue-field inverse lifted by Newton iteration."""
+        """Inverse of a unit: a^(p^f - 2) is an inverse mod p by Fermat, since the
+        residue field has p^f - 1 units; Newton iteration lifts it to p^N."""
         if not self.is_unit(a):
             raise ZeroDivisionError(f"{a!r} is not a unit")
-        p = self.p
-        if self.f == 1:
-            b = self.elem(pow(a.coeffs[0] % p, -1, p))
-        else:
-            # extended Euclid in F_p[t] mod ext
-            r0, r1 = list(self.ext), [c % p for c in a.coeffs]
-            s0, s1 = [0], [1]
-            while True:
-                while r1 and r1[-1] == 0:
-                    r1.pop()
-                if len(r1) == 1:
-                    c = pow(r1[0], -1, p)
-                    binv = [(c * x) % p for x in s1]
-                    break
-                q, r = _fp_poly_divmod(r0, r1, p)
-                qs = [0] * (len(q) + len(s1) - 1)
-                for i, x in enumerate(q):
-                    for j, y in enumerate(s1):
-                        qs[i + j] = (qs[i + j] + x * y) % p
-                s_new = [(x - y) % p for x, y in itertools.zip_longest(s0, qs, fillvalue=0)]
-                r0, r1, s0, s1 = r1, r, s1, s_new
-            binv = _fp_poly_divmod(binv, list(self.ext), p)[1] or [0]
-            b = self.elem(tuple(binv))
+        b = self.pow(a, self.p ** self.f - 2)
         two = self.from_int(2)
         for _ in range(max(1, self.N.bit_length()) + 1):
             b = self.mul(b, self.sub(two, self.mul(a, b)))
@@ -497,13 +476,13 @@ class WittCoefRing(Ring):
 
     # precision handling
 
-    def lower(self, drop=1):
-        """The same ring at precision N - drop."""
-        if self.N - drop < 1:
-            raise ValueError(f"cannot drop to precision {self.N - drop}")
-        q = self.p ** (self.N - drop)
+    def lower(self):
+        """The same ring at precision N - 1."""
+        if self.N < 2:
+            raise ValueError(f"cannot drop to precision {self.N - 1}")
+        q = self.p ** (self.N - 1)
         lift = None if self.lift is None else [c % q for c in self.lift]
-        return WittCoefRing(self.p, self.N - drop, self.ext, lift)
+        return WittCoefRing(self.p, self.N - 1, self.ext, lift)
 
     def truncate_to(self, other, a):
         """Reduce a into the lower-precision ring ``other``."""
@@ -562,10 +541,6 @@ class FrobeniusLift:
     def __init__(self, ring, root):
         self.ring = ring
         self.root = root
-        pw = [ring.one()]
-        for _ in range(ring.f - 1):
-            pw.append(ring.mul(pw[-1], root))
-        self._root_powers = pw
 
     @staticmethod
     def _build(ring):
@@ -587,12 +562,7 @@ class FrobeniusLift:
         return FrobeniusLift(ring, s)
 
     def __call__(self, a):
-        r = self.ring
-        out = r.zero()
-        for i, c in enumerate(a.coeffs):
-            if c:
-                out = r.add(out, r.scalar(c, self._root_powers[i]))
-        return out
+        return _poly_eval(self.ring, a.coeffs, self.root)
 
     def power(self, k):
         """sigma^k as a plain function (k may be negative; sigma^f = id)."""
@@ -618,51 +588,6 @@ def _poly_eval(ring, coeffs, x):
     for c in reversed(coeffs):
         out = ring.add(ring.mul(out, x), ring.from_int(c))
     return out
-
-
-class IntegerRing(Ring):
-    """Exact integers; used by tests and as a sanity base ring."""
-
-    def zero(self):
-        return 0
-
-    def from_int(self, n):
-        return int(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def is_unit(self, a):
-        return a in (1, -1)
-
-    def inv(self, a):
-        if not self.is_unit(a):
-            raise ZeroDivisionError(f"{a} is not a unit in Z")
-        return a
-
-    def descriptor(self):
-        return {"ring": "Z"}
-
-    def encode(self, a):
-        return str(a)
-
-    def decode(self, s):
-        return int(s)
-
-    def rand(self, rng):
-        return rng.randrange(-20, 21)
-
-    def __repr__(self):
-        return "Z"
 
 
 class RationalField(Ring):

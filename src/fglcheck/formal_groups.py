@@ -205,27 +205,13 @@ def lubin_tate_deformation(p, n, N, u_degree_bound, D):
     return FormalGroupLaw(ring=L, bound=D, F=F)
 
 
-def specialize_deformation(G, u_values=None):
-    """Set the deformation parameters (default all zero); returns an FGL over the base."""
+def specialize_deformation(G):
+    """Set the deformation parameters to zero; returns an FGL over the base."""
     L = G.ring
     if not isinstance(L, PolyTruncRing):
         return G
-    base = L.base
-    vals = dict(u_values or {})
-
-    def ev(poly):
-        acc = base.zero()
-        for e, cc in poly.terms.items():
-            term = cc
-            for var, k in zip(L.vars, e):
-                if k:
-                    v = vals.get(var, base.zero())
-                    term = base.mul(term, base.pow(v, k))
-            acc = base.add(acc, term)
-        return acc
-
-    F = G.F.map_coefficients(ev, ring=base)
-    return FormalGroupLaw(ring=base, bound=G.bound, F=F)
+    F = G.F.map_coefficients(lambda c: c.constant_term(), ring=L.base)
+    return FormalGroupLaw(ring=L.base, bound=G.bound, F=F)
 
 
 def reduce_to_residue(G):

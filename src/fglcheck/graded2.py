@@ -86,28 +86,18 @@ class GradedObj:
                 "basis1": [str(b) for b in self.basis1]}
 
 
-@dataclass(frozen=True)
-class SymObject:
-    """The twisting object: a rank-1 free module with trivial self-interchange."""
-
-    ring: object
-    gen: str = "w"
-
-    def as_object(self):
-        return GradedObj(self.ring, (self.gen,), ())
-
-
 def unit_obj(ring):
     return GradedObj(ring, ("1",), ())
 
 
-def omega_obj(ring, gen="w"):
-    return SymObject(ring, gen).as_object()
+def omega_obj(ring):
+    """The twisting object: a rank-1 free module with trivial self-interchange."""
+    return GradedObj(ring, ("w",), ())
 
 
-def omega_sqrt(ring, gen="h"):
+def omega_sqrt(ring):
     """The odd square root {0, k} of omega."""
-    return GradedObj(ring, (), (gen,))
+    return GradedObj(ring, (), ("h",))
 
 
 class SignedPerm:

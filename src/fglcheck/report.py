@@ -41,13 +41,6 @@ class CongruenceReport:
                                 checks=list(checks), witnesses=witnesses,
                                 meta=dict(meta or {}))
 
-    @property
-    def first_failure(self):
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
-
     def add(self, check):
         self.checks.append(check)
         if not check.passed:

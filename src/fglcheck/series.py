@@ -183,9 +183,6 @@ class TruncSeries:
             return False
         return all(self.ring.eq(c, other.terms[e]) for e, c in self.terms.items())
 
-    def __hash__(self):
-        return hash((self.vars, self.bound, tuple(sorted(self.terms))))
-
     # inspection
 
     def is_zero(self):
@@ -447,14 +444,6 @@ class PolyTruncRing(Ring):
 
     def residue(self, a):
         return self.base.residue(a.constant_term())
-
-    def rand(self, rng):
-        terms = {}
-        for _ in range(rng.randrange(1, 4)):
-            e = tuple(rng.randrange(0, self.ubound + 1) for _ in self.vars)
-            if sum(e) <= self.ubound:
-                terms[e] = self.base.rand(rng)
-        return TruncSeries(self.base, self.vars, self.ubound, terms)
 
     def descriptor(self):
         return {"poly_over": self.base.descriptor(), "vars": list(self.vars),

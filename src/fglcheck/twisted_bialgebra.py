@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from .exact_arith import IdentityFailed, WittCoefRing, ring_from_descriptor
 from .linalg import Mat, solve, unit_vector
 from .report import CheckResult, CongruenceReport, SizeLimit
+from .weights import _monomials
 
 # enumeration guards of points_category, ring_maps and free_algebra
 POINTS_MAX_RING_SIZE = 16
@@ -96,20 +97,11 @@ class TwistedBialgebra:
 
     def mul_elems(self, k, x, l, y):
         """Product Gamma[k] x Gamma[l] -> Gamma[k+l] on coordinate vectors."""
-        R = self.ring
         if (k, l) not in self.mu:
             raise IncompleteData(f"no mu constants for weights ({k},{l})")
         consts = self.mu[(k, l)]
-        out = self.zero_vec(k + l)
-        for i, xi in enumerate(x):
-            if R.is_zero(xi):
-                continue
-            yprime = self.left_action(l, xi).apply(y)
-            for j, yj in enumerate(yprime):
-                if R.is_zero(yj):
-                    continue
-                out = self.add_vec(out, self.scale_vec(yj, consts[(i, j)]))
-        return out
+        return twisted_sum(self, l, y, x, self.rank(k + l),
+                           lambda i, j: consts[(i, j)])
 
     def eps_elem(self, k, x):
         R = self.ring
@@ -240,6 +232,27 @@ class TwistedBialgebra:
                 raise IncompleteData(f"weight {k} missing from bialgebra data")
 
 
+def twisted_sum(G, k, g, vec, n, column):
+    """sum_i sum_j (eta(vec_i) g)_j column(i, j), a vector of length n.
+
+    g is a weight-k element; the scalar vec_i crosses it through the left
+    action on Gamma[k].  This is the one bilinear loop behind the product of
+    Gamma and the actions of Gamma on modules and free algebras.
+    """
+    R = G.ring
+    out = [R.zero()] * n
+    for i, c in enumerate(vec):
+        if R.is_zero(c):
+            continue
+        for j, w in enumerate(G.left_action(k, c).apply(g)):
+            if R.is_zero(w):
+                continue
+            col = column(i, j)
+            for r in range(n):
+                out[r] = R.add(out[r], R.mul(w, col[r]))
+    return tuple(out)
+
+
 def height1_gamma(p, N, f, kmax, ext=None):
     """The height-1 bialgebra W<psi> / (psi a = a^sigma psi), weight-truncated.
 
@@ -287,13 +300,19 @@ def verify_bialgebra(gamma):
     Covers: associativity and unitality of mu (including eta-inserted triples,
     which pin down the left-action twist), eta multiplicative, the counit
     rules for eps, coassociativity / cocommutativity / counit / grading of
-    Delta, and multiplicativity of Delta against mu.
+    Delta, and multiplicativity of Delta against mu.  Structure constants
+    whose shapes do not match the ranks of their weights fail
+    grading_structural, and then nothing else is checked.
     """
     G = gamma
     R = G.ring
     checks = []
     kmax = G.kmax
     G.check_weights()
+    bad = _grading_violation(G)
+    if bad is not None:
+        return CongruenceReport.from_checks(
+            [CheckResult("grading_structural", False, bad)], meta={"kmax": kmax})
 
     def add_check(name, ok, witness=None):
         checks.append(CheckResult(name=name, passed=ok,
@@ -382,9 +401,30 @@ def verify_bialgebra(gamma):
                 add_check(f"delta_mu[{k},{l};{a},{b}]", lhs == rhs,
                           f"Delta(xy)={lhs.to_json()} Delta(x)Delta(y)={rhs.to_json()}")
 
-    # grading is structural: mu lands in k+l, eta in weight 0, Delta stays in (k,k)
+    # the shapes were checked first: mu lands in k+l, eta in weight 0, Delta in (k,k)
     add_check("grading_structural", True)
     return CongruenceReport.from_checks(checks, meta={"kmax": kmax})
+
+
+def _grading_violation(G):
+    """Describe the first structure constant whose shape does not match the
+    ranks of its weights, or return None."""
+    def rank(k):
+        return len(G.basis.get(k, ()))
+
+    vecs = [(f"mu[{k},{l}][{i},{j}]", k + l, vec) for (k, l), tbl in sorted(G.mu.items())
+            for (i, j), vec in sorted(tbl.items())]
+    vecs += [("unit", 0, G.unit)] + [(f"eps[{k}]", k, v) for k, v in sorted(G.eps.items())]
+    for name, k, vec in vecs:
+        if len(vec) != rank(k):
+            return f"{name} has {len(vec)} entries, rank({k}) = {rank(k)}"
+    mats = [(f"delta[{k}][{a}]", k, m) for k, tbl in sorted(G.delta.items())
+            for a, m in sorted(tbl.items())]
+    mats += [(f"left_t[{k}]", k, m) for k, m in sorted((G.left_t or {}).items())]
+    for name, k, m in mats:
+        if m.shape != (rank(k), rank(k)):
+            return f"{name} is {m.nrows}x{m.ncols}, rank({k}) = {rank(k)}"
+    return None
 
 
 def _weight_triples(kmax):
@@ -437,19 +477,8 @@ class GammaModule:
 
     def apply(self, k, gcoords, vec):
         """vec . (sum gamma_a g_a), with scalars twisting through the left action."""
-        G, R = self.gamma, self.gamma.ring
-        out = [R.zero()] * self.dim()
-        for mu_i, c in enumerate(vec):
-            if R.is_zero(c):
-                continue
-            w = G.left_action(k, c).apply(gcoords)
-            for j, wj in enumerate(w):
-                if R.is_zero(wj):
-                    continue
-                col = self.act_basis_mat(k, j).col(mu_i)
-                for r in range(self.dim()):
-                    out[r] = R.add(out[r], R.mul(wj, col[r]))
-        return tuple(out)
+        return twisted_sum(self.gamma, k, gcoords, vec, self.dim(),
+                           lambda i, j: self.act_basis_mat(k, j).col(i))
 
     def verify(self):
         """1 acts as identity; composition matches mu; eta acts as scalars.
@@ -619,10 +648,7 @@ def _cartan_sum(alg, k, a, x, y):
 
 def trivial_algebra(gamma):
     """R as a Gamma-algebra over the trivial module."""
-    mod = trivial_module(gamma)
-    R = gamma.ring
-    return GammaAlgebra(module=mod, mult={(0, 0): (R.one(),)}, unit=(R.one(),),
-                        gens={"1": (R.one(),)})
+    return _algebra_on_r(trivial_module(gamma))
 
 
 def algebra_on_w(gamma, psi_matrices):
@@ -632,10 +658,13 @@ def algebra_on_w(gamma, psi_matrices):
     for perturbed instances in congruence tests.
     """
     act = {(k, 0): m for k, m in psi_matrices.items()}
-    mod = GammaModule(gamma=gamma, basis=("1",), act=act)
-    R = gamma.ring
-    return GammaAlgebra(module=mod, mult={(0, 0): (R.one(),)}, unit=(R.one(),),
-                        gens={"1": (R.one(),)})
+    return _algebra_on_r(GammaModule(gamma=gamma, basis=("1",), act=act))
+
+
+def _algebra_on_r(mod):
+    """R with its own product, over a rank-1 module structure on R."""
+    one = (mod.gamma.ring.one(),)
+    return GammaAlgebra(module=mod, mult={(0, 0): one}, unit=one, gens={"1": one})
 
 
 # ---------------------------------------------------------------------------
@@ -1065,17 +1094,8 @@ class FreeGammaAlgebra:
                         gens.append((m, k, a))
             self.generators = tuple(gens)
         if self.basis is None:
-            monos = [()]
-            cur = [()]
-            for _ in range(self.degree_bound):
-                nxt = []
-                for mono in cur:
-                    start = mono[-1] if mono else 0
-                    for g in range(start, len(self.generators)):
-                        nxt.append(mono + (g,))
-                monos.extend(nxt)
-                cur = nxt
-            self.basis = tuple(sorted(set(monos)))
+            self.basis = tuple(sorted(m for d in range(self.degree_bound + 1)
+                                      for m in _monomials(len(self.generators), d)))
         self._index = {m: i for i, m in enumerate(self.basis)}
 
     def dim(self):
@@ -1117,18 +1137,17 @@ class FreeGammaAlgebra:
         return tuple(out)
 
     def _gen_act(self, gidx, l, c):
-        """(m (x) gamma_a) . gamma^l_c as a sparse generator combination."""
+        """(m (x) gamma_a) . gamma^l_c, a combination of generators, as a vector."""
         G = self.gamma
         m, k, a = self.generators[gidx]
         if k + l > G.kmax:
             raise IncompleteAction(
                 f"generator weight {k} + action weight {l} exceeds kmax {G.kmax}")
         prod = G.mul_elems(k, G.basis_vec(k, a), l, G.basis_vec(l, c))
-        out = {}
+        out = [G.ring.zero()] * self.dim()
         for b, coeff in enumerate(prod):
-            if not G.ring.is_zero(coeff):
-                out[self.generators.index((m, k + l, b))] = coeff
-        return out
+            out[self._index[(self.generators.index((m, k + l, b)),)]] = coeff
+        return tuple(out)
 
     def _iterated_delta(self, l, c, d):
         """Delta^(d) of gamma^l_c as {(c_1..c_d): coefficient}."""
@@ -1159,29 +1178,14 @@ class FreeGammaAlgebra:
         for key, coeff in self._iterated_delta(l, c, d).items():
             vec = self.unit
             for gidx, ci in zip(mono, key):
-                comb = self._gen_act(gidx, l, ci)
-                gvec = [R.zero()] * self.dim()
-                for gi, co in comb.items():
-                    gv = self.mono_vec((gi,))
-                    gvec = [R.add(x, R.mul(co, y)) for x, y in zip(gvec, gv)]
-                vec = self.mul_vec(vec, tuple(gvec))
+                vec = self.mul_vec(vec, self._gen_act(gidx, l, ci))
             out = [R.add(x, R.mul(coeff, y)) for x, y in zip(out, vec)]
         return tuple(out)
 
     def act(self, l, gcoords, v):
         """Action of a weight-l element with the scalar-twist extension rule."""
-        G, R = self.gamma, self.gamma.ring
-        out = [R.zero()] * self.dim()
-        for i, coeff in enumerate(v):
-            if R.is_zero(coeff):
-                continue
-            w = G.left_action(l, coeff).apply(gcoords)
-            for j, wj in enumerate(w):
-                if R.is_zero(wj):
-                    continue
-                col = self.act_mono(l, j, self.basis[i])
-                out = [R.add(x, R.mul(wj, y)) for x, y in zip(out, col)]
-        return tuple(out)
+        return twisted_sum(self.gamma, l, gcoords, v, self.dim(),
+                           lambda i, j: self.act_mono(l, j, self.basis[i]))
 
     def verify_cartan(self, weight, pairs):
         """Cartan rule on chosen basis-vector pairs for one action weight."""

@@ -1,4 +1,6 @@
 import json
+import random
+import signal
 
 import pytest
 
@@ -119,6 +121,9 @@ def test_usage_errors_exit_2(capsys):
     ["bialg", "--height1", "2,3,1"],                  # three fields, not four
     ["fgl", "--builtin", "multiplicative", "--degree-bound", "0"],  # [2](x) = 0
     ["weights", "gcd", "--max", "1"],                 # no m to check
+    ["congruence", "--height1", "2,1,1,1", "--degree-bound", "-1"],  # no monomials
+    ["theta", "check", "--file", "unread.json", "--samples", "-3"],  # no samples
+    ["fgl", "--builtin", "lubin-tate", "--n", "2", "--u-bound", "-1"],  # no u-degrees
 ])
 def test_out_of_range_arguments_exit_2(argv, capsys):
     assert run(argv) == 2
@@ -171,3 +176,109 @@ def test_selftest_exit_zero(capsys):
     assert run(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS] criterion") == 12
+
+
+def _theta_file(tmp_path, basis, mult):
+    """A finite-free presentation over Z/8 with psi(e) = e for every non-unit e."""
+    def vec(i):
+        return ["1" if j == i else "0" for j in range(len(basis))]
+    doc = {"ring": {"p": 2, "N": 3},
+           "shape": {"kind": "finite_free", "basis": basis,
+                     "mult": [[i, j, vec(k)] for (i, j), k in mult.items()]},
+           "psi_on_coeffs": "id",
+           "psi_gen_images": {b: vec(i) for i, b in enumerate(basis) if b != "1"}}
+    f = tmp_path / "pres.json"
+    f.write_text(json.dumps(doc))
+    return str(f)
+
+
+@pytest.mark.parametrize("basis,mult", [
+    (["e", "1"], {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}),  # unit not first
+    (["1", "1"], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}),  # unit named twice
+    (["1", "e"], {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1}),  # 1*e = 1
+])
+def test_finite_free_basis_must_start_with_its_unit(tmp_path, capsys, basis, mult):
+    assert run(["theta", "check", "--file", _theta_file(tmp_path, basis, mult)]) == 2
+    out, err = capsys.readouterr()
+    assert "error:" in err and "Traceback" not in out + err
+
+
+def test_bialg_with_misshapen_constants_fails_grading(tmp_path, capsys):
+    from fglcheck.twisted_bialgebra import height1_gamma
+    doc = height1_gamma(2, 3, 1, 2).to_json()
+    doc["mu"]["0,1"]["0,0"].append("0")   # one coordinate too many for rank(1) = 1
+    doc["eps"]["2"].append("0")
+    f = tmp_path / "bialg.json"
+    f.write_text(json.dumps(doc))
+    assert run(["bialg", "--file", str(f)]) == 1
+    out = capsys.readouterr().out
+    assert "witness (grading_structural): mu[0,1][0,0] has 2 entries" in out
+
+
+class _Overrun(BaseException):
+    """Raised by the alarm when one fuzz case runs past its time limit."""
+
+
+FUZZ_CASES = 300
+FUZZ_LIMIT_S = 5
+
+
+def _fuzz_argv(rng):
+    """Small arguments, mostly valid; 0, negatives and non-primes mixed in."""
+    def pick(good, bad):
+        return str(rng.choice(good if rng.random() < 0.85 else bad))
+
+    def p():
+        return pick([2, 3, 5], [-3, 0, 1, 4, 9])
+
+    def v():
+        return pick([1, 2, 3], [-1, 0])
+
+    cmd = rng.choice(["fgl", "graded", "bialg", "congruence", "weights"])
+    if cmd == "fgl":
+        return ["fgl", "--builtin",
+                rng.choice(["multiplicative", "additive", "honda", "lubin-tate"]),
+                "--p", p(), "--n", v(), "--precision", v(), "--u-bound", v(),
+                "--degree-bound", pick([1, 4, 6], [-1, 0])]
+    if cmd == "graded":
+        return ["graded", "--p", p(), "--precision", v()]
+    spec = ",".join([p(), v(), v(), v()])
+    if cmd == "bialg":
+        argv = ["bialg", "--height1", spec]
+        if rng.random() < 0.5:
+            argv.append("--dualize")
+            if rng.random() < 0.5:
+                argv += ["--points", json.dumps({"p": int(p()), "N": int(v())})]
+        return argv
+    if cmd == "congruence":
+        return ["congruence", "--height1", spec,
+                "--squares", f"{p()},{pick([1, 2, 3, 9], [-1, 0])}",
+                "--degree-bound", v()]
+    if rng.random() < 0.5:
+        return ["weights", "gcd", "--max", pick([2, 30], [-1, 0, 1])]
+    return ["weights", "certify", "--m", pick([0, 2, 5, 6, 9], [-3]), "--p", p()]
+
+
+def test_cli_fuzz_ends_in_an_exit_code(capsys):
+    def overrun(signum, frame):
+        raise _Overrun
+
+    old = signal.signal(signal.SIGALRM, overrun)
+    rng = random.Random(20261018)
+    try:
+        for _ in range(FUZZ_CASES):
+            argv = _fuzz_argv(rng)
+            signal.setitimer(signal.ITIMER_REAL, FUZZ_LIMIT_S)
+            try:
+                code = run(argv)
+            except _Overrun:
+                pytest.fail(f"{argv} ran past {FUZZ_LIMIT_S} s")
+            except Exception as e:
+                pytest.fail(f"{argv} raised {e!r}")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in out + err, argv
+    finally:
+        signal.signal(signal.SIGALRM, old)

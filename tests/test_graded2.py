@@ -8,7 +8,7 @@ from fglcheck.acceptance import standard_graded_objects
 from fglcheck.exact_arith import WittCoefRing
 from fglcheck.graded2 import (AmbiguousFlattening, GradedMap, GradedObj,
                               NotInvertible, NotZGraded, ShapeMismatch,
-                              SignedPerm, SizeLimit, SymObject, associator,
+                              SignedPerm, SizeLimit, associator,
                               flip_sign, from_z_graded, interchange,
                               left_unitor, omega_obj, omega_sqrt, right_unitor,
                               tensor_map, to_z_graded, twisted_tensor, unit_obj,
@@ -144,11 +144,6 @@ def test_tensor_map_functorial():
         lhs = tensor_map(f.compose(g), h.compose(k))
         rhs = tensor_map(f, h).compose(tensor_map(g, k))
         assert lhs == rhs
-
-
-def test_sym_object():
-    w = SymObject(Z8, "w")
-    assert w.as_object().ranks() == (1, 0)
 
 
 def test_from_z_graded():

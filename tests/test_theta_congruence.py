@@ -164,3 +164,17 @@ def test_presentation_json_roundtrip():
     assert P2.to_json() == P.to_json()
     assert wilkerson_check(P2, sample_bound=5).verdict == \
         wilkerson_check(P, sample_bound=5).verdict
+
+
+def test_weight_p_squares_samples_a_large_ring(monkeypatch):
+    # at |W|^2 > 65536 every check samples or stops early: (2, 20) has 2^20 elements
+    elements = WittCoefRing.elements
+
+    def bounded(self):
+        for i, x in enumerate(elements(self)):
+            if i == 65536:
+                raise AssertionError("enumerated the whole ring")
+            yield x
+
+    monkeypatch.setattr(WittCoefRing, "elements", bounded)
+    assert verify_weight_p_squares(2, 20).verdict

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fglcheck.exact_arith import IntegerRing, WittCoefRing
+from fglcheck.exact_arith import RationalField, WittCoefRing
 from fglcheck.linalg import Mat
 from fglcheck.weights import (EpiFamily, InvariantViolation, NotLocal,
                               WeightedMonadData, binomial_gcd,
@@ -70,8 +70,8 @@ def test_epi_complementary_coordinates():
 
 
 def test_epi_requires_local_ring():
-    fam = EpiFamily(ring=IntegerRing(), target_rank=1,
-                    maps=[Mat.from_int_rows(IntegerRing(), [[1]])])
+    fam = EpiFamily(ring=RationalField(), target_rank=1,
+                    maps=[Mat.from_int_rows(RationalField(), [[1]])])
     with pytest.raises(NotLocal):
         epi_family_check(fam)
 
