@@ -4,12 +4,12 @@ power-operation congruences at finite p-adic precision."""
 from .exact_arith import (FrobeniusLift, HenselFailure, NotDivisible,
                           RationalField, RingMismatch, WittCoefRing, WittElem,
                           ring_from_descriptor)
-from .formal_groups import (BCpModule, FglHom, FormalGroupLaw, Height,
-                            MalformedPSeries, NotCharP, PrecisionExhausted,
-                            bcp_module, fgl_additive, fgl_honda,
-                            fgl_multiplicative, formal_inverse,
-                            frobenius_isogeny, height, lubin_tate_deformation,
-                            n_series, reduce_to_residue, specialize_deformation)
+from .formal_groups import (FglHom, FormalGroupLaw, Height, MalformedPSeries,
+                            NotCharP, PrecisionExhausted, bcp_module,
+                            fgl_additive, fgl_honda, fgl_multiplicative,
+                            formal_inverse, frobenius_isogeny, height,
+                            lubin_tate_deformation, n_series, reduce_to_residue,
+                            specialize_deformation)
 from .graded2 import (AmbiguousFlattening, GradedMap, GradedObj, NotInvertible,
                       NotZGraded, ShapeMismatch, SignedPerm, associator,
                       from_z_graded, interchange, omega_obj, omega_sqrt,

@@ -1,8 +1,10 @@
 """Batch-verification command line: deterministic reports, JSON on request.
 
 Exit codes: 0 all checks pass, 1 a check fails (witness printed), 2 usage or
-data errors.  The machine JSON is byte-identical across runs on identical
-inputs (the seed is echoed; wall-clock timings only go to stdout).
+data errors, including arithmetic the input makes impossible (an inexact
+division, a Hensel lift or iteration that does not converge).  The machine
+JSON is byte-identical across runs on identical inputs (the seed is echoed;
+wall-clock timings only go to stdout).
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def cmd_theta(args):
     digest = _digest(json.dumps(raw, sort_keys=True))
     rep = wilkerson_check(pres, sample_bound=args.samples, seed=args.seed)
     if rep.verdict:
-        td = derive_theta(pres, seed=args.seed)
+        td = derive_theta(pres)
         for g, v in sorted(td.theta_gens.items()):
             print(f"theta({g}) = {td.lowered.repr_elem(v)}  (precision {td.lowered.W.N})")
         cons = theta_consistency(pres, samples=args.samples, seed=args.seed)
@@ -353,7 +355,7 @@ def run(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

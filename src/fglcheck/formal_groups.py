@@ -1,8 +1,9 @@
 """Formal group laws at finite truncation.
 
 Constructions (multiplicative, additive, Honda, Lubin-Tate deformation),
-n-series, height detection on the residue field, Frobenius isogenies, and the
-rank-p^h quotient module cut out by Weierstrass preparation of [p](x).
+n-series, height detection on the residue field, Frobenius isogenies, and
+E^0BC_p = R[[x]]/([p](x)), the rank-p^h linalg.FiniteAlgebra cut out by
+Weierstrass preparation of [p](x).
 
 The Honda and deformation laws are produced by the functional-equation method:
 the logarithm is solved exactly over Q (or Q[u_1..u_{n-1}] truncated), the law
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import RationalField, WittCoefRing, ring_from_descriptor
+from .linalg import FiniteAlgebra
 from .series import (ContextMismatch, IdentityFailed, NotConverged,
                      PolyTruncRing, TruncSeries, reversion, substitute,
                      weierstrass_prepare)
@@ -339,34 +341,10 @@ def frobenius_isogeny(G, r=1):
     return hom
 
 
-@dataclass
-class BCpModule:
-    """R[[x]]/([p](x)) presented on the free basis 1, x, .., x^{p^h - 1}."""
-
-    ring: object
-    degree: int
-    unit: TruncSeries
-    distinguished: TruncSeries
-    basis: tuple
-    x_matrix: list  # multiplication-by-x, columns over the basis
-
-
 def bcp_module(G):
-    """Weierstrass data of [p](x): distinguished factor, free basis, x-action."""
+    """E^0BC_p = R[[x]]/([p](x)) as the FiniteAlgebra R[x]/(g) on 1, x^1, ...,
+    x^(d-1), where [p](x) = unit * g is the Weierstrass factorization."""
     R = G.ring
-    pser = n_series(G, residue_char(R))
-    wf = weierstrass_prepare(pser)
-    d = wf.degree
-    basis = tuple("1" if i == 0 else ("x" if i == 1 else f"x^{i}")
-                  for i in range(d))
-    cols = []
-    for i in range(d):
-        if i + 1 < d:
-            col = [R.zero()] * d
-            col[i + 1] = R.one()
-        else:
-            col = [R.neg(wf.distinguished.coefficient((j,))) for j in range(d)]
-        cols.append(col)
-    xmat = [[cols[j][i] for j in range(d)] for i in range(d)]
-    return BCpModule(ring=R, degree=d, unit=wf.unit,
-                     distinguished=wf.distinguished, basis=basis, x_matrix=xmat)
+    wf = weierstrass_prepare(n_series(G, residue_char(R)))
+    return FiniteAlgebra.monic_quotient(
+        R, "x", tuple(wf.distinguished.coefficient((j,)) for j in range(wf.degree + 1)))

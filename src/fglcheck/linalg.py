@@ -4,7 +4,8 @@ Matrices are small and dense.  Smith normal form is implemented for chain
 rings (Z/p^N, truncated Witt rings, and their residue fields), where every
 nonzero element factors as unit * p^v; that is all the structure the pivoting
 needs.  Ranks and kernels over residue fields share one reduced row echelon
-form.
+form.  FiniteAlgebra is the one finite free commutative algebra over a
+coefficient ring, multiplied through its structure constants.
 
 A matrix keeps its column count even when it has no rows, so 0 x n and
 n x 0 matrices have the shapes they were built with.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_arith import IdentityFailed
+from .exact_arith import IdentityFailed, Ring
 
 
 class ShapeMismatch(ValueError):
@@ -80,9 +81,7 @@ class Mat:
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
-        R = self.ring
-        return all(R.eq(a, b) for r1, r2 in zip(self.rows, other.rows)
-                   for a, b in zip(r1, r2))
+        return self.rows == other.rows
 
     def __hash__(self):
         raise TypeError("Mat is unhashable")
@@ -326,3 +325,79 @@ def _field_rref(A):
 def unit_vector(R, n, i):
     """The i-th standard basis vector of R^n, as a tuple."""
     return tuple(R.one() if j == i else R.zero() for j in range(n))
+
+
+class FiniteAlgebra(Ring):
+    """A finite free commutative algebra over a coefficient ring, by structure
+    constants.
+
+    Elements are coordinate tuples over the basis; mult[(i, j)] is the product
+    of basis elements i and j, and unit the coordinates of 1.  The table may
+    come from a user file, so it is not assumed associative: pow multiplies
+    from the left, starting at the unit.
+    """
+
+    def __init__(self, ring, basis, mult, unit):
+        self.ring = ring
+        self.basis = tuple(basis)
+        self.mult = mult
+        self.unit = unit
+
+    @staticmethod
+    def monic_quotient(R, var, m):
+        """R[x]/(m) on 1, x^1, ..., x^(d-1), x named var and m monic of degree
+        d given low to high; x^d reduces to -(m_0 + ... + m_(d-1) x^(d-1))."""
+        d = len(m) - 1
+        if d < 1:
+            raise ValueError("a monic relation needs degree at least 1")
+        if m[-1] != R.one():
+            raise ValueError(f"the relation's leading coefficient is {m[-1]!r}, not 1")
+        pows = [unit_vector(R, d, i) for i in range(d)]
+        while len(pows) < 2 * d - 1:
+            last = pows[-1]
+            pows.append(tuple(R.sub(s, R.mul(last[-1], c))
+                              for s, c in zip((R.zero(),) + last[:-1], m)))
+        basis = ("1",) + tuple(f"{var}^{i}" for i in range(1, d))
+        mult = {(i, j): pows[i + j] for i in range(d) for j in range(d)}
+        return FiniteAlgebra(R, basis, mult, pows[0])
+
+    def zero(self):
+        return (self.ring.zero(),) * len(self.basis)
+
+    def one(self):
+        return self.unit
+
+    def add(self, a, b):
+        R = self.ring
+        return tuple(R.add(x, y) for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(self.ring.neg(x) for x in a)
+
+    def mul(self, v, w):
+        R = self.ring
+        out = [R.zero()] * len(v)
+        for i, a in enumerate(v):
+            if R.is_zero(a):
+                continue
+            for j, b in enumerate(w):
+                if R.is_zero(b):
+                    continue
+                c = R.mul(a, b)
+                for r, m in enumerate(self.mult[(i, j)]):
+                    out[r] = R.add(out[r], R.mul(c, m))
+        return tuple(out)
+
+    def is_zero(self, a):
+        return all(self.ring.is_zero(x) for x in a)
+
+    def scale(self, c, a):
+        """c * a for c in the coefficient ring."""
+        R = self.ring
+        return tuple(R.mul(c, x) for x in a)
+
+    def pow(self, a, n):
+        out = self.unit
+        for _ in range(n):
+            out = self.mul(out, a)
+        return out

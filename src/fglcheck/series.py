@@ -177,11 +177,7 @@ class TruncSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        if not self.same_context(other):
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.ring.eq(c, other.terms[e]) for e, c in self.terms.items())
+        return self.same_context(other) and self.terms == other.terms
 
     # inspection
 

@@ -1,9 +1,9 @@
 """psi-rings, theta-rings, and the congruence criteria.
 
 Both finite shapes of a psi-ring presentation, a monic quotient W[x]/(m) and
-a finite-free algebra, are FiniteAlgebras: they multiply through the same
-structure-constant product as the Gamma-algebras and dual algebras of
-twisted_bialgebra, and psi on them is fixed by the psi-images of the basis.
+a finite-free algebra, are linalg.FiniteAlgebras, the same type as the
+Gamma-algebras and dual algebras of twisted_bialgebra; psi on them is fixed
+by the psi-images of the basis.
 
 The Wilkerson check asks whether psi(x) = x^p mod p; on a pass, theta is
 derived by exact division and its forced addition/multiplication identities
@@ -20,11 +20,11 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .exact_arith import IdentityFailed, NotDivisible, WittCoefRing
-from .linalg import (Mat, ShapeMismatch, residue_rank, smith_normal_form, solve,
-                     unit_vector)
+from .exact_arith import NotDivisible, WittCoefRing
+from .linalg import (FiniteAlgebra, Mat, ShapeMismatch, residue_rank,
+                     smith_normal_form, solve, unit_vector)
 from .report import CheckResult, CongruenceReport
-from .twisted_bialgebra import FiniteAlgebra, TwistedBialgebra
+from .twisted_bialgebra import TwistedBialgebra
 
 
 # seeded sample sizes: terms and per-variable degree of a random polynomial
@@ -92,7 +92,8 @@ class PsiRingPresentation:
                        else None)
         self._alg = None
         if isinstance(self.shape, MonicQuotientShape):
-            self._alg = _monic_quotient_algebra(self.W, self.shape)
+            self._alg = FiniteAlgebra.monic_quotient(self.W, self.shape.var,
+                                                     self.shape.monic)
         elif isinstance(self.shape, FiniteFreeShape):
             self._alg = _finite_free_algebra(self.W, self.shape)
 
@@ -101,7 +102,7 @@ class PsiRingPresentation:
     def zero(self):
         if self._alg is None:
             return {}
-        return (self.W.zero(),) * len(self._alg.basis)
+        return self._alg.zero()
 
     def one(self):
         return self.from_coeff(self.W.one())
@@ -109,7 +110,7 @@ class PsiRingPresentation:
     def from_coeff(self, c):
         if self._alg is None:
             return {} if self.W.is_zero(c) else {(0,) * len(self.shape.vars): c}
-        return (c,) + (self.W.zero(),) * (len(self._alg.basis) - 1)
+        return self._alg.scale(c, self._alg.unit)
 
     def gen(self, name):
         if isinstance(self.shape, PolyShape):
@@ -119,6 +120,8 @@ class PsiRingPresentation:
         if isinstance(self.shape, MonicQuotientShape):
             if name != self.shape.var:
                 raise ValueError(f"{name!r} is not the generator {self.shape.var!r}")
+            if len(self._alg.basis) == 1:  # W[x]/(x + m_0): x reduces to -m_0
+                return (self.W.neg(self.shape.monic[0]),)
             return unit_vector(self.W, len(self._alg.basis), 1)
         return unit_vector(self.W, len(self._alg.basis), self.shape.basis.index(name))
 
@@ -139,12 +142,12 @@ class PsiRingPresentation:
                 else:
                     out[e] = s
             return out
-        return tuple(self.W.add(x, y) for x, y in zip(a, b))
+        return self._alg.add(a, b)
 
     def neg(self, a):
         if self._alg is None:
             return {e: self.W.neg(c) for e, c in a.items()}
-        return tuple(self.W.neg(x) for x in a)
+        return self._alg.neg(a)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -162,7 +165,7 @@ class PsiRingPresentation:
                     else:
                         out[e] = s
             return out
-        return self._alg.mul_vec(a, b)
+        return self._alg.mul(a, b)
 
     def power(self, a, n):
         out = self.one()
@@ -176,7 +179,7 @@ class PsiRingPresentation:
     def is_zero(self, a):
         if self._alg is None:
             return not a
-        return all(self.W.is_zero(c) for c in a)
+        return self._alg.is_zero(a)
 
     def psi_coeff(self, c):
         return self._sigma(c) if self._sigma is not None else c
@@ -210,7 +213,7 @@ class PsiRingPresentation:
         if self._alg is None:
             out = {e: self.W.mul(c, v) for e, v in a.items()}
             return {e: v for e, v in out.items() if not self.W.is_zero(v)}
-        return tuple(self.W.mul(c, v) for v in a)
+        return self._alg.scale(c, a)
 
     def residues(self, a):
         """Coefficient residues mod p, keyed for witness reporting."""
@@ -277,6 +280,9 @@ class PsiRingPresentation:
         for g in self.generators():
             if g not in self.psi_gen_images:
                 return f"no psi image for generator {g}"
+            n = None if self._alg is None else len(self._alg.basis)
+            if n is not None and len(self.psi_gen_images[g]) != n:
+                return f"psi({g}) has {len(self.psi_gen_images[g])} coordinates, not {n}"
         if isinstance(self.shape, PolyShape):
             return None
         if isinstance(self.shape, MonicQuotientShape):
@@ -340,21 +346,6 @@ class PsiRingPresentation:
             psi_gen_images={k: elem(v) for k, v in data["psi_gen_images"].items()})
 
 
-def _monic_quotient_algebra(W, shape):
-    """W[x]/(m) on 1, x, ..., x^(d-1), reducing by x^d = -(m_0 + ... + m_(d-1) x^(d-1))."""
-    d = len(shape.monic) - 1
-    if d < 1:
-        raise ValueError("a monic relation needs degree at least 1")
-    pows = [unit_vector(W, d, i) for i in range(d)]
-    while len(pows) < 2 * d - 1:
-        last = pows[-1]
-        pows.append(tuple(W.sub(s, W.mul(last[-1], m))
-                          for s, m in zip((W.zero(),) + last[:-1], shape.monic)))
-    basis = ("1",) + tuple(f"{shape.var}^{i}" for i in range(1, d))
-    mult = {(i, j): pows[i + j] for i in range(d) for j in range(d)}
-    return FiniteAlgebra(ring=W, basis=basis, mult=mult, unit=pows[0])
-
-
 def _finite_free_algebra(W, shape):
     """A finite-free shape as a FiniteAlgebra; its basis starts with its unit "1"."""
     basis = tuple(shape.basis)
@@ -362,9 +353,18 @@ def _finite_free_algebra(W, shape):
         raise ValueError(f"finite-free basis {list(basis)} must start with its "
                          f"unit '1' and name it once")
     n = len(basis)
-    mult = {(i, j): tuple(vec) for i, j, vec in shape.mult}
+    pairs = set(itertools.product(range(n), repeat=2))
+    mult = {}
+    for i, j, vec in shape.mult:
+        if (i, j) not in pairs or (i, j) in mult or len(vec) != n:
+            raise ValueError(f"table entry ({i},{j}) with {len(vec)} coordinates: each "
+                             f"of the {n * n} basis products is given once, with "
+                             f"{n} coordinates")
+        mult[(i, j)] = tuple(vec)
+    if len(mult) != n * n:
+        raise ValueError(f"the table gives {len(mult)} of the {n * n} basis products")
     for j, name in enumerate(basis):
-        if mult.get((0, j)) != unit_vector(W, n, j):
+        if mult[(0, j)] != unit_vector(W, n, j):
             raise ValueError(f"the table does not give 1*{name} = {name}")
     return FiniteAlgebra(ring=W, basis=basis, mult=mult, unit=unit_vector(W, n, 0))
 
@@ -438,24 +438,17 @@ def wilkerson_check(pres, sample_bound=25, seed=0):
     return CongruenceReport.from_checks(checks, meta=meta)
 
 
-def derive_theta(pres, seed=0):
-    """theta(g) = (psi(g) - g^p)/p at precision N-1, then re-verified at N."""
-    rep = wilkerson_check(pres, seed=seed)
-    if not rep.verdict:
-        raise CongruenceFails(rep.witnesses[0])
-    p = pres.W.p
-    low = pres.lowered()
-    theta = {}
-    for g in pres.generators():
-        gv = pres.gen(g)
-        diff = pres.sub(pres.psi(gv), pres.power(gv, p))
-        theta[g] = pres.divide_by_p(diff)
-        # reconstruction at full precision: psi(g) = g^p + p*theta(g)
-        lift = pres.map_coeffs(theta[g], lambda c: pres.W.elem(c.coeffs))
-        back = pres.add(pres.power(gv, p), pres.scale(pres.W.from_int(p), lift))
-        if not pres.eq(back, pres.psi(gv)):
-            raise IdentityFailed(f"theta({g}) does not reconstruct psi({g})")
-    return ThetaData(presentation=pres, lowered=low, theta_gens=theta)
+def derive_theta(pres):
+    """theta(g) = (psi(g) - g^p)/p on each generator, at precision N-1.
+
+    psi must be well defined; a generator where the division is not exact
+    raises CongruenceFails.
+    """
+    bad = pres.verify_psi_well_defined()
+    if bad is not None:
+        raise IllDefinedPsi(bad)
+    theta = {g: theta_of(pres, pres.gen(g)) for g in pres.generators()}
+    return ThetaData(presentation=pres, lowered=pres.lowered(), theta_gens=theta)
 
 
 def theta_of(pres, elem):
@@ -539,20 +532,19 @@ def gamma_congruence_check(sigma, algebra, degree_bound=2, seed=0):
         for name, vec in frontier:
             for gname, gvec in gens:
                 label = gname if name == "1" else f"{name}*{gname}"
-                new.append((label, B.mul_vec(vec, gvec)))
+                new.append((label, B.mul(vec, gvec)))
         monomials.extend(new)
         frontier = new
     checks = []
     seen = set()
     for name, vec in monomials:
         for c in scalars:
-            x = tuple(R.mul(c, v) for v in vec)
-            key = tuple(x)
-            if key in seen:
+            x = B.scale(c, vec)
+            if x in seen:
                 continue
-            seen.add(key)
+            seen.add(x)
             lhs = B.act(1, sigma.coords, x)  # IncompleteAction propagates
-            rhs = B.power(x, p)
+            rhs = B.pow(x, p)
             diff = [R.sub(u, v) for u, v in zip(lhs, rhs)]
             res = {i: R.residue(d) for i, d in enumerate(diff)
                    if not R.residue_ring().is_zero(R.residue(d))}

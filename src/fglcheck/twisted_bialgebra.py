@@ -10,20 +10,21 @@ Tensor squares Gamma[k] (x)_R Gamma[k] are written in the canonical form
 sum (gamma_u (x) gamma_v) . c_uv with all scalars pushed onto the right leg,
 which is a free basis presentation, so equality is matrix equality.
 
-Every finite commutative algebra here (a Gamma-algebra, the dual algebras
-A[k] of the category scheme, the coefficient ring as a W-algebra, a
-finite-free psi-ring) multiplies coordinate vectors through structure_mul,
-and the dual algebras and the point-enumeration presentations are one type,
-FiniteAlgebra.
+Every finite commutative algebra here is a linalg.FiniteAlgebra on coordinate
+tuples: a Gamma-algebra is one together with its module, the dual algebras
+A[k] of the category scheme and the coefficient ring as a W-algebra are the
+presentations whose points are enumerated, and a free Gamma-algebra is one
+whose product concatenates monomials instead of reading a table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exact_arith import IdentityFailed, WittCoefRing, ring_from_descriptor
-from .linalg import Mat, solve, unit_vector
+from .linalg import FiniteAlgebra, Mat, solve, unit_vector
 from .report import CheckResult, CongruenceReport, SizeLimit
 from .weights import _monomials
 
@@ -81,19 +82,12 @@ class TwistedBialgebra:
         """Coordinates of eta(r) in Gamma[0]."""
         return self.left_action(0, r).apply(self.unit)
 
-    def zero_vec(self, k):
-        return (self.ring.zero(),) * self.rank(k)
-
-    def basis_vec(self, k, a):
-        return unit_vector(self.ring, self.rank(k), a)
-
-    def add_vec(self, u, v):
+    def basis_vec(self, k, a, c=None):
+        """The a-th basis vector of Gamma[k], times c when given."""
         R = self.ring
-        return tuple(R.add(a, b) for a, b in zip(u, v))
-
-    def scale_vec(self, c, v):
-        R = self.ring
-        return tuple(R.mul(c, a) for a in v)
+        out = [R.zero()] * self.rank(k)
+        out[a] = R.one() if c is None else c
+        return tuple(out)
 
     def mul_elems(self, k, x, l, y):
         """Product Gamma[k] x Gamma[l] -> Gamma[k+l] on coordinate vectors."""
@@ -130,7 +124,7 @@ class TwistedBialgebra:
                 s = S.rows[u][v]
                 if R.is_zero(s):
                     continue
-                xsecond = self.scale_vec(s, self.basis_vec(k, v))
+                xsecond = self.basis_vec(k, v, s)
                 for w in range(self.rank(l)):
                     first = self.mul_elems(k, self.basis_vec(k, u),
                                            l, self.basis_vec(l, w))
@@ -138,8 +132,7 @@ class TwistedBialgebra:
                         t = T.rows[w][z]
                         if R.is_zero(t):
                             continue
-                        second = self.mul_elems(k, xsecond, l,
-                                                self.scale_vec(t, self.basis_vec(l, z)))
+                        second = self.mul_elems(k, xsecond, l, self.basis_vec(l, z, t))
                         for a, ca in enumerate(first):
                             if R.is_zero(ca):
                                 continue
@@ -149,36 +142,21 @@ class TwistedBialgebra:
         return Mat(R, rows)
 
     def counit_left(self, k, D):
-        """(eps (x) id) applied to a canonical tensor matrix; lands in Gamma[k]."""
-        out = self.zero_vec(k)
-        R = self.ring
-        for u in range(self.rank(k)):
-            act = self.left_action(k, self.eps[k][u])
-            for v in range(self.rank(k)):
-                c = D.rows[u][v]
-                if R.is_zero(c):
-                    continue
-                out = self.add_vec(out, act.apply(self.scale_vec(c, self.basis_vec(k, v))))
-        return out
+        """(eps (x) id) applied to a canonical tensor matrix; lands in Gamma[k].
+
+        sum_uv eta(eps(gamma_u)) gamma_v c_uv is the block row of left actions
+        [L(eps_0) ... L(eps_n-1)] applied to the rows of D laid end to end.
+        """
+        blocks = [self.left_action(k, e) for e in self.eps[k]]
+        return functools.reduce(Mat.hstack, blocks).apply(sum(D.rows, ()))
 
     def counit_right(self, k, D):
         """(id (x) eps) applied to a canonical tensor matrix."""
-        out = self.zero_vec(k)
-        R = self.ring
-        for u in range(self.rank(k)):
-            acc = R.zero()
-            for v in range(self.rank(k)):
-                acc = R.add(acc, R.mul(self.eps[k][v], D.rows[u][v]))
-            out = self.add_vec(out, self.scale_vec(acc, self.basis_vec(k, u)))
-        return out
+        return D.apply(self.eps[k])
 
     def ring_generators(self):
         R = self.ring
         return [R.gen()] if R.f > 1 else []
-
-    def vec_eq(self, u, v):
-        R = self.ring
-        return all(R.eq(a, b) for a, b in zip(u, v))
 
     def to_json(self):
         R = self.ring
@@ -325,7 +303,7 @@ def verify_bialgebra(gamma):
             left = G.mul_elems(0, G.unit, k, v)
             right = G.mul_elems(k, v, 0, G.unit)
             add_check(f"mu_unital[{k},{a}]",
-                      G.vec_eq(left, v) and G.vec_eq(right, v),
+                      left == v and right == v,
                       f"1*g={left} g*1={right} g={v}")
 
     # mu associative on basis triples
@@ -335,7 +313,7 @@ def verify_bialgebra(gamma):
             x, y, z = G.basis_vec(k, a), G.basis_vec(l, b), G.basis_vec(m, c)
             lhs = G.mul_elems(k + l, G.mul_elems(k, x, l, y), m, z)
             rhs = G.mul_elems(k, x, l + m, G.mul_elems(l, y, m, z))
-            add_check(f"mu_assoc[{k},{l},{m};{a},{b},{c}]", G.vec_eq(lhs, rhs),
+            add_check(f"mu_assoc[{k},{l},{m};{a},{b},{c}]", lhs == rhs,
                       f"(xy)z={lhs} x(yz)={rhs}")
 
     # associativity with an eta-element inserted on the left:
@@ -349,16 +327,16 @@ def verify_bialgebra(gamma):
                     lhs = G.mul_elems(k, G.mul_elems(0, er, k, x), l, y)
                     rhs = G.mul_elems(0, er, k + l, G.mul_elems(k, x, l, y))
                     add_check(f"mu_assoc_eta[{r!r};{k},{l};{a},{b}]",
-                              G.vec_eq(lhs, rhs), f"lhs={lhs} rhs={rhs}")
+                              lhs == rhs, f"lhs={lhs} rhs={rhs}")
 
     # eta is a ring homomorphism
     gens = G.ring_generators()
     for r, s in itertools.product(gens + [R.one()], repeat=2):
         lhs = G.mul_elems(0, G.eta(r), 0, G.eta(s))
         rhs = G.eta(R.mul(r, s))
-        add_check(f"eta_mult[{r!r},{s!r}]", G.vec_eq(lhs, rhs),
+        add_check(f"eta_mult[{r!r},{s!r}]", lhs == rhs,
                   f"eta(r)eta(s)={lhs} eta(rs)={rhs}")
-    add_check("eta_unit", G.vec_eq(G.eta(R.one()), G.unit), "eta(1) != 1")
+    add_check("eta_unit", G.eta(R.one()) == G.unit, "eta(1) != 1")
 
     # eps axioms: eps(eta(r)) = r and eps(xy) = eps(eta(eps(x)) y)
     for r in gens + [R.one()]:
@@ -379,10 +357,10 @@ def verify_bialgebra(gamma):
             v = G.basis_vec(k, a)
             D = G.delta_elem(k, v)
             add_check(f"delta_counit_left[{k},{a}]",
-                      G.vec_eq(G.counit_left(k, D), v),
+                      G.counit_left(k, D) == v,
                       f"(eps x id)Delta={G.counit_left(k, D)} want {v}")
             add_check(f"delta_counit_right[{k},{a}]",
-                      G.vec_eq(G.counit_right(k, D), v),
+                      G.counit_right(k, D) == v,
                       f"(id x eps)Delta={G.counit_right(k, D)} want {v}")
             add_check(f"delta_cocomm[{k},{a}]", D == D.transpose(),
                       f"Delta not symmetric: {D.to_json()}")
@@ -504,7 +482,7 @@ class GammaModule:
                 step = self.apply(l, G.basis_vec(l, b),
                                   self.apply(k, G.basis_vec(k, a), e))
                 direct = self.apply(k + l, prod, e)
-                if not all(R.eq(x, y) for x, y in zip(step, direct)):
+                if step != direct:
                     ok = False
                     witness = f"on {e}: {step} vs {direct}"
                     break
@@ -563,14 +541,14 @@ def tensor_modules(M, N):
     return out
 
 
-@dataclass
-class GammaAlgebra:
-    """Commutative monoid in Gamma-modules: module + multiplication table."""
+class GammaAlgebra(FiniteAlgebra):
+    """Commutative monoid in Gamma-modules: a FiniteAlgebra on the basis of
+    its module, with named generators."""
 
-    module: GammaModule
-    mult: dict    # (i, j) -> coordinate vector
-    unit: tuple   # coordinates of the algebra unit
-    gens: dict = field(default_factory=dict)  # name -> coordinate vector
+    def __init__(self, module, mult, unit, gens=None):
+        super().__init__(module.gamma.ring, module.basis, mult, unit)
+        self.module = module
+        self.gens = gens or {}  # name -> coordinate vector
 
     @property
     def gamma(self):
@@ -578,15 +556,6 @@ class GammaAlgebra:
 
     def dim(self):
         return self.module.dim()
-
-    def mul_vec(self, v, w):
-        return structure_mul(self.gamma.ring, self.mult, v, w)
-
-    def power(self, v, n):
-        out = self.unit
-        for _ in range(n):
-            out = self.mul_vec(out, v)
-        return out
 
     def act(self, k, gcoords, v):
         return self.module.apply(k, gcoords, v)
@@ -600,33 +569,18 @@ class GammaAlgebra:
             for a in range(G.rank(k)):
                 gv = G.basis_vec(k, a)
                 lhs = self.act(k, gv, self.unit)
-                rhs = tuple(R.mul(G.eps[k][a], c) for c in self.unit)
-                ok = all(R.eq(x, y) for x, y in zip(lhs, rhs))
+                rhs = self.scale(G.eps[k][a], self.unit)
+                ok = lhs == rhs
                 checks.append(CheckResult(f"unit_rule[{k},{a}]", ok,
                                           None if ok else f"1.g={lhs} eps.1={rhs}"))
                 for i, j in itertools.product(range(n), repeat=2):
                     x, y = unit_vector(R, n, i), unit_vector(R, n, j)
-                    lhs = self.act(k, gv, self.mul_vec(x, y))
+                    lhs = self.act(k, gv, self.mul(x, y))
                     rhs = _cartan_sum(self, k, a, x, y)
-                    ok = all(R.eq(p, q) for p, q in zip(lhs, rhs))
+                    ok = lhs == rhs
                     checks.append(CheckResult(f"cartan[{k},{a};{i},{j}]", ok,
                                               None if ok else f"(xy).g={lhs} sum={rhs}"))
         return CongruenceReport.from_checks(checks)
-
-
-def structure_mul(R, mult, v, w):
-    """v * w in a finite free algebra; mult[(i, j)] is the product of basis i and j."""
-    out = [R.zero()] * len(v)
-    for i, a in enumerate(v):
-        if R.is_zero(a):
-            continue
-        for j, b in enumerate(w):
-            if R.is_zero(b):
-                continue
-            c = R.mul(a, b)
-            for r, m in enumerate(mult[(i, j)]):
-                out[r] = R.add(out[r], R.mul(c, m))
-    return tuple(out)
 
 
 def _cartan_sum(alg, k, a, x, y):
@@ -634,15 +588,15 @@ def _cartan_sum(alg, k, a, x, y):
     Delta(gamma^k_a) = sum gamma_u (x) gamma_v c_uv."""
     G, R = alg.gamma, alg.gamma.ring
     D = G.delta[k][a]
-    out = (R.zero(),) * alg.dim()
+    out = alg.zero()
     for u in range(G.rank(k)):
         for v in range(G.rank(k)):
             c = D.rows[u][v]
             if R.is_zero(c):
                 continue
             xv = alg.act(k, G.basis_vec(k, u), x)
-            yv = alg.act(k, G.scale_vec(c, G.basis_vec(k, v)), y)
-            out = tuple(R.add(p, q) for p, q in zip(out, alg.mul_vec(xv, yv)))
+            yv = alg.act(k, G.basis_vec(k, v, c), y)
+            out = alg.add(out, alg.mul(xv, yv))
     return out
 
 
@@ -672,43 +626,10 @@ def _algebra_on_r(mod):
 
 
 @dataclass
-class FiniteAlgebra:
-    """A finite free commutative algebra over W, by structure constants.
-
-    The dual algebras A[k] of a category scheme are stored this way: the
-    right-linear dual of Gamma[k] in the dual basis with the "source" scalar
-    structure, whose unit is eps itself.  For point enumeration the algebra
-    is flattened to its additive Z/p^N generators t^j e_i.
-    """
-
-    ring: object   # W
-    basis: tuple
-    mult: dict     # (i, j) -> coordinate vector of e_i e_j
-    unit: tuple
-
-    def mul_vec(self, v, w):
-        return structure_mul(self.ring, self.mult, v, w)
-
-    def add_gen_count(self):
-        return len(self.basis) * self.ring.f
-
-    def elem_int_coords(self, vec):
-        out = []
-        for c in vec:
-            out.extend(c.coeffs)
-        return out
-
-    def add_gen_product(self, m, n):
-        """Product of additive generators m, n as a W coordinate vector."""
-        R = self.ring
-        i, a = divmod(m, R.f)
-        j, b = divmod(n, R.f)
-        t_ab = _tpow(R, a + b)
-        return tuple(R.mul(t_ab, c) for c in self.mult[(i, j)])
-
-
-@dataclass
 class CategorySchemeData:
+    """The dual category scheme.  A[k] is the right-linear dual of Gamma[k] in
+    the dual basis with the "source" scalar structure, whose unit is eps."""
+
     gamma: TwistedBialgebra
     A: dict          # weight -> FiniteAlgebra
     s_star: dict     # weight -> (r -> vector)
@@ -757,15 +678,10 @@ def dualize(gamma):
         comm = all(mult[(u, v)] == mult[(v, u)] for u in range(n) for v in range(n))
         checks.append(CheckResult(f"dual_mult_commutative[{k}]", comm))
         e = [unit_vector(R, n, u) for u in range(n)]
-        assoc = True
-        for u, v, w in itertools.product(range(n), repeat=3):
-            lhs = Ak.mul_vec(Ak.mul_vec(e[u], e[v]), e[w])
-            rhs = Ak.mul_vec(e[u], Ak.mul_vec(e[v], e[w]))
-            if not all(R.eq(a, b) for a, b in zip(lhs, rhs)):
-                assoc = False
+        assoc = all(Ak.mul(Ak.mul(e[u], e[v]), e[w]) == Ak.mul(e[u], Ak.mul(e[v], e[w]))
+                    for u, v, w in itertools.product(range(n), repeat=3))
         checks.append(CheckResult(f"dual_mult_associative[{k}]", assoc))
-        unit_ok = all(all(R.eq(a, b) for a, b in zip(Ak.mul_vec(Ak.unit, e[u]), e[u]))
-                      for u in range(n))
+        unit_ok = all(Ak.mul(Ak.unit, e[u]) == e[u] for u in range(n))
         checks.append(CheckResult(f"dual_unit_is_eps[{k}]", unit_ok))
 
         def make_s(k=k):
@@ -896,25 +812,30 @@ def _evaluate(Rp, images, int_coords):
     return acc
 
 
+def _int_coords(vec):
+    """Coordinates of a W-vector over the additive Z/p^N generators t^j e_i."""
+    return [c for x in vec for c in x.coeffs]
+
+
 def ring_maps(alg, Rp):
     """All unital ring homomorphisms from a FiniteAlgebra into a finite ring Rp.
 
-    Brute force over images of the additive generators; additivity needs each
-    image killed by p^N, and multiplicativity is checked on generator pairs
-    (integer bilinearity extends it to everything).
+    Brute force over images of the additive generators t^j e_i; additivity
+    needs each image killed by p^N, and multiplicativity is checked on
+    generator pairs (integer bilinearity extends it to everything).
     """
     W = alg.ring
-    n = alg.add_gen_count()
+    gens = [alg.scale(_tpow(W, j), unit_vector(W, len(alg.basis), i))
+            for i in range(len(alg.basis)) for j in range(W.f)]
+    n = len(gens)
     elems = list(Rp.elements())
     if len(elems) ** n > RING_MAPS_LIMIT:
         raise SizeLimit(f"{len(elems)}^{n} candidate maps")
     pN = W.modulus
     ok_images = [x for x in elems if Rp.is_zero(Rp.scalar(pN, x))]
-    unit_coords = alg.elem_int_coords(alg.unit)
-    gen_products = {}
-    for m in range(n):
-        for nn in range(n):
-            gen_products[(m, nn)] = alg.elem_int_coords(alg.add_gen_product(m, nn))
+    unit_coords = _int_coords(alg.unit)
+    gen_products = {(m, nn): _int_coords(alg.mul(gens[m], gens[nn]))
+                    for m in range(n) for nn in range(n)}
     maps = []
     for images in itertools.product(ok_images, repeat=n):
         if not Rp.eq(_evaluate(Rp, images, unit_coords), Rp.one()):
@@ -965,7 +886,7 @@ def points_category(scheme, Rp):
     checks = []
 
     def ev(k, images, wvec):
-        return _evaluate(Rp, images, scheme.A[k].elem_int_coords(wvec))
+        return _evaluate(Rp, images, _int_coords(wvec))
 
     def src(k, alpha):
         return tuple(ev(k, alpha, scheme.s_star[k](_tpow(R, j))) for j in range(R.f))
@@ -994,9 +915,9 @@ def points_category(scheme, Rp):
                     au = ev(k, alpha, unit_vector(R, len(Ak.basis), u))
                     for z in range(len(Al.basis)):
                         lam_uz = lam[a].rows[u][z]
-                        w = Al.mul_vec(scheme.t_star[l](lam_uz),
-                                       unit_vector(R, len(Al.basis), z))
-                        w = Al.mul_vec(w, scheme.s_star[l](r))
+                        w = Al.mul(scheme.t_star[l](lam_uz),
+                                   unit_vector(R, len(Al.basis), z))
+                        w = Al.mul(w, scheme.s_star[l](r))
                         acc = Rp.add(acc, Rp.mul(au, ev(l, beta, w)))
                 out.append(acc)
         return tuple(out)
@@ -1068,14 +989,15 @@ def _tpow(R, j):
 
 
 @dataclass
-class FreeGammaAlgebra:
+class FreeGammaAlgebra(FiniteAlgebra):
     """Sym_R(M (x) Gamma), truncated in symmetric degree and weight.
 
     Generators are pairs (module generator, Gamma basis element); monomials of
-    degree <= degree_bound form the algebra basis.  Gamma acts on a generator
-    by right multiplication on its Gamma leg and on monomials through iterated
-    comultiplication (the Cartan rule); weights above kmax raise
-    IncompleteAction rather than silently truncating.
+    degree <= degree_bound form the algebra basis, and the product
+    concatenates monomials instead of reading a structure table.  Gamma acts
+    on a generator by right multiplication on its Gamma leg and on monomials
+    through iterated comultiplication (the Cartan rule); weights above kmax
+    raise IncompleteAction rather than silently truncating.
     """
 
     gamma: TwistedBialgebra
@@ -1097,13 +1019,10 @@ class FreeGammaAlgebra:
             self.basis = tuple(sorted(m for d in range(self.degree_bound + 1)
                                       for m in _monomials(len(self.generators), d)))
         self._index = {m: i for i, m in enumerate(self.basis)}
+        FiniteAlgebra.__init__(self, G.ring, self.basis, None, self.mono_vec(()))
 
     def dim(self):
         return len(self.basis)
-
-    @property
-    def unit(self):
-        return self.mono_vec(())
 
     @property
     def gens(self):
@@ -1120,7 +1039,7 @@ class FreeGammaAlgebra:
             return (R.zero(),) * self.dim()
         return unit_vector(R, self.dim(), self._index[mono])
 
-    def mul_vec(self, v, w):
+    def mul(self, v, w):
         R = self.gamma.ring
         out = [R.zero()] * self.dim()
         for i, a in enumerate(v):
@@ -1173,14 +1092,14 @@ class FreeGammaAlgebra:
         G, R = self.gamma, self.gamma.ring
         d = len(mono)
         if d == 0:
-            return tuple(R.mul(G.eps[l][c], x) for x in self.unit)
-        out = [R.zero()] * self.dim()
+            return self.scale(G.eps[l][c], self.unit)
+        out = self.zero()
         for key, coeff in self._iterated_delta(l, c, d).items():
             vec = self.unit
             for gidx, ci in zip(mono, key):
-                vec = self.mul_vec(vec, self._gen_act(gidx, l, ci))
-            out = [R.add(x, R.mul(coeff, y)) for x, y in zip(out, vec)]
-        return tuple(out)
+                vec = self.mul(vec, self._gen_act(gidx, l, ci))
+            out = self.add(out, self.scale(coeff, vec))
+        return out
 
     def act(self, l, gcoords, v):
         """Action of a weight-l element with the scalar-twist extension rule."""
@@ -1188,23 +1107,34 @@ class FreeGammaAlgebra:
                            lambda i, j: self.act_mono(l, j, self.basis[i]))
 
     def verify_cartan(self, weight, pairs):
-        """Cartan rule on chosen basis-vector pairs for one action weight."""
-        G, R = self.gamma, self.gamma.ring
+        """Cartan rule on chosen basis-vector pairs for one action weight.
+
+        A pair whose action leaves the stored weights is skipped; meta counts
+        the skips and gives their reasons.
+        """
+        G = self.gamma
         checks = []
+        skipped = []
         for a in range(G.rank(weight)):
             gv = G.basis_vec(weight, a)
             for (i, j) in pairs:
                 x = self.mono_vec(self.basis[i])
                 y = self.mono_vec(self.basis[j])
                 try:
-                    lhs = self.act(weight, gv, self.mul_vec(x, y))
+                    lhs = self.act(weight, gv, self.mul(x, y))
                     rhs = _cartan_sum(self, weight, a, x, y)
-                except IncompleteAction:
+                except IncompleteAction as e:
+                    skipped.append(str(e))
                     continue
-                ok = all(R.eq(p, q) for p, q in zip(lhs, rhs))
+                ok = lhs == rhs
                 checks.append(CheckResult(f"cartan[{weight},{a};{i},{j}]", ok,
                                           None if ok else f"{lhs} vs {rhs}"))
-        return CongruenceReport.from_checks(checks)
+        return CongruenceReport.from_checks(checks, meta=_skip_meta(skipped))
+
+
+def _skip_meta(reasons):
+    """How many checks an IncompleteAction skipped, and the distinct reasons."""
+    return {"skipped": len(reasons), "skip_reasons": sorted(set(reasons))}
 
 
 def free_algebra(gamma, m_names, degree_bound):
@@ -1221,7 +1151,8 @@ def induced_algebra_map(free, images, target):
 
     images: m_name -> coordinate vector in the target.  Generators go to
     image . gamma, monomials to products; returns (map_fn, report) where the
-    report checks multiplicativity, unit and Gamma-equivariance on the basis.
+    report checks multiplicativity, unit and Gamma-equivariance on the basis,
+    and its meta counts the equivariance checks an IncompleteAction skipped.
     """
     G, R = free.gamma, free.gamma.ring
 
@@ -1230,29 +1161,25 @@ def induced_algebra_map(free, images, target):
         gen_images[gidx] = target.act(k, G.basis_vec(k, a), images[m])
 
     def on_vec(v):
-        out = [R.zero()] * len(target.unit)
+        out = target.zero()
         for i, c in enumerate(v):
             if R.is_zero(c):
                 continue
             acc = target.unit
             for gidx in free.basis[i]:
-                acc = target.mul_vec(acc, gen_images[gidx])
-            out = [R.add(x, R.mul(c, y)) for x, y in zip(out, acc)]
-        return tuple(out)
+                acc = target.mul(acc, gen_images[gidx])
+            out = target.add(out, target.scale(c, acc))
+        return out
 
-    checks = []
-    checks.append(CheckResult("unit_to_unit",
-                              all(R.eq(a, b) for a, b in
-                                  zip(on_vec(free.unit), target.unit))))
+    checks = [CheckResult("unit_to_unit", on_vec(free.unit) == target.unit)]
+    skipped = []
     for i in range(free.dim()):
         for j in range(i, free.dim()):
             # multiplicativity only makes sense below the truncation degree
             if len(free.basis[i]) + len(free.basis[j]) > free.degree_bound:
                 continue
             x, y = free.mono_vec(free.basis[i]), free.mono_vec(free.basis[j])
-            lhs = on_vec(free.mul_vec(x, y))
-            rhs = target.mul_vec(on_vec(x), on_vec(y))
-            ok = all(R.eq(a, b) for a, b in zip(lhs, rhs))
+            ok = on_vec(free.mul(x, y)) == target.mul(on_vec(x), on_vec(y))
             checks.append(CheckResult(f"multiplicative[{i},{j}]", ok))
     for l in range(G.kmax + 1):
         for c in range(G.rank(l)):
@@ -1261,13 +1188,14 @@ def induced_algebra_map(free, images, target):
                 x = free.mono_vec(free.basis[i])
                 try:
                     lhs = on_vec(free.act(l, gv, x))
-                except IncompleteAction:
+                except IncompleteAction as e:
+                    skipped.append(str(e))
                     continue
                 rhs = target.act(l, gv, on_vec(x))
-                ok = all(R.eq(a, b) for a, b in zip(lhs, rhs))
+                ok = lhs == rhs
                 checks.append(CheckResult(f"equivariant[{l},{c};{i}]", ok,
                                           None if ok else f"{lhs} vs {rhs}"))
-    return on_vec, CongruenceReport.from_checks(checks)
+    return on_vec, CongruenceReport.from_checks(checks, meta=_skip_meta(skipped))
 
 
 # ---------------------------------------------------------------------------

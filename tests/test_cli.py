@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import signal
@@ -178,17 +179,22 @@ def test_selftest_exit_zero(capsys):
     assert out.count("[PASS] criterion") == 12
 
 
-def _theta_file(tmp_path, basis, mult):
-    """A finite-free presentation over Z/8 with psi(e) = e for every non-unit e."""
+def _theta_doc(basis, mult):
+    """A finite-free presentation over Z/8 with psi(e) = e for every non-unit e;
+    mult maps a pair to the index of its product, or to an index outside the
+    basis for a zero product."""
     def vec(i):
         return ["1" if j == i else "0" for j in range(len(basis))]
-    doc = {"ring": {"p": 2, "N": 3},
-           "shape": {"kind": "finite_free", "basis": basis,
-                     "mult": [[i, j, vec(k)] for (i, j), k in mult.items()]},
-           "psi_on_coeffs": "id",
-           "psi_gen_images": {b: vec(i) for i, b in enumerate(basis) if b != "1"}}
+    return {"ring": {"p": 2, "N": 3},
+            "shape": {"kind": "finite_free", "basis": basis,
+                      "mult": [[i, j, vec(k)] for (i, j), k in mult.items()]},
+            "psi_on_coeffs": "id",
+            "psi_gen_images": {b: vec(i) for i, b in enumerate(basis) if b != "1"}}
+
+
+def _theta_file(tmp_path, basis, mult):
     f = tmp_path / "pres.json"
-    f.write_text(json.dumps(doc))
+    f.write_text(json.dumps(_theta_doc(basis, mult)))
     return str(f)
 
 
@@ -201,6 +207,38 @@ def test_finite_free_basis_must_start_with_its_unit(tmp_path, capsys, basis, mul
     assert run(["theta", "check", "--file", _theta_file(tmp_path, basis, mult)]) == 2
     out, err = capsys.readouterr()
     assert "error:" in err and "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda doc: doc["shape"]["mult"].append([1, 5, ["0", "1"]]),  # index 5 of 2
+    lambda doc: doc["shape"]["mult"][3][2].append("0"),           # 3 coordinates
+    lambda doc: doc["shape"]["mult"].pop(),                       # no e*e
+    lambda doc: doc["psi_gen_images"]["e"].pop(),                 # psi(e) of length 1
+])
+def test_finite_free_table_must_fit_its_basis(tmp_path, capsys, spoil):
+    doc = _theta_doc(["1", "e"], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+    spoil(doc)
+    f = tmp_path / "pres.json"
+    f.write_text(json.dumps(doc))
+    assert run(["theta", "check", "--file", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert "error:" in err and "Traceback" not in out + err
+
+
+# e*e = e, b*b = b and e*b = b, but b*e = 0: psi = id passes on the generators
+NONCOMMUTATIVE = (["1", "e", "b"], {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1,
+                                    (2, 0): 2, (1, 1): 1, (2, 2): 2, (1, 2): 2,
+                                    (2, 1): -1})
+
+
+def test_theta_on_a_noncommutative_table_ends_in_an_exit_code(tmp_path, capsys):
+    path = _theta_file(tmp_path, *NONCOMMUTATIVE)
+    assert run(["theta", "check", "--file", path, "--samples", "0"]) in (0, 1)
+    # with two samples the generators and samples pass, and then theta of a
+    # sum is not divisible by p
+    assert run(["theta", "check", "--file", path, "--samples", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert "error: congruence fails" in err and "Traceback" not in out + err
 
 
 def test_bialg_with_misshapen_constants_fails_grading(tmp_path, capsys):
@@ -222,9 +260,75 @@ class _Overrun(BaseException):
 FUZZ_CASES = 300
 FUZZ_LIMIT_S = 5
 
+# the inputs that file cases mutate: a psi-ring presentation of each shape,
+# the non-commutative table, and epimorphic families over Z/8, Z/9 and W(F_4)
+FUZZ_THETA = [
+    {"ring": {"p": 2, "N": 5}, "shape": {"kind": "poly", "vars": ["x"]},
+     "psi_on_coeffs": "id", "psi_gen_images": {"x": [[[2], "1"], [[1], "2"]]}},
+    {"ring": {"p": 2, "N": 4, "ext": [1, 1, 1]},
+     "shape": {"kind": "poly", "vars": ["x", "y"]}, "psi_on_coeffs": "sigma",
+     "psi_gen_images": {"x": [[[2, 0], ["1", "0"]]], "y": [[[0, 2], ["0", "1"]]]}},
+    {"ring": {"p": 2, "N": 3},
+     "shape": {"kind": "monic_quotient", "var": "x", "monic": ["0", "7", "1"]},
+     "psi_on_coeffs": "id", "psi_gen_images": {"x": ["0", "1"]}},
+    {"ring": {"p": 3, "N": 2},
+     "shape": {"kind": "finite_free", "basis": ["1", "b"],
+               "mult": [[0, 0, ["1", "0"]], [0, 1, ["0", "1"]], [1, 0, ["0", "1"]],
+                        [1, 1, ["0", "0"]]]},
+     "psi_on_coeffs": "id", "psi_gen_images": {"b": ["0", "0"]}},
+    _theta_doc(*NONCOMMUTATIVE),
+]
+FUZZ_EPI = [
+    {"ring": {"p": 2, "N": 3}, "target_rank": 1, "maps": [[["2"]], [["1"], ["3"]]]},
+    {"ring": {"p": 3, "N": 2}, "target_rank": 2,
+     "maps": [[["1", "0"], ["0", "3"]], [["0", "1"]]]},
+    {"ring": {"p": 2, "N": 2, "ext": [1, 1, 1]}, "target_rank": 1,
+     "maps": [[[["1", "1"]]]]},
+]
 
-def _fuzz_argv(rng):
-    """Small arguments, mostly valid; 0, negatives and non-primes mixed in."""
+
+def _paths(doc, here=()):
+    """The path of every entry below the root of a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for k, v in items:
+        yield here + (k,)
+        yield from _paths(v, here + (k,))
+
+
+def _mutate(doc, rng):
+    """doc with one to three entries changed: a number or string replaced by
+    another of its type, a list entry dropped or repeated, or a key dropped."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        *where, key = rng.choice(list(_paths(doc)))
+        parent = doc
+        for k in where:
+            parent = parent[k]
+        v = parent[key]
+        if isinstance(v, int):
+            parent[key] = rng.choice([-2, -1, 0, 1, 2, 3, 4, 5, 7, 8, 9])
+        elif isinstance(v, str):
+            parent[key] = rng.choice(["0", "1", "2", "-1", "7", "x", "b"])
+        elif isinstance(v, list) and v and rng.random() < 0.5:
+            v.pop(rng.randrange(len(v)))
+        elif isinstance(v, list) and v:
+            v.append(copy.deepcopy(rng.choice(v)))
+        elif isinstance(v, dict) and v:
+            v.pop(rng.choice(list(v)))
+    return doc
+
+
+def _mutated_file(tmp_path, rng, seeds):
+    f = tmp_path / "fuzz.json"
+    f.write_text(json.dumps(_mutate(rng.choice(seeds), rng)))
+    return str(f)
+
+
+def _fuzz_argv(rng, tmp_path):
+    """Small arguments, mostly valid; 0, negatives and non-primes mixed in.
+    File inputs are seeded presentations and families with a few entries
+    mutated."""
     def pick(good, bad):
         return str(rng.choice(good if rng.random() < 0.85 else bad))
 
@@ -234,7 +338,7 @@ def _fuzz_argv(rng):
     def v():
         return pick([1, 2, 3], [-1, 0])
 
-    cmd = rng.choice(["fgl", "graded", "bialg", "congruence", "weights"])
+    cmd = rng.choice(["fgl", "graded", "bialg", "congruence", "weights", "theta", "epi"])
     if cmd == "fgl":
         return ["fgl", "--builtin",
                 rng.choice(["multiplicative", "additive", "honda", "lubin-tate"]),
@@ -242,6 +346,11 @@ def _fuzz_argv(rng):
                 "--degree-bound", pick([1, 4, 6], [-1, 0])]
     if cmd == "graded":
         return ["graded", "--p", p(), "--precision", v()]
+    if cmd == "theta":
+        return ["theta", "check", "--file", _mutated_file(tmp_path, rng, FUZZ_THETA),
+                "--samples", pick([0, 2, 5], [-1])]
+    if cmd == "epi":
+        return ["weights", "epi", "--file", _mutated_file(tmp_path, rng, FUZZ_EPI)]
     spec = ",".join([p(), v(), v(), v()])
     if cmd == "bialg":
         argv = ["bialg", "--height1", spec]
@@ -259,7 +368,7 @@ def _fuzz_argv(rng):
     return ["weights", "certify", "--m", pick([0, 2, 5, 6, 9], [-3]), "--p", p()]
 
 
-def test_cli_fuzz_ends_in_an_exit_code(capsys):
+def test_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys):
     def overrun(signum, frame):
         raise _Overrun
 
@@ -267,7 +376,7 @@ def test_cli_fuzz_ends_in_an_exit_code(capsys):
     rng = random.Random(20261018)
     try:
         for _ in range(FUZZ_CASES):
-            argv = _fuzz_argv(rng)
+            argv = _fuzz_argv(rng, tmp_path)
             signal.setitimer(signal.ITIMER_REAL, FUZZ_LIMIT_S)
             try:
                 code = run(argv)

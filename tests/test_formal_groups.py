@@ -9,7 +9,9 @@ from fglcheck.formal_groups import (FormalGroupLaw, MalformedPSeries, NotCharP,
                                     formal_inverse, frobenius_isogeny, height,
                                     lubin_tate_deformation, n_series,
                                     reduce_to_residue, specialize_deformation)
-from fglcheck.series import ContextMismatch, ResidueZero, TruncSeries, substitute
+from fglcheck.linalg import unit_vector
+from fglcheck.series import (ContextMismatch, ResidueZero, TruncSeries, substitute,
+                             weierstrass_prepare)
 
 
 def test_multiplicative_terms():
@@ -177,14 +179,16 @@ def test_height_invariant_under_coordinate_change():
 def test_bcp_multiplicative_z8():
     G = fgl_multiplicative(WittCoefRing(2, 3), 6)
     b = bcp_module(G)
-    assert b.degree == 2 and b.basis == ("1", "x")
-    assert b.distinguished == TruncSeries.from_int_terms(G.ring, ("x",), 6,
-                                                         {(1,): 2, (2,): 1})
-    assert b.unit * b.distinguished == n_series(G, 2)
+    assert b.basis == ("1", "x^1")
+    wf = weierstrass_prepare(n_series(G, 2))
+    assert wf.distinguished == TruncSeries.from_int_terms(G.ring, ("x",), 6,
+                                                          {(1,): 2, (2,): 1})
+    assert wf.unit * wf.distinguished == n_series(G, 2)
     # multiplication by x: x*1 = x, x*x = -2x
     R = G.ring
-    assert b.x_matrix[0] == [R.zero(), R.zero()]
-    assert b.x_matrix[1] == [R.one(), R.from_int(-2)]
+    e = [unit_vector(R, 2, j) for j in range(2)]
+    assert b.mul(e[1], e[0]) == (R.zero(), R.one())
+    assert b.mul(e[1], e[1]) == (R.zero(), R.from_int(-2))
 
 
 def test_bcp_additive_residue_zero():

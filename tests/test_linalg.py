@@ -3,11 +3,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fglcheck import ShapeMismatch
 from fglcheck.exact_arith import WittCoefRing
-from fglcheck.linalg import (Mat, field_kernel_basis, field_left_kernel_vector,
-                             residue_rank, unit_vector)
+from fglcheck.linalg import (FiniteAlgebra, Mat, field_kernel_basis,
+                             field_left_kernel_vector, residue_rank, unit_vector)
 
 Z8 = WittCoefRing(2, 3)
 F2 = WittCoefRing(2, 1)
@@ -93,3 +95,38 @@ def test_residue_rank_over_z8():
 
 def test_unit_vector_is_a_tuple():
     assert unit_vector(Z8, 3, 1) == (Z8.zero(), Z8.one(), Z8.zero())
+
+
+QUOTIENT_RINGS = [Z8, WittCoefRing(3, 2), WittCoefRing(2, 2, ext=[1, 1, 1])]
+
+
+def _schoolbook_mod(R, a, b, m):
+    """a * b as polynomials, reduced by long division by the monic m."""
+    prod = [R.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = R.add(prod[i + j], R.mul(x, y))
+    d = len(m) - 1
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod[k]
+        for i, mi in enumerate(m):
+            prod[k - d + i] = R.sub(prod[k - d + i], R.mul(c, mi))
+    return tuple(prod[:d])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_monic_quotient_matches_schoolbook_product(data):
+    R = data.draw(st.sampled_from(QUOTIENT_RINGS), label="ring")
+    d = data.draw(st.integers(1, 4), label="degree")
+    coeff = st.tuples(*[st.integers(0, R.modulus - 1)] * R.f).map(R.elem)
+    m = tuple(data.draw(st.lists(coeff, min_size=d, max_size=d), label="m")) + (R.one(),)
+    a, b = (tuple(data.draw(st.lists(coeff, min_size=d, max_size=d))) for _ in "ab")
+    A = FiniteAlgebra.monic_quotient(R, "x", m)
+    assert A.basis == ("1",) + tuple(f"x^{i}" for i in range(1, d))
+    assert A.mul(a, b) == _schoolbook_mod(R, a, b, m)
+    n = data.draw(st.integers(0, 4), label="n")
+    power = A.unit
+    for _ in range(n):
+        power = _schoolbook_mod(R, power, a, m)
+    assert A.pow(a, n) == power

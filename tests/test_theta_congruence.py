@@ -70,6 +70,24 @@ def test_theta_identities_on_quotient():
     assert theta_consistency(P, samples=20).verdict
 
 
+def test_degree_one_monic_quotient():
+    # W[x]/(x - 3) over Z/8 is W itself with x = 3, and psi(x) = 3 = x^2 - 6
+    W = WittCoefRing(2, 3)
+    shape = MonicQuotientShape("x", (W.from_int(-3), W.one()))
+    P = PsiRingPresentation(W=W, shape=shape, psi_gen_images={"x": (W.from_int(3),)})
+    assert P.gen("x") == (W.from_int(3),)
+    assert wilkerson_check(P).verdict
+    td = derive_theta(P)
+    assert td.theta_gens["x"] == (td.lowered.W.from_int(-3),)
+
+
+def test_monic_quotient_needs_a_monic_relation():
+    W = WittCoefRing(2, 3)
+    with pytest.raises(ValueError):
+        PsiRingPresentation(W=W, shape=MonicQuotientShape("x", (W.one(), W.from_int(2))),
+                            psi_gen_images={"x": (W.one(),)})
+
+
 def test_theta_identities_on_poly():
     P = poly_pres(Z32, {"x": {(2,): Z32.one()}})
     assert theta_consistency(P, samples=30).verdict

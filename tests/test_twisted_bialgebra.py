@@ -37,7 +37,7 @@ def test_psi2_commutes_with_coefficients_when_f2():
     t = W.gen()
     lhs = G23.mul_elems(2, G23.basis_vec(2, 0), 0, G23.eta(t))
     rhs = G23.mul_elems(0, G23.eta(t), 2, G23.basis_vec(2, 0))
-    assert G23.vec_eq(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_psi_relation_direction():
@@ -153,10 +153,10 @@ def test_free_algebra_height1():
     assert rep.verdict
     # (b psi) * (b psi) acted by psi equals (b psi^2)^2 since psi is grouplike
     bpsi = free.gens["b.psi^1"]
-    prod = free.mul_vec(bpsi, bpsi)
+    prod = free.mul(bpsi, bpsi)
     acted = free.act(1, G.basis_vec(1, 0), prod)
     bpsi2 = free.gens["b.psi^2"]
-    assert acted == free.mul_vec(bpsi2, bpsi2)
+    assert acted == free.mul(bpsi2, bpsi2)
 
 
 def test_free_algebra_universal_property():
@@ -165,6 +165,24 @@ def test_free_algebra_universal_property():
     target = trivial_algebra(G)
     _, rep = induced_algebra_map(free, {"b": target.unit}, target)
     assert rep.verdict
+
+
+def test_skipped_checks_are_counted():
+    G = height1_gamma(2, 3, 1, 2)
+    free = free_algebra(G, ["b"], 2)
+    pairs = [(i, j) for i in range(free.dim()) for j in range(free.dim())]
+    rep = free.verify_cartan(1, pairs)
+    assert rep.meta["skipped"] > 0
+    assert len(rep.checks) + rep.meta["skipped"] == G.rank(1) * len(pairs)
+    assert rep.meta["skip_reasons"] == [
+        "generator weight 2 + action weight 1 exceeds kmax 2"]
+    target = trivial_algebra(G)
+    _, rep = induced_algebra_map(free, {"b": target.unit}, target)
+    equivariant = [c for c in rep.checks if c.name.startswith("equivariant")]
+    acting = sum(G.rank(l) for l in range(G.kmax + 1))
+    assert rep.meta["skipped"] > 0
+    assert len(equivariant) + rep.meta["skipped"] == acting * free.dim()
+    assert all("exceeds kmax 2" in r for r in rep.meta["skip_reasons"])
 
 
 def test_free_algebra_size_limit():
