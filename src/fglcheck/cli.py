@@ -18,7 +18,8 @@ import time
 from . import formal_groups as fg
 from . import graded2, weights
 from .acceptance import CRITERIA, standard_graded_objects
-from .exact_arith import WittCoefRing, is_prime, ring_from_descriptor
+from .exact_arith import (MalformedData, WittCoefRing, is_prime, json_names, json_terms,
+                          json_typed, ring_from_descriptor)
 from .linalg import Mat
 from .report import CheckResult, CongruenceReport
 from .theta_congruence import (FrobeniusClassSpec, L1Data,
@@ -202,17 +203,24 @@ def cmd_congruence(args):
             checks.add(c)
         checks.meta["pullback_basis"] = rep.meta["pullback_basis"]
     if args.comodule_file:
-        raw = _load_json(args.comodule_file)
+        raw = json_typed(_load_json(args.comodule_file), dict, "comodule data")
         digest_src.append(json.dumps(raw, sort_keys=True))
         base = ring_from_descriptor(raw["base"])
         from .theta_congruence import PolyShape
-        pres = PsiRingPresentation(W=base, shape=PolyShape(tuple(raw["vars"])))
-        l1W = ring_from_descriptor(raw["l1"]["ring"])
-        l1 = L1Data(W=l1W, can_power=raw["l1"].get("can_power", 0))
+        pres = PsiRingPresentation(W=base, shape=PolyShape(json_names(raw["vars"], "vars")))
+        l1raw = json_typed(raw["l1"], dict, "l1")
+        l1W = ring_from_descriptor(l1raw["ring"])
+        l1 = L1Data(W=l1W, can_power=json_typed(l1raw.get("can_power", 0), int,
+                                                "l1 can_power"))
         psi1 = {}
-        for g, terms in raw["psi1"].items():
-            psi1[g] = [(l1W.decode(a), {tuple(e): base.decode(c) for e, c in poly})
-                       for a, poly in terms]
+        for g, terms in json_typed(raw["psi1"], dict, "psi1").items():
+            psi1[g] = []
+            for t in json_typed(terms, list, f"psi1[{g}]"):
+                if not (isinstance(t, list) and len(t) == 2):
+                    raise MalformedData(f"a psi1[{g}] term is [scalar, polynomial], "
+                                        f"not {t!r:.60}")
+                poly = json_terms(t[1], len(pres.shape.vars), f"psi1[{g}]")
+                psi1[g].append((l1W.decode(t[0]), {e: base.decode(c) for e, c in poly}))
         rep = frobenius_congruence_comodule(l1, pres, psi1, seed=args.seed)
         for c in rep.checks:
             checks.add(c)
@@ -238,11 +246,13 @@ def cmd_weights(args):
             [CheckResult("certificate", True, details={"certificate": c})],
             meta={"tag": c.tag})
         return _emit(rep, args, "weights certify", _digest(f"{args.m},{args.p}"))
-    raw = _load_json(args.file)
+    raw = json_typed(_load_json(args.file), dict, "an epi family")
     ring = ring_from_descriptor(raw["ring"])
-    maps = [Mat(ring, [[ring.decode(c) for c in row] for row in m])
-            for m in raw["maps"]]
-    fam = weights.EpiFamily(ring=ring, target_rank=raw["target_rank"], maps=maps)
+    maps = [Mat(ring, [[ring.decode(c) for c in json_typed(row, list, "a matrix row")]
+                       for row in json_typed(m, list, "a map")])
+            for m in json_typed(raw["maps"], list, "maps")]
+    fam = weights.EpiFamily(ring=ring, maps=maps,
+                            target_rank=json_typed(raw["target_rank"], int, "target_rank"))
     r = weights.epi_family_check(fam)
     print(f"surjective: {r.surjective}  residue rank: {r.residue_rank}")
     if r.witness_functional is not None:

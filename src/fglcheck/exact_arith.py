@@ -5,6 +5,12 @@ precision N, represented concretely as (Z/p^N)[t]/(m) for a monic lift m of an
 irreducible polynomial over F_p.  The case f=1 is plain Z/p^N.  Every ring in
 this library implements the small ``Ring`` interface so that series and matrix
 code can stay generic.
+
+Elements are canonical: a ``WittElem`` holds exactly f integers in [0, p^N),
+so equal elements have equal coefficient tuples.  Coefficients are validated
+where they enter, at ``elem(tuple)``, ``decode`` and the ``from_json``
+loaders; ``reduced`` wraps results the ring has reduced itself (sums,
+products, residues) without checking them again.
 """
 
 from __future__ import annotations
@@ -22,7 +28,11 @@ class HenselFailure(ArithmeticError):
     """Newton refinement impossible: derivative not a unit at the start point."""
 
 
-class MalformedElement(ValueError):
+class MalformedData(ValueError):
+    """Input data whose JSON types or shape do not fit what it describes."""
+
+
+class MalformedElement(MalformedData):
     """Coefficients that do not describe an element of the ring."""
 
 
@@ -36,6 +46,47 @@ class NotDivisible(ArithmeticError):
     def __init__(self, witness):
         super().__init__("not divisible by p, residue witness %r" % (witness,))
         self.witness = witness
+
+
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def json_typed(value, kind, what):
+    """value, if it has the JSON type kind (dict, list, str or int); else MalformedData.
+
+    json.load gives bools for true/false, which are ints to Python but not here.
+    """
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise MalformedData(f"{what} must be {_JSON_NAMES[kind]}, not {value!r:.60}")
+    return value
+
+
+def json_names(data, what):
+    """A JSON list of strings, as a tuple."""
+    return tuple(json_typed(v, str, f"{what}: an entry")
+                 for v in json_typed(data, list, what))
+
+
+def json_terms(data, nvars, what):
+    """[[exponents], coefficient] pairs as (exponent tuple, raw coefficient) pairs;
+    each term has nvars nonnegative integer exponents, and no two the same."""
+    out = []
+    seen = set()
+    for term in json_typed(data, list, what):
+        if not isinstance(term, list) or len(term) != 2:
+            raise MalformedData(f"{what}: a term is [exponents, coefficient], "
+                                f"not {term!r:.60}")
+        e, c = term
+        e = tuple(json_typed(x, int, f"{what}: an exponent")
+                  for x in json_typed(e, list, f"{what}: exponents"))
+        if len(e) != nvars or min(e, default=0) < 0:
+            raise MalformedData(f"{what}: exponents {list(e)} are not {nvars} "
+                                f"integers >= 0")
+        if e in seen:
+            raise MalformedData(f"{what}: exponents {list(e)} are given twice")
+        seen.add(e)
+        out.append((e, c))
+    return out
 
 
 # Miller-Rabin with these bases decides primality exactly below this bound,
@@ -173,16 +224,25 @@ class Ring:
         raise NotImplementedError
 
     def same_ring(self, other):
-        return isinstance(other, Ring) and self.descriptor() == other.descriptor()
+        return self is other or (isinstance(other, Ring)
+                                 and self.descriptor() == other.descriptor())
 
     def check_same(self, other):
         if not self.same_ring(other):
             raise RingMismatch(f"{self!r} vs {other!r}")
 
 
-@dataclass(frozen=True)
+# writes the slots of a frozen WittElem; only WittCoefRing.reduced uses it
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True)
 class WittElem:
-    """Element of a WittCoefRing: tuple of residues in [0, p^N), low to high in t."""
+    """Element of a WittCoefRing: tuple of residues in [0, p^N), low to high in t.
+
+    Construction validates; ``WittCoefRing.reduced`` builds the results of the
+    ring's own arithmetic without the check.
+    """
 
     ring: "WittCoefRing"
     coeffs: tuple
@@ -361,11 +421,17 @@ class WittCoefRing(Ring):
                 raise ValueError("lift does not reduce to ext mod p")
             self.lift = tuple(lift)
         self._frob = None
+        self._residue_ring = None
+        self._lower = None
 
     # construction helpers
 
     def elem(self, coeffs):
+        """The element with coefficients ``coeffs`` (an int, or a tuple low to high
+        in t, padded with zeros), reduced mod p^N; a tuple is checked."""
         if isinstance(coeffs, int):
+            if self.f == 1:
+                return self.reduced((coeffs % self.modulus,))
             coeffs = (coeffs,) + (0,) * (self.f - 1)
         coeffs = tuple(c % self.modulus for c in coeffs)
         if len(coeffs) < self.f:
@@ -375,14 +441,14 @@ class WittCoefRing(Ring):
         return WittElem(self, coeffs)
 
     def reduced(self, coeffs):
-        """The element with coefficient tuple ``coeffs``, already reduced mod p^N.
+        """The element with coefficient tuple ``coeffs``: f integers in [0, p^N).
 
-        Skips the checks of ``elem``; for kernels that reduce their own output.
+        Skips the checks of ``elem``; for the ring's own arithmetic and for
+        kernels that reduce their own output.
         """
         a = object.__new__(WittElem)
-        d = a.__dict__
-        d["ring"] = self
-        d["coeffs"] = coeffs
+        _set(a, "ring", self)
+        _set(a, "coeffs", coeffs)
         return a
 
     def gen(self):
@@ -395,18 +461,25 @@ class WittCoefRing(Ring):
         return self.elem(0)
 
     def from_int(self, n):
-        return self.elem(n % self.modulus)
+        return self.elem(n)
 
     def add(self, a, b):
-        return self.elem(tuple((x + y) % self.modulus for x, y in zip(a.coeffs, b.coeffs)))
+        q = self.modulus
+        if self.f == 1:
+            return self.reduced(((a.coeffs[0] + b.coeffs[0]) % q,))
+        return self.reduced(tuple((x + y) % q for x, y in zip(a.coeffs, b.coeffs)))
 
     def neg(self, a):
-        return self.elem(tuple((-x) % self.modulus for x in a.coeffs))
+        q = self.modulus
+        return self.reduced(tuple(-x % q for x in a.coeffs))
 
     def mul(self, a, b):
         if self.f == 1:
-            return self.elem((a.coeffs[0] * b.coeffs[0]) % self.modulus)
-        return self.elem(_poly_mul_mod(a.coeffs, b.coeffs, self.lift, self.modulus))
+            return self.reduced((a.coeffs[0] * b.coeffs[0] % self.modulus,))
+        return self.reduced(_poly_mul_mod(a.coeffs, b.coeffs, self.lift, self.modulus))
+
+    def eq(self, a, b):
+        return a.coeffs == b.coeffs
 
     def is_zero(self, a):
         return all(c == 0 for c in a.coeffs)
@@ -438,11 +511,12 @@ class WittCoefRing(Ring):
     def residue_ring(self):
         if self.N == 1:
             return self
-        return WittCoefRing(self.p, 1, self.ext)
+        if self._residue_ring is None:
+            self._residue_ring = WittCoefRing(self.p, 1, self.ext)
+        return self._residue_ring
 
     def residue(self, a):
-        r = self.residue_ring()
-        return r.elem(tuple(c % self.p for c in a.coeffs))
+        return self.residue_ring().reduced(tuple(c % self.p for c in a.coeffs))
 
     def val_unit(self, a):
         """Write a = u * p^v with u a unit; returns (None, zero) for a = 0."""
@@ -466,7 +540,7 @@ class WittCoefRing(Ring):
 
     def elements(self):
         for coeffs in itertools.product(range(self.modulus), repeat=self.f):
-            yield WittElem(self, coeffs)
+            yield self.reduced(coeffs)
 
     def size(self):
         return self.modulus ** self.f
@@ -477,12 +551,14 @@ class WittCoefRing(Ring):
     # precision handling
 
     def lower(self):
-        """The same ring at precision N - 1."""
+        """The same ring at precision N - 1, with the lift reduced mod p^(N-1)."""
         if self.N < 2:
             raise ValueError(f"cannot drop to precision {self.N - 1}")
-        q = self.p ** (self.N - 1)
-        lift = None if self.lift is None else [c % q for c in self.lift]
-        return WittCoefRing(self.p, self.N - 1, self.ext, lift)
+        if self._lower is None:
+            q = self.p ** (self.N - 1)
+            lift = None if self.lift is None else [c % q for c in self.lift]
+            self._lower = WittCoefRing(self.p, self.N - 1, self.ext, lift)
+        return self._lower
 
     def truncate_to(self, other, a):
         """Reduce a into the lower-precision ring ``other``."""
@@ -493,8 +569,7 @@ class WittCoefRing(Ring):
         for c in a.coeffs:
             if c % self.p != 0:
                 raise NotDivisible(c % self.p)
-        low = self.lower()
-        return low.elem(tuple(c // self.p for c in a.coeffs))
+        return self.lower().reduced(tuple(c // self.p for c in a.coeffs))
 
     def frobenius_lift(self):
         """The ring endomorphism sigma with sigma(x) = x^p mod p, sigma^f = id.
@@ -521,9 +596,13 @@ class WittCoefRing(Ring):
         return [str(c) for c in a.coeffs]
 
     def decode(self, s):
+        """The element encoded as a decimal string, or as a list of them low to high in t."""
         if isinstance(s, str):
-            return self.elem(int(s))
-        return self.elem(tuple(int(c) for c in s))
+            s = [s]
+        if isinstance(s, list) and all(isinstance(c, str) for c in s):
+            return self.elem(tuple(int(c) for c in s))
+        raise MalformedElement(f"an element of {self!r} is a decimal string or a list "
+                               f"of them, not {s!r:.60}")
 
     def __repr__(self):
         if self.f == 1:
@@ -532,7 +611,15 @@ class WittCoefRing(Ring):
 
 
 def ring_from_descriptor(d):
-    return WittCoefRing(d["p"], d["N"], d.get("ext"), d.get("lift"))
+    """The ring of a JSON descriptor {"p": int, "N": int[, "ext": [int], "lift": [int]]}."""
+    json_typed(d, dict, "a ring descriptor")
+    polys = [d.get(key) for key in ("ext", "lift")]
+    for key, poly in zip(("ext", "lift"), polys):
+        if poly is not None:
+            for c in json_typed(poly, list, f"ring {key}"):
+                json_typed(c, int, f"a coefficient of ring {key}")
+    return WittCoefRing(json_typed(d["p"], int, "ring p"),
+                        json_typed(d["N"], int, "ring N"), *polys)
 
 
 class FrobeniusLift:

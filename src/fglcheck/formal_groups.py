@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import RationalField, WittCoefRing, ring_from_descriptor
+from .exact_arith import (RationalField, WittCoefRing, json_names, json_typed,
+                          ring_from_descriptor)
 from .linalg import FiniteAlgebra
 from .series import (ContextMismatch, IdentityFailed, NotConverged,
                      PolyTruncRing, TruncSeries, reversion, substitute,
@@ -85,15 +86,17 @@ class FormalGroupLaw:
 
     @staticmethod
     def from_json(data):
+        json_typed(data, dict, "a formal group law")
         ring = _ring_from_any_descriptor(data["ring"])
         F = TruncSeries.from_json(ring, data["F"])
-        return FormalGroupLaw(ring=ring, bound=data["D"], F=F)
+        return FormalGroupLaw(ring=ring, bound=json_typed(data["D"], int, "law D"), F=F)
 
 
 def _ring_from_any_descriptor(d):
-    if "poly_over" in d:
+    if "poly_over" in json_typed(d, dict, "a ring descriptor"):
         return PolyTruncRing(ring_from_descriptor(d["poly_over"]),
-                             tuple(d["vars"]), d["ubound"])
+                             json_names(d["vars"], "ring vars"),
+                             json_typed(d["ubound"], int, "ring ubound"))
     return ring_from_descriptor(d)
 
 

@@ -20,7 +20,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-from .exact_arith import IdentityFailed, Ring, WittCoefRing
+from .exact_arith import (IdentityFailed, Ring, WittCoefRing, json_names, json_terms,
+                          json_typed)
 
 
 class ContextMismatch(ValueError):
@@ -224,9 +225,11 @@ class TruncSeries:
 
     @staticmethod
     def from_json(ring, data):
-        dec = ring.decode
-        return TruncSeries(ring, tuple(data["vars"]), data["D"],
-                           {tuple(e): dec(c) for e, c in data["terms"]})
+        json_typed(data, dict, "a series")
+        vars = json_names(data["vars"], "series vars")
+        terms = json_terms(data["terms"], len(vars), "series terms")
+        return TruncSeries(ring, vars, json_typed(data["D"], int, "series D"),
+                           {e: ring.decode(c) for e, c in terms})
 
 
 def substitute(f, gs):
@@ -449,8 +452,9 @@ class PolyTruncRing(Ring):
         return a.to_json()["terms"]
 
     def decode(self, s):
+        terms = json_terms(s, len(self.vars), f"an element of {self!r}")
         return TruncSeries(self.base, self.vars, self.ubound,
-                           {tuple(e): self.base.decode(c) for e, c in s})
+                           {e: self.base.decode(c) for e, c in terms})
 
     def __repr__(self):
         return f"{self.base!r}[{','.join(self.vars)}]<={self.ubound}"

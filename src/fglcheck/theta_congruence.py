@@ -20,7 +20,8 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .exact_arith import NotDivisible, WittCoefRing
+from .exact_arith import (MalformedData, NotDivisible, WittCoefRing, json_names,
+                          json_terms, json_typed, ring_from_descriptor)
 from .linalg import (FiniteAlgebra, Mat, ShapeMismatch, residue_rank,
                      smith_normal_form, solve, unit_vector)
 from .report import CheckResult, CongruenceReport
@@ -324,34 +325,49 @@ class PsiRingPresentation:
 
     @staticmethod
     def from_json(data):
-        from .exact_arith import ring_from_descriptor
+        json_typed(data, dict, "a presentation")
         W = ring_from_descriptor(data["ring"])
         dec = W.decode
-        sh = data["shape"]
+        sh = json_typed(data["shape"], dict, "the shape")
+        kind = json_typed(sh["kind"], str, "the shape kind")
 
-        def elem(a):
-            if sh["kind"] == "poly":
-                return {tuple(e): dec(c) for e, c in a}
-            return tuple(dec(c) for c in a)
+        def elem(a, what):
+            if kind == "poly":
+                return {e: dec(c) for e, c in json_terms(a, len(shape.vars), what)}
+            return tuple(dec(c) for c in json_typed(a, list, what))
 
-        if sh["kind"] == "poly":
-            shape = PolyShape(tuple(sh["vars"]))
-        elif sh["kind"] == "monic_quotient":
-            shape = MonicQuotientShape(sh["var"], elem(sh["monic"]))
+        def entry(t):
+            if not (isinstance(t, list) and len(t) == 3):
+                raise MalformedData(f"a table entry is [i, j, coordinates], not {t!r:.60}")
+            i, j, vec = t
+            return (json_typed(i, int, "a table index"), json_typed(j, int, "a table index"),
+                    elem(vec, f"table entry ({i},{j})"))
+
+        if kind == "poly":
+            shape = PolyShape(json_names(sh["vars"], "shape vars"))
+        elif kind == "monic_quotient":
+            shape = MonicQuotientShape(json_typed(sh["var"], str, "shape var"),
+                                       elem(sh["monic"], "shape monic"))
+        elif kind == "finite_free":
+            shape = FiniteFreeShape(json_names(sh["basis"], "shape basis"),
+                                    tuple(entry(t) for t in json_typed(sh["mult"], list,
+                                                                       "shape mult")))
         else:
-            shape = FiniteFreeShape(tuple(sh["basis"]),
-                                    tuple((i, j, elem(vec)) for i, j, vec in sh["mult"]))
+            raise MalformedData(f"shape kind {kind!r} is not poly, monic_quotient "
+                                f"or finite_free")
+        images = json_typed(data["psi_gen_images"], dict, "psi_gen_images")
         return PsiRingPresentation(
             W=W, shape=shape, psi_on_coeffs=data.get("psi_on_coeffs", "id"),
-            psi_gen_images={k: elem(v) for k, v in data["psi_gen_images"].items()})
+            psi_gen_images={k: elem(v, f"psi({k})") for k, v in images.items()})
 
 
 def _finite_free_algebra(W, shape):
-    """A finite-free shape as a FiniteAlgebra; its basis starts with its unit "1"."""
+    """A finite-free shape as a FiniteAlgebra: commutative, its basis starting with
+    its unit "1"."""
     basis = tuple(shape.basis)
-    if not basis or basis[0] != "1" or basis.count("1") != 1:
+    if not basis or basis[0] != "1" or len(set(basis)) != len(basis):
         raise ValueError(f"finite-free basis {list(basis)} must start with its "
-                         f"unit '1' and name it once")
+                         f"unit '1' and name each element once")
     n = len(basis)
     pairs = set(itertools.product(range(n), repeat=2))
     mult = {}
@@ -366,6 +382,11 @@ def _finite_free_algebra(W, shape):
     for j, name in enumerate(basis):
         if mult[(0, j)] != unit_vector(W, n, j):
             raise ValueError(f"the table does not give 1*{name} = {name}")
+    # Wilkerson's criterion decides on generators only in a commutative ring
+    for i, j in itertools.combinations(range(n), 2):
+        if mult[(i, j)] != mult[(j, i)]:
+            raise ValueError(f"the table is not commutative: {basis[i]}*{basis[j]} "
+                             f"!= {basis[j]}*{basis[i]}")
     return FiniteAlgebra(ring=W, basis=basis, mult=mult, unit=unit_vector(W, n, 0))
 
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .exact_arith import IdentityFailed, WittCoefRing, ring_from_descriptor
+from .exact_arith import (IdentityFailed, WittCoefRing, json_names, json_typed,
+                          ring_from_descriptor)
 from .linalg import FiniteAlgebra, Mat, solve, unit_vector
 from .report import CheckResult, CongruenceReport, SizeLimit
 from .weights import _monomials
@@ -53,6 +54,9 @@ class TwistedBialgebra:
     eps: dict              # weight -> tuple of values in R
     delta: dict            # weight -> {a: Mat of c_uv over R}
     left_t: dict = None    # weight -> Mat of left multiplication by t (f >= 2)
+    # weight -> (the left_t[k] they came from, [1, L_t, ..., L_t^(f-1)])
+    _left_powers: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def rank(self, k):
         try:
@@ -60,20 +64,40 @@ class TwistedBialgebra:
         except KeyError:
             raise IncompleteData(f"no basis stored for weight {k}")
 
-    def left_action(self, k, r):
-        """Left multiplication by r in R on Gamma[k], as a matrix in the right basis."""
+    def left_powers(self, k):
+        """[1, L_t, ..., L_t^(f-1)] on Gamma[k], L_t the left multiplication by t.
+
+        Without stored left actions R is central and L_t is t times the
+        identity.  The powers are computed once per weight and kept with the
+        left_t[k] matrix they came from, so replacing that matrix (as the
+        mutation checks do on a copy) computes them afresh.
+        """
         R = self.ring
         n = self.rank(k)
-        if R.f == 1 or self.left_t is None:
-            return Mat.identity(R, n).scale(r)
-        if k not in self.left_t:
-            raise IncompleteData(f"no left action stored for weight {k}")
-        Lt = self.left_t[k]
+        Lt = None
+        if R.f > 1 and self.left_t is not None:
+            if k not in self.left_t:
+                raise IncompleteData(f"no left action stored for weight {k}")
+            Lt = self.left_t[k]
+        cached = self._left_powers.get(k)
+        if cached is not None and cached[0] is Lt:
+            return cached[1]
+        step = Mat.identity(R, n).scale(R.gen()) if Lt is None else Lt
+        powers = [Mat.identity(R, n)]
+        for _ in range(R.f - 1):
+            powers.append(powers[-1] @ step)
+        self._left_powers[k] = (Lt, powers)
+        return powers
+
+    def left_action(self, k, r):
+        """Left multiplication by r in R on Gamma[k], as a matrix in the right basis.
+
+        r = sum_i c_i t^i with integer c_i, so L_r = sum_i c_i L_t^i.
+        """
+        R = self.ring
+        n = self.rank(k)
         out = Mat.zeros(R, n, n)
-        power = Mat.identity(R, n)
-        for i, c in enumerate(r.coeffs):
-            if i > 0:
-                power = power @ Lt
+        for power, c in zip(self.left_powers(k), r.coeffs):
             if c:
                 out = out + power.scale(R.from_int(c))
         return out
@@ -178,26 +202,33 @@ class TwistedBialgebra:
 
     @staticmethod
     def from_json(data):
+        json_typed(data, dict, "a bialgebra")
         R = ring_from_descriptor(data["ring"])
-        dec = R.decode
 
-        def mat(rows):
-            return Mat(R, [[dec(c) for c in r] for r in rows])
+        def vec(v, what):
+            return tuple(R.decode(c) for c in json_typed(v, list, what))
+
+        def mat(rows, what):
+            return Mat(R, [vec(r, f"a row of {what}") for r in json_typed(rows, list, what)])
+
+        def table(key):
+            return json_typed(data[key], dict, f"bialgebra {key}").items()
 
         mu = {}
-        for kl, tbl in data["mu"].items():
+        for kl, tbl in table("mu"):
             k, l = (int(s) for s in kl.split(","))
-            mu[(k, l)] = {tuple(int(s) for s in ij.split(",")): tuple(dec(c) for c in vec)
-                          for ij, vec in tbl.items()}
+            mu[(k, l)] = {tuple(int(s) for s in ij.split(",")): vec(v, f"mu[{kl}][{ij}]")
+                          for ij, v in json_typed(tbl, dict, f"mu[{kl}]").items()}
         out = TwistedBialgebra(
-            ring=R, kmax=data["kmax"],
-            basis={int(k): tuple(v) for k, v in data["basis"].items()},
-            unit=tuple(dec(c) for c in data["unit"]),
+            ring=R, kmax=json_typed(data["kmax"], int, "bialgebra kmax"),
+            basis={int(k): json_names(v, f"basis[{k}]") for k, v in table("basis")},
+            unit=vec(data["unit"], "bialgebra unit"),
             mu=mu,
-            eps={int(k): tuple(dec(c) for c in v) for k, v in data["eps"].items()},
-            delta={int(k): {int(a): mat(rows) for a, rows in tbl.items()}
-                   for k, tbl in data["delta"].items()},
-            left_t=({int(k): mat(rows) for k, rows in data["left_t"].items()}
+            eps={int(k): vec(v, f"eps[{k}]") for k, v in table("eps")},
+            delta={int(k): {int(a): mat(rows, f"delta[{k}][{a}]") for a, rows in
+                            json_typed(tbl, dict, f"delta[{k}]").items()}
+                   for k, tbl in table("delta")},
+            left_t=({int(k): mat(rows, f"left_t[{k}]") for k, rows in table("left_t")}
                     if data.get("left_t") else None),
         )
         out.check_weights()
@@ -219,10 +250,18 @@ def twisted_sum(G, k, g, vec, n, column):
     """
     R = G.ring
     out = [R.zero()] * n
+    moved = None  # L_t^i g for i < f, computed at the first nonzero scalar
     for i, c in enumerate(vec):
         if R.is_zero(c):
             continue
-        for j, w in enumerate(G.left_action(k, c).apply(g)):
+        if moved is None:
+            moved = [P.apply(g) for P in G.left_powers(k)]
+        # eta(c) g = sum_i c_i L_t^i g for c = sum_i c_i t^i
+        terms = [(R.from_int(ci), Pg) for ci, Pg in zip(c.coeffs, moved) if ci]
+        for j in range(len(g)):
+            w = R.zero()
+            for ci, Pg in terms:
+                w = R.add(w, R.mul(ci, Pg[j]))
             if R.is_zero(w):
                 continue
             col = column(i, j)
@@ -747,9 +786,7 @@ def _solve_c_star(G, k, l):
     # twisted case: solve sum_z [L_l(lambda_uz) e_v]_z = mu[(u,v)]_a in Witt coords
     Zp = WittCoefRing(R.p, R.N)
     f = R.f
-    Lpow = [Mat.identity(R, nl)]
-    for _ in range(f - 1):
-        Lpow.append(Lpow[-1] @ G.left_action(l, R.gen()))
+    Lpow = G.left_powers(l)
     for a in range(G.rank(k + l)):
         rows = []
         for u in range(nk):

@@ -202,6 +202,8 @@ def _theta_file(tmp_path, basis, mult):
     (["e", "1"], {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}),  # unit not first
     (["1", "1"], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}),  # unit named twice
     (["1", "e"], {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1}),  # 1*e = 1
+    (["1", "e", "e"], {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (2, 0): 2,
+                       (1, 1): -1, (1, 2): -1, (2, 1): -1, (2, 2): -1}),  # e named twice
 ])
 def test_finite_free_basis_must_start_with_its_unit(tmp_path, capsys, basis, mult):
     assert run(["theta", "check", "--file", _theta_file(tmp_path, basis, mult)]) == 2
@@ -233,12 +235,12 @@ NONCOMMUTATIVE = (["1", "e", "b"], {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1,
 
 def test_theta_on_a_noncommutative_table_ends_in_an_exit_code(tmp_path, capsys):
     path = _theta_file(tmp_path, *NONCOMMUTATIVE)
-    assert run(["theta", "check", "--file", path, "--samples", "0"]) in (0, 1)
-    # with two samples the generators and samples pass, and then theta of a
-    # sum is not divisible by p
-    assert run(["theta", "check", "--file", path, "--samples", "2"]) == 2
-    out, err = capsys.readouterr()
-    assert "error: congruence fails" in err and "Traceback" not in out + err
+    # psi = id passes on the generators, so only the table check can refuse it
+    for samples in ("0", "2"):
+        assert run(["theta", "check", "--file", path, "--samples", samples]) == 2
+        out, err = capsys.readouterr()
+        assert "error: the table is not commutative: e*b != b*e" in err
+        assert "Traceback" not in out + err
 
 
 def test_bialg_with_misshapen_constants_fails_grading(tmp_path, capsys):
@@ -391,3 +393,71 @@ def test_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys):
             assert "Traceback" not in out + err, argv
     finally:
         signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("kind,doc,message", [
+    ("theta", dict(FUZZ_THETA[0], ring=[2, 5]),
+     "a ring descriptor must be an object, not [2, 5]"),
+    ("theta", dict(FUZZ_THETA[0], psi_gen_images={"x": [1, 0, 0]}),
+     "psi(x): a term is [exponents, coefficient], not 1"),
+    ("theta", dict(FUZZ_THETA[0], ring={"p": "2", "N": 5}),
+     "ring p must be an integer, not '2'"),
+    ("theta", dict(FUZZ_THETA[0], psi_gen_images={"x": [[[1], "1"], [[2], "1"], [[1], "0"]]}),
+     "psi(x): exponents [1] are given twice"),
+    ("theta", dict(FUZZ_THETA[2], psi_gen_images={"x": [0, 1]}),
+     "an element of Z/2^3 is a decimal string or a list of them, not 0"),
+    ("epi", [FUZZ_EPI[0]], "an epi family must be an object, not [{"),
+    ("epi", dict(FUZZ_EPI[0], target_rank="1"), "target_rank must be an integer"),
+])
+def test_json_of_the_wrong_type_or_shape_exits_2(tmp_path, capsys, kind, doc, message):
+    f = tmp_path / "typed.json"
+    f.write_text(json.dumps(doc))
+    argv = (["theta", "check"] if kind == "theta" else ["weights", "epi"]) + ["--file", str(f)]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert f"error: {message}" in err and "Traceback" not in out + err
+
+
+# JSON values of every type, each put in turn where a value of another type belongs
+WRONG_TYPES = [None, True, 2, 1.5, "2", [2, 5], {"p": 2}]
+
+
+def _typed_seeds():
+    """(argv before the file, document) for every file-reading subcommand."""
+    from fglcheck.exact_arith import WittCoefRing
+    from fglcheck.formal_groups import fgl_multiplicative, lubin_tate_deformation
+    from fglcheck.twisted_bialgebra import height1_gamma
+    comodule = {"base": {"p": 2, "N": 1}, "vars": ["y"],
+                "l1": {"ring": {"p": 2, "N": 3}, "can_power": 0},
+                "psi1": {"y": [["1", [[[2], "1"]]]]}}
+    return ([(["theta", "check", "--samples", "2"], d) for d in FUZZ_THETA]
+            + [(["weights", "epi"], d) for d in FUZZ_EPI]
+            + [(["bialg", "--dualize"], height1_gamma(2, 2, 2, 1).to_json()),
+               (["fgl"], fgl_multiplicative(WittCoefRing(2, 3), 3).to_json()),
+               (["fgl"], lubin_tate_deformation(2, 2, 1, 1, 3).to_json()),
+               (["congruence"], comodule)])
+
+
+def test_entries_of_the_wrong_json_type_end_in_an_exit_code(tmp_path, capsys):
+    rng = random.Random(1729)
+    f = tmp_path / "typed.json"
+    for argv, seed in _typed_seeds():
+        argv = argv + ["--comodule-file" if argv == ["congruence"] else "--file", str(f)]
+        for *where, key in _paths(seed):
+            others = [w for w in WRONG_TYPES if type(w) is not type(_at(seed, where)[key])]
+            for wrong in rng.sample(others, 2):
+                doc = copy.deepcopy(seed)
+                _at(doc, where)[key] = wrong
+                f.write_text(json.dumps(doc))
+                try:
+                    code = run(argv)
+                except Exception as e:
+                    pytest.fail(f"{where + [key]} = {wrong!r} raised {e!r}")
+                out, err = capsys.readouterr()
+                assert code in (0, 1, 2) and "Traceback" not in out + err, (where, key, wrong)
+
+
+def _at(doc, where):
+    for k in where:
+        doc = doc[k]
+    return doc

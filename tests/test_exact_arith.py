@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,3 +198,90 @@ def test_lower_of_custom_lift_f4():
     t, t_low = W.gen(), W.truncate_to(low, W.gen())
     assert W.truncate_to(low, t * t) == low.mul(t_low, t_low)
     assert low.mul(t_low, t_low) == low.from_int(1) + 3 * low.gen()
+
+
+# Oracle for the coefficient core: the same operations on plain integer tuples,
+# (Z/q)[t] reduced by the monic lift, with no WittElem in between.
+ORACLE_RINGS = [WittCoefRing(2, 3), WittCoefRing(3, 4), WittCoefRing(2, 2, ext=[1, 1, 1]),
+                WittCoefRing(2, 3, ext=[1, 1, 0, 1], lift=[3, 1, 4, 1])]
+
+
+def _plain_mul(W, a, b):
+    q, f = W.modulus, W.f
+    lift = W.lift or (0, 1)
+    prod = [0] * (2 * f - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, f - 1, -1):  # t^f = -(lift_0 + ... + lift_{f-1} t^{f-1})
+        c, prod[k] = prod[k], 0
+        for j in range(f):
+            prod[k - f + j] -= c * lift[j]
+    return tuple(c % q for c in prod[:f])
+
+
+def _plain_pow(W, a, n):
+    out = (1,) + (0,) * (W.f - 1)
+    for _ in range(n):
+        out = _plain_mul(W, out, a)
+    return out
+
+
+def _plain_inv(W, a):
+    one = (1,) + (0,) * (W.f - 1)
+    return [x.coeffs for x in W.elements() if _plain_mul(W, a, x.coeffs) == one]
+
+
+def _canonical(W, x):
+    assert x == W.elem(x.coeffs) and x.ring is W
+    assert len(x.coeffs) == W.f
+    assert all(type(c) is int and 0 <= c < W.modulus for c in x.coeffs)
+    return x.coeffs
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(ORACLE_RINGS), st.data())
+def test_core_agrees_with_plain_tuples(W, data):
+    q, f = W.modulus, W.f
+    coeffs = st.tuples(*[st.integers(0, q - 1)] * f)
+    a, b = data.draw(coeffs), data.draw(coeffs)
+    n = data.draw(st.integers(-3 * q, 3 * q))
+    e = data.draw(st.integers(0, 9))
+    x, y = W.elem(a), W.elem(b)
+    assert _canonical(W, W.add(x, y)) == tuple((u + v) % q for u, v in zip(a, b))
+    assert _canonical(W, W.neg(x)) == tuple(-u % q for u in a)
+    assert _canonical(W, W.mul(x, y)) == _plain_mul(W, a, b)
+    assert _canonical(W, W.pow(x, e)) == _plain_pow(W, a, e)
+    assert _canonical(W, W.from_int(n)) == (n % q,) + (0,) * (f - 1)
+    assert _canonical(W, W.elem(n)) == (n % q,) + (0,) * (f - 1)
+    if W.is_unit(x):
+        assert [_canonical(W, W.inv(x))] == _plain_inv(W, a)
+    else:
+        assert _plain_inv(W, a) == []
+
+
+def test_derived_rings_are_built_once():
+    for W in ORACLE_RINGS:
+        assert W.residue_ring() is W.residue_ring()
+        assert W.lower() is W.lower()
+        assert W.lower().lift == (None if W.lift is None else
+                                  tuple(c % W.p ** (W.N - 1) for c in W.lift))
+
+
+def test_residue_and_division_build_no_ring_per_call(monkeypatch):
+    rings = [WittCoefRing(2, 4), WittCoefRing(2, 3, ext=[1, 1, 1])]
+    built = {}
+    init = WittCoefRing.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        key = json.dumps(self.descriptor(), sort_keys=True)
+        built[key] = built.get(key, 0) + 1
+
+    monkeypatch.setattr(WittCoefRing, "__init__", counting_init)
+    for W in rings:
+        a = W.elem((3,) + (1,) * (W.f - 1))
+        for _ in range(100):
+            W.residue(a)
+            W.divide_by_p(W.scalar(W.p, a))
+    assert built and max(built.values()) == 1, built

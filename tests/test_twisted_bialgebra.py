@@ -12,7 +12,8 @@ from fglcheck.twisted_bialgebra import (GammaModule, IncompleteData, SizeLimit,
                                         points_category, ring_maps,
                                         presentation_of_coefficients,
                                         tensor_modules, trivial_algebra,
-                                        trivial_module, verify_bialgebra)
+                                        trivial_module, twisted_sum,
+                                        verify_bialgebra)
 
 G23 = height1_gamma(2, 3, 2, 3)
 W = G23.ring
@@ -294,3 +295,78 @@ def test_points_category_f2_over_f4():
 def test_height1_gamma_rejects_empty_parameters(f, kmax):
     with pytest.raises(ValueError):
         height1_gamma(2, 3, f, kmax)
+
+
+# The matrix-power path that left_powers replaced, kept as the oracle: L_r is
+# rebuilt from powers of left_t[k] for every scalar r.
+def _left_action_by_matmul(G, k, r):
+    R = G.ring
+    n = G.rank(k)
+    out = Mat.zeros(R, n, n)
+    power = Mat.identity(R, n)
+    for i, c in enumerate(r.coeffs):
+        if i > 0:
+            power = power @ G.left_t[k]
+        if c:
+            out = out + power.scale(R.from_int(c))
+    return out
+
+
+def _twisted_sum_by_matmul(G, k, g, vec, n, column):
+    R = G.ring
+    out = [R.zero()] * n
+    for i, c in enumerate(vec):
+        for j, w in enumerate(_left_action_by_matmul(G, k, c).apply(g)):
+            col = column(i, j)
+            for r in range(n):
+                out[r] = R.add(out[r], R.mul(w, col[r]))
+    return tuple(out)
+
+
+def _random_left_t_gamma(W, rng):
+    """Only the left actions of this Gamma are read: random 1..3 square
+    matrices at weights 0 and 1, so L_t has entries off the diagonal."""
+    ranks = {k: rng.randint(1, 3) for k in (0, 1)}
+    return TwistedBialgebra(
+        ring=W, kmax=1, basis={k: tuple(f"g{i}" for i in range(n)) for k, n in ranks.items()},
+        unit=(), mu={}, eps={}, delta={},
+        left_t={k: Mat(W, [[W.rand(rng) for _ in range(n)] for _ in range(n)])
+                for k, n in ranks.items()})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_left_powers_agree_with_matrix_powers(seed):
+    rng = random.Random(seed)
+    ext = [1, 1, 1] if seed % 2 == 0 else [1, 1, 0, 1]   # W(F_4), W(F_8)
+    N = rng.randint(1, 3)
+    W8 = WittCoefRing(2, N, ext)
+    for G in (height1_gamma(2, N, len(ext) - 1, rng.randint(1, 3), ext=ext),
+              _random_left_t_gamma(W8, rng)):
+        R = G.ring
+        for k in G.left_t:
+            n = G.rank(k)
+            for _ in range(5):
+                r = R.rand(rng)
+                assert G.left_action(k, r) == _left_action_by_matmul(G, k, r)
+            g = tuple(R.rand(rng) for _ in range(n))
+            vec = tuple(R.rand(rng) if rng.random() < 0.7 else R.zero() for _ in range(3))
+            cols = {(i, j): tuple(R.rand(rng) for _ in range(2))
+                    for i in range(3) for j in range(n)}
+            assert (twisted_sum(G, k, g, vec, 2, lambda i, j: cols[(i, j)])
+                    == _twisted_sum_by_matmul(G, k, g, vec, 2, lambda i, j: cols[(i, j)]))
+        for (k, l), consts in G.mu.items():
+            x = tuple(R.rand(rng) for _ in range(G.rank(k)))
+            y = tuple(R.rand(rng) for _ in range(G.rank(l)))
+            assert G.mul_elems(k, x, l, y) == _twisted_sum_by_matmul(
+                G, l, y, x, G.rank(k + l), lambda i, j: consts[(i, j)])
+
+
+def test_left_powers_follow_a_replaced_left_t():
+    G = height1_gamma(2, 3, 2, 2)
+    t = G.ring.gen()
+    before = G.left_action(1, t)           # fills the cache of G
+    H = copy.deepcopy(G)
+    H.left_t[1] = Mat(G.ring, [[t + 1]])
+    assert H.left_action(1, t) == Mat(G.ring, [[t + 1]])
+    assert H.left_powers(1)[1] == H.left_t[1]
+    assert G.left_action(1, t) == before == G.left_t[1]
