@@ -423,6 +423,7 @@ class WittCoefRing(Ring):
         self._frob = None
         self._residue_ring = None
         self._lower = None
+        self._ground = None
 
     # construction helpers
 
@@ -514,6 +515,12 @@ class WittCoefRing(Ring):
         if self._residue_ring is None:
             self._residue_ring = WittCoefRing(self.p, 1, self.ext)
         return self._residue_ring
+
+    def ground_ring(self):
+        """Z/p^N at this precision, the f = 1 ring under this one."""
+        if self._ground is None:
+            self._ground = self if self.f == 1 else WittCoefRing(self.p, self.N)
+        return self._ground
 
     def residue(self, a):
         return self.residue_ring().reduced(tuple(c % self.p for c in a.coeffs))

@@ -58,7 +58,15 @@ class FormalGroupLaw:
                                   f"at that bound, got {self.F.vars}/{self.F.bound}")
 
     def axiom_residuals(self):
-        """Residual series of the unit, commutativity and associativity axioms."""
+        """Residual series of the unit, commutativity and associativity axioms.
+
+        Associativity composes only A = F(F(x,y),z).  With comm = F - F(y,x),
+        F(x,F(y,z)) = F(F(y,z),x) + comm(x,F(y,z)) = A(y,z,x) + comm(x,F(y,z)),
+        and A(y,z,x) re-keys A's terms (i,j,k) -> (k,i,j).  This is exact at the
+        bound over every ring: composition is linear in the outer series, and
+        renaming the variables keeps total degree, so truncation commutes with
+        it.  comm(x,F(y,z)) is composed only when comm is nonzero.
+        """
         R, D, F = self.ring, self.bound, self.F
         x1 = TruncSeries.var(R, ("x",), D, "x")
         z1 = TruncSeries.zero(R, ("x",), D)
@@ -68,12 +76,12 @@ class FormalGroupLaw:
                               {(j, i): c for (i, j), c in F.terms.items()})
         comm = F - swapped
         v3 = ("x", "y", "z")
-        x3 = TruncSeries.var(R, v3, D, "x")
-        y3 = TruncSeries.var(R, v3, D, "y")
-        z3 = TruncSeries.var(R, v3, D, "z")
-        Fxy = substitute(F, [x3, y3])
-        Fyz = substitute(F, [y3, z3])
-        assoc = substitute(F, [Fxy, z3]) - substitute(F, [x3, Fyz])
+        x3, y3, z3 = (TruncSeries.var(R, v3, D, v) for v in v3)
+        A = substitute(F, [substitute(F, [x3, y3]), z3])
+        A_yzx = {(k, i, j): c for (i, j, k), c in A.terms.items()}
+        assoc = A - TruncSeries(R, v3, D, A_yzx)
+        if not comm.is_zero():
+            assoc = assoc - substitute(comm, [x3, substitute(F, [y3, z3])])
         return {"unit_x": unit_x, "unit_y": unit_y,
                 "commutativity": comm, "associativity": assoc}
 

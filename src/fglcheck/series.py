@@ -8,7 +8,9 @@ right, which is how Lubin-Tate style base rings W[u_1..u_{n-1}] are built.
 
 Over Z/p^N, and over a PolyTruncRing on Z/p^N, products and compositions run
 on a Kronecker-packed kernel: each operand becomes one Python int and a
-product is one int multiplication.  Every other ring multiplies term by term;
+product is one int multiplication.  A one-term operand with a scalar
+coefficient is a shift instead: the other operand's exponents move and its
+values are scaled, with no packing.  Every other ring multiplies term by term;
 that dict loop is the reference the kernel is tested against.
 """
 
@@ -614,9 +616,18 @@ class _PackedZ:
         return {(0,) * len(self.vars): 1}
 
     def mul(self, A, B):
-        """Raw product of raw terms, truncated at the bound and reduced mod p^N."""
+        """Raw product of raw terms, truncated at the bound and reduced mod p^N.
+
+        A one-term operand c * x^e with c a scalar is a shift of the other by e,
+        scaled by c, with no pack and no unpack."""
         if not A or not B:
             return {}
+        for one, other in ((A, B), (B, A)):
+            if len(one) == 1:
+                (e1, c1), = one.items()
+                c = self._scalar(c1)
+                if c is not None:
+                    return self._shift(other, e1, c)
         cols_a, cols_b = list(zip(*A)), list(zip(*B))
         deg_a, deg_b = list(map(sum, A)), list(map(sum, B))
         lo = min(deg_a) + min(deg_b)
@@ -639,6 +650,24 @@ class _PackedZ:
             return {}
         vals = _slot_values(prod, wb, (lay.size - shift) * S)
         return self._unpack(vals, S, lay, shift)
+
+    def _scalar(self, v):
+        """The scalar a raw value is, or None when it is not one."""
+        return v
+
+    def _scale(self, v, c):
+        return v * c % self.q
+
+    def _shift(self, raw, e1, c):
+        """raw times c * x^e1, truncated at the bound; vanishing products drop."""
+        room, scale = self.bound - sum(e1), self._scale
+        out = {}
+        for e, v in raw.items():
+            if sum(e) <= room:
+                v = scale(v, c)
+                if v:
+                    out[tuple(map(operator.add, e, e1))] = v
+        return out
 
     def _span(self, raw):
         """Largest inner slot index used by ``raw``."""
@@ -712,6 +741,12 @@ class _PackedPoly(_PackedZ):
 
     def one(self):
         return {(0,) * len(self.vars): {0: 1}}
+
+    def _scalar(self, inner):
+        return inner[0] if len(inner) == 1 and 0 in inner else None
+
+    def _scale(self, inner, c):
+        return {j: w for j, v in inner.items() if (w := v * c % self.q)}
 
     def _span(self, raw):
         return max(max(inner) for inner in raw.values())

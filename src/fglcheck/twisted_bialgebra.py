@@ -784,7 +784,7 @@ def _solve_c_star(G, k, l):
             out[a] = Mat(R, rows)
         return out
     # twisted case: solve sum_z [L_l(lambda_uz) e_v]_z = mu[(u,v)]_a in Witt coords
-    Zp = WittCoefRing(R.p, R.N)
+    Zp = R.ground_ring()
     f = R.f
     Lpow = G.left_powers(l)
     for a in range(G.rank(k + l)):

@@ -1,9 +1,11 @@
+import functools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fglcheck.cli import run
 from fglcheck.exact_arith import (NotDivisible, RingMismatch,
                                   WittCoefRing, is_prime, ring_from_descriptor)
 
@@ -264,12 +266,15 @@ def test_derived_rings_are_built_once():
     for W in ORACLE_RINGS:
         assert W.residue_ring() is W.residue_ring()
         assert W.lower() is W.lower()
+        assert W.ground_ring() is W.ground_ring()
+        assert W.ground_ring().descriptor() == {"p": W.p, "N": W.N}
+        assert W.f > 1 or W.ground_ring() is W
         assert W.lower().lift == (None if W.lift is None else
                                   tuple(c % W.p ** (W.N - 1) for c in W.lift))
 
 
-def test_residue_and_division_build_no_ring_per_call(monkeypatch):
-    rings = [WittCoefRing(2, 4), WittCoefRing(2, 3, ext=[1, 1, 1])]
+def _ring_builds(monkeypatch):
+    """Count WittCoefRing constructions per descriptor from here on."""
     built = {}
     init = WittCoefRing.__init__
 
@@ -279,9 +284,48 @@ def test_residue_and_division_build_no_ring_per_call(monkeypatch):
         built[key] = built.get(key, 0) + 1
 
     monkeypatch.setattr(WittCoefRing, "__init__", counting_init)
+    return built
+
+
+def test_residue_and_division_build_no_ring_per_call(monkeypatch):
+    rings = [WittCoefRing(2, 4), WittCoefRing(2, 3, ext=[1, 1, 1])]
+    built = _ring_builds(monkeypatch)
     for W in rings:
         a = W.elem((3,) + (1,) * (W.f - 1))
         for _ in range(100):
             W.residue(a)
             W.divide_by_p(W.scalar(W.p, a))
     assert built and max(built.values()) == 1, built
+
+
+def test_dualize_builds_each_ring_once(monkeypatch, capsys):
+    # _solve_c_star solves over Z/p^N once per weight pair, on one ring
+    built = _ring_builds(monkeypatch)
+    assert run(["bialg", "--height1", "2,3,2,3", "--dualize"]) == 0
+    assert built == {'{"N": 3, "ext": [1, 1, 1], "p": 2}': 1, '{"N": 3, "p": 2}': 1}
+
+
+@st.composite
+def lifted_rings(draw):
+    """W(F_4) or W(F_8) at N = 2..3 with a random monic lift of its polynomial."""
+    ext = draw(st.sampled_from([[1, 1, 1], [1, 1, 0, 1]]))
+    N = draw(st.integers(2, 3))
+    lift = [c + 2 * draw(st.integers(0, 2 ** (N - 1) - 1)) for c in ext[:-1]] + [1]
+    return _lifted_ring(tuple(ext), N, tuple(lift))
+
+
+@functools.lru_cache(maxsize=None)
+def _lifted_ring(ext, N, lift):
+    return WittCoefRing(2, N, ext=list(ext), lift=list(lift))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifted_rings(), st.data())
+def test_residue_and_frobenius_are_ring_maps(W, data):
+    a, b = (W.elem(data.draw(st.tuples(*[st.integers(0, W.modulus - 1)] * W.f)))
+            for _ in range(2))
+    k, sigma = W.residue_ring(), W.frobenius_lift()
+    for phi, T in ((W.residue, k), (sigma, W)):
+        assert T.eq(phi(W.one()), T.one())
+        assert T.eq(phi(W.add(a, b)), T.add(phi(a), phi(b)))
+        assert T.eq(phi(W.mul(a, b)), T.mul(phi(a), phi(b)))

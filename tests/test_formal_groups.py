@@ -1,7 +1,11 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fglcheck import formal_groups
 from fglcheck.exact_arith import WittCoefRing
 from fglcheck.formal_groups import (FormalGroupLaw, MalformedPSeries, NotCharP,
                                     PrecisionExhausted, _frac_into, bcp_module,
@@ -10,8 +14,8 @@ from fglcheck.formal_groups import (FormalGroupLaw, MalformedPSeries, NotCharP,
                                     lubin_tate_deformation, n_series,
                                     reduce_to_residue, specialize_deformation)
 from fglcheck.linalg import unit_vector
-from fglcheck.series import (ContextMismatch, ResidueZero, TruncSeries, substitute,
-                             weierstrass_prepare)
+from fglcheck.series import (ContextMismatch, PolyTruncRing, ResidueZero, TruncSeries,
+                             substitute, weierstrass_prepare)
 
 
 def test_multiplicative_terms():
@@ -219,3 +223,106 @@ def test_law_must_match_its_bound_and_variables():
     uv = TruncSeries.from_int_terms(Z8, ("u", "v"), 5, {(1, 0): 1, (0, 1): 1})
     with pytest.raises(ContextMismatch):
         FormalGroupLaw(ring=Z8, bound=5, F=uv)
+
+
+# ---------------------------------------------------------------------------
+# associativity by one three-variable composition, against two
+
+def _residuals_by_two_compositions(G):
+    """The axiom residuals, with F(x, F(y, z)) composed as it reads."""
+    R, D, F = G.ring, G.bound, G.F
+    x1 = TruncSeries.var(R, ("x",), D, "x")
+    z1 = TruncSeries.zero(R, ("x",), D)
+    x3, y3, z3 = (TruncSeries.var(R, ("x", "y", "z"), D, v) for v in "xyz")
+    swapped = TruncSeries(R, ("x", "y"), D, {(j, i): c for (i, j), c in F.terms.items()})
+    return {"unit_x": substitute(F, [x1, z1]) - x1,
+            "unit_y": substitute(F, [z1, x1]) - x1,
+            "commutativity": F - swapped,
+            "associativity": (substitute(F, [substitute(F, [x3, y3]), z3])
+                              - substitute(F, [x3, substitute(F, [y3, z3])]))}
+
+
+def _in_witt(G, W):
+    """G's Z/p^N coefficients read in the unramified extension W."""
+    return FormalGroupLaw(ring=W, bound=G.bound,
+                          F=G.F.map_coefficients(lambda c: W.elem(c.coeffs[0]), ring=W))
+
+
+W4 = WittCoefRing(2, 2, ext=[1, 1, 1])  # f > 1: the dict loop
+LAWS = {
+    "honda(2,2)/Z8": lambda: fgl_honda(2, 2, 3, 7),
+    "honda(3,1)/Z9": lambda: fgl_honda(3, 1, 2, 7),
+    "multiplicative/Z9": lambda: fgl_multiplicative(WittCoefRing(3, 2), 7),
+    "lubin-tate(2,2)/Z8[u1]": lambda: lubin_tate_deformation(2, 2, 3, 2, 7),
+    "multiplicative/Z8[u1]": lambda: fgl_multiplicative(
+        PolyTruncRing(WittCoefRing(2, 3), ("u1",), 2), 7),
+    "honda(2,2)/W(F_4)": lambda: _in_witt(fgl_honda(2, 2, 2, 6), W4),
+    "multiplicative/W(F_4)": lambda: fgl_multiplicative(W4, 6),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _law(name):
+    return LAWS[name]()
+
+
+@st.composite
+def mutated_laws(draw):
+    """A law with one to three coefficients changed; the first off the diagonal
+    when ``off_diagonal`` is drawn, so the law is not commutative."""
+    G = _law(draw(st.sampled_from(sorted(LAWS))))
+    R, D = G.ring, G.bound
+    off_diagonal = draw(st.booleans())
+    terms = dict(G.F.terms)
+    for n in range(draw(st.integers(1, 3))):
+        a = draw(st.integers(0, D))
+        b = draw(st.integers(0 if a else 1, D - a).filter(
+            lambda b: b != a or not (n == 0 and off_diagonal)))
+        if isinstance(R, PolyTruncRing):
+            u = R.var("u1") ** draw(st.integers(0, R.ubound))
+            c = R.mul(R.from_int(draw(st.integers(1, R.base.modulus - 1))), u)
+        else:
+            c = R.elem(tuple(draw(st.integers(0, R.modulus - 1)) for _ in range(R.f)))
+        terms[(a, b)] = R.add(terms.get((a, b), R.zero()), c)
+    F = TruncSeries(R, ("x", "y"), D, terms)
+    return FormalGroupLaw(ring=R, bound=D, F=F)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_laws())
+def test_associativity_residual_matches_two_compositions(G):
+    got = G.axiom_residuals()
+    want = _residuals_by_two_compositions(G)
+    assert got == want
+    assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_unmutated_laws_pass_all_axioms(name):
+    assert all(_law(name).verify().values())
+    assert _law(name).axiom_residuals() == _residuals_by_two_compositions(_law(name))
+
+
+def _three_variable_compositions(monkeypatch, G):
+    calls = []
+
+    def counting(f, gs):
+        calls.append(len(gs[0].vars))
+        return substitute(f, gs)
+
+    monkeypatch.setattr(formal_groups, "substitute", counting)
+    G.axiom_residuals()
+    monkeypatch.undo()
+    return calls.count(3)
+
+
+def test_associativity_composes_into_three_variables_once(monkeypatch):
+    G = fgl_honda(2, 2, 3, 12)
+    # F(x,y) then F(F(x,y),z); F(x,F(y,z)) is A(y,z,x) when comm = 0
+    assert _three_variable_compositions(monkeypatch, G) == 2
+    R = G.ring
+    F = TruncSeries(R, ("x", "y"), 12, {**G.F.terms, (1, 2): R.one()})
+    H = FormalGroupLaw(ring=R, bound=12, F=F)
+    assert not H.axiom_residuals()["commutativity"].is_zero()
+    # and F(y,z), comm(x,F(y,z)) as well when it is not
+    assert _three_variable_compositions(monkeypatch, H) == 4

@@ -342,3 +342,74 @@ def test_packed_kernel_drops_inner_degree_beyond_u_bound():
     assert substitute(a, [b, a]) == comp
     high = _dense(L, ("x",), 5, lambda e: top[e[0] % 3])
     assert packed_mul(high, high).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# one-term operands: shifts on the kernel, checked against the dict loop
+
+def _packs():
+    """Spy on the kernel's packing of an operand, which a shift never reaches."""
+    return mock.patch.object(series, "_to_int", wraps=series._to_int)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_one_term_products_match_dict_loop(data):
+    R = data.draw(st.sampled_from(KERNEL_RINGS))
+    vars = VARS[:data.draw(st.integers(1, 3))]
+    D = data.draw(st.integers(0, 12))
+    e = data.draw(exponents(len(vars), D))
+    mono = TruncSeries(R, vars, D, {e: data.draw(coefficients(R))})
+    other = data.draw(series_over(R, vars, D))
+    for a, b in ((mono, other), (other, mono)):
+        with dict_loop():
+            ref = a * b
+        assert packed_mul(a, b) == ref
+
+
+@pytest.mark.parametrize("R", KERNEL_RINGS, ids=repr)
+def test_one_term_scalar_operand_is_a_shift(R):
+    D = 6
+    base = R.base if isinstance(R, PolyTruncRing) else R
+    p, q = base.p, base.modulus
+    unit = R.add(R.one(), R.var(R.vars[0])) if isinstance(R, PolyTruncRing) else R.one()
+    other = _dense(R, VARS, D, lambda e: R.mul(R.from_int(p * (sum(e) + 1)), unit))
+    zero = TruncSeries.zero(R, VARS, D)
+
+    def mono(e, n):
+        return TruncSeries(R, VARS, D, {e: R.from_int(n)})
+
+    # (one-term operand, what the product must be, or None for the dict loop's word)
+    cases = [(mono((0, 0, 0), 1), other),  # coefficient 1 at the unit: the identity
+             (mono((1, 0, 2), 1), None),
+             (mono((0, 1, 0), 3), None),
+             (mono((0, 1, 0), q // p), zero),  # p^(N-1) times multiples of p
+             (mono((2, 2, 2), 5), zero)]  # degree D pushes every term past D
+    for m, expect in cases:
+        for a, b in ((m, other), (other, m)):
+            with dict_loop():
+                ref = a * b
+            with _packs() as pack:
+                got = packed_mul(a, b)
+            assert got == ref and not pack.called
+            assert expect is None or got == expect
+
+
+@pytest.mark.parametrize("L", [R for R in KERNEL_RINGS if isinstance(R, PolyTruncRing)],
+                         ids=repr)
+def test_one_term_operand_in_u_takes_the_packed_path(L):
+    U = L.ubound
+    u1 = L.var("u1")
+    top = u1 ** U
+    b = _dense(L, ("x", "y"), 5, lambda e: L.add(u1, L.from_int(e[0] + 1)))
+    for m in (TruncSeries(L, ("x", "y"), 5, {(1, 0): top}),
+              TruncSeries(L, ("x", "y"), 5, {(0, 2): L.add(top, L.one())})):
+        for x, y in ((m, b), (b, m)):
+            with dict_loop():
+                ref = x * y
+            with _packs() as pack:
+                got = packed_mul(x, y)
+            assert got == ref and pack.called
+            # u1^U * u1 has u-degree U + 1 and is dropped
+            assert all(sum(ue) <= U for c in got.terms.values() for ue in c.terms)
+            assert any(sum(ue) == U for c in got.terms.values() for ue in c.terms)
