@@ -18,11 +18,11 @@ import time
 from . import formal_groups as fg
 from . import graded2, weights
 from .acceptance import CRITERIA, standard_graded_objects
-from .exact_arith import (MalformedData, WittCoefRing, is_prime, json_names, json_terms,
-                          json_typed, ring_from_descriptor)
+from .exact_arith import (MalformedData, WittCoefRing, is_prime, json_names, json_typed,
+                          ring_from_descriptor)
 from .linalg import Mat
 from .report import CheckResult, CongruenceReport
-from .theta_congruence import (FrobeniusClassSpec, L1Data,
+from .theta_congruence import (FrobeniusClassSpec, L1Data, PolyShape,
                                PsiRingPresentation, derive_theta,
                                frobenius_congruence_comodule,
                                gamma_congruence_check, theta_consistency,
@@ -174,7 +174,7 @@ def cmd_theta(args):
     if rep.verdict:
         td = derive_theta(pres)
         for g, v in sorted(td.theta_gens.items()):
-            print(f"theta({g}) = {td.lowered.repr_elem(v)}  (precision {td.lowered.W.N})")
+            print(f"theta({g}) = {td.lowered.A.repr_elem(v)}  (precision {td.lowered.W.N})")
         cons = theta_consistency(pres, samples=args.samples, seed=args.seed)
         for c in cons.checks:
             rep.add(c)
@@ -206,7 +206,6 @@ def cmd_congruence(args):
         raw = json_typed(_load_json(args.comodule_file), dict, "comodule data")
         digest_src.append(json.dumps(raw, sort_keys=True))
         base = ring_from_descriptor(raw["base"])
-        from .theta_congruence import PolyShape
         pres = PsiRingPresentation(W=base, shape=PolyShape(json_names(raw["vars"], "vars")))
         l1raw = json_typed(raw["l1"], dict, "l1")
         l1W = ring_from_descriptor(l1raw["ring"])
@@ -219,8 +218,7 @@ def cmd_congruence(args):
                 if not (isinstance(t, list) and len(t) == 2):
                     raise MalformedData(f"a psi1[{g}] term is [scalar, polynomial], "
                                         f"not {t!r:.60}")
-                poly = json_terms(t[1], len(pres.shape.vars), f"psi1[{g}]")
-                psi1[g].append((l1W.decode(t[0]), {e: base.decode(c) for e, c in poly}))
+                psi1[g].append((l1W.decode(t[0]), pres.A.decode(t[1], f"psi1[{g}]")))
         rep = frobenius_congruence_comodule(l1, pres, psi1, seed=args.seed)
         for c in rep.checks:
             checks.add(c)

@@ -166,14 +166,14 @@ class Ring:
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        r = self.one()
-        b = a
-        while n:
+        r, b = self.one(), a
+        while True:
             if n & 1:
                 r = self.mul(r, b)
-            b = self.mul(b, b)
             n >>= 1
-        return r
+            if not n:
+                return r
+            b = self.mul(b, b)
 
     def scalar(self, n, a):
         """n*a for an integer n."""

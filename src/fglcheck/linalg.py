@@ -401,3 +401,16 @@ class FiniteAlgebra(Ring):
         for _ in range(n):
             out = self.mul(out, a)
         return out
+
+    def terms(self, a):
+        return enumerate(a)
+
+    def map_coeffs(self, a, fn):
+        return tuple(fn(c) for c in a)
+
+    def rand(self, rng):
+        return tuple(self.ring.rand(rng) for _ in self.basis)
+
+    def repr_elem(self, a):
+        bits = [f"{c!r}*{n}" for c, n in zip(a, self.basis) if not self.ring.is_zero(c)]
+        return " + ".join(bits) if bits else "0"

@@ -168,14 +168,14 @@ class TruncSeries:
     def __pow__(self, n):
         if n < 0:
             raise ValueError(f"negative power {n} of a series")
-        out = TruncSeries.one(self.ring, self.vars, self.bound)
-        b = self
-        while n:
+        out, b = TruncSeries.one(self.ring, self.vars, self.bound), self
+        while True:
             if n & 1:
                 out = out * b
-            b = b * b
             n >>= 1
-        return out
+            if not n:
+                return out
+            b = b * b
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):

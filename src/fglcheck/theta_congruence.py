@@ -1,9 +1,10 @@
 """psi-rings, theta-rings, and the congruence criteria.
 
-Both finite shapes of a psi-ring presentation, a monic quotient W[x]/(m) and
-a finite-free algebra, are linalg.FiniteAlgebras, the same type as the
-Gamma-algebras and dual algebras of twisted_bialgebra; psi on them is fixed
-by the psi-images of the basis.
+A psi-ring presentation does its element arithmetic in one ring, pres.A: a
+PolyRing for the polynomial shape W[x_1..x_k], and a linalg.FiniteAlgebra (the
+type of the Gamma-algebras of twisted_bialgebra) for a monic quotient W[x]/(m)
+or a finite-free algebra.  psi is one loop on both: psi(c) times the psi-image
+of each basis element or monomial.
 
 The Wilkerson check asks whether psi(x) = x^p mod p; on a pass, theta is
 derived by exact division and its forced addition/multiplication identities
@@ -18,9 +19,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
-from .exact_arith import (MalformedData, NotDivisible, WittCoefRing, json_names,
+from .exact_arith import (MalformedData, NotDivisible, Ring, WittCoefRing, json_names,
                           json_terms, json_typed, ring_from_descriptor)
 from .linalg import (FiniteAlgebra, Mat, ShapeMismatch, residue_rank,
                      smith_normal_form, solve, unit_vector)
@@ -69,16 +70,114 @@ class FiniteFreeShape:
     mult: tuple  # ((i, j, coordinate vector) ...), dense over basis pairs
 
 
+class PolyRing(Ring):
+    """W[vars] without truncation: dicts from exponent tuples to nonzero
+    coefficients.  Witnesses list terms in dict order, the order in which the
+    loops below first meet them."""
+
+    def __init__(self, W, vars):
+        if len(set(vars)) != len(vars):
+            raise ValueError(f"polynomial variables {list(vars)} must name each "
+                             f"variable once")
+        self.W = W
+        self.vars = tuple(vars)
+
+    def zero(self):
+        return {}
+
+    def one(self):
+        return {(0,) * len(self.vars): self.W.one()}
+
+    def var(self, name):
+        i = self.vars.index(name)
+        return {tuple(1 if j == i else 0 for j in range(len(self.vars))): self.W.one()}
+
+    def add(self, a, b):
+        W = self.W
+        out = dict(a)
+        for e, c in b.items():
+            s = W.add(out[e], c) if e in out else c
+            if W.is_zero(s):
+                out.pop(e, None)
+            else:
+                out[e] = s
+        return out
+
+    def neg(self, a):
+        return {e: self.W.neg(c) for e, c in a.items()}
+
+    def mul(self, a, b):
+        W = self.W
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                m = W.mul(c1, c2)
+                s = W.add(out[e], m) if e in out else m
+                if W.is_zero(s):
+                    out.pop(e, None)
+                else:
+                    out[e] = s
+        return out
+
+    def is_zero(self, a):
+        return not a
+
+    def pow(self, a, n):
+        """a^n multiplied in from the left, which fixes the order of its terms."""
+        out = self.one()
+        for _ in range(n):
+            out = self.mul(out, a)
+        return out
+
+    def scale(self, c, a):
+        out = {e: self.W.mul(c, v) for e, v in a.items()}
+        return {e: v for e, v in out.items() if not self.W.is_zero(v)}
+
+    def terms(self, a):
+        return a.items()
+
+    def map_coeffs(self, a, fn):
+        return {e: fn(c) for e, c in a.items()}
+
+    def rand(self, rng):
+        """SAMPLE_TERMS terms of degree at most SAMPLE_DEGREE in each variable."""
+        out = {}
+        for _ in range(SAMPLE_TERMS):
+            e = tuple(rng.randrange(SAMPLE_DEGREE + 1) for _ in self.vars)
+            out = self.add(out, {e: self.W.rand(rng)})
+        return out
+
+    def repr_elem(self, a):
+        if not a:
+            return "0"
+        bits = []
+        for e, c in sorted(a.items()):
+            mono = "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, e) if k)
+            bits.append(f"{c!r}*{mono}" if mono else repr(c))
+        return " + ".join(bits)
+
+    def encode(self, a):
+        return [[list(e), self.W.encode(c)] for e, c in sorted(a.items())]
+
+    def decode(self, data, what):
+        """[[exponents], coefficient] terms; zero coefficients are dropped."""
+        W = self.W
+        out = {e: W.decode(c) for e, c in json_terms(data, len(self.vars), what)}
+        return {e: c for e, c in out.items() if not W.is_zero(c)}
+
+
 @dataclass
 class PsiRingPresentation:
     """A commutative W-algebra with normal forms, plus a psi endomorphism.
 
-    Elements of a polynomial shape are dicts from exponent tuples to W.  A
+    Its ring A does the element arithmetic: a PolyRing for the polynomial
+    shape, and a FiniteAlgebra, with coordinate tuples as elements, for a
     monic quotient (basis 1, x^1, ..., x^(d-1)) or a finite-free shape (whose
-    basis starts with its unit "1") is a FiniteAlgebra, with coordinate tuples
-    as elements.  psi acts on coefficients by the identity or by the
-    Frobenius lift, and on generators by the given images; well-definedness
-    (relations preserved) is a checkable property, not an assumption.
+    basis starts with its unit "1").  psi acts on coefficients by the
+    identity or by the Frobenius lift, and on generators by the given images;
+    well-definedness (relations preserved) is a checkable property, not an
+    assumption.
     """
 
     W: WittCoefRing
@@ -91,40 +190,28 @@ class PsiRingPresentation:
             raise ValueError("psi_on_coeffs must be 'id' or 'sigma'")
         self._sigma = (self.W.frobenius_lift() if self.psi_on_coeffs == "sigma"
                        else None)
-        self._alg = None
-        if isinstance(self.shape, MonicQuotientShape):
-            self._alg = FiniteAlgebra.monic_quotient(self.W, self.shape.var,
-                                                     self.shape.monic)
-        elif isinstance(self.shape, FiniteFreeShape):
-            self._alg = _finite_free_algebra(self.W, self.shape)
-
-    # elements: PolyShape -> dict exps->W, finite shapes -> tuple over the basis
-
-    def zero(self):
-        if self._alg is None:
-            return {}
-        return self._alg.zero()
-
-    def one(self):
-        return self.from_coeff(self.W.one())
+        if isinstance(self.shape, PolyShape):
+            self.A = PolyRing(self.W, self.shape.vars)
+        elif isinstance(self.shape, MonicQuotientShape):
+            self.A = FiniteAlgebra.monic_quotient(self.W, self.shape.var,
+                                                  self.shape.monic)
+        else:
+            self.A = _finite_free_algebra(self.W, self.shape)
+        self.refuse_non_generators(self.psi_gen_images, "psi images")
 
     def from_coeff(self, c):
-        if self._alg is None:
-            return {} if self.W.is_zero(c) else {(0,) * len(self.shape.vars): c}
-        return self._alg.scale(c, self._alg.unit)
+        return self.A.scale(c, self.A.one())
 
     def gen(self, name):
         if isinstance(self.shape, PolyShape):
-            i = self.shape.vars.index(name)
-            e = tuple(1 if j == i else 0 for j in range(len(self.shape.vars)))
-            return {e: self.W.one()}
+            return self.A.var(name)
         if isinstance(self.shape, MonicQuotientShape):
             if name != self.shape.var:
                 raise ValueError(f"{name!r} is not the generator {self.shape.var!r}")
-            if len(self._alg.basis) == 1:  # W[x]/(x + m_0): x reduces to -m_0
+            if len(self.A.basis) == 1:  # W[x]/(x + m_0): x reduces to -m_0
                 return (self.W.neg(self.shape.monic[0]),)
-            return unit_vector(self.W, len(self._alg.basis), 1)
-        return unit_vector(self.W, len(self._alg.basis), self.shape.basis.index(name))
+            return unit_vector(self.W, len(self.A.basis), 1)
+        return unit_vector(self.W, len(self.A.basis), self.shape.basis.index(name))
 
     def generators(self):
         if isinstance(self.shape, PolyShape):
@@ -133,103 +220,57 @@ class PsiRingPresentation:
             return [self.shape.var]
         return list(self.shape.basis[1:])
 
-    def add(self, a, b):
-        if self._alg is None:
-            out = dict(a)
-            for e, c in b.items():
-                s = self.W.add(out.get(e, self.W.zero()), c)
-                if self.W.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-            return out
-        return self._alg.add(a, b)
-
-    def neg(self, a):
-        if self._alg is None:
-            return {e: self.W.neg(c) for e, c in a.items()}
-        return self._alg.neg(a)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        W = self.W
-        if self._alg is None:
-            out = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    s = W.add(out.get(e, W.zero()), W.mul(c1, c2))
-                    if W.is_zero(s):
-                        out.pop(e, None)
-                    else:
-                        out[e] = s
-            return out
-        return self._alg.mul(a, b)
-
-    def power(self, a, n):
-        out = self.one()
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
-    def eq(self, a, b):
-        return self.is_zero(self.sub(a, b))
-
-    def is_zero(self, a):
-        if self._alg is None:
-            return not a
-        return self._alg.is_zero(a)
+    def refuse_non_generators(self, names, what):
+        extra = sorted(set(names) - set(self.generators()))
+        if extra:
+            raise ValueError(f"{what} for {extra}, which are not generators")
 
     def psi_coeff(self, c):
         return self._sigma(c) if self._sigma is not None else c
 
     def psi(self, a):
-        if self._alg is None:
-            out = self.zero()
-            for e, c in a.items():
-                term = self.from_coeff(self.psi_coeff(c))
-                for var, k in zip(self.shape.vars, e):
-                    for _ in range(k):
-                        term = self.mul(term, self.psi_gen_images[var])
-                out = self.add(out, term)
-            return out
-        out = self.zero()
-        for c, img in zip(a, self._psi_basis):
+        """sum psi(c) * psi(key) over the terms c * key of a."""
+        A = self.A
+        out = A.zero()
+        for key, c in A.terms(a):
             if not self.W.is_zero(c):
-                out = self.add(out, self.scale(self.psi_coeff(c), img))
+                first, *rest = self._psi_factors(key)
+                term = A.scale(self.psi_coeff(c), first)
+                for f in rest:
+                    term = A.mul(term, f)
+                out = A.add(out, term)
         return out
+
+    @cached_property
+    def _psi_factors(self):
+        """key -> the psi-images whose product is psi(key): a basis element's
+        image, or a monomial's generator images in variable order.  Scaling a
+        cached product instead would reorder terms when psi(c) is not a unit."""
+        if not isinstance(self.shape, PolyShape):
+            basis = self._psi_basis
+            return lambda i: basis[i:i + 1]
+        vars, images, one = self.shape.vars, self.psi_gen_images, [self.A.one()]
+        return lambda e: [images[v] for v, k in zip(vars, e) for _ in range(k)] or one
 
     @cached_property
     def _psi_basis(self):
         """psi of each basis element of a finite shape; psi is semilinear over
         psi_coeff, so these images fix it."""
+        A, images = self.A, self.psi_gen_images
         if isinstance(self.shape, MonicQuotientShape):
-            img = self.psi_gen_images[self.shape.var]
-            return [self.power(img, i) for i in range(len(self._alg.basis))]
-        return [self.one()] + [self.psi_gen_images[b] for b in self.shape.basis[1:]]
-
-    def scale(self, c, a):
-        if self._alg is None:
-            out = {e: self.W.mul(c, v) for e, v in a.items()}
-            return {e: v for e, v in out.items() if not self.W.is_zero(v)}
-        return self._alg.scale(c, a)
+            return [A.pow(images[self.shape.var], i) for i in range(len(A.basis))]
+        return [A.one()] + [images[b] for b in self.shape.basis[1:]]
 
     def residues(self, a):
         """Coefficient residues mod p, keyed for witness reporting."""
         W = self.W
-        items = a.items() if self._alg is None else enumerate(a)
-        out = {e: W.residue(c) for e, c in items}
+        out = {e: W.residue(c) for e, c in self.A.terms(a)}
         return {e: r for e, r in out.items() if not W.residue_ring().is_zero(r)}
 
     def lowered(self):
         """The same presentation one precision digit down."""
         Wl = self.W.lower()
-
-        def down(c):
-            return self.W.truncate_to(Wl, c)
-
+        down = partial(self.W.truncate_to, Wl)
         if isinstance(self.shape, PolyShape):
             shape = self.shape
         elif isinstance(self.shape, MonicQuotientShape):
@@ -241,85 +282,52 @@ class PsiRingPresentation:
                                           for i, j, vec in self.shape.mult))
         return PsiRingPresentation(
             W=Wl, shape=shape, psi_on_coeffs=self.psi_on_coeffs,
-            psi_gen_images={k: self.map_coeffs(v, down) for k, v in
+            psi_gen_images={k: self.A.map_coeffs(v, down) for k, v in
                             self.psi_gen_images.items()})
-
-    def map_coeffs(self, a, fn):
-        if self._alg is None:
-            return {e: fn(c) for e, c in a.items()}
-        return tuple(fn(c) for c in a)
-
-    def divide_by_p(self, a):
-        """(1/p) a, exactly, landing one precision digit down."""
-        return self.map_coeffs(a, self.W.divide_by_p)
-
-    def sample(self, rng):
-        if self._alg is None:
-            out = self.zero()
-            for _ in range(SAMPLE_TERMS):
-                e = tuple(rng.randrange(SAMPLE_DEGREE + 1) for _ in self.shape.vars)
-                out = self.add(out, {e: self.W.rand(rng)})
-            return out
-        return tuple(self.W.rand(rng) for _ in self._alg.basis)
-
-    def repr_elem(self, a):
-        if self._alg is None:
-            if not a:
-                return "0"
-            bits = []
-            for e, c in sorted(a.items()):
-                mono = "*".join(f"{v}^{k}" if k > 1 else v
-                                for v, k in zip(self.shape.vars, e) if k)
-                bits.append(f"{c!r}*{mono}" if mono else repr(c))
-            return " + ".join(bits)
-        bits = [f"{c!r}*{n}" for c, n in zip(a, self._alg.basis)
-                if not self.W.is_zero(c)]
-        return " + ".join(bits) if bits else "0"
 
     def verify_psi_well_defined(self):
         """psi must preserve the relations; returns None or a description."""
+        A = self.A
         for g in self.generators():
-            if g not in self.psi_gen_images:
+            img = self.psi_gen_images.get(g)
+            if img is None:
                 return f"no psi image for generator {g}"
-            n = None if self._alg is None else len(self._alg.basis)
-            if n is not None and len(self.psi_gen_images[g]) != n:
-                return f"psi({g}) has {len(self.psi_gen_images[g])} coordinates, not {n}"
+            if not isinstance(self.shape, PolyShape) and len(img) != len(A.basis):
+                return f"psi({g}) has {len(img)} coordinates, not {len(A.basis)}"
         if isinstance(self.shape, PolyShape):
             return None
         if isinstance(self.shape, MonicQuotientShape):
             # psi(m) = psi(m_0 + ... + m_(d-1) x^(d-1)) + psi(m_d) psi(x)^d
-            monic, d = self.shape.monic, len(self._alg.basis)
-            top = self.power(self.psi_gen_images[self.shape.var], d)
-            acc = self.add(self.psi(monic[:d]), self.scale(self.psi_coeff(monic[d]), top))
-            if not self.is_zero(acc):
-                return f"psi(monic relation) = {self.repr_elem(acc)} != 0"
+            monic, d = self.shape.monic, len(A.basis)
+            top = A.pow(self.psi_gen_images[self.shape.var], d)
+            acc = A.add(self.psi(monic[:d]), A.scale(self.psi_coeff(monic[d]), top))
+            if not A.is_zero(acc):
+                return f"psi(monic relation) = {A.repr_elem(acc)} != 0"
             return None
-        for (i, j), vec in self._alg.mult.items():
+        for (i, j), vec in A.mult.items():
             lhs = self.psi(tuple(vec))
-            rhs = self.mul(self._psi_basis[i], self._psi_basis[j])
-            if not self.eq(lhs, rhs):
+            rhs = A.mul(self._psi_basis[i], self._psi_basis[j])
+            if not A.eq(lhs, rhs):
                 return f"psi not multiplicative on basis pair ({i},{j})"
         return None
 
     def to_json(self):
-        W = self.W
-        enc = W.encode
+        enc = self.W.encode
 
-        def elem(a):
-            if isinstance(self.shape, PolyShape):
-                return [[list(e), enc(c)] for e, c in sorted(a.items())]
+        def vec(a):
             return [enc(c) for c in a]
 
+        elem = vec
         if isinstance(self.shape, PolyShape):
             shape = {"kind": "poly", "vars": list(self.shape.vars)}
+            elem = self.A.encode
         elif isinstance(self.shape, MonicQuotientShape):
             shape = {"kind": "monic_quotient", "var": self.shape.var,
-                     "monic": [enc(c) for c in self.shape.monic]}
+                     "monic": vec(self.shape.monic)}
         else:
             shape = {"kind": "finite_free", "basis": list(self.shape.basis),
-                     "mult": [[i, j, [enc(c) for c in vec]]
-                              for i, j, vec in self.shape.mult]}
-        return {"ring": W.descriptor(), "shape": shape,
+                     "mult": [[i, j, vec(v)] for i, j, v in self.shape.mult]}
+        return {"ring": self.W.descriptor(), "shape": shape,
                 "psi_on_coeffs": self.psi_on_coeffs,
                 "psi_gen_images": {k: elem(v) for k, v in self.psi_gen_images.items()}}
 
@@ -331,23 +339,23 @@ class PsiRingPresentation:
         sh = json_typed(data["shape"], dict, "the shape")
         kind = json_typed(sh["kind"], str, "the shape kind")
 
-        def elem(a, what):
-            if kind == "poly":
-                return {e: dec(c) for e, c in json_terms(a, len(shape.vars), what)}
+        def vec(a, what):
             return tuple(dec(c) for c in json_typed(a, list, what))
 
         def entry(t):
             if not (isinstance(t, list) and len(t) == 3):
                 raise MalformedData(f"a table entry is [i, j, coordinates], not {t!r:.60}")
-            i, j, vec = t
+            i, j, v = t
             return (json_typed(i, int, "a table index"), json_typed(j, int, "a table index"),
-                    elem(vec, f"table entry ({i},{j})"))
+                    vec(v, f"table entry ({i},{j})"))
 
+        elem = vec
         if kind == "poly":
             shape = PolyShape(json_names(sh["vars"], "shape vars"))
+            elem = PolyRing(W, shape.vars).decode
         elif kind == "monic_quotient":
             shape = MonicQuotientShape(json_typed(sh["var"], str, "shape var"),
-                                       elem(sh["monic"], "shape monic"))
+                                       vec(sh["monic"], "shape monic"))
         elif kind == "finite_free":
             shape = FiniteFreeShape(json_names(sh["basis"], "shape basis"),
                                     tuple(entry(t) for t in json_typed(sh["mult"], list,
@@ -423,7 +431,7 @@ def wilkerson_check(pres, sample_bound=25, seed=0):
     congruences propagate to the whole ring; the samples re-verify that
     argument empirically.  The recorded meta carries the justification.
     """
-    W = pres.W
+    W, A = pres.W, pres.A
     p = W.p
     bad = pres.verify_psi_well_defined()
     if bad is not None:
@@ -431,7 +439,7 @@ def wilkerson_check(pres, sample_bound=25, seed=0):
     checks = []
     for g in pres.generators():
         gv = pres.gen(g)
-        diff = pres.sub(pres.psi(gv), pres.power(gv, p))
+        diff = A.sub(pres.psi(gv), A.pow(gv, p))
         res = pres.residues(diff)
         checks.append(CheckResult(f"generator[{g}]", not res,
                                   None if not res else f"psi({g}) - {g}^{p} has "
@@ -446,12 +454,12 @@ def wilkerson_check(pres, sample_bound=25, seed=0):
                                   None if ok else f"psi(t) - t^{p} = {diff!r}"))
     rng = random.Random(seed)
     for i in range(sample_bound):
-        e = pres.sample(rng)
-        diff = pres.sub(pres.psi(e), pres.power(e, p))
+        e = A.rand(rng)
+        diff = A.sub(pres.psi(e), A.pow(e, p))
         res = pres.residues(diff)
         checks.append(CheckResult(f"sample[{i}]", not res,
                                   None if not res else
-                                  f"element {pres.repr_elem(e)}: residues {res}"))
+                                  f"element {A.repr_elem(e)}: residues {res}"))
     meta = {"seed": seed, "p": p, "N": W.N,
             "justification": "mod p, psi and the p-th power map are both ring "
                              "homomorphisms, so generator congruences imply the "
@@ -474,12 +482,12 @@ def derive_theta(pres):
 
 def theta_of(pres, elem):
     """theta on an arbitrary element, by exact division at precision N-1."""
-    p = pres.W.p
-    diff = pres.sub(pres.psi(elem), pres.power(elem, p))
+    A = pres.A
+    diff = A.sub(pres.psi(elem), A.pow(elem, pres.W.p))
     try:
-        return pres.divide_by_p(diff)
+        return A.map_coeffs(diff, pres.W.divide_by_p)
     except NotDivisible as e:
-        raise CongruenceFails((pres.repr_elem(elem), e.witness))
+        raise CongruenceFails((A.repr_elem(elem), e.witness))
 
 
 def theta_consistency(pres, samples=20, seed=0):
@@ -490,43 +498,38 @@ def theta_consistency(pres, samples=20, seed=0):
     verified exactly at precision N-1 on seeded random pairs.
     """
     import math
-    W = pres.W
+    W, A = pres.W, pres.A
     p = W.p
-    low = pres.lowered()
+    L, Wl = pres.lowered().A, W.lower()
     rng = random.Random(seed)
     checks = []
     for i in range(samples):
-        a = pres.sample(rng)
-        b = pres.sample(rng)
+        a = A.rand(rng)
+        b = A.rand(rng)
         ta, tb = theta_of(pres, a), theta_of(pres, b)
-        al, bl = low_elem(pres, low, a), low_elem(pres, low, b)
+        al, bl = (A.map_coeffs(x, partial(W.truncate_to, Wl)) for x in (a, b))
         # addition rule
-        lhs = theta_of(pres, pres.add(a, b))
-        cross = low.zero()
+        lhs = theta_of(pres, A.add(a, b))
+        cross = L.zero()
         for j in range(1, p):
-            coeff = low.W.from_int(math.comb(p, j) // p)
-            term = low.mul(low.power(al, j), low.power(bl, p - j))
-            cross = low.add(cross, low.scale(coeff, term))
-        rhs = low.sub(low.add(ta, tb), cross)
-        ok = low.eq(lhs, rhs)
+            coeff = Wl.from_int(math.comb(p, j) // p)
+            term = L.mul(L.pow(al, j), L.pow(bl, p - j))
+            cross = L.add(cross, L.scale(coeff, term))
+        rhs = L.sub(L.add(ta, tb), cross)
+        ok = L.eq(lhs, rhs)
         checks.append(CheckResult(f"theta_add[{i}]", ok,
                                   None if ok else
-                                  f"a={pres.repr_elem(a)} b={pres.repr_elem(b)}"))
+                                  f"a={A.repr_elem(a)} b={A.repr_elem(b)}"))
         # multiplication rule
-        lhs = theta_of(pres, pres.mul(a, b))
-        rhs = low.add(low.add(low.mul(ta, low.power(bl, p)),
-                              low.mul(low.power(al, p), tb)),
-                      low.scale(low.W.from_int(p), low.mul(ta, tb)))
-        ok = low.eq(lhs, rhs)
+        lhs = theta_of(pres, A.mul(a, b))
+        rhs = L.add(L.add(L.mul(ta, L.pow(bl, p)), L.mul(L.pow(al, p), tb)),
+                    L.scale(Wl.from_int(p), L.mul(ta, tb)))
+        ok = L.eq(lhs, rhs)
         checks.append(CheckResult(f"theta_mul[{i}]", ok,
                                   None if ok else
-                                  f"a={pres.repr_elem(a)} b={pres.repr_elem(b)}"))
+                                  f"a={A.repr_elem(a)} b={A.repr_elem(b)}"))
     return CongruenceReport.from_checks(checks, meta={"seed": seed,
                                                       "precision": W.N - 1})
-
-
-def low_elem(pres, low, a):
-    return pres.map_coeffs(a, lambda c: pres.W.truncate_to(low.W, c))
 
 
 def gamma_congruence_check(sigma, algebra, degree_bound=2, seed=0):
@@ -632,27 +635,28 @@ def frobenius_congruence_comodule(l1, pres, psi1_gens, seed=0):
         raise CharacteristicMismatch(f"base {k!r} is not of characteristic {k.p}")
     if l1.W.residue_ring().descriptor() != k.descriptor():
         raise CharacteristicMismatch("A[1] residues do not land in the base field")
-    p = k.p
+    pres.refuse_non_generators(psi1_gens, "psi1")
+    A, p = pres.A, k.p
     checks = []
     composite = {}
     for g in pres.generators():
-        out = pres.zero()
+        out = A.zero()
         for a, b in psi1_gens[g]:
-            out = pres.add(out, pres.scale(l1.can_star(a), b))
+            out = A.add(out, A.scale(l1.can_star(a), b))
         composite[g] = out
-        ok = pres.eq(out, pres.power(pres.gen(g), p))
+        ok = A.eq(out, A.pow(pres.gen(g), p))
         checks.append(CheckResult(f"generator[{g}]", ok,
                                   None if ok else
-                                  f"composite({g}) = {pres.repr_elem(out)} != {g}^{p}"))
+                                  f"composite({g}) = {A.repr_elem(out)} != {g}^{p}"))
     # the composite is a ring endomorphism; extend to samples through it
     rng = random.Random(seed)
     sub = PsiRingPresentation(W=k, shape=pres.shape, psi_on_coeffs="id",
                               psi_gen_images=composite)
     for i in range(COMODULE_SAMPLES):
-        e = pres.sample(rng)
-        ok = pres.eq(sub.psi(e), pres.power(e, p))
+        e = A.rand(rng)
+        ok = A.eq(sub.psi(e), A.pow(e, p))
         checks.append(CheckResult(f"sample[{i}]", ok,
-                                  None if ok else f"element {pres.repr_elem(e)}"))
+                                  None if ok else f"element {A.repr_elem(e)}"))
     return CongruenceReport.from_checks(checks, meta={"seed": seed})
 
 

@@ -403,8 +403,9 @@ def verify_bialgebra(gamma):
                       f"(id x eps)Delta={G.counit_right(k, D)} want {v}")
             add_check(f"delta_cocomm[{k},{a}]", D == D.transpose(),
                       f"Delta not symmetric: {D.to_json()}")
-            lhs3 = _delta_then(G, k, D, 0)
-            rhs3 = _delta_then(G, k, D, 1)
+            terms = _delta_leg(G, k, {(a,): R.one()}, 0)  # the terms of D
+            lhs3 = _delta_leg(G, k, terms, 0)
+            rhs3 = _delta_leg(G, k, terms, 1)
             add_check(f"delta_coassoc[{k},{a}]", lhs3 == rhs3,
                       "iterated comultiplications differ")
 
@@ -451,24 +452,21 @@ def _weight_triples(kmax):
                 yield k, l, m
 
 
-def _delta_then(G, k, D, leg):
-    """Delta applied to leg 0 (left) or leg 1 (right) of a canonical tensor
-    matrix, as a 3-index dict."""
+def _delta_leg(G, k, terms, pos):
+    """Delta applied to one leg of {(c_1, ..., c_d): coefficient}: index pos,
+    the basis element c of Gamma[k], becomes the pair (u, v) of each term of
+    Delta(gamma_c), and zero coefficients are dropped."""
     R = G.ring
     out = {}
-    for u in range(G.rank(k)):
-        for v in range(G.rank(k)):
-            c = D.rows[u][v]
-            if R.is_zero(c):
-                continue
-            Dx = G.delta[k][(u, v)[leg]]
-            for a in range(G.rank(k)):
-                for b in range(G.rank(k)):
-                    cc = Dx.rows[a][b]
-                    if R.is_zero(cc):
-                        continue
-                    key = (u, a, b) if leg else (a, b, v)
-                    out[key] = R.add(out.get(key, R.zero()), R.mul(cc, c))
+    for key, coeff in terms.items():
+        D = G.delta[k][key[pos]]
+        for u in range(G.rank(k)):
+            for v in range(G.rank(k)):
+                cc = D.rows[u][v]
+                if R.is_zero(cc):
+                    continue
+                nk = key[:pos] + (u, v) + key[pos + 1:]
+                out[nk] = R.add(out.get(nk, R.zero()), R.mul(coeff, cc))
     return {key: x for key, x in out.items() if not R.is_zero(x)}
 
 
@@ -1105,33 +1103,17 @@ class FreeGammaAlgebra(FiniteAlgebra):
             out[self._index[(self.generators.index((m, k + l, b)),)]] = coeff
         return tuple(out)
 
-    def _iterated_delta(self, l, c, d):
-        """Delta^(d) of gamma^l_c as {(c_1..c_d): coefficient}."""
-        G, R = self.gamma, self.gamma.ring
-        terms = {(c,): R.one()}
-        for _ in range(d - 1):
-            new = {}
-            for key, coeff in terms.items():
-                D = G.delta[l][key[-1]]
-                for u in range(G.rank(l)):
-                    for v in range(G.rank(l)):
-                        cc = D.rows[u][v]
-                        if R.is_zero(cc):
-                            continue
-                        nk = key[:-1] + (u, v)
-                        val = R.mul(coeff, cc)
-                        new[nk] = R.add(new.get(nk, R.zero()), val)
-            terms = {k: v for k, v in new.items() if not R.is_zero(v)}
-        return terms
-
     def act_mono(self, l, c, mono):
         """gamma^l_c acting on a basis monomial, as a coordinate vector."""
         G, R = self.gamma, self.gamma.ring
         d = len(mono)
         if d == 0:
             return self.scale(G.eps[l][c], self.unit)
+        terms = {(c,): R.one()}  # Delta^(d) of gamma^l_c, {(c_1..c_d): coefficient}
+        for last in range(d - 1):
+            terms = _delta_leg(G, l, terms, last)
         out = self.zero()
-        for key, coeff in self._iterated_delta(l, c, d).items():
+        for key, coeff in terms.items():
             vec = self.unit
             for gidx, ci in zip(mono, key):
                 vec = self.mul(vec, self._gen_act(gidx, l, ci))

@@ -70,6 +70,38 @@ def test_congruence_comodule(tmp_path, capsys):
     assert run(["congruence", "--comodule-file", str(f)]) == 1
 
 
+def _theta_and_comodule_files(tmp_path, theta_vars, theta_images, com_vars, psi1):
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"ring": {"p": 2, "N": 3},
+                                 "shape": {"kind": "poly", "vars": theta_vars},
+                                 "psi_gen_images": theta_images}))
+    com = tmp_path / "com.json"
+    com.write_text(json.dumps({"base": {"p": 2, "N": 1}, "vars": com_vars,
+                               "l1": {"ring": {"p": 2, "N": 3}}, "psi1": psi1}))
+    return (["theta", "check", "--file", str(theta), "--samples", "0"],
+            ["congruence", "--comodule-file", str(com)])
+
+
+def test_repeated_generator_names_exit_2(tmp_path, capsys):
+    # psi(x_2) = x_1^2 is no Frobenius lift; with both named x it used to pass
+    theta, com = _theta_and_comodule_files(
+        tmp_path, ["x", "x"], {"x": [[[2, 0], "1"]]},
+        ["y", "y"], {"y": [["1", [[[2, 0], "1"]]]]})
+    for argv in (theta, com):
+        assert run(argv) == 2
+        assert "must name each variable once" in capsys.readouterr().err
+
+
+def test_images_of_non_generators_exit_2(tmp_path, capsys):
+    theta, com = _theta_and_comodule_files(
+        tmp_path, ["x"], {"x": [[[2], "1"]], "y": [[[1], "1"]]},
+        ["y"], {"y": [["1", [[[2], "1"]]]], "z": [["1", [[[1], "1"]]]]})
+    for argv, name in ((theta, "'y'"), (com, "'z'")):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert name in err and "not generators" in err
+
+
 def test_weights_gcd_table(capsys):
     assert run(["weights", "gcd", "--max", "20"]) == 0
     out = capsys.readouterr().out

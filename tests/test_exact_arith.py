@@ -329,3 +329,21 @@ def test_residue_and_frobenius_are_ring_maps(W, data):
         assert T.eq(phi(W.one()), T.one())
         assert T.eq(phi(W.add(a, b)), T.add(phi(a), phi(b)))
         assert T.eq(phi(W.mul(a, b)), T.mul(phi(a), phi(b)))
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_pow_squares_only_what_it_uses(n):
+    # square-and-multiply: one product per set bit, one squaring per bit after
+    # the lowest; no squaring after the last bit
+    W = WittCoefRing(2, 8, ext=[1, 1, 1])
+    a = W.elem((3, 5))
+    calls = []
+    mul = W.mul
+    W.mul = lambda x, y: calls.append(1) or mul(x, y)
+    r = W.pow(a, n)
+    assert len(calls) == bin(n).count("1") + n.bit_length() - 1
+    del W.mul
+    expected = W.one()
+    for _ in range(n):
+        expected = W.mul(expected, a)
+    assert r == expected

@@ -413,3 +413,18 @@ def test_one_term_operand_in_u_takes_the_packed_path(L):
             # u1^U * u1 has u-degree U + 1 and is dropped
             assert all(sum(ue) <= U for c in got.terms.values() for ue in c.terms)
             assert any(sum(ue) == U for c in got.terms.values() for ue in c.terms)
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_series_pow_squares_only_what_it_uses(n):
+    x, y = xy(Z8, 24)
+    one = TruncSeries.one(Z8, ("x", "y"), 24)
+    a = one + x + x * y
+    expected = one
+    for _ in range(n):
+        expected = expected * a
+    with mock.patch.object(TruncSeries, "__mul__", autospec=True,
+                           side_effect=TruncSeries.__mul__) as mul:
+        r = a ** n
+    assert mul.call_count == bin(n).count("1") + n.bit_length() - 1
+    assert r == expected

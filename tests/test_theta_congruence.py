@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fglcheck.exact_arith import WittCoefRing
 from fglcheck.linalg import Mat
+from fglcheck.series import TruncSeries
 from fglcheck.theta_congruence import (CharacteristicMismatch, CongruenceFails,
                                        FiniteFreeShape, FrobeniusClassSpec,
                                        IllDefinedPsi, L1Data,
-                                       MonicQuotientShape, PolyShape,
+                                       MonicQuotientShape, PolyRing, PolyShape,
                                        PsiRingPresentation,
                                        congruence_stability_under_class_change,
                                        derive_theta,
@@ -30,7 +33,7 @@ def test_frobenius_psi_passes():
     P = poly_pres(Z32, {"x": {(2,): Z32.one()}})
     assert wilkerson_check(P).verdict
     td = derive_theta(P)
-    assert td.lowered.is_zero(td.theta_gens["x"])
+    assert td.lowered.A.is_zero(td.theta_gens["x"])
 
 
 def test_identity_psi_fails_with_witness():
@@ -58,7 +61,7 @@ def test_theta_integer_values():
     P3 = PsiRingPresentation(W=WittCoefRing(3, 4), shape=PolyShape(()))
     th3 = theta_of(P3, P3.from_coeff(P3.W.from_int(2)))
     assert list(th3.values())[0] == P3.W.lower().from_int(-2)
-    assert theta_of(P, P.zero()) == {}
+    assert theta_of(P, P.A.zero()) == {}
 
 
 def test_theta_identities_on_quotient():
@@ -111,7 +114,7 @@ def test_finite_free_shape():
                             psi_gen_images={"b": (z, z)})  # psi(b) = 0 = b^2
     assert wilkerson_check(P).verdict
     td = derive_theta(P)
-    assert td.lowered.is_zero(td.theta_gens["b"])
+    assert td.lowered.A.is_zero(td.theta_gens["b"])
 
 
 def test_gamma_congruence_paths():
@@ -196,3 +199,118 @@ def test_weight_p_squares_samples_a_large_ring(monkeypatch):
 
     monkeypatch.setattr(WittCoefRing, "elements", bounded)
     assert verify_weight_p_squares(2, 20).verdict
+
+
+def test_poly_ring_refuses_repeated_names():
+    with pytest.raises(ValueError, match="once"):
+        PolyRing(Z32, ("x", "x"))
+    with pytest.raises(ValueError, match="once"):
+        poly_pres(Z32, {"x": {(2, 0): Z32.one()}}, vars=("x", "x"))
+
+
+def test_images_of_non_generators_are_refused():
+    with pytest.raises(ValueError, match="not generators"):
+        poly_pres(Z32, {"x": {(2,): Z32.one()}, "y": {(1,): Z32.one()}})
+    F2 = WittCoefRing(2, 1)
+    B = PsiRingPresentation(W=F2, shape=PolyShape(("y",)))
+    l1 = L1Data(W=WittCoefRing(2, 3))
+    psi1 = {"y": [(l1.W.one(), {(2,): F2.one()})], "z": [(l1.W.one(), {(1,): F2.one()})]}
+    with pytest.raises(ValueError, match="not generators"):
+        frobenius_congruence_comodule(l1, B, psi1)
+
+
+# PolyRing against TruncSeries at a bound above every degree drawn, where
+# truncation drops nothing
+ORACLE_RINGS = [WittCoefRing(2, 3), WittCoefRing(3, 2), WittCoefRing(2, 2, ext=[1, 1, 1])]
+ORACLE_BOUND = 64
+
+
+def _draw_poly(data, W, nvars, label):
+    coeff = st.tuples(*[st.integers(0, W.modulus - 1)] * W.f).map(W.elem)
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    terms = data.draw(st.lists(st.tuples(exps, coeff), max_size=4), label=label)
+    out = {}
+    for e, c in terms:
+        out[e] = c
+    return {e: c for e, c in out.items() if not W.is_zero(c)}
+
+
+def _psi_per_variable(P, a):
+    """psi as computed term by term before PolyRing: psi(c), then times each
+    generator image, one variable power at a time."""
+    A = P.A
+    out = {}
+    for e, c in a.items():
+        term = P.from_coeff(P.psi_coeff(c))
+        for var, k in zip(P.shape.vars, e):
+            for _ in range(k):
+                term = A.mul(term, P.psi_gen_images[var])
+        out = A.add(out, term)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_poly_ring_matches_truncated_series(data):
+    W = data.draw(st.sampled_from(ORACLE_RINGS), label="ring")
+    vars = ("x", "y")[:data.draw(st.integers(1, 2), label="nvars")]
+    A = PolyRing(W, vars)
+    a, b = (_draw_poly(data, W, len(vars), label) for label in "ab")
+    n = data.draw(st.integers(0, 4), label="n")
+
+    def series(f):
+        return TruncSeries(W, vars, ORACLE_BOUND, f)
+
+    p = W.from_int(W.p)
+    assert A.add(a, b) == (series(a) + series(b)).terms
+    assert A.sub(a, b) == (series(a) - series(b)).terms
+    assert A.mul(a, b) == (series(a) * series(b)).terms
+    assert A.pow(a, n) == (series(a) ** n).terms
+    assert A.scale(p, a) == series(a).map_coefficients(lambda c: W.mul(p, c)).terms
+    assert A.decode(A.encode(a), "a") == a
+    for c in (*A.add(a, b).values(), *A.mul(a, b).values(), *A.pow(a, n).values()):
+        assert not W.is_zero(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_psi_on_polynomials_matches_per_variable_formula(data):
+    W = data.draw(st.sampled_from(ORACLE_RINGS), label="ring")
+    vars = ("x", "y")[:data.draw(st.integers(1, 2), label="nvars")]
+    images = {v: _draw_poly(data, W, len(vars), f"psi({v})") for v in vars}
+    coeffs = data.draw(st.sampled_from(["id", "sigma"]), label="psi_on_coeffs")
+    P = poly_pres(W, images, coeffs, vars)
+    for label in ("a", "b"):
+        a = _draw_poly(data, W, len(vars), label)
+        # equal as dicts and in term order, which witnesses print
+        assert list(P.psi(a).items()) == list(_psi_per_variable(P, a).items())
+
+
+# witnesses list residues in the order the terms first appear; these two were
+# read from the dict-loop implementation that PolyRing replaced.  The first
+# changes if psi scales a cached monomial image (psi(c) = 12 is not a unit),
+# the second if pow squares instead of multiplying in from the left.
+PINNED_WITNESS_ORDER = [
+    ({"ring": {"p": 2, "N": 4}, "shape": {"kind": "poly", "vars": ["x", "y"]},
+      "psi_on_coeffs": "sigma",
+      "psi_gen_images": {"x": [[[0, 2], "3"]],
+                         "y": [[[0, 1], "9"], [[2, 1], "9"], [[0, 3], "2"], [[3, 1], "14"],
+                               [[0, 2], "1"]]}},
+     2, 5, "sample[1]",
+     "element <12 mod 2^4>*x*y^2 + <5 mod 2^4>*x^2 + <11 mod 2^4>*x^2*y^2: residues "
+     "{(0, 4): <1 mod 2^1>, (4, 4): <1 mod 2^1>, (0, 6): <1 mod 2^1>, "
+     "(0, 8): <1 mod 2^1>, (4, 6): <1 mod 2^1>, (4, 0): <1 mod 2^1>}"),
+    ({"ring": {"p": 3, "N": 1}, "shape": {"kind": "poly", "vars": ["x"]},
+      "psi_on_coeffs": "id", "psi_gen_images": {"x": [[[1], "2"]]}},
+     0, 25, "sample[3]",
+     "element <1 mod 3^1> + <2 mod 3^1>*x + <2 mod 3^1>*x^2: residues "
+     "{(1,): <1 mod 3^1>, (2,): <2 mod 3^1>, (3,): <1 mod 3^1>, (6,): <1 mod 3^1>}"),
+]
+
+
+@pytest.mark.parametrize("doc, seed, samples, check, witness", PINNED_WITNESS_ORDER,
+                         ids=["psi", "pow"])
+def test_witnesses_keep_the_order_terms_appear(doc, seed, samples, check, witness):
+    P = PsiRingPresentation.from_json(doc)
+    rep = wilkerson_check(P, sample_bound=samples, seed=seed)
+    assert dict(rep.witnesses)[check] == witness
