@@ -10,6 +10,7 @@ wall-clock timings only go to stdout).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -171,7 +172,11 @@ def cmd_theta(args):
     pres = PsiRingPresentation.from_json(raw)
     digest = _digest(json.dumps(raw, sort_keys=True))
     rep = wilkerson_check(pres, sample_bound=args.samples, seed=args.seed)
-    if rep.verdict:
+    if rep.verdict and pres.W.N == 1:
+        rep.meta["theta"] = ("skipped: theta = (psi - x^p)/p lands at precision "
+                             "N - 1 = 0, the zero ring")
+        print(f"theta {rep.meta['theta']}")
+    elif rep.verdict:
         td = derive_theta(pres)
         for g, v in sorted(td.theta_gens.items()):
             print(f"theta({g}) = {td.lowered.A.repr_elem(v)}  (precision {td.lowered.W.N})")
@@ -278,6 +283,7 @@ def cmd_selftest(args):
     return _emit(rep, args, "selftest", _digest("selftest"))
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="fglcheck",
@@ -299,13 +305,11 @@ def build_parser():
     s.add_argument("--u-bound", type=nonnegative, default=2, dest="u_bound")
     s.add_argument("--degree-bound", type=positive, default=6, dest="degree_bound")
     common(s)
-    s.set_defaults(fn=cmd_fgl)
 
     s = sub.add_parser("graded", help="coherence suite for the twisted Z/2 category")
     s.add_argument("--p", type=prime, default=2)
     s.add_argument("--precision", type=int, default=3)
     common(s)
-    s.set_defaults(fn=cmd_graded)
 
     s = sub.add_parser("bialg", help="verify twisted bialgebra axioms")
     s.add_argument("--file", help="bialgebra JSON (structure constants)")
@@ -315,14 +319,12 @@ def build_parser():
                    help="also build and check the dual category scheme")
     s.add_argument("--points", help="ring descriptor JSON for point enumeration")
     common(s)
-    s.set_defaults(fn=cmd_bialg)
 
     s = sub.add_parser("theta", help="Wilkerson congruence and theta derivation")
     s.add_argument("action", choices=["check"])
     s.add_argument("--file", required=True, help="psi-ring presentation JSON")
     s.add_argument("--samples", type=nonnegative, default=25)
     common(s)
-    s.set_defaults(fn=cmd_theta)
 
     s = sub.add_parser("congruence", help="congruence checks and weight-p squares")
     s.add_argument("--height1", type=height1_spec,
@@ -331,27 +333,22 @@ def build_parser():
     s.add_argument("--comodule-file", help="comodule congruence data JSON")
     s.add_argument("--degree-bound", type=nonnegative, default=2, dest="degree_bound")
     common(s)
-    s.set_defaults(fn=cmd_congruence)
 
     s = sub.add_parser("weights", help="critical-weight arithmetic")
     ws = s.add_subparsers(dest="weights_cmd", required=True)
     g = ws.add_parser("gcd")
     g.add_argument("--max", type=at_least_two, default=100)
     common(g)
-    g.set_defaults(fn=cmd_weights)
     c = ws.add_parser("certify")
     c.add_argument("--m", type=nonnegative, required=True)
     c.add_argument("--p", type=prime, required=True)
     common(c)
-    c.set_defaults(fn=cmd_weights)
     e = ws.add_parser("epi")
     e.add_argument("--file", required=True)
     common(e)
-    e.set_defaults(fn=cmd_weights)
 
     s = sub.add_parser("selftest", help="run the full acceptance battery")
     common(s)
-    s.set_defaults(fn=cmd_selftest)
     return ap
 
 
@@ -362,7 +359,9 @@ def run(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # the command is looked up on the module at each call, not kept in the
+        # shared parser, so a command wrapped or replaced later is the one that runs
+        return globals()[f"cmd_{args.cmd}"](args)
     except (OSError, ValueError, KeyError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

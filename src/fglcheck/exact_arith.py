@@ -10,7 +10,15 @@ Elements are canonical: a ``WittElem`` holds exactly f integers in [0, p^N),
 so equal elements have equal coefficient tuples.  Coefficients are validated
 where they enter, at ``elem(tuple)``, ``decode`` and the ``from_json``
 loaders; ``reduced`` wraps results the ring has reduced itself (sums,
-products, residues) without checking them again.
+products, residues, ``from_int``) without checking them again.  ``zero()`` and
+``one()`` are built once per ring and shared, which is safe because elements
+are frozen.
+
+For f > 1 the ring builds the structure constants of (Z/p^N)[t]/(m) once:
+for each coordinate j, the triples (i, k, c) with c != 0 the t^j coordinate
+of t^(i+k).  ``mul`` sums c*a_i*b_k over them exactly and reduces mod p^N once
+per coordinate.  ``scalar(n, a)`` multiplies by an integer coordinate-wise,
+with no ring product.
 """
 
 from __future__ import annotations
@@ -322,25 +330,22 @@ class WittElem:
         return f"<{body} mod {self.ring.p}^{self.ring.N}>"
 
 
-def _poly_mul_mod(a, b, lift, q):
-    """Multiply coefficient tuples a, b mod (m, q) for the monic lift m."""
+def _structure_constants(lift, q):
+    """The multiplication table of (Z/q)[t]/(m) for the monic lift m of degree f.
+
+    Row j lists the triples (i, k, c) with c != 0 the t^j coordinate of
+    t^(i+k) mod (m, q), so the t^j coordinate of a*b is sum c*a_i*b_k.
+    """
     f = len(lift) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            prod[i + j] = (prod[i + j] + x * y) % q
-    # reduce by the monic polynomial: x^f = -(lift[0] + ... + lift[f-1] x^{f-1})
-    for k in range(len(prod) - 1, f - 1, -1):
-        c = prod[k]
-        if c == 0:
-            continue
-        prod[k] = 0
-        for j in range(f):
-            prod[k - f + j] = (prod[k - f + j] - c * lift[j]) % q
-    prod = prod[:f] + [0] * (f - len(prod))
-    return tuple(c % q for c in prod[:f])
+    powers = [tuple(int(i == j) for j in range(f)) for i in range(f)]
+    for _ in range(f - 1):
+        # t * t^e: shift up, then t^f = -(lift[0] + ... + lift[f-1] t^(f-1))
+        top = powers[-1][-1]
+        powers.append(tuple((lo - top * m) % q
+                            for lo, m in zip((0,) + powers[-1][:-1], lift)))
+    return tuple(tuple((i, k, powers[i + k][j]) for i in range(f) for k in range(f)
+                       if powers[i + k][j])
+                 for j in range(f))
 
 
 def _fp_poly_divmod(num, den, p):
@@ -420,6 +425,10 @@ class WittCoefRing(Ring):
             if [c % p for c in lift] != list(ext):
                 raise ValueError("lift does not reduce to ext mod p")
             self.lift = tuple(lift)
+            self._mul_table = _structure_constants(self.lift, self.modulus)
+        self._tail = (0,) * (self.f - 1)
+        self._zero = self.reduced((0,) + self._tail)
+        self._one = self.reduced((1,) + self._tail)
         self._frob = None
         self._residue_ring = None
         self._lower = None
@@ -431,9 +440,7 @@ class WittCoefRing(Ring):
         """The element with coefficients ``coeffs`` (an int, or a tuple low to high
         in t, padded with zeros), reduced mod p^N; a tuple is checked."""
         if isinstance(coeffs, int):
-            if self.f == 1:
-                return self.reduced((coeffs % self.modulus,))
-            coeffs = (coeffs,) + (0,) * (self.f - 1)
+            return self.from_int(coeffs)
         coeffs = tuple(c % self.modulus for c in coeffs)
         if len(coeffs) < self.f:
             coeffs = coeffs + (0,) * (self.f - len(coeffs))
@@ -459,10 +466,13 @@ class WittCoefRing(Ring):
         return self.elem((0, 1))
 
     def zero(self):
-        return self.elem(0)
+        return self._zero
+
+    def one(self):
+        return self._one
 
     def from_int(self, n):
-        return self.elem(n)
+        return self.reduced((n % self.modulus,) + self._tail)
 
     def add(self, a, b):
         q = self.modulus
@@ -477,13 +487,24 @@ class WittCoefRing(Ring):
     def mul(self, a, b):
         if self.f == 1:
             return self.reduced((a.coeffs[0] * b.coeffs[0] % self.modulus,))
-        return self.reduced(_poly_mul_mod(a.coeffs, b.coeffs, self.lift, self.modulus))
+        x, y = a.coeffs, b.coeffs
+        out = []
+        for row in self._mul_table:
+            s = 0
+            for i, k, c in row:
+                s += c * x[i] * y[k]
+            out.append(s % self.modulus)
+        return self.reduced(tuple(out))
+
+    def scalar(self, n, a):
+        q = self.modulus
+        return self.reduced(tuple(n * x % q for x in a.coeffs))
 
     def eq(self, a, b):
         return a.coeffs == b.coeffs
 
     def is_zero(self, a):
-        return all(c == 0 for c in a.coeffs)
+        return not any(a.coeffs)
 
     def is_unit(self, a):
         return any(c % self.p for c in a.coeffs)

@@ -257,11 +257,11 @@ def twisted_sum(G, k, g, vec, n, column):
         if moved is None:
             moved = [P.apply(g) for P in G.left_powers(k)]
         # eta(c) g = sum_i c_i L_t^i g for c = sum_i c_i t^i
-        terms = [(R.from_int(ci), Pg) for ci, Pg in zip(c.coeffs, moved) if ci]
+        terms = [(ci, Pg) for ci, Pg in zip(c.coeffs, moved) if ci]
         for j in range(len(g)):
             w = R.zero()
             for ci, Pg in terms:
-                w = R.add(w, R.mul(ci, Pg[j]))
+                w = R.add(w, R.scalar(ci, Pg[j]))
             if R.is_zero(w):
                 continue
             col = column(i, j)

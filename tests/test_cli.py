@@ -493,3 +493,58 @@ def _at(doc, where):
     for k in where:
         doc = doc[k]
     return doc
+
+
+def test_one_parser_serves_every_call_without_leaking_options(tmp_path, capsys):
+    from fglcheck import cli
+    assert cli.build_parser() is cli.build_parser()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run(["fgl", "--p", "4"]) == 2
+    assert run(["fgl", "--degree-bound", "5", "--json", str(first)]) == 0
+    assert json.loads(first.read_text())["report"]["meta"] == {"D": "5"}
+    first.unlink()
+    capsys.readouterr()
+    assert run(["fgl"]) == 0
+    assert "json report written" not in capsys.readouterr().out
+    assert not first.exists()
+    assert run(["fgl", "--json", str(second)]) == 0
+    assert json.loads(second.read_text())["report"]["meta"] == {"D": "6"}
+    assert not first.exists()
+
+
+def test_commands_are_looked_up_when_they_run(monkeypatch, capsys):
+    # the shared parser holds no command function, so one replaced on the
+    # module after the parser was built is the one that runs
+    from fglcheck import cli
+    assert run(["weights", "gcd", "--max", "3"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_weights", lambda args: seen.append(args.max) or 0)
+    assert run(["weights", "gcd", "--max", "4"]) == 0
+    assert seen == [4]
+
+
+def _theta_report(tmp_path, doc):
+    src, out = tmp_path / "theta.json", tmp_path / "report.json"
+    src.write_text(json.dumps(doc))
+    rc = run(["theta", "check", "--file", str(src), "--json", str(out)])
+    return rc, json.loads(out.read_text())["report"]
+
+
+def test_theta_at_precision_one_ends_in_the_wilkerson_verdict(tmp_path, capsys):
+    doc = {"ring": {"p": 5, "N": 1}, "shape": {"kind": "poly", "vars": ["x"]},
+           "psi_gen_images": {"x": [[[5], "1"]]}}
+    rc, rep = _theta_report(tmp_path, doc)
+    out = capsys.readouterr()
+    assert rc == 0 and rep["verdict"] == "pass" and "error" not in out.err
+    assert "precision N - 1 = 0" in rep["meta"]["theta"]
+    assert not any(c["name"].startswith("theta_") for c in rep["checks"])
+    doc["psi_gen_images"]["x"] = [[[1], "1"]]  # psi(x) = x is not x^5 mod 5
+    rc, rep = _theta_report(tmp_path, doc)
+    assert rc == 1 and rep["verdict"] == "fail" and "theta" not in rep["meta"]
+    assert rep["witnesses"][0]["check"] == "generator[x]"
+    assert "psi(x) - x^5 has residues" in rep["witnesses"][0]["witness"]
+    doc["ring"]["N"] = 2
+    doc["psi_gen_images"]["x"] = [[[5], "1"]]
+    rc, rep = _theta_report(tmp_path, doc)
+    assert rc == 0 and "theta" not in rep["meta"]
+    assert any(c["name"].startswith("theta_") for c in rep["checks"])

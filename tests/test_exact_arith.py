@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fglcheck.cli import run
-from fglcheck.exact_arith import (NotDivisible, RingMismatch,
-                                  WittCoefRing, is_prime, ring_from_descriptor)
+from fglcheck.exact_arith import (MalformedElement, NotDivisible, RingMismatch,
+                                  WittCoefRing, WittElem, is_prime, ring_from_descriptor)
 
 
 def test_zmod_products():
@@ -347,3 +347,133 @@ def test_pow_squares_only_what_it_uses(n):
     for _ in range(n):
         expected = W.mul(expected, a)
     assert r == expected
+
+
+def _poly_mul_mod(a, b, lift, q):
+    """Multiply coefficient tuples a, b mod (m, q) for the monic lift m: the
+    product-then-reduce loop the ring's structure constants replaced."""
+    f = len(lift) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % q
+    # reduce by the monic polynomial: x^f = -(lift[0] + ... + lift[f-1] x^{f-1})
+    for k in range(len(prod) - 1, f - 1, -1):
+        c = prod[k]
+        if c == 0:
+            continue
+        prod[k] = 0
+        for j in range(f):
+            prod[k - f + j] = (prod[k - f + j] - c * lift[j]) % q
+    prod = prod[:f] + [0] * (f - len(prod))
+    return tuple(c % q for c in prod[:f])
+
+
+# W(F_4), W(F_8), W(F_9) and W(F_16) by their polynomials mod p
+UNRAMIFIED = [(2, (1, 1, 1)), (2, (1, 1, 0, 1)), (3, (1, 0, 1)), (2, (1, 1, 0, 0, 1))]
+
+
+@st.composite
+def unramified_rings(draw, with_f1=False):
+    """An extension from UNRAMIFIED at N = 1..4 with a random monic lift, or
+    (with_f1) also Z/p^N."""
+    p, ext = draw(st.sampled_from(UNRAMIFIED + ([(3, None)] if with_f1 else [])))
+    N = draw(st.integers(1, 4))
+    if ext is None:
+        return _unramified_ring(p, N, None, None)
+    lift = tuple(c + p * draw(st.integers(0, p ** (N - 1) - 1)) for c in ext[:-1]) + (1,)
+    return _unramified_ring(p, N, ext, lift)
+
+
+@functools.lru_cache(maxsize=None)
+def _unramified_ring(p, N, ext, lift):
+    if ext is None:
+        return WittCoefRing(p, N)
+    return WittCoefRing(p, N, ext=list(ext), lift=list(lift))
+
+
+def _coords(W):
+    return st.tuples(*[st.integers(0, W.modulus - 1)] * W.f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unramified_rings(), st.data())
+def test_mul_matches_the_reduction_loop(W, data):
+    a, b = data.draw(_coords(W)), data.draw(_coords(W))
+    assert W.mul(W.elem(a), W.elem(b)).coeffs == _poly_mul_mod(a, b, W.lift, W.modulus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unramified_rings(with_f1=True), st.data())
+def test_scalar_matches_product_with_from_int(W, data):
+    q = W.modulus
+    a = W.elem(data.draw(_coords(W)))
+    n = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=q),
+                            st.integers(0, q - 1)))
+    assert W.scalar(n, a) == W.mul(W.from_int(n), a)
+    assert W.scalar(n, a).coeffs == _canonical(W, W.mul(W.from_int(n), a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(unramified_rings(with_f1=True), st.integers())
+def test_ring_made_constants_equal_checked_elements(W, n):
+    tail = (0,) * (W.f - 1)
+    assert W.zero() == W.elem((0,) + tail) and W.zero() is W.zero()
+    assert W.one() == W.elem((1,) + tail) and W.one() is W.one()
+    assert _canonical(W, W.from_int(n)) == W.elem((n,) + tail).coeffs
+    assert W.elem(n) == W.elem((n,) + tail)
+
+
+@pytest.mark.parametrize("W", [_unramified_ring(p, 2, ext, ext) for p, ext in UNRAMIFIED]
+                         + [WittCoefRing(3, 2)], ids=repr)
+def test_is_zero_on_one_nonzero_coordinate(W):
+    assert W.is_zero(W.elem((0,) * W.f))
+    for j in range(W.f):
+        for v in (1, W.p, W.modulus - 1):
+            a = W.elem(tuple(v if i == j else 0 for i in range(W.f)))
+            assert not W.is_zero(a)
+            assert W.is_zero(W.sub(a, a))
+
+
+def _validations(monkeypatch):
+    """Count WittElem.__post_init__ calls from here on."""
+    calls = []
+    check = WittElem.__post_init__
+
+    def counting(self):
+        calls.append(self.coeffs)
+        check(self)
+
+    monkeypatch.setattr(WittElem, "__post_init__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("ext", [[1, 1, 1], [1, 1, 0, 1]])
+def test_ring_made_elements_are_not_validated_again(monkeypatch, ext):
+    W = WittCoefRing(2, 3, ext=ext)
+    a = W.elem((3, 5) + (0,) * (W.f - 2))
+    b = W.elem((7,) * W.f)
+    calls = _validations(monkeypatch)
+    W.zero(), W.one(), W.from_int(-9), W.elem(12)
+    W.add(a, b), W.mul(a, b), W.scalar(-3, a), W.scalar(W.modulus + 1, b)
+    assert calls == []
+    # input still enters through the checks
+    assert W.elem((1, 2)).coeffs == (1, 2) + (0,) * (W.f - 2)
+    assert W.decode([str(c) for c in b.coeffs]) == b
+    assert len(calls) == 2
+    with pytest.raises(MalformedElement):
+        W.elem((1,) * (W.f + 1))
+    with pytest.raises(MalformedElement):
+        W.elem((1.5,) + (0,) * (W.f - 1))
+    with pytest.raises(MalformedElement):
+        W.decode(["1"] * (W.f + 1))
+    with pytest.raises(MalformedElement):
+        W.decode([1] * W.f)
+    with pytest.raises(MalformedElement):
+        WittElem(W, (W.modulus,) + (0,) * (W.f - 1))
+    with pytest.raises(MalformedElement):
+        WittElem(W, (-1,) + (0,) * (W.f - 1))
+    with pytest.raises(MalformedElement):
+        WittElem(W, (0,) * (W.f - 1))

@@ -370,3 +370,27 @@ def test_left_powers_follow_a_replaced_left_t():
     assert H.left_action(1, t) == Mat(G.ring, [[t + 1]])
     assert H.left_powers(1)[1] == H.left_t[1]
     assert G.left_action(1, t) == before == G.left_t[1]
+
+
+def test_twisted_sum_applies_integer_scalars_without_products():
+    # each Witt coordinate of a scalar acts through R.scalar; the ring products
+    # left are L_t^i applied to g and the ones with the column entries
+    k, n = 1, 3
+    g = (W.elem((5, 3)),)
+    vec = (W.elem((3, 5)), W.zero(), W.elem((0, 7)), W.elem((6, 0)))
+    cols = {(i, j): tuple(W.elem((i + r + 1, j + 2 * r)) for r in range(n))
+            for i in range(len(vec)) for j in range(len(g))}
+    operands = {id(x) for x in g} | {id(x) for col in cols.values() for x in col}
+    calls = []
+
+    def mul(a, b):
+        calls.append(b)
+        return WittCoefRing.mul(W, a, b)
+
+    W.mul = mul
+    try:
+        out = twisted_sum(G23, k, g, vec, n, lambda i, j: cols[(i, j)])
+    finally:
+        del W.mul
+    assert calls and all(id(b) in operands for b in calls)
+    assert out == _twisted_sum_by_matmul(G23, k, g, vec, n, lambda i, j: cols[(i, j)])
