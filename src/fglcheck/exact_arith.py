@@ -10,7 +10,8 @@ Elements are canonical: a ``WittElem`` holds exactly f integers in [0, p^N),
 so equal elements have equal coefficient tuples.  Coefficients are validated
 where they enter, at ``elem(tuple)``, ``decode`` and the ``from_json``
 loaders; ``reduced`` wraps results the ring has reduced itself (sums,
-products, residues, ``from_int``) without checking them again.  ``zero()`` and
+products, residues, ``from_int``, ``gen``, ``rand``, ``val_unit`` and
+``truncate_to``) without checking them again.  ``zero()`` and
 ``one()`` are built once per ring and shared, which is safe because elements
 are frozen.
 
@@ -289,12 +290,6 @@ class WittElem:
             return NotImplemented
         return self.ring.sub(self, other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.ring.sub(other, self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -302,9 +297,6 @@ class WittElem:
         return self.ring.mul(self, other)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return self.ring.pow(self, n)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -463,7 +455,7 @@ class WittCoefRing(Ring):
         """The class of t (only meaningful when f > 1)."""
         if self.f == 1:
             return self.one()
-        return self.elem((0, 1))
+        return self.reduced((0, 1) + self._tail[1:])
 
     def zero(self):
         return self._zero
@@ -551,7 +543,7 @@ class WittCoefRing(Ring):
         if self.is_zero(a):
             return None, a
         v = min((self._ival(c) for c in a.coeffs if c), default=self.N)
-        u = self.elem(tuple(c // self.p ** v for c in a.coeffs))
+        u = self.reduced(tuple(c // self.p ** v for c in a.coeffs))
         return v, u
 
     def _ival(self, c):
@@ -574,7 +566,7 @@ class WittCoefRing(Ring):
         return self.modulus ** self.f
 
     def rand(self, rng):
-        return self.elem(tuple(rng.randrange(self.modulus) for _ in range(self.f)))
+        return self.reduced(tuple(rng.randrange(self.modulus) for _ in range(self.f)))
 
     # precision handling
 
@@ -589,8 +581,8 @@ class WittCoefRing(Ring):
         return self._lower
 
     def truncate_to(self, other, a):
-        """Reduce a into the lower-precision ring ``other``."""
-        return other.elem(tuple(c % other.modulus for c in a.coeffs))
+        """Reduce a into ``other``, this ring at a lower precision."""
+        return other.reduced(tuple(c % other.modulus for c in a.coeffs))
 
     def divide_by_p(self, a):
         """Exact division by p; the result lives one precision digit lower."""

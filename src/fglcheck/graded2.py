@@ -33,16 +33,8 @@ from .report import CheckResult, CongruenceReport, SizeLimit
 from .series import ContextMismatch
 
 
-class NotInvertible(ValueError):
-    """Z-graded assembly needs the twisting object declared invertible."""
-
-
 class AmbiguousFlattening(ValueError):
     """Two basis labels of a tensor object flatten to the same atoms."""
-
-
-class NotZGraded(ValueError):
-    """The object was not assembled by from_z_graded."""
 
 
 def _cached(owner, key, build, *args):
@@ -80,10 +72,6 @@ class GradedObj:
 
     def __repr__(self):
         return f"GradedObj(rank {self.rank0}|{self.rank1})"
-
-    def to_json(self):
-        return {"basis0": [str(b) for b in self.basis0],
-                "basis1": [str(b) for b in self.basis1]}
 
 
 def unit_obj(ring):
@@ -263,9 +251,6 @@ class GradedMap:
         return (self.m0 == SignedPerm.identity(ring, self.m0.nrows)
                 and self.m1 == SignedPerm.identity(ring, self.m1.nrows))
 
-    def to_json(self):
-        return {"m0": self.m0.to_json(), "m1": self.m1.to_json()}
-
 
 def _identity(obj):
     return GradedMap(obj, obj, SignedPerm.identity(obj.ring, obj.rank0),
@@ -385,36 +370,6 @@ def _unitor(M, left):
     return GradedMap(src, M,
                      _signed_perm(M.ring, src.basis0, M.basis0, image),
                      _signed_perm(M.ring, src.basis1, M.basis1, image))
-
-
-def from_z_graded(ring, ranks, omega_invertible=True):
-    """Assemble {M^0, M^1} from a finitely supported Z-graded free module.
-
-    M^0 collects M_{2k} (x) omega^k and M^1 collects M_{2k-1} (x) omega^k;
-    labels remember (degree, index) so the assembly can be inverted.
-    """
-    if not omega_invertible:
-        raise NotInvertible("omega must be invertible to absorb Z-gradings")
-    b0, b1 = [], []
-    for q in sorted(ranks):
-        r = ranks[q]
-        if r < 0:
-            raise ValueError("ranks must be nonnegative")
-        target = b0 if q % 2 == 0 else b1
-        for i in range(r):
-            target.append(("zg", q, i))
-    return GradedObj(ring, tuple(b0), tuple(b1))
-
-
-def to_z_graded(obj):
-    """Inverse of from_z_graded on objects carrying ("zg", q, i) labels."""
-    ranks = {}
-    for lbl in list(obj.basis0) + list(obj.basis1):
-        if not (isinstance(lbl, tuple) and len(lbl) == 3 and lbl[0] == "zg"):
-            raise NotZGraded(f"label {lbl!r}: object was not built by "
-                             f"from_z_graded")
-        ranks[lbl[1]] = ranks.get(lbl[1], 0) + 1
-    return ranks
 
 
 def verify_coherence(ring, objects, interchange_fn=None, max_objects=5,

@@ -11,10 +11,11 @@ sum (gamma_u (x) gamma_v) . c_uv with all scalars pushed onto the right leg,
 which is a free basis presentation, so equality is matrix equality.
 
 Every finite commutative algebra here is a linalg.FiniteAlgebra on coordinate
-tuples: a Gamma-algebra is one together with its module, the dual algebras
-A[k] of the category scheme and the coefficient ring as a W-algebra are the
-presentations whose points are enumerated, and a free Gamma-algebra is one
-whose product concatenates monomials instead of reading a table.
+tuples: a Gamma-algebra is one with an action matrix per basis operation of
+Gamma, the dual algebras A[k] of the category scheme and the coefficient ring
+as a W-algebra are the presentations whose points are enumerated, and a free
+Gamma-algebra is one whose product concatenates monomials instead of reading
+a table.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def twisted_sum(G, k, g, vec, n, column):
 
     g is a weight-k element; the scalar vec_i crosses it through the left
     action on Gamma[k].  This is the one bilinear loop behind the product of
-    Gamma and the actions of Gamma on modules and free algebras.
+    Gamma and the actions of Gamma on Gamma-algebras and free algebras.
     """
     R = G.ring
     out = [R.zero()] * n
@@ -471,153 +472,26 @@ def _delta_leg(G, k, terms, pos):
 
 
 # ---------------------------------------------------------------------------
-# modules and algebras
-
-
-@dataclass
-class GammaModule:
-    """Finite free right module over a TwistedBialgebra, one matrix per basis op."""
-
-    gamma: TwistedBialgebra
-    basis: tuple
-    act: dict  # (weight, basis index) -> Mat on module coordinates
-
-    def dim(self):
-        return len(self.basis)
-
-    def act_basis_mat(self, k, a):
-        if (k, a) not in self.act:
-            raise IncompleteAction(f"no action stored for gamma[{k}] #{a}")
-        return self.act[(k, a)]
-
-    def apply(self, k, gcoords, vec):
-        """vec . (sum gamma_a g_a), with scalars twisting through the left action."""
-        return twisted_sum(self.gamma, k, gcoords, vec, self.dim(),
-                           lambda i, j: self.act_basis_mat(k, j).col(i))
-
-    def verify(self):
-        """1 acts as identity; composition matches mu; eta acts as scalars.
-
-        Composites are evaluated through apply (not by multiplying the basis
-        matrices), because acting on a coordinate vector twists the scalars
-        through the left action of R.
-        """
-        G, R = self.gamma, self.gamma.ring
-        checks = []
-        n = self.dim()
-        unit_mat = _module_elem_matrix(self, 0, G.unit)
-        checks.append(CheckResult("module_unit", unit_mat == Mat.identity(R, n),
-                                  None if unit_mat == Mat.identity(R, n)
-                                  else str(unit_mat.to_json())))
-        for (k, a), (l, b) in itertools.product(sorted(self.act), repeat=2):
-            if k + l > G.kmax or (k + l, 0) not in self.act:
-                continue
-            prod = G.mul_elems(k, G.basis_vec(k, a), l, G.basis_vec(l, b))
-            ok = True
-            witness = None
-            for e in (unit_vector(R, n, i) for i in range(n)):
-                step = self.apply(l, G.basis_vec(l, b),
-                                  self.apply(k, G.basis_vec(k, a), e))
-                direct = self.apply(k + l, prod, e)
-                if step != direct:
-                    ok = False
-                    witness = f"on {e}: {step} vs {direct}"
-                    break
-            checks.append(CheckResult(f"module_compose[{k},{a};{l},{b}]", ok,
-                                      witness))
-        for r in G.ring_generators() or [R.one()]:
-            lhs = _module_elem_matrix(self, 0, G.eta(r))
-            rhs = Mat.identity(R, n).scale(r)
-            ok = lhs == rhs
-            checks.append(CheckResult(f"module_eta[{r!r}]", ok,
-                                      None if ok else f"{lhs.to_json()} vs {rhs.to_json()}"))
-        return CongruenceReport.from_checks(checks)
-
-
-def _module_elem_matrix(mod, k, gcoords):
-    """Matrix of the action of a weight-k element given by coordinates."""
-    R, n = mod.gamma.ring, mod.dim()
-    cols = [mod.apply(k, gcoords, unit_vector(R, n, j)) for j in range(n)]
-    return Mat(R, [[cols[j][i] for j in range(n)] for i in range(n)])
-
-
-def trivial_module(gamma):
-    """R itself, with x . gamma = eps(eta(x) gamma); the monoidal unit."""
-    act = {}
-    for k in range(gamma.kmax + 1):
-        for a in range(gamma.rank(k)):
-            act[(k, a)] = Mat(gamma.ring, [[gamma.eps[k][a]]])
-    return GammaModule(gamma=gamma, basis=("1",), act=act)
-
-
-def tensor_modules(M, N):
-    """M (x)_R N with gamma acting through Delta; module axioms re-verified."""
-    G = M.gamma
-    if G is not N.gamma and G.to_json() != N.gamma.to_json():
-        from .series import ContextMismatch
-        raise ContextMismatch("modules over different bialgebras")
-    R = G.ring
-    basis = tuple((a, b) for a in M.basis for b in N.basis)
-    act = {}
-    for k in range(G.kmax + 1):
-        for a in range(G.rank(k)):
-            D = G.delta[k][a]
-            total = Mat.zeros(R, len(basis), len(basis))
-            for u in range(G.rank(k)):
-                for v in range(G.rank(k)):
-                    c = D.rows[u][v]
-                    if R.is_zero(c):
-                        continue
-                    total = total + M.act_basis_mat(k, u).kron(
-                        N.act_basis_mat(k, v)).scale(c)
-            act[(k, a)] = total
-    out = GammaModule(gamma=G, basis=basis, act=act)
-    rep = out.verify()
-    if not rep.verdict:
-        raise IdentityFailed(f"tensor module failed axioms: {rep.witnesses}")
-    return out
+# Gamma-algebras
 
 
 class GammaAlgebra(FiniteAlgebra):
-    """Commutative monoid in Gamma-modules: a FiniteAlgebra on the basis of
-    its module, with named generators."""
+    """A commutative algebra over Gamma: a FiniteAlgebra with one action
+    matrix per basis operation of Gamma, and named generators."""
 
-    def __init__(self, module, mult, unit, gens=None):
-        super().__init__(module.gamma.ring, module.basis, mult, unit)
-        self.module = module
-        self.gens = gens or {}  # name -> coordinate vector
-
-    @property
-    def gamma(self):
-        return self.module.gamma
-
-    def dim(self):
-        return self.module.dim()
+    def __init__(self, gamma, basis, mult, unit, action, gens):
+        super().__init__(gamma.ring, basis, mult, unit)
+        self.gamma = gamma
+        self.action = action  # (weight, basis index) -> Mat on coordinates
+        self.gens = gens      # name -> coordinate vector
 
     def act(self, k, gcoords, v):
-        return self.module.apply(k, gcoords, v)
-
-    def verify(self):
-        """Cartan rule and unit rule on all basis pairs and stored weights."""
-        G, R = self.gamma, self.gamma.ring
-        checks = []
-        n = self.dim()
-        for k in range(G.kmax + 1):
-            for a in range(G.rank(k)):
-                gv = G.basis_vec(k, a)
-                lhs = self.act(k, gv, self.unit)
-                rhs = self.scale(G.eps[k][a], self.unit)
-                ok = lhs == rhs
-                checks.append(CheckResult(f"unit_rule[{k},{a}]", ok,
-                                          None if ok else f"1.g={lhs} eps.1={rhs}"))
-                for i, j in itertools.product(range(n), repeat=2):
-                    x, y = unit_vector(R, n, i), unit_vector(R, n, j)
-                    lhs = self.act(k, gv, self.mul(x, y))
-                    rhs = _cartan_sum(self, k, a, x, y)
-                    ok = lhs == rhs
-                    checks.append(CheckResult(f"cartan[{k},{a};{i},{j}]", ok,
-                                              None if ok else f"(xy).g={lhs} sum={rhs}"))
-        return CongruenceReport.from_checks(checks)
+        """v . (sum gamma_a g_a), with scalars twisting through the left action."""
+        def column(i, j):
+            if (k, j) not in self.action:
+                raise IncompleteAction(f"no action stored for gamma[{k}] #{j}")
+            return self.action[(k, j)].col(i)
+        return twisted_sum(self.gamma, k, gcoords, v, len(self.basis), column)
 
 
 def _cartan_sum(alg, k, a, x, y):
@@ -638,8 +512,10 @@ def _cartan_sum(alg, k, a, x, y):
 
 
 def trivial_algebra(gamma):
-    """R as a Gamma-algebra over the trivial module."""
-    return _algebra_on_r(trivial_module(gamma))
+    """R as a Gamma-algebra, with x . gamma = eps(eta(x) gamma)."""
+    act = {(k, a): Mat(gamma.ring, [[gamma.eps[k][a]]])
+           for k in range(gamma.kmax + 1) for a in range(gamma.rank(k))}
+    return _algebra_on_r(gamma, act)
 
 
 def algebra_on_w(gamma, psi_matrices):
@@ -648,14 +524,13 @@ def algebra_on_w(gamma, psi_matrices):
     psi_matrices maps weight k to the 1x1 matrix of the basis operation; used
     for perturbed instances in congruence tests.
     """
-    act = {(k, 0): m for k, m in psi_matrices.items()}
-    return _algebra_on_r(GammaModule(gamma=gamma, basis=("1",), act=act))
+    return _algebra_on_r(gamma, {(k, 0): m for k, m in psi_matrices.items()})
 
 
-def _algebra_on_r(mod):
-    """R with its own product, over a rank-1 module structure on R."""
-    one = (mod.gamma.ring.one(),)
-    return GammaAlgebra(module=mod, mult={(0, 0): one}, unit=one, gens={"1": one})
+def _algebra_on_r(gamma, act):
+    """R with its own product, acted on through the rank-1 matrices act."""
+    one = (gamma.ring.one(),)
+    return GammaAlgebra(gamma, ("1",), {(0, 0): one}, one, act, {"1": one})
 
 
 # ---------------------------------------------------------------------------
@@ -682,12 +557,6 @@ class CategorySchemeData:
         for c, u in zip(fvec, self.gamma.unit):
             acc = R.add(acc, R.mul(c, u))
         return acc
-
-    def can_star(self, k, fvec):
-        """A[k] -> W/p for rank-1 weights: residue of the dual coordinate."""
-        if len(self.A[k].basis) != 1:
-            raise IncompleteData("can* implemented for rank-1 weights only")
-        return self.gamma.ring.residue(fvec[0])
 
 
 def dualize(gamma):
@@ -1215,38 +1084,3 @@ def induced_algebra_map(free, images, target):
                 checks.append(CheckResult(f"equivariant[{l},{c};{i}]", ok,
                                           None if ok else f"{lhs} vs {rhs}"))
     return on_vec, CongruenceReport.from_checks(checks, meta=_skip_meta(skipped))
-
-
-# ---------------------------------------------------------------------------
-# the chi isomorphism between modules and comodules over the dual scheme
-
-
-def module_to_comodule(mod):
-    """Comodule structure maps M -> A[k] (x) M from a module's action data.
-
-    Block row (a, nu) of the weight-k matrix holds the (nu, mu) entry of the
-    action of the basis operation gamma^k_a.
-    """
-    G = mod.gamma
-    R = G.ring
-    out = {}
-    for k in range(G.kmax + 1):
-        rows = []
-        for a in range(G.rank(k)):
-            m = mod.act_basis_mat(k, a)
-            for nu in range(mod.dim()):
-                rows.append(list(m.rows[nu]))
-        out[k] = Mat(R, rows)
-    return out
-
-
-def comodule_to_module(gamma, basis, comodule_maps):
-    """Inverse of module_to_comodule; returns a GammaModule."""
-    R = gamma.ring
-    act = {}
-    dim = len(basis)
-    for k, C in comodule_maps.items():
-        for a in range(gamma.rank(k)):
-            rows = [list(C.rows[a * dim + nu]) for nu in range(dim)]
-            act[(k, a)] = Mat(R, rows)
-    return GammaModule(gamma=gamma, basis=basis, act=act)

@@ -98,9 +98,6 @@ class RegularityCertificate:
     index: int = None        # subgroup index witnessing regularity
     valuation: int = None    # p-valuation of the index (0 in regular cases)
 
-    def is_regular(self):
-        return self.tag in ("TrivialWeight", "CoprimeCase", "DivisibleCase")
-
 
 def regularity_certificate(m, p):
     """Case split for weight m at the prime p, with the index valuation

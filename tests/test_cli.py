@@ -205,6 +205,24 @@ def test_fgl_file_with_mismatched_bound_exits_2_under_O(tmp_path):
     assert "a law at D=7" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_package_import_loads_no_module():
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = ("import sys, fglcheck\n"
+            "print(sorted(m for m in sys.modules if m.startswith('fglcheck.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-m", "fglcheck", "weights", "gcd",
+                           "--max", "10"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_selftest_exit_zero(capsys):
     assert run(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 import functools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -476,3 +477,30 @@ def test_ring_made_elements_are_not_validated_again(monkeypatch, ext):
         WittElem(W, (-1,) + (0,) * (W.f - 1))
     with pytest.raises(MalformedElement):
         WittElem(W, (0,) * (W.f - 1))
+
+
+@pytest.mark.parametrize("W", [WittCoefRing(2, 3), WittCoefRing(2, 3, ext=[1, 1, 1]),
+                               WittCoefRing(2, 3, ext=[1, 1, 0, 1])], ids=repr)
+def test_val_unit_rand_truncate_and_gen_are_not_validated(monkeypatch, W):
+    q, f, low = W.modulus, W.f, W.lower()
+    rng = random.Random(f)
+    xs = [W.elem(tuple(rng.randrange(q) for _ in range(f))) for _ in range(40)]
+    xs += [W.zero(), W.from_int(4), W.scalar(2, xs[0])]
+    calls = _validations(monkeypatch)
+    t = W.gen()
+    split = [W.val_unit(x) for x in xs]
+    lowered = [W.truncate_to(low, x) for x in xs]
+    drawn = [W.rand(random.Random(seed)) for seed in range(40)]
+    assert calls == []
+    # each equals the element the checked constructor builds
+    assert _canonical(W, t) == ((0, 1) + (0,) * (f - 2) if f > 1 else (1,))
+    for x, (v, u), y in zip(xs, split, lowered):
+        assert _canonical(low, y) == low.elem(tuple(c % low.modulus for c in x.coeffs)).coeffs
+        if v is None:
+            assert W.is_zero(x) and u == x
+            continue
+        assert _canonical(W, u) == W.elem(tuple(c // W.p ** v for c in x.coeffs)).coeffs
+        assert W.is_unit(u) and W.scalar(W.p ** v, u) == x
+    for seed, a in enumerate(drawn):
+        r = random.Random(seed)
+        assert _canonical(W, a) == W.elem(tuple(r.randrange(q) for _ in range(f))).coeffs

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from fglcheck.acceptance import standard_graded_objects
 from fglcheck.exact_arith import WittCoefRing
 from fglcheck.graded2 import (AmbiguousFlattening, GradedMap, GradedObj,
-                              NotInvertible, NotZGraded, ShapeMismatch,
-                              SignedPerm, SizeLimit, associator,
-                              flip_sign, from_z_graded, interchange,
-                              left_unitor, omega_obj, omega_sqrt, right_unitor,
-                              tensor_map, to_z_graded, twisted_tensor, unit_obj,
-                              verify_coherence)
+                              ShapeMismatch, SignedPerm, SizeLimit, associator,
+                              flip_sign, interchange, left_unitor, omega_obj,
+                              omega_sqrt, right_unitor, tensor_map,
+                              twisted_tensor, unit_obj, verify_coherence)
 from fglcheck.linalg import Mat
 
 Z8 = WittCoefRing(2, 3)
@@ -146,16 +144,6 @@ def test_tensor_map_functorial():
         assert lhs == rhs
 
 
-def test_from_z_graded():
-    assert from_z_graded(Z8, {0: 2}).ranks() == (2, 0)
-    assert from_z_graded(Z8, {-1: 3}).ranks() == (0, 3)
-    M = from_z_graded(Z8, {-2: 1, -1: 1, 0: 1, 1: 1, 2: 1})
-    assert M.ranks() == (3, 2)
-    assert to_z_graded(M) == {-2: 1, -1: 1, 0: 1, 1: 1, 2: 1}
-    with pytest.raises(NotInvertible):
-        from_z_graded(Z8, {0: 1}, omega_invertible=False)
-
-
 def test_graded_map_shape_checks():
     M = GradedObj(Z8, ("a",), ("b",))
     N = GradedObj(Z8, ("c", "d"), ())
@@ -183,11 +171,6 @@ def test_associator_rejects_ambiguous_flattening():
     P = GradedObj(Z8, ("d",), ())
     with pytest.raises(AmbiguousFlattening):
         associator(M, N, P)
-
-
-def test_to_z_graded_rejects_foreign_labels():
-    with pytest.raises(NotZGraded):
-        to_z_graded(GradedObj(Z8, ("a",), ()))
 
 
 def test_structural_maps_are_built_once():
