@@ -11,11 +11,12 @@ block permutation repositioning the omega factor.  Coherence (pentagon,
 triangle, symmetry involution, hexagon) is checked by exact equality of the
 composite maps.
 
-Every structural map (identities, interchange, associators, unitors, and
-their tensor products and composites) is a signed permutation.  Those maps
-keep their blocks as SignedPerm, so composing and tensoring them is linear in
-the rank.  General graded maps keep dense Mat blocks; an operation that mixes
-the two makes the permutation dense.  Tensor objects, identities,
+Every map is a signed permutation: identities, interchanges, associators,
+unitors, and their tensor products and composites.  GradedMap keeps its two
+blocks as SignedPerm, so composing and tensoring is linear in the rank.  The
+associator reads its images off the degrees: (k1, (k0, a, b), c) goes to
+(kind, a, (kind', b, c)), where kind' is "tw" iff b and c are both odd and
+kind is "tw" iff a and b (x) c are both odd.  Tensor objects, identities,
 interchanges, associators and unitors are built once per distinct arguments
 and cached on their first argument, so the cache lives exactly as long as the
 objects it was built from.  Tensor products and composites of maps are not
@@ -32,9 +33,9 @@ from .linalg import Mat, ShapeMismatch
 from .report import CheckResult, CongruenceReport, SizeLimit
 from .series import ContextMismatch
 
-
-class AmbiguousFlattening(ValueError):
-    """Two basis labels of a tensor object flatten to the same atoms."""
+# size guards of verify_coherence
+COHERENCE_MAX_OBJECTS = 5
+COHERENCE_MAX_RANK = 3
 
 
 def _cached(owner, key, build, *args):
@@ -92,9 +93,8 @@ class SignedPerm:
     """An n x n signed permutation matrix over a ring.
 
     Column j has one nonzero entry, signs[j] (the integer 1 or -1), in row
-    perm[j].  It reads like a Mat (nrows, ncols, shape, rows, to_json) and
-    compares equal to the Mat with the same entries.  Signs are compared in
-    the ring, where -1 = 1 in characteristic 2.
+    perm[j].  to_mat gives the dense matrix and to_json its entries.  Signs
+    are compared in the ring, where -1 = 1 in characteristic 2.
     """
 
     __slots__ = ("ring", "perm", "signs")
@@ -116,12 +116,6 @@ class SignedPerm:
             signs.extend(b.signs)
             offset += len(b.perm)
         return SignedPerm(ring, perm, signs)
-
-    @property
-    def nrows(self):
-        return len(self.perm)
-
-    ncols = nrows
 
     @property
     def shape(self):
@@ -148,8 +142,6 @@ class SignedPerm:
         return SignedPerm(self.ring, self.perm, signs)
 
     def __eq__(self, other):
-        if isinstance(other, Mat):
-            return self.to_mat() == other
         if not isinstance(other, SignedPerm):
             return NotImplemented
         if self.perm != other.perm:
@@ -166,10 +158,6 @@ class SignedPerm:
             rows[i][j] = one if s > 0 else minus
         return Mat(R, rows)
 
-    @property
-    def rows(self):
-        return self.to_mat().rows
-
     def to_json(self):
         return self.to_mat().to_json()
 
@@ -177,43 +165,9 @@ class SignedPerm:
         return f"SignedPerm(perm={self.perm}, signs={self.signs})"
 
 
-def _dense(block):
-    return block.to_mat() if isinstance(block, SignedPerm) else block
-
-
-def _matmul(a, b):
-    if isinstance(a, SignedPerm) and isinstance(b, SignedPerm):
-        return a @ b
-    return _dense(a) @ _dense(b)
-
-
-def _kron(a, b):
-    if isinstance(a, SignedPerm) and isinstance(b, SignedPerm):
-        return a.kron(b)
-    return _dense(a).kron(_dense(b))
-
-
-def _block_diag(ring, blocks):
-    if all(isinstance(b, SignedPerm) for b in blocks):
-        return SignedPerm.direct_sum(ring, blocks)
-    blocks = [_dense(b) for b in blocks]
-    n = sum(b.nrows for b in blocks)
-    m = sum(b.ncols for b in blocks)
-    z = ring.zero()
-    rows = [[z] * m for _ in range(n)]
-    i0 = j0 = 0
-    for b in blocks:
-        for i in range(b.nrows):
-            for j in range(b.ncols):
-                rows[i0 + i][j0 + j] = b.rows[i][j]
-        i0 += b.nrows
-        j0 += b.ncols
-    return Mat(ring, rows, m)
-
-
 @dataclass(frozen=True, slots=True)
 class GradedMap:
-    """A degree-preserving map; m0 and m1 are Mat or SignedPerm blocks."""
+    """A degree-preserving map; m0 and m1 are its SignedPerm blocks."""
 
     source: GradedObj
     target: GradedObj
@@ -235,8 +189,8 @@ class GradedMap:
         if other.target.ranks() != self.source.ranks():
             raise ShapeMismatch(f"a map from {self.source!r} cannot follow "
                                 f"a map into {other.target!r}")
-        return GradedMap(other.source, self.target, _matmul(self.m0, other.m0),
-                         _matmul(self.m1, other.m1))
+        return GradedMap(other.source, self.target, self.m0 @ other.m0,
+                         self.m1 @ other.m1)
 
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
@@ -248,8 +202,8 @@ class GradedMap:
 
     def is_identity(self):
         ring = self.source.ring
-        return (self.m0 == SignedPerm.identity(ring, self.m0.nrows)
-                and self.m1 == SignedPerm.identity(ring, self.m1.nrows))
+        return (self.m0 == SignedPerm.identity(ring, len(self.m0.perm))
+                and self.m1 == SignedPerm.identity(ring, len(self.m1.perm)))
 
 
 def _identity(obj):
@@ -281,8 +235,8 @@ def tensor_map(f, g):
     ring = f.source.ring
     src = twisted_tensor(f.source, g.source)
     tgt = twisted_tensor(f.target, g.target)
-    m0 = _block_diag(ring, [_kron(f.m0, g.m0), _kron(f.m1, g.m1)])
-    m1 = _block_diag(ring, [_kron(f.m0, g.m1), _kron(f.m1, g.m0)])
+    m0 = SignedPerm.direct_sum(ring, [f.m0.kron(g.m0), f.m1.kron(g.m1)])
+    m1 = SignedPerm.direct_sum(ring, [f.m0.kron(g.m1), f.m1.kron(g.m0)])
     return GradedMap(src, tgt, m0, m1)
 
 
@@ -315,26 +269,6 @@ def _interchange(M, N):
     return GradedMap(src, tgt, m0, m1)
 
 
-def _flatten(lbl):
-    """(atoms in left-to-right order, number of omega factors)."""
-    if isinstance(lbl, tuple) and len(lbl) == 3 and lbl[0] in ("t", "tw"):
-        a_atoms, a_w = _flatten(lbl[1])
-        b_atoms, b_w = _flatten(lbl[2])
-        return a_atoms + b_atoms, a_w + b_w + (1 if lbl[0] == "tw" else 0)
-    return (lbl,), 0
-
-
-def _match_by_flattening(ring, src_basis, tgt_basis):
-    tgt = {}
-    for lbl in tgt_basis:
-        key = _flatten(lbl)
-        if key in tgt:
-            raise AmbiguousFlattening(f"labels {tgt[key]!r} and {lbl!r} both "
-                                      f"flatten to {key!r}")
-        tgt[key] = lbl
-    return _signed_perm(ring, src_basis, tgt_basis, lambda l: tgt[_flatten(l)])
-
-
 def associator(M, N, P):
     """alpha: (M (x) N) (x) P -> M (x) (N (x) P).
 
@@ -348,9 +282,17 @@ def associator(M, N, P):
 def _associator(M, N, P):
     src = twisted_tensor(twisted_tensor(M, N), P)
     tgt = twisted_tensor(M, twisted_tensor(N, P))
-    m0 = _match_by_flattening(M.ring, src.basis0, tgt.basis0)
-    m1 = _match_by_flattening(M.ring, src.basis1, tgt.basis1)
-    return GradedMap(src, tgt, m0, m1)
+    odd_m, odd_n, odd_p = (frozenset(X.basis1) for X in (M, N, P))
+
+    def image(lbl):
+        _, (_, a, b), c = lbl
+        b_odd, c_odd = b in odd_n, c in odd_p
+        outer = "tw" if a in odd_m and b_odd != c_odd else "t"
+        return (outer, a, ("tw" if b_odd and c_odd else "t", b, c))
+
+    return GradedMap(src, tgt,
+                     _signed_perm(M.ring, src.basis0, tgt.basis0, image),
+                     _signed_perm(M.ring, src.basis1, tgt.basis1, image))
 
 
 def left_unitor(M):
@@ -372,16 +314,17 @@ def _unitor(M, left):
                      _signed_perm(M.ring, src.basis1, M.basis1, image))
 
 
-def verify_coherence(ring, objects, interchange_fn=None, max_objects=5,
-                     max_rank=3):
+def verify_coherence(ring, objects, interchange_fn=None):
     """Pentagon, unit triangle, symmetry involution, hexagon and odd-sign checks.
 
     All diagrams are compared as exact matrices; the report records the first
     failing diagram with both composite matrices.  interchange_fn allows fault
     injection in tests.
     """
-    if len(objects) > max_objects or any(max(o.ranks()) > max_rank for o in objects):
-        raise SizeLimit(f"at most {max_objects} objects of rank <= {max_rank}")
+    if (len(objects) > COHERENCE_MAX_OBJECTS
+            or any(max(o.ranks()) > COHERENCE_MAX_RANK for o in objects)):
+        raise SizeLimit(f"at most {COHERENCE_MAX_OBJECTS} objects of rank "
+                        f"<= {COHERENCE_MAX_RANK}")
     tau = interchange_fn or interchange
     unit = unit_obj(ring)
     checks = []
@@ -430,12 +373,5 @@ def verify_coherence(ring, objects, interchange_fn=None, max_objects=5,
 def flip_sign(gmap, degree, i, j):
     """Return gmap with entry (i, j) of the chosen degree negated (fault injection)."""
     blocks = {0: gmap.m0, 1: gmap.m1}
-    m = blocks[degree]
-    if isinstance(m, SignedPerm):
-        blocks[degree] = m.negate_entry(i, j)
-    else:
-        ring = m.ring
-        rows = [list(r) for r in m.rows]
-        rows[i][j] = ring.neg(rows[i][j])
-        blocks[degree] = Mat(ring, rows, m.ncols)
+    blocks[degree] = blocks[degree].negate_entry(i, j)
     return GradedMap(gmap.source, gmap.target, blocks[0], blocks[1])

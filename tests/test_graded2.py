@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
@@ -6,11 +9,12 @@ from hypothesis import strategies as st
 
 from fglcheck.acceptance import standard_graded_objects
 from fglcheck.exact_arith import WittCoefRing
-from fglcheck.graded2 import (AmbiguousFlattening, GradedMap, GradedObj,
-                              ShapeMismatch, SignedPerm, SizeLimit, associator,
-                              flip_sign, interchange, left_unitor, omega_obj,
-                              omega_sqrt, right_unitor, tensor_map,
-                              twisted_tensor, unit_obj, verify_coherence)
+from fglcheck.graded2 import (COHERENCE_MAX_OBJECTS, COHERENCE_MAX_RANK,
+                              GradedMap, GradedObj, ShapeMismatch, SignedPerm,
+                              SizeLimit, associator, flip_sign, interchange,
+                              left_unitor, omega_obj, omega_sqrt, right_unitor,
+                              tensor_map, twisted_tensor, unit_obj,
+                              verify_coherence)
 from fglcheck.linalg import Mat
 
 Z8 = WittCoefRing(2, 3)
@@ -37,8 +41,10 @@ def test_unit_tensor_is_isomorphic():
     M = GradedObj(Z8, ("a", "b"), ("c",))
     lu = left_unitor(M)
     ru = right_unitor(M)
-    assert lu.m0 == Mat.identity(Z8, 2) and lu.m1 == Mat.identity(Z8, 1)
-    assert ru.m0 == Mat.identity(Z8, 2) and ru.m1 == Mat.identity(Z8, 1)
+    assert lu.m0.to_mat() == Mat.identity(Z8, 2)
+    assert lu.m1.to_mat() == Mat.identity(Z8, 1)
+    assert ru.m0.to_mat() == Mat.identity(Z8, 2)
+    assert ru.m1.to_mat() == Mat.identity(Z8, 1)
 
 
 def test_interchange_even_is_plain_swap():
@@ -46,15 +52,15 @@ def test_interchange_even_is_plain_swap():
     N = GradedObj(Z8, ("c",), ())
     t = interchange(M, N)
     one, zero = Z8.one(), Z8.zero()
-    assert t.m0 == Mat(Z8, [[one, zero], [zero, one]])  # (a,c),(b,c) -> (c,a),(c,b)
-    assert all(not Z8.is_zero(e) or True for r in t.m0.rows for e in r)
+    # (a,c),(b,c) -> (c,a),(c,b)
+    assert t.m0.to_mat() == Mat(Z8, [[one, zero], [zero, one]])
     assert t.m1.shape == (0, 0)
 
 
 def test_interchange_omega_sqrt_sign():
     h = omega_sqrt(Z8)
     t = interchange(h, h)
-    assert t.m0 == Mat.identity(Z8, 1).scale(Z8.from_int(-1))
+    assert t.m0.to_mat() == Mat.identity(Z8, 1).scale(Z8.from_int(-1))
 
 
 def test_interchange_involution_random_ranks():
@@ -74,7 +80,7 @@ def test_associator_even_is_identity_permutation():
     N = GradedObj(Z8, ("c",), ())
     P = GradedObj(Z8, ("d",), ())
     al = associator(M, N, P)
-    assert al.m0 == Mat.identity(Z8, 2)
+    assert al.m0.to_mat() == Mat.identity(Z8, 2)
 
 
 def test_associator_omega_sqrt_triple():
@@ -82,7 +88,7 @@ def test_associator_omega_sqrt_triple():
     al = associator(h, h, h)
     # ((h@h)@h)^1 and (h@(h@h))^1 are both rank 1; the associator is the
     # 1x1 identity block and is invertible
-    assert al.m1 == Mat.identity(Z8, 1)
+    assert al.m1.to_mat() == Mat.identity(Z8, 1)
     assert al.m0.shape == (0, 0)
 
 
@@ -118,23 +124,55 @@ def test_coherence_detects_sign_flip():
     assert not rep.verdict
 
 
+# sha256 of the sorted-key JSON of the report below: the failing checks and
+# their witness bytes
+FLIPPED_WITNESS_DIGEST = \
+    "4fa634a50155720befd16de5331c25247fa4a75cda324b684cd988ec15e8b820"
+
+
+def test_coherence_witness_bytes_of_two_sign_flips():
+    # one flip in each degree: tau(h, h) in degree 0, tau(a|b, h) in degree 1
+    objs = standard_graded_objects(Z8)
+    h, ab = objs[2], objs[3]
+
+    def tau_fn(X, Y):
+        m = interchange(X, Y)
+        if X is h and Y is h:
+            return flip_sign(m, 0, 0, 0)
+        if X is ab and Y is h:
+            return flip_sign(m, 1, 0, 0)
+        return m
+
+    rep = verify_coherence(Z8, objs, interchange_fn=tau_fn)
+    assert not rep.verdict
+    assert "odd_square_sign[2]" in dict(rep.witnesses)  # the degree-0 flip
+    assert any("lhs1=[['7']]" in w for _, w in rep.witnesses)  # the degree-1 flip
+    blob = json.dumps(rep.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == FLIPPED_WITNESS_DIGEST
+
+
 def test_coherence_size_limit():
-    objs = [GradedObj(Z8, tuple(f"x{i}" for i in range(4)), ())]
+    wide = [GradedObj(Z8, tuple(f"x{i}" for i in range(COHERENCE_MAX_RANK + 1)),
+                      ())]
     with pytest.raises(SizeLimit):
-        verify_coherence(Z8, objs, max_rank=3)
+        verify_coherence(Z8, wide)
+    many = [GradedObj(Z8, (f"y{i}",), ()) for i in range(COHERENCE_MAX_OBJECTS + 1)]
+    with pytest.raises(SizeLimit):
+        verify_coherence(Z8, many)
 
 
 def test_tensor_map_functorial():
     rng = random.Random(6)
-    A = GradedObj(Z8, ("a0",), ("a1",))
-    B = GradedObj(Z8, ("b0",), ("b1",))
+    A = GradedObj(Z8, ("a0", "a0'"), ("a1",))
+    B = GradedObj(Z8, ("b0",), ("b1", "b1'", "b1''"))
+
+    def rand_perm(n):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return SignedPerm(Z8, perm, [rng.choice((1, -1)) for _ in perm])
 
     def rand_endo(X):
-        return GradedMap(X, X,
-                         Mat(Z8, [[Z8.rand(rng) for _ in range(X.rank0)]
-                                  for _ in range(X.rank0)]),
-                         Mat(Z8, [[Z8.rand(rng) for _ in range(X.rank1)]
-                                  for _ in range(X.rank1)]))
+        return GradedMap(X, X, rand_perm(X.rank0), rand_perm(X.rank1))
 
     for _ in range(5):
         f, g = rand_endo(A), rand_endo(A)
@@ -148,29 +186,20 @@ def test_graded_map_shape_checks():
     M = GradedObj(Z8, ("a",), ("b",))
     N = GradedObj(Z8, ("c", "d"), ())
     with pytest.raises(ShapeMismatch):
-        GradedMap(M, M, Mat.identity(Z8, 2), Mat.identity(Z8, 1))
+        GradedMap(M, M, SignedPerm.identity(Z8, 2), SignedPerm.identity(Z8, 1))
     with pytest.raises(ShapeMismatch):
         GradedMap.identity(M).compose(GradedMap.identity(N))
 
 
-def test_zero_map_between_objects_with_different_empty_degrees():
-    # rank 1|0 to 0|0: the even block is 0 x 1, the odd block 0 x 0
-    src, tgt = GradedObj(Z8, ("a",), ()), GradedObj(Z8, (), ())
-    zero = GradedMap(src, tgt, Mat.zeros(Z8, 0, 1), Mat.zeros(Z8, 0, 0))
-    assert zero.m0.shape == (0, 1)
-    assert zero.compose(GradedMap.identity(src)).m0.shape == (0, 1)
-    back = GradedMap(tgt, src, Mat.zeros(Z8, 1, 0), Mat.zeros(Z8, 0, 0))
-    assert (back.compose(zero)).m0 == Mat.zeros(Z8, 1, 1)
-
-
-def test_associator_rejects_ambiguous_flattening():
+def test_associator_on_labels_that_flatten_alike():
     # ("t", ("t", "a", "b"), ("t", "c", "d")) and
-    # ("t", "a", ("t", ("t", "b", "c"), "d")) both flatten to a, b, c, d
+    # ("t", "a", ("t", ("t", "b", "c"), "d")) both flatten to a, b, c, d; the
+    # associator reads degrees, not flattened labels
     M = GradedObj(Z8, (("t", "a", "b"), "a"), ())
     N = GradedObj(Z8, ("c", ("t", "b", "c")), ())
     P = GradedObj(Z8, ("d",), ())
-    with pytest.raises(AmbiguousFlattening):
-        associator(M, N, P)
+    assert_matches(associator(M, N, P), degree_associator(M, N, P))
+    assert verify_coherence(Z8, [M, N, P]).verdict
 
 
 def test_structural_maps_are_built_once():
@@ -220,6 +249,23 @@ def dense_associator(M, N, P):
     return tuple(blocks)
 
 
+def degree_associator(M, N, P):
+    """The associator built outward from atom triples and their degrees."""
+    def kind(*odd):
+        return "tw" if all(odd) else "t"
+
+    images = {}
+    for (a, da), (b, db), (c, dc) in itertools.product(
+            *([(x, 0) for x in X.basis0] + [(x, 1) for x in X.basis1]
+              for X in (M, N, P))):
+        src = (kind(da ^ db, dc), (kind(da, db), a, b), c)
+        images[src] = (kind(da, db ^ dc), a, (kind(db, dc), b, c))
+    src = twisted_tensor(twisted_tensor(M, N), P)
+    tgt = twisted_tensor(M, twisted_tensor(N, P))
+    return tuple(dense_perm(M.ring, s, t, images.__getitem__)
+                 for s, t in ((src.basis0, tgt.basis0), (src.basis1, tgt.basis1)))
+
+
 def dense_unitor(M, left):
     unit = unit_obj(M.ring)
     src = twisted_tensor(unit, M) if left else twisted_tensor(M, unit)
@@ -245,12 +291,11 @@ def dense_tensor(ring, f, g):
 
 
 def as_dense(gmap):
-    return tuple(Mat(gmap.source.ring, b.rows) for b in (gmap.m0, gmap.m1))
+    return tuple(b.to_mat() for b in (gmap.m0, gmap.m1))
 
 
-def assert_matches(gmap, reference, signed=True):
-    if signed:
-        assert isinstance(gmap.m0, SignedPerm) and isinstance(gmap.m1, SignedPerm)
+def assert_matches(gmap, reference):
+    assert isinstance(gmap.m0, SignedPerm) and isinstance(gmap.m1, SignedPerm)
     assert as_dense(gmap) == reference
 
 
@@ -275,6 +320,7 @@ def test_signed_permutations_match_dense_reference(objs, rnd):
     lu, lu_ref = left_unitor(P), dense_unitor(P, True)
     assert_matches(tau, tau_ref)
     assert_matches(alpha, alpha_ref)
+    assert_matches(alpha, degree_associator(M, N, P))
     assert_matches(lu, lu_ref)
     assert_matches(right_unitor(P), dense_unitor(P, False))
     assert_matches(tensor_map(tau, lu), dense_tensor(R, tau_ref, lu_ref))
@@ -294,21 +340,3 @@ def test_signed_permutations_match_dense_reference(objs, rnd):
         assert_matches(flipped, tuple(ref))
         # signs compare in the ring: a flip is invisible exactly when -1 = 1
         assert (flipped == tau) == (ref[d] == tau_ref[d])
-
-
-@settings(max_examples=30, deadline=None)
-@given(graded_objects(2), st.randoms(use_true_random=False))
-def test_mixed_dense_and_signed_maps_match_dense_reference(objs, rnd):
-    M, N = objs
-    R = M.ring
-    f = GradedMap(M, M, *(Mat(R, [[R.rand(rnd) for _ in range(r)] for _ in range(r)])
-                          for r in M.ranks()))
-    tau = interchange(N, M)
-    tau_ref = dense_interchange(N, M)
-    mixed = tensor_map(f, interchange(M, N)).compose(
-        tensor_map(GradedMap.identity(M), tau))
-    f_ref = (f.m0, f.m1)
-    identity_ref = (Mat.identity(R, M.rank0), Mat.identity(R, M.rank1))
-    lhs = dense_tensor(R, f_ref, dense_interchange(M, N))
-    rhs = dense_tensor(R, identity_ref, tau_ref)
-    assert_matches(mixed, tuple(a @ b for a, b in zip(lhs, rhs)), signed=False)

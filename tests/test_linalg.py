@@ -42,6 +42,11 @@ def test_empty_shapes_survive_products_and_stacking():
     assert (Mat.zeros(Z8, 2, 0) @ A).shape == (2, 3)
     assert Mat.zeros(Z8, 2, 0).hstack(Mat.zeros(Z8, 2, 0)).shape == (2, 0)
     assert A.map(Z8.neg).shape == (0, 3)
+    # the even blocks of the zero maps between rank 1|0 and 0|0
+    zero, back = Mat.zeros(Z8, 0, 1), Mat.zeros(Z8, 1, 0)
+    assert zero.shape == (0, 1)
+    assert (zero @ Mat.identity(Z8, 1)).shape == (0, 1)
+    assert back @ zero == Mat.zeros(Z8, 1, 1)
 
 
 def test_shape_errors_are_named():

@@ -174,8 +174,9 @@ def test_dualize_height1():
 
 @pytest.mark.parametrize("f", [1, 2])
 def test_square_invertible_agrees_with_i_star_on_rank_1(f):
-    # dualize decides i* through _square_invertible when rank(0) > 1; on
-    # rank-1 data the rank-1 branch, a unit test of i*(eps), is its oracle
+    # dualize decides i* through _square_invertible for every rank(0); on
+    # rank-1 data a unit test of i*(eps) is its oracle: a 1x1 Smith form has
+    # rank 1 and valuation 0 iff eps_0 * u_0 is a unit
     G = height1_gamma(2, 3, f, 1)
     R = G.ring
     for eps0 in (R.one(), R.from_int(3), R.gen(), R.from_int(2), R.from_int(4),
