@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 from . import formal_groups as fg
 from . import graded2, weights
@@ -23,9 +24,9 @@ from .theta_congruence import (FrobeniusClassSpec, L1Data, PolyShape,
                                gamma_congruence_check, theta_consistency,
                                theta_of, verify_weight_p_squares,
                                wilkerson_check)
-from .twisted_bialgebra import (algebra_on_w, dualize, height1_gamma,
-                                points_category, trivial_algebra,
-                                verify_bialgebra)
+from .twisted_bialgebra import (algebra_on_w, bialgebra_holds, dualize,
+                                height1_gamma, points_category,
+                                trivial_algebra, verify_bialgebra)
 
 SEED = 20260810
 
@@ -112,6 +113,9 @@ def criterion_4_coherence():
     t = graded2.interchange(objs[2], objs[2])
     minus = graded2.SignedPerm(ring, (0,), (-1,))
     checks.append(CheckResult("tau on omega^(1/2) square is -id", t.m0 == minus))
+    # a mutant differs only in tau, which the triangles and pentagons never call
+    monoidal = all(c.passed for c in rep.checks
+                   if c.name.startswith(("triangle", "pentagon")))
     rng = random.Random(SEED)
     pairs = list(itertools.product(objs, repeat=2))
     injected = 0
@@ -134,9 +138,8 @@ def criterion_4_coherence():
                 return mutated
             return graded2.interchange(X, Y)
 
-        bad = graded2.verify_coherence(ring, objs, interchange_fn=tau_fn)
         injected += 1
-        if not bad.verdict:
+        if not (monoidal and graded2.braiding_holds(ring, objs, tau_fn)):
             detected += 1
     checks.append(CheckResult("sign mutations always detected",
                               injected == 20 and detected == injected,
@@ -145,48 +148,46 @@ def criterion_4_coherence():
 
 
 def _mutate_one_constant(G, rng):
-    """Add a random nonzero element to one structure constant; returns a copy."""
-    import copy
-    H = copy.deepcopy(G)
-    R = H.ring
+    """Add a random nonzero element to one structure constant; returns a copy
+    that shares every table entry it does not change."""
+    R = G.ring
     e = R.rand(rng)
     while R.is_zero(e):
         e = R.rand(rng)
     kinds = ["mu", "eps", "delta"]
-    if H.left_t is not None:
+    if G.left_t is not None:
         kinds.append("left")
     kind = rng.choice(kinds)
     if kind == "mu":
-        k, l = rng.choice(list(H.mu))
-        ij = rng.choice(list(H.mu[(k, l)]))
-        vec = list(H.mu[(k, l)][ij])
+        k, l = rng.choice(list(G.mu))
+        ij = rng.choice(list(G.mu[(k, l)]))
+        vec = list(G.mu[(k, l)][ij])
         a = rng.randrange(len(vec))
         vec[a] = R.add(vec[a], e)
-        H.mu[(k, l)][ij] = tuple(vec)
-        return H, f"mu[{k},{l}][{ij}][{a}] += {e!r}"
+        mu = dict(G.mu)
+        mu[(k, l)] = {**mu[(k, l)], ij: tuple(vec)}
+        return replace(G, mu=mu), f"mu[{k},{l}][{ij}][{a}] += {e!r}"
     if kind == "eps":
-        k = rng.choice(list(H.eps))
-        vec = list(H.eps[k])
+        k = rng.choice(list(G.eps))
+        vec = list(G.eps[k])
         a = rng.randrange(len(vec))
         vec[a] = R.add(vec[a], e)
-        H.eps[k] = tuple(vec)
-        return H, f"eps[{k}][{a}] += {e!r}"
+        return replace(G, eps={**G.eps, k: tuple(vec)}), f"eps[{k}][{a}] += {e!r}"
     if kind == "delta":
-        k = rng.choice(list(H.delta))
-        a = rng.choice(list(H.delta[k]))
-        m = H.delta[k][a]
+        k = rng.choice(list(G.delta))
+        a = rng.choice(list(G.delta[k]))
+        m = G.delta[k][a]
         i = rng.randrange(m.nrows)
         j = rng.randrange(m.ncols)
         rows = [list(r) for r in m.rows]
         rows[i][j] = R.add(rows[i][j], e)
-        H.delta[k][a] = Mat(R, rows)
-        return H, f"delta[{k}][{a}][{i},{j}] += {e!r}"
-    k = rng.choice(list(H.left_t))
-    m = H.left_t[k]
-    rows = [list(r) for r in m.rows]
+        delta = dict(G.delta)
+        delta[k] = {**delta[k], a: Mat(R, rows)}
+        return replace(G, delta=delta), f"delta[{k}][{a}][{i},{j}] += {e!r}"
+    k = rng.choice(list(G.left_t))
+    rows = [list(r) for r in G.left_t[k].rows]
     rows[0][0] = R.add(rows[0][0], e)
-    H.left_t[k] = Mat(R, rows)
-    return H, f"left_t[{k}] += {e!r}"
+    return replace(G, left_t={**G.left_t, k: Mat(R, rows)}), f"left_t[{k}] += {e!r}"
 
 
 def criterion_5_bialgebra_axioms():
@@ -199,8 +200,7 @@ def criterion_5_bialgebra_axioms():
     detected = 0
     for i in range(50):
         H, what = _mutate_one_constant(G, rng)
-        bad = verify_bialgebra(H)
-        if not bad.verdict:
+        if not bialgebra_holds(H):
             detected += 1
         else:
             checks.append(CheckResult(f"mutation[{i}] detected", False, what))

@@ -314,36 +314,27 @@ def _unitor(M, left):
                      _signed_perm(M.ring, src.basis1, M.basis1, image))
 
 
-def verify_coherence(ring, objects, interchange_fn=None):
-    """Pentagon, unit triangle, symmetry involution, hexagon and odd-sign checks.
+def _diagrams(ring, objects, tau, monoidal=True):
+    """Yield (name, lhs, rhs) for every coherence diagram, in report order.
 
-    All diagrams are compared as exact matrices; the report records the first
-    failing diagram with both composite matrices.  interchange_fn allows fault
-    injection in tests.
+    The braided half (symmetry, hexagon, odd square) calls tau; the monoidal
+    half (triangle, pentagon) never does and is skipped when monoidal is
+    False.
     """
     if (len(objects) > COHERENCE_MAX_OBJECTS
             or any(max(o.ranks()) > COHERENCE_MAX_RANK for o in objects)):
         raise SizeLimit(f"at most {COHERENCE_MAX_OBJECTS} objects of rank "
                         f"<= {COHERENCE_MAX_RANK}")
-    tau = interchange_fn or interchange
     unit = unit_obj(ring)
-    checks = []
-
-    def record(name, lhs, rhs):
-        ok = lhs == rhs
-        witness = None
-        if not ok:
-            witness = f"lhs0={lhs.m0.to_json()} rhs0={rhs.m0.to_json()} " \
-                      f"lhs1={lhs.m1.to_json()} rhs1={rhs.m1.to_json()}"
-        checks.append(CheckResult(name=name, passed=ok, witness=witness))
 
     for i, (A, B) in enumerate(itertools.product(objects, repeat=2)):
         pair = tau(B, A).compose(tau(A, B))
-        record(f"symmetry[{i}]", pair, GradedMap.identity(twisted_tensor(A, B)))
-        tri_lhs = tensor_map(GradedMap.identity(A), left_unitor(B)).compose(
-            associator(A, unit, B))
-        tri_rhs = tensor_map(right_unitor(A), GradedMap.identity(B))
-        record(f"triangle[{i}]", tri_lhs, tri_rhs)
+        yield f"symmetry[{i}]", pair, GradedMap.identity(twisted_tensor(A, B))
+        if monoidal:
+            tri_lhs = tensor_map(GradedMap.identity(A), left_unitor(B)).compose(
+                associator(A, unit, B))
+            tri_rhs = tensor_map(right_unitor(A), GradedMap.identity(B))
+            yield f"triangle[{i}]", tri_lhs, tri_rhs
 
     for i, (A, B, C) in enumerate(itertools.product(objects, repeat=3)):
         lhs = associator(B, C, A).compose(tau(A, twisted_tensor(B, C))).compose(
@@ -351,23 +342,45 @@ def verify_coherence(ring, objects, interchange_fn=None):
         rhs = tensor_map(GradedMap.identity(B), tau(A, C)).compose(
             associator(B, A, C)).compose(
             tensor_map(tau(A, B), GradedMap.identity(C)))
-        record(f"hexagon[{i}]", lhs, rhs)
+        yield f"hexagon[{i}]", lhs, rhs
 
-    for i, (A, B, C, D) in enumerate(itertools.product(objects, repeat=4)):
-        lhs = associator(A, B, twisted_tensor(C, D)).compose(
-            associator(twisted_tensor(A, B), C, D))
-        rhs = tensor_map(GradedMap.identity(A), associator(B, C, D)).compose(
-            associator(A, twisted_tensor(B, C), D)).compose(
-            tensor_map(associator(A, B, C), GradedMap.identity(D)))
-        record(f"pentagon[{i}]", lhs, rhs)
+    if monoidal:
+        for i, (A, B, C, D) in enumerate(itertools.product(objects, repeat=4)):
+            lhs = associator(A, B, twisted_tensor(C, D)).compose(
+                associator(twisted_tensor(A, B), C, D))
+            rhs = tensor_map(GradedMap.identity(A), associator(B, C, D)).compose(
+                associator(A, twisted_tensor(B, C), D)).compose(
+                tensor_map(associator(A, B, C), GradedMap.identity(D)))
+            yield f"pentagon[{i}]", lhs, rhs
 
     for i, X in enumerate(objects):
         if X.ranks() == (0, 1):
             t = tau(X, X)
-            record(f"odd_square_sign[{i}]", t,
+            yield (f"odd_square_sign[{i}]", t,
                    GradedMap(t.source, t.target, SignedPerm(ring, (0,), (-1,)),
                              SignedPerm.identity(ring, 0)))
+
+
+def verify_coherence(ring, objects, interchange_fn=None):
+    """Pentagon, unit triangle, symmetry involution, hexagon and odd-sign checks.
+
+    Diagrams are compared as exact signed permutations; each failing one is
+    recorded with both composites.  interchange_fn injects faults; only the
+    braided half calls it, which braiding_holds checks on its own.
+    """
+    checks = []
+    for name, lhs, rhs in _diagrams(ring, objects, interchange_fn or interchange):
+        ok = lhs == rhs
+        checks.append(CheckResult(name, ok, None if ok else
+                                  f"lhs0={lhs.m0.to_json()} rhs0={rhs.m0.to_json()} "
+                                  f"lhs1={lhs.m1.to_json()} rhs1={rhs.m1.to_json()}"))
     return CongruenceReport.from_checks(checks, meta={"objects": len(objects)})
+
+
+def braiding_holds(ring, objects, interchange_fn):
+    """The symmetry, hexagon and odd-square verdict, stopping at the first failure."""
+    return all(lhs == rhs for _, lhs, rhs in
+               _diagrams(ring, objects, interchange_fn, monoidal=False))
 
 
 def flip_sign(gmap, degree, i, j):

@@ -537,8 +537,23 @@ def gamma_congruence_check(sigma, algebra, degree_bound=2, seed=0):
 
     The spanning set is all monomials in the declared generators up to the
     degree bound, with coefficient multiples drawn exhaustively when the
-    coefficient ring is small and by seeded sampling otherwise.
+    coefficient ring is small and by seeded sampling otherwise.  There is one
+    check per element of the spanning set.
     """
+    checks = list(_congruence_checks(sigma, algebra, degree_bound, seed))
+    meta = {"seed": seed, "degree_bound": degree_bound,
+            "spanning_size": len(checks)}
+    rep = CongruenceReport.from_checks(checks, meta=meta)
+    if rep.verdict:
+        rep.meta["theorem_a"] = (
+            "congruence holds on the spanning set; with the presentation "
+            "p-torsion free this certifies the criterion's hypothesis for a "
+            "unique power-operation algebra structure")
+    return rep
+
+
+def _congruence_checks(sigma, algebra, degree_bound=2, seed=0):
+    """Yield the CheckResults of gamma_congruence_check in report order."""
     G = sigma.gamma
     B = algebra
     R = G.ring
@@ -559,7 +574,6 @@ def gamma_congruence_check(sigma, algebra, degree_bound=2, seed=0):
                 new.append((label, B.mul(vec, gvec)))
         monomials.extend(new)
         frontier = new
-    checks = []
     seen = set()
     for name, vec in monomials:
         for c in scalars:
@@ -573,36 +587,30 @@ def gamma_congruence_check(sigma, algebra, degree_bound=2, seed=0):
             res = {i: R.residue(d) for i, d in enumerate(diff)
                    if not R.residue_ring().is_zero(R.residue(d))}
             label = f"{c!r}*{name}"
-            checks.append(CheckResult(f"monomial[{label}]", not res,
-                                      None if not res else
-                                      f"x={label}: x.sigma - x^{p} residues {res}"))
-    meta = {"seed": seed, "degree_bound": degree_bound,
-            "spanning_size": len(seen)}
-    rep = CongruenceReport.from_checks(checks, meta=meta)
-    if rep.verdict:
-        rep.meta["theorem_a"] = (
-            "congruence holds on the spanning set; with the presentation "
-            "p-torsion free this certifies the criterion's hypothesis for a "
-            "unique power-operation algebra structure")
-    return rep
+            yield CheckResult(f"monomial[{label}]", not res,
+                              None if not res else
+                              f"x={label}: x.sigma - x^{p} residues {res}")
 
 
 def congruence_stability_under_class_change(sigma, algebra, gammas, **kw):
     """Verdicts are unchanged when sigma moves by p * gamma inside Gamma[1]."""
     G = sigma.gamma
     R = G.ring
-    base = gamma_congruence_check(sigma, algebra, **kw)
+
+    def holds(s):  # the verdict alone: stop at the first failing check
+        return all(c.passed for c in _congruence_checks(s, algebra, **kw))
+
+    base = holds(sigma)
     checks = [CheckResult("base", True)]
     for i, g in enumerate(gammas):
         shifted = FrobeniusClassSpec(
             gamma=G, coords=tuple(R.add(c, R.scalar(R.p, gc))
                                   for c, gc in zip(sigma.coords, g)))
-        rep = gamma_congruence_check(shifted, algebra, **kw)
-        checks.append(CheckResult(f"shift[{i}]", rep.verdict == base.verdict,
-                                  None if rep.verdict == base.verdict else
-                                  f"verdict changed to {rep.verdict}"))
-    return CongruenceReport.from_checks(checks,
-                                        meta={"base_verdict": base.verdict})
+        verdict = holds(shifted)
+        checks.append(CheckResult(f"shift[{i}]", verdict == base,
+                                  None if verdict == base else
+                                  f"verdict changed to {verdict}"))
+    return CongruenceReport.from_checks(checks, meta={"base_verdict": base})
 
 
 # ---------------------------------------------------------------------------

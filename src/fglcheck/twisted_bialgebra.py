@@ -320,21 +320,31 @@ def verify_bialgebra(gamma):
     rules for eps, coassociativity / cocommutativity / counit / grading of
     Delta, and multiplicativity of Delta against mu.  Structure constants
     whose shapes do not match the ranks of their weights fail
-    grading_structural, and then nothing else is checked.
+    grading_structural, and then nothing else is checked.  bialgebra_holds
+    gives the same verdict without the report.
     """
-    G = gamma
+    return CongruenceReport.from_checks(list(_bialgebra_checks(gamma)),
+                                        meta={"kmax": gamma.kmax})
+
+
+def bialgebra_holds(gamma):
+    """verify_bialgebra's verdict, stopping at the first failing check."""
+    return all(c.passed for c in _bialgebra_checks(gamma))
+
+
+def _check(name, ok, witness):
+    return CheckResult(name=name, passed=ok, witness=None if ok else witness)
+
+
+def _bialgebra_checks(G):
+    """Yield the CheckResults of verify_bialgebra in report order."""
     R = G.ring
-    checks = []
     kmax = G.kmax
     G.check_weights()
     bad = _grading_violation(G)
     if bad is not None:
-        return CongruenceReport.from_checks(
-            [CheckResult("grading_structural", False, bad)], meta={"kmax": kmax})
-
-    def add_check(name, ok, witness=None):
-        checks.append(CheckResult(name=name, passed=ok,
-                                  witness=None if ok else witness))
+        yield CheckResult("grading_structural", False, bad)
+        return
 
     # mu unital
     for k in range(kmax + 1):
@@ -342,9 +352,9 @@ def verify_bialgebra(gamma):
             v = G.basis_vec(k, a)
             left = G.mul_elems(0, G.unit, k, v)
             right = G.mul_elems(k, v, 0, G.unit)
-            add_check(f"mu_unital[{k},{a}]",
-                      left == v and right == v,
-                      f"1*g={left} g*1={right} g={v}")
+            yield _check(f"mu_unital[{k},{a}]",
+                         left == v and right == v,
+                         f"1*g={left} g*1={right} g={v}")
 
     # mu associative on basis triples
     for k, l, m in _weight_triples(kmax):
@@ -353,8 +363,8 @@ def verify_bialgebra(gamma):
             x, y, z = G.basis_vec(k, a), G.basis_vec(l, b), G.basis_vec(m, c)
             lhs = G.mul_elems(k + l, G.mul_elems(k, x, l, y), m, z)
             rhs = G.mul_elems(k, x, l + m, G.mul_elems(l, y, m, z))
-            add_check(f"mu_assoc[{k},{l},{m};{a},{b},{c}]", lhs == rhs,
-                      f"(xy)z={lhs} x(yz)={rhs}")
+            yield _check(f"mu_assoc[{k},{l},{m};{a},{b},{c}]", lhs == rhs,
+                         f"(xy)z={lhs} x(yz)={rhs}")
 
     # associativity with an eta-element inserted on the left:
     # (eta(r) g) h = eta(r) (g h) ties the left-action matrices across weights
@@ -366,49 +376,49 @@ def verify_bialgebra(gamma):
                     x, y = G.basis_vec(k, a), G.basis_vec(l, b)
                     lhs = G.mul_elems(k, G.mul_elems(0, er, k, x), l, y)
                     rhs = G.mul_elems(0, er, k + l, G.mul_elems(k, x, l, y))
-                    add_check(f"mu_assoc_eta[{r!r};{k},{l};{a},{b}]",
-                              lhs == rhs, f"lhs={lhs} rhs={rhs}")
+                    yield _check(f"mu_assoc_eta[{r!r};{k},{l};{a},{b}]",
+                                 lhs == rhs, f"lhs={lhs} rhs={rhs}")
 
     # eta is a ring homomorphism
     gens = G.ring_generators()
     for r, s in itertools.product(gens + [R.one()], repeat=2):
         lhs = G.mul_elems(0, G.eta(r), 0, G.eta(s))
         rhs = G.eta(R.mul(r, s))
-        add_check(f"eta_mult[{r!r},{s!r}]", lhs == rhs,
-                  f"eta(r)eta(s)={lhs} eta(rs)={rhs}")
-    add_check("eta_unit", G.eta(R.one()) == G.unit, "eta(1) != 1")
+        yield _check(f"eta_mult[{r!r},{s!r}]", lhs == rhs,
+                     f"eta(r)eta(s)={lhs} eta(rs)={rhs}")
+    yield _check("eta_unit", G.eta(R.one()) == G.unit, "eta(1) != 1")
 
     # eps axioms: eps(eta(r)) = r and eps(xy) = eps(eta(eps(x)) y)
     for r in gens + [R.one()]:
         val = G.eps_elem(0, G.eta(r))
-        add_check(f"eps_eta[{r!r}]", R.eq(val, r), f"eps(eta({r!r}))={val!r}")
+        yield _check(f"eps_eta[{r!r}]", R.eq(val, r), f"eps(eta({r!r}))={val!r}")
     for k in range(kmax + 1):
         for l in range(kmax + 1 - k):
             for a, b in itertools.product(range(G.rank(k)), range(G.rank(l))):
                 x, y = G.basis_vec(k, a), G.basis_vec(l, b)
                 lhs = G.eps_elem(k + l, G.mul_elems(k, x, l, y))
                 rhs = G.eps_elem(l, G.mul_elems(0, G.eta(G.eps_elem(k, x)), l, y))
-                add_check(f"eps_mu[{k},{l};{a},{b}]", R.eq(lhs, rhs),
-                          f"eps(xy)={lhs!r} eps(eta(eps(x))y)={rhs!r}")
+                yield _check(f"eps_mu[{k},{l};{a},{b}]", R.eq(lhs, rhs),
+                             f"eps(xy)={lhs!r} eps(eta(eps(x))y)={rhs!r}")
 
     # Delta: counit, cocommutativity, coassociativity
     for k in range(kmax + 1):
         for a in range(G.rank(k)):
             v = G.basis_vec(k, a)
             D = G.delta_elem(k, v)
-            add_check(f"delta_counit_left[{k},{a}]",
-                      G.counit_left(k, D) == v,
-                      f"(eps x id)Delta={G.counit_left(k, D)} want {v}")
-            add_check(f"delta_counit_right[{k},{a}]",
-                      G.counit_right(k, D) == v,
-                      f"(id x eps)Delta={G.counit_right(k, D)} want {v}")
-            add_check(f"delta_cocomm[{k},{a}]", D == D.transpose(),
-                      f"Delta not symmetric: {D.to_json()}")
+            left = G.counit_left(k, D)
+            yield _check(f"delta_counit_left[{k},{a}]", left == v,
+                         f"(eps x id)Delta={left} want {v}")
+            yield _check(f"delta_counit_right[{k},{a}]",
+                         G.counit_right(k, D) == v,
+                         f"(id x eps)Delta={G.counit_right(k, D)} want {v}")
+            yield _check(f"delta_cocomm[{k},{a}]", D == D.transpose(),
+                         f"Delta not symmetric: {D.to_json()}")
             terms = _delta_leg(G, k, {(a,): R.one()}, 0)  # the terms of D
             lhs3 = _delta_leg(G, k, terms, 0)
             rhs3 = _delta_leg(G, k, terms, 1)
-            add_check(f"delta_coassoc[{k},{a}]", lhs3 == rhs3,
-                      "iterated comultiplications differ")
+            yield _check(f"delta_coassoc[{k},{a}]", lhs3 == rhs3,
+                         "iterated comultiplications differ")
 
     # Delta multiplicative against mu
     for k in range(kmax + 1):
@@ -417,12 +427,11 @@ def verify_bialgebra(gamma):
                 x, y = G.basis_vec(k, a), G.basis_vec(l, b)
                 lhs = G.delta_elem(k + l, G.mul_elems(k, x, l, y))
                 rhs = G.tensor_mul(k, G.delta_elem(k, x), l, G.delta_elem(l, y))
-                add_check(f"delta_mu[{k},{l};{a},{b}]", lhs == rhs,
-                          f"Delta(xy)={lhs.to_json()} Delta(x)Delta(y)={rhs.to_json()}")
+                yield _check(f"delta_mu[{k},{l};{a},{b}]", lhs == rhs,
+                             f"Delta(xy)={lhs.to_json()} Delta(x)Delta(y)={rhs.to_json()}")
 
     # the shapes were checked first: mu lands in k+l, eta in weight 0, Delta in (k,k)
-    add_check("grading_structural", True)
-    return CongruenceReport.from_checks(checks, meta={"kmax": kmax})
+    yield CheckResult("grading_structural", True)
 
 
 def _grading_violation(G):

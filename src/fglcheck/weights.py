@@ -37,9 +37,10 @@ def binomial_gcd(m):
     """gcd of C(m, i) for 0 < i < m: p when m is a prime power p^k, else 1."""
     if m < 2:
         raise ValueError(f"binomial gcd needs m >= 2, got m={m}")
-    g = 0
-    for i in range(1, m):
-        g = math.gcd(g, math.comb(m, i))
+    g, c = 0, 1
+    for i in range(1, m // 2 + 1):  # a row of Pascal's triangle to its middle
+        c = c * (m - i + 1) // i
+        g = math.gcd(g, c)
         if g == 1:
             break
     base = _prime_power_base(m)
@@ -200,26 +201,28 @@ def epi_family_check(family):
 
 
 def brute_force_surjective(family):
-    """Oracle: enumerate the image subgroup in the full finite module."""
+    """Oracle: enumerate the image subgroup in the full finite module.
+
+    R = W(F_q) at finite precision is generated as a group by 1, t, ...,
+    t^(f-1), so the R-span of the columns g is the additive closure of the
+    vectors t^i g.  These are multiplied out once; the enumeration only adds.
+    """
     R = family.ring
     n = family.target_rank
     zero = tuple(R.zero() for _ in range(n))
-    gens = []
-    for m in family.maps:
-        for j in range(m.ncols):
-            gens.append(m.col(j))
+    tpows = [R.pow(R.gen(), i) for i in range(R.f)]
+    gens = [tuple(R.mul(s, y) for y in m.col(j))
+            for m in family.maps for j in range(m.ncols) for s in tpows]
     span = {zero}
     frontier = [zero]
-    scalars = list(R.elements())
     while frontier:
         new = []
         for v in frontier:
             for g in gens:
-                for c in scalars:
-                    w = tuple(R.add(x, R.mul(c, y)) for x, y in zip(v, g))
-                    if w not in span:
-                        span.add(w)
-                        new.append(w)
+                w = tuple(R.add(x, y) for x, y in zip(v, g))
+                if w not in span:
+                    span.add(w)
+                    new.append(w)
         frontier = new
     return len(span) == R.size() ** n
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from fglcheck import acceptance
 from fglcheck.acceptance import CRITERIA
+from fglcheck.twisted_bialgebra import height1_gamma
 
 
 @pytest.mark.parametrize("name,fn", CRITERIA, ids=[n for n, _ in CRITERIA])
@@ -13,3 +15,18 @@ def test_criterion(name, fn):
         for wname, w in rep.witnesses[:5]:
             print(f"    witness {wname}: {w}")
     assert rep.verdict, f"criterion {name}: {rep.witnesses[:3]}"
+
+
+def test_criterion_5_mutants_leave_the_honest_bialgebra_alone(monkeypatch):
+    built = []
+
+    def record(*args):
+        built.append(height1_gamma(*args))
+        return built[-1]
+
+    monkeypatch.setattr(acceptance, "height1_gamma", record)
+    rep = acceptance.criterion_5_bialgebra_axioms()
+    assert rep.verdict and len(built) == 1
+    G, fresh = built[0], height1_gamma(2, 3, 2, 3)
+    assert (G.mu, G.eps, G.delta, G.left_t) == \
+        (fresh.mu, fresh.eps, fresh.delta, fresh.left_t)

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fglcheck import acceptance, graded2
 from fglcheck.acceptance import standard_graded_objects
 from fglcheck.exact_arith import WittCoefRing
 from fglcheck.graded2 import (COHERENCE_MAX_OBJECTS, COHERENCE_MAX_RANK,
                               GradedMap, GradedObj, ShapeMismatch, SignedPerm,
-                              SizeLimit, associator, flip_sign, interchange,
+                              SizeLimit, _diagrams, associator,
+                              braiding_holds, flip_sign, interchange,
                               left_unitor, omega_obj, omega_sqrt, right_unitor,
                               tensor_map, twisted_tensor, unit_obj,
                               verify_coherence)
@@ -159,6 +161,83 @@ def test_coherence_size_limit():
     many = [GradedObj(Z8, (f"y{i}",), ()) for i in range(COHERENCE_MAX_OBJECTS + 1)]
     with pytest.raises(SizeLimit):
         verify_coherence(Z8, many)
+
+
+def monoidal_verdict(ring, objs):
+    rep = verify_coherence(ring, objs)
+    return all(c.passed for c in rep.checks
+               if c.name.startswith(("triangle", "pentagon")))
+
+
+FLIP_RINGS = {}  # p -> (Z/p^3, its standard objects, their monoidal verdict)
+
+
+def flip_setting(p):
+    if p not in FLIP_RINGS:
+        ring = WittCoefRing(p, 3)
+        objs = standard_graded_objects(ring)
+        FLIP_RINGS[p] = (ring, objs, monoidal_verdict(ring, objs))
+    return FLIP_RINGS[p]
+
+
+def test_criterion_4_mutant_verdicts_match_full_coherence(monkeypatch):
+    ring = WittCoefRing(2, 3)
+    monoidal = monoidal_verdict(ring, standard_graded_objects(ring))
+    verdicts = []
+
+    def spy(ring, objs, tau_fn):
+        fast = braiding_holds(ring, objs, tau_fn)
+        full = verify_coherence(ring, objs, interchange_fn=tau_fn).verdict
+        verdicts.append((monoidal and fast, full))
+        return fast
+
+    monkeypatch.setattr(graded2, "braiding_holds", spy)
+    rep = acceptance.criterion_4_coherence()
+    assert rep.verdict
+    assert len(verdicts) == 20
+    assert all(fast == full for fast, full in verdicts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 2), st.randoms(use_true_random=False))
+def test_braiding_verdict_matches_full_verdict_under_sign_flips(p, flips, rnd):
+    ring, objs, monoidal = flip_setting(p)  # Z/8 and Z/27
+    mutated = {}
+    for _ in range(flips):
+        A, B = rnd.choice(objs), rnd.choice(objs)
+        m = mutated.get((id(A), id(B))) or interchange(A, B)
+        entries = [(d, i, j) for d, b in enumerate((m.m0, m.m1))
+                   for j, i in enumerate(b.perm)]
+        if entries:
+            mutated[(id(A), id(B))] = flip_sign(m, *rnd.choice(entries))
+
+    def tau_fn(X, Y):
+        return mutated.get((id(X), id(Y))) or interchange(X, Y)
+
+    full = verify_coherence(ring, objs, interchange_fn=tau_fn).verdict
+    assert (monoidal and braiding_holds(ring, objs, tau_fn)) == full
+
+
+def test_monoidal_diagrams_never_call_the_interchange():
+    objs = standard_graded_objects(Z8)
+    calls = [0]
+
+    def counting_tau(X, Y):
+        calls[0] += 1
+        return interchange(X, Y)
+
+    made = {}
+    before = 0
+    for name, _, _ in _diagrams(Z8, objs, counting_tau):
+        made[name] = calls[0] - before
+        before = calls[0]
+    monoidal = {n: c for n, c in made.items()
+                if n.startswith(("triangle", "pentagon"))}
+    assert len(monoidal) == 16 + 256 and set(monoidal.values()) == {0}
+    braided = [n for n in made if n not in monoidal]
+    assert all(made[n] > 0 for n in braided)
+    assert [n for n, _, _ in _diagrams(Z8, objs, interchange, monoidal=False)] \
+        == braided
 
 
 def test_tensor_map_functorial():

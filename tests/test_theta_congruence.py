@@ -132,6 +132,26 @@ def test_gamma_congruence_paths():
         sigma, trivial_algebra(G), gammas).verdict
 
 
+def test_stability_verdicts_match_full_checks():
+    G = height1_gamma(2, 3, 2, 3)
+    R = G.ring
+    sigma = FrobeniusClassSpec(gamma=G, coords=(R.one(),))
+    pert = algebra_on_w(G, {k: Mat(R, [[R.from_int(2) if k == 1 else R.one()]])
+                            for k in range(4)})
+    rng = random.Random(3)
+    gammas = [(R.rand(rng),) for _ in range(6)]
+    for B in (trivial_algebra(G), pert):
+        base = gamma_congruence_check(sigma, B).verdict
+        shifted = [gamma_congruence_check(
+            FrobeniusClassSpec(gamma=G, coords=(R.add(R.one(), R.scalar(2, g)),)),
+            B).verdict for (g,) in gammas]
+        rep = congruence_stability_under_class_change(sigma, B, gammas)
+        assert rep.meta["base_verdict"] == base
+        assert rep.verdict == all(v == base for v in shifted)
+        assert [c.passed for c in rep.checks[1:]] == [v == base for v in shifted]
+    assert not base  # the perturbed action fails
+
+
 def test_gamma_congruence_records_theorem_a():
     G = height1_gamma(2, 3, 1, 2)
     sigma = FrobeniusClassSpec(gamma=G, coords=(G.ring.one(),))

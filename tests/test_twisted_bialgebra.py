@@ -3,13 +3,17 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fglcheck.acceptance import _mutate_one_constant
 from fglcheck.exact_arith import WittCoefRing
 from fglcheck.linalg import Mat
 from fglcheck.twisted_bialgebra import (CategorySchemeData, IncompleteAction,
                                         IncompleteData, SizeLimit,
                                         TwistedBialgebra, _square_invertible,
-                                        algebra_on_w, dualize, free_algebra,
+                                        algebra_on_w, bialgebra_holds,
+                                        dualize, free_algebra,
                                         height1_gamma, induced_algebra_map,
                                         points_category, ring_maps,
                                         presentation_of_coefficients,
@@ -76,6 +80,18 @@ def test_top_weight_left_twist_mutation_detected():
     rep = verify_bialgebra(H)
     assert not rep.verdict
     assert any(name.startswith("mu_assoc_eta") for name, _ in rep.witnesses)
+
+
+MUTATION_BASES = {1: height1_gamma(2, 3, 1, 3), 2: G23}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_stopping_verdict_matches_full_report_on_mutants(f, mutations, rnd):
+    H = MUTATION_BASES[f]
+    for _ in range(mutations):
+        H, _ = _mutate_one_constant(H, rnd)
+    assert bialgebra_holds(H) == verify_bialgebra(H).verdict
 
 
 def test_incomplete_data():

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fglcheck.exact_arith import RationalField, WittCoefRing
 from fglcheck.linalg import Mat
@@ -21,6 +24,21 @@ def test_binomial_gcd_values():
     assert binomial_gcd(27) == 3
     assert binomial_gcd(2) == 2
     assert binomial_gcd(125) == 5
+
+
+def comb_gcd(m):
+    """gcd of C(m, i) for 0 < i < m, one math.comb per entry."""
+    g = 0
+    for i in range(1, m):
+        g = math.gcd(g, math.comb(m, i))
+        if g == 1:
+            break
+    return g
+
+
+def test_binomial_gcd_matches_math_comb():
+    assert [binomial_gcd(m) for m in range(2, 1201)] == \
+        [comb_gcd(m) for m in range(2, 1201)]
 
 
 def test_certificates():
@@ -89,6 +107,51 @@ def test_epi_oracle_agreement():
                                    for _ in range(rank)]))
         fam = EpiFamily(ring=ring, target_rank=rank, maps=maps)
         assert epi_family_check(fam).surjective == brute_force_surjective(fam)
+
+
+def all_scalars_surjective(family):
+    """Enumerate the image subgroup, adding every scalar multiple of every column."""
+    R = family.ring
+    n = family.target_rank
+    zero = tuple(R.zero() for _ in range(n))
+    gens = []
+    for m in family.maps:
+        for j in range(m.ncols):
+            gens.append(m.col(j))
+    span = {zero}
+    frontier = [zero]
+    scalars = list(R.elements())
+    while frontier:
+        new = []
+        for v in frontier:
+            for g in gens:
+                for c in scalars:
+                    w = tuple(R.add(x, R.mul(c, y)) for x, y in zip(v, g))
+                    if w not in span:
+                        span.add(w)
+                        new.append(w)
+        frontier = new
+    return len(span) == R.size() ** n
+
+
+ORACLE_RINGS = [Z8, WittCoefRing(3, 2), WittCoefRing(2, 1, ext=[1, 1, 1]),
+                WittCoefRing(2, 2, ext=[1, 1, 1]), WittCoefRing(2, 1, ext=[1, 1, 0, 1])]
+
+
+@st.composite
+def epi_families(draw):
+    ring = draw(st.sampled_from(ORACLE_RINGS))
+    rank = draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    maps = [Mat(ring, [[ring.rand(rng) for _ in range(ncols)] for _ in range(rank)])
+            for ncols in draw(st.lists(st.integers(0, 2), min_size=0, max_size=2))]
+    return EpiFamily(ring=ring, target_rank=rank, maps=maps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(epi_families())
+def test_additive_oracle_matches_all_scalars_oracle(fam):
+    assert brute_force_surjective(fam) == all_scalars_surjective(fam)
 
 
 def rank2_algebra_data(incl_rows):
