@@ -85,8 +85,7 @@ def _emit(report, args, subcommand, digest):
         doc = {"subcommand": subcommand, "inputs_digest": digest,
                "seed": getattr(args, "seed", 0), "report": report.to_json()}
         with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"json report written to {args.json}")
     return 0 if report.verdict else 1
 

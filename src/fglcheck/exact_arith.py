@@ -9,17 +9,19 @@ code can stay generic.
 Elements are canonical: a ``WittElem`` holds exactly f integers in [0, p^N),
 so equal elements have equal coefficient tuples.  Coefficients are validated
 where they enter, at ``elem(tuple)``, ``decode`` and the ``from_json``
-loaders; ``reduced`` wraps results the ring has reduced itself (sums,
-products, residues, ``from_int``, ``gen``, ``rand``, ``val_unit`` and
-``truncate_to``) without checking them again.  ``zero()`` and
-``one()`` are built once per ring and shared, which is safe because elements
-are frozen.
+loaders; ``reduced`` wraps results the ring has reduced itself (residues,
+``from_int``, ``gen``, ``rand``, ``val_unit`` and ``truncate_to``) without
+checking them again, writing the two slots through their descriptors.
+``zero()`` and ``one()`` are built once per ring and shared, which is safe
+because elements are frozen.
 
-For f > 1 the ring builds the structure constants of (Z/p^N)[t]/(m) once:
-for each coordinate j, the triples (i, k, c) with c != 0 the t^j coordinate
-of t^(i+k).  ``mul`` sums c*a_i*b_k over them exactly and reduces mod p^N once
-per coordinate.  ``scalar(n, a)`` multiplies by an integer coordinate-wise,
-with no ring product.
+Every ring, f = 1 included (Z/p^N is (Z/p^N)[t]/(t)), has the structure
+constants of (Z/p^N)[t]/(m): for each coordinate j, the triples (i, k, c)
+with c != 0 the t^j coordinate of t^(i+k).  From them and p^N, Python source
+for straight-line ``add``, ``sub``, ``neg``, ``mul`` and ``scalar`` is built
+and compiled once per shape: each kernel unpacks the f coordinates, computes
+each output coordinate as one exact expression (for ``mul`` the sum of
+c*a_i*b_k) and reduces it mod p^N once.
 """
 
 from __future__ import annotations
@@ -241,10 +243,6 @@ class Ring:
             raise RingMismatch(f"{self!r} vs {other!r}")
 
 
-# writes the slots of a frozen WittElem; only WittCoefRing.reduced uses it
-_set = object.__setattr__
-
-
 @dataclass(frozen=True, slots=True)
 class WittElem:
     """Element of a WittCoefRing: tuple of residues in [0, p^N), low to high in t.
@@ -320,6 +318,47 @@ class WittElem:
                 terms.append(v if c == 1 else f"{c}*{v}")
         body = " + ".join(terms) if terms else "0"
         return f"<{body} mod {self.ring.p}^{self.ring.N}>"
+
+
+# build a WittElem without its checks or the frozen __setattr__
+_new = object.__new__
+_set_ring = WittElem.ring.__set__
+_set_coeffs = WittElem.coeffs.__set__
+
+_KERNELS = {}  # (q, structure constants) -> (add, sub, neg, mul, scalar)
+
+
+def _kernel_source(q, table):
+    """Source of straight-line add, sub, neg, mul and scalar mod q, mul by the
+    structure constants ``table``; only ints, through int(), reach the text."""
+    q = int(q)
+    a = [f"a{i}" for i in range(len(table))]
+    b = [f"b{i}" for i in range(len(table))]
+    mul = [" + ".join(("" if c == 1 else f"{int(c)} * ") + f"a{int(i)} * b{int(k)}"
+                      for i, k, c in row) for row in table]
+    kernels = [("add", "a, b", [f"{x} + {y}" for x, y in zip(a, b)]),
+               ("sub", "a, b", [f"{x} - {y}" for x, y in zip(a, b)]),
+               ("neg", "a", [f"-{x}" for x in a]),
+               ("mul", "a, b", mul),
+               ("scalar", "n, a", [f"n * {x}" for x in a])]
+    lines = []
+    for name, args, exprs in kernels:
+        lines += [f"def {name}(W, {args}):", f"    {', '.join(a)}, = a.coeffs"]
+        if "b" in args:
+            lines.append(f"    {', '.join(b)}, = b.coeffs")
+        lines += ["    e = _new(WittElem)", "    _set_ring(e, W)",
+                  "    _set_coeffs(e, (" + "".join(f"({x}) % {q}, " for x in exprs) + "))",
+                  "    return e"]
+    return "\n".join(lines) + "\n"
+
+
+def _kernels(q, table):
+    """The compiled kernels of _kernel_source, shared by every ring of one shape."""
+    if (q, table) not in _KERNELS:
+        ns = {}
+        exec(_kernel_source(q, table), globals(), ns)
+        _KERNELS[q, table] = tuple(ns[k] for k in ("add", "sub", "neg", "mul", "scalar"))
+    return _KERNELS[q, table]
 
 
 def _structure_constants(lift, q):
@@ -417,7 +456,9 @@ class WittCoefRing(Ring):
             if [c % p for c in lift] != list(ext):
                 raise ValueError("lift does not reduce to ext mod p")
             self.lift = tuple(lift)
-            self._mul_table = _structure_constants(self.lift, self.modulus)
+        q = self.modulus
+        table = _structure_constants(self.lift or (0, 1), q)  # Z/q is (Z/q)[t]/(t)
+        self._add, self._sub, self._neg, self._mul, self._scalar = _kernels(q, table)
         self._tail = (0,) * (self.f - 1)
         self._zero = self.reduced((0,) + self._tail)
         self._one = self.reduced((1,) + self._tail)
@@ -446,9 +487,9 @@ class WittCoefRing(Ring):
         Skips the checks of ``elem``; for the ring's own arithmetic and for
         kernels that reduce their own output.
         """
-        a = object.__new__(WittElem)
-        _set(a, "ring", self)
-        _set(a, "coeffs", coeffs)
+        a = _new(WittElem)
+        _set_ring(a, self)
+        _set_coeffs(a, coeffs)
         return a
 
     def gen(self):
@@ -467,30 +508,19 @@ class WittCoefRing(Ring):
         return self.reduced((n % self.modulus,) + self._tail)
 
     def add(self, a, b):
-        q = self.modulus
-        if self.f == 1:
-            return self.reduced(((a.coeffs[0] + b.coeffs[0]) % q,))
-        return self.reduced(tuple((x + y) % q for x, y in zip(a.coeffs, b.coeffs)))
+        return self._add(self, a, b)
+
+    def sub(self, a, b):
+        return self._sub(self, a, b)
 
     def neg(self, a):
-        q = self.modulus
-        return self.reduced(tuple(-x % q for x in a.coeffs))
+        return self._neg(self, a)
 
     def mul(self, a, b):
-        if self.f == 1:
-            return self.reduced((a.coeffs[0] * b.coeffs[0] % self.modulus,))
-        x, y = a.coeffs, b.coeffs
-        out = []
-        for row in self._mul_table:
-            s = 0
-            for i, k, c in row:
-                s += c * x[i] * y[k]
-            out.append(s % self.modulus)
-        return self.reduced(tuple(out))
+        return self._mul(self, a, b)
 
     def scalar(self, n, a):
-        q = self.modulus
-        return self.reduced(tuple(n * x % q for x in a.coeffs))
+        return self._scalar(self, n, a)
 
     def eq(self, a, b):
         return a.coeffs == b.coeffs

@@ -333,7 +333,8 @@ def bialgebra_holds(gamma):
 
 
 def _check(name, ok, witness):
-    return CheckResult(name=name, passed=ok, witness=None if ok else witness)
+    """The CheckResult; witness() formats the witness, only when the check fails."""
+    return CheckResult(name=name, passed=ok, witness=None if ok else witness())
 
 
 def _bialgebra_checks(G):
@@ -354,7 +355,7 @@ def _bialgebra_checks(G):
             right = G.mul_elems(k, v, 0, G.unit)
             yield _check(f"mu_unital[{k},{a}]",
                          left == v and right == v,
-                         f"1*g={left} g*1={right} g={v}")
+                         lambda: f"1*g={left} g*1={right} g={v}")
 
     # mu associative on basis triples
     for k, l, m in _weight_triples(kmax):
@@ -364,7 +365,7 @@ def _bialgebra_checks(G):
             lhs = G.mul_elems(k + l, G.mul_elems(k, x, l, y), m, z)
             rhs = G.mul_elems(k, x, l + m, G.mul_elems(l, y, m, z))
             yield _check(f"mu_assoc[{k},{l},{m};{a},{b},{c}]", lhs == rhs,
-                         f"(xy)z={lhs} x(yz)={rhs}")
+                         lambda: f"(xy)z={lhs} x(yz)={rhs}")
 
     # associativity with an eta-element inserted on the left:
     # (eta(r) g) h = eta(r) (g h) ties the left-action matrices across weights
@@ -377,7 +378,7 @@ def _bialgebra_checks(G):
                     lhs = G.mul_elems(k, G.mul_elems(0, er, k, x), l, y)
                     rhs = G.mul_elems(0, er, k + l, G.mul_elems(k, x, l, y))
                     yield _check(f"mu_assoc_eta[{r!r};{k},{l};{a},{b}]",
-                                 lhs == rhs, f"lhs={lhs} rhs={rhs}")
+                                 lhs == rhs, lambda: f"lhs={lhs} rhs={rhs}")
 
     # eta is a ring homomorphism
     gens = G.ring_generators()
@@ -385,13 +386,13 @@ def _bialgebra_checks(G):
         lhs = G.mul_elems(0, G.eta(r), 0, G.eta(s))
         rhs = G.eta(R.mul(r, s))
         yield _check(f"eta_mult[{r!r},{s!r}]", lhs == rhs,
-                     f"eta(r)eta(s)={lhs} eta(rs)={rhs}")
-    yield _check("eta_unit", G.eta(R.one()) == G.unit, "eta(1) != 1")
+                     lambda: f"eta(r)eta(s)={lhs} eta(rs)={rhs}")
+    yield _check("eta_unit", G.eta(R.one()) == G.unit, lambda: "eta(1) != 1")
 
     # eps axioms: eps(eta(r)) = r and eps(xy) = eps(eta(eps(x)) y)
     for r in gens + [R.one()]:
         val = G.eps_elem(0, G.eta(r))
-        yield _check(f"eps_eta[{r!r}]", R.eq(val, r), f"eps(eta({r!r}))={val!r}")
+        yield _check(f"eps_eta[{r!r}]", R.eq(val, r), lambda: f"eps(eta({r!r}))={val!r}")
     for k in range(kmax + 1):
         for l in range(kmax + 1 - k):
             for a, b in itertools.product(range(G.rank(k)), range(G.rank(l))):
@@ -399,7 +400,7 @@ def _bialgebra_checks(G):
                 lhs = G.eps_elem(k + l, G.mul_elems(k, x, l, y))
                 rhs = G.eps_elem(l, G.mul_elems(0, G.eta(G.eps_elem(k, x)), l, y))
                 yield _check(f"eps_mu[{k},{l};{a},{b}]", R.eq(lhs, rhs),
-                             f"eps(xy)={lhs!r} eps(eta(eps(x))y)={rhs!r}")
+                             lambda: f"eps(xy)={lhs!r} eps(eta(eps(x))y)={rhs!r}")
 
     # Delta: counit, cocommutativity, coassociativity
     for k in range(kmax + 1):
@@ -408,17 +409,17 @@ def _bialgebra_checks(G):
             D = G.delta_elem(k, v)
             left = G.counit_left(k, D)
             yield _check(f"delta_counit_left[{k},{a}]", left == v,
-                         f"(eps x id)Delta={left} want {v}")
-            yield _check(f"delta_counit_right[{k},{a}]",
-                         G.counit_right(k, D) == v,
-                         f"(id x eps)Delta={G.counit_right(k, D)} want {v}")
+                         lambda: f"(eps x id)Delta={left} want {v}")
+            right = G.counit_right(k, D)
+            yield _check(f"delta_counit_right[{k},{a}]", right == v,
+                         lambda: f"(id x eps)Delta={right} want {v}")
             yield _check(f"delta_cocomm[{k},{a}]", D == D.transpose(),
-                         f"Delta not symmetric: {D.to_json()}")
+                         lambda: f"Delta not symmetric: {D.to_json()}")
             terms = _delta_leg(G, k, {(a,): R.one()}, 0)  # the terms of D
             lhs3 = _delta_leg(G, k, terms, 0)
             rhs3 = _delta_leg(G, k, terms, 1)
             yield _check(f"delta_coassoc[{k},{a}]", lhs3 == rhs3,
-                         "iterated comultiplications differ")
+                         lambda: "iterated comultiplications differ")
 
     # Delta multiplicative against mu
     for k in range(kmax + 1):
@@ -428,7 +429,8 @@ def _bialgebra_checks(G):
                 lhs = G.delta_elem(k + l, G.mul_elems(k, x, l, y))
                 rhs = G.tensor_mul(k, G.delta_elem(k, x), l, G.delta_elem(l, y))
                 yield _check(f"delta_mu[{k},{l};{a},{b}]", lhs == rhs,
-                             f"Delta(xy)={lhs.to_json()} Delta(x)Delta(y)={rhs.to_json()}")
+                             lambda: f"Delta(xy)={lhs.to_json()} "
+                                     f"Delta(x)Delta(y)={rhs.to_json()}")
 
     # the shapes were checked first: mu lands in k+l, eta in weight 0, Delta in (k,k)
     yield CheckResult("grading_structural", True)
@@ -798,9 +800,11 @@ def points_category(scheme, Rp):
     def ev(k, images, wvec):
         return _evaluate(Rp, images, _int_coords(wvec))
 
+    @functools.cache
     def src(k, alpha):
         return tuple(ev(k, alpha, scheme.s_star[k](_tpow(R, j))) for j in range(R.f))
 
+    @functools.cache
     def tgt(k, alpha):
         return tuple(ev(k, alpha, scheme.t_star[k](_tpow(R, j))) for j in range(R.f))
 
@@ -812,24 +816,36 @@ def points_category(scheme, Rp):
                                      scheme.i_star(unit_vector(R, n0, a))).coeffs)
             for a in range(n0) for j in range(R.f))
 
-    def compose(k, alpha, l, beta):
-        """alpha o beta (beta first); src(alpha) must equal tgt(beta)."""
+    @functools.cache
+    def composite_terms(k, l):
+        """Per coordinate (a, j) of a composite of degrees k and l, the pairs
+        (u, w) with (alpha o beta)(a, j) = sum alpha(e_u) beta(w); w needs neither."""
         lam = scheme.c_star[(k, l)]
-        Ak, Al = scheme.A[k], scheme.A[l]
+        nk, Al = len(scheme.A[k].basis), scheme.A[l]
+        nl = len(Al.basis)
         out = []
         for a in range(len(scheme.A[k + l].basis)):
             for j in range(R.f):
-                r = _tpow(R, j)
-                acc = Rp.zero()
-                for u in range(len(Ak.basis)):
-                    au = ev(k, alpha, unit_vector(R, len(Ak.basis), u))
-                    for z in range(len(Al.basis)):
-                        lam_uz = lam[a].rows[u][z]
-                        w = Al.mul(scheme.t_star[l](lam_uz),
-                                   unit_vector(R, len(Al.basis), z))
-                        w = Al.mul(w, scheme.s_star[l](r))
-                        acc = Rp.add(acc, Rp.mul(au, ev(l, beta, w)))
-                out.append(acc)
+                sr = scheme.s_star[l](_tpow(R, j))
+                terms = []
+                for u in range(nk):
+                    for z in range(nl):
+                        w = Al.mul(scheme.t_star[l](lam[a].rows[u][z]), unit_vector(R, nl, z))
+                        terms.append((u, _int_coords(Al.mul(w, sr))))
+                out.append(terms)
+        return out
+
+    @functools.cache
+    def compose(k, alpha, l, beta):
+        """alpha o beta (beta first); src(alpha) must equal tgt(beta)."""
+        nk = len(scheme.A[k].basis)
+        au = [ev(k, alpha, unit_vector(R, nk, u)) for u in range(nk)]
+        out = []
+        for terms in composite_terms(k, l):
+            acc = Rp.zero()
+            for u, w in terms:
+                acc = Rp.add(acc, Rp.mul(au[u], _evaluate(Rp, beta, w)))
+            out.append(acc)
         return tuple(out)
 
     # identities are degree-0 morphisms and behave as units

@@ -1,11 +1,13 @@
 import functools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fglcheck import exact_arith
 from fglcheck.cli import run
 from fglcheck.exact_arith import (MalformedElement, NotDivisible, RingMismatch,
                                   WittCoefRing, WittElem, is_prime, ring_from_descriptor)
@@ -416,6 +418,74 @@ def test_scalar_matches_product_with_from_int(W, data):
     assert _canonical(W, W.scalar(n, a)) == W.mul(W.from_int(n), a).coeffs
 
 
+@settings(max_examples=100, deadline=None)
+@given(unramified_rings(with_f1=True), st.data())
+def test_add_sub_neg_are_coordinatewise_mod_q(W, data):
+    q = W.modulus
+    a, b = data.draw(_coords(W)), data.draw(_coords(W))
+    x, y = W.elem(a), W.elem(b)
+    assert _canonical(W, W.add(x, y)) == tuple((u + v) % q for u, v in zip(a, b))
+    assert _canonical(W, W.sub(x, y)) == tuple((u - v) % q for u, v in zip(a, b))
+    assert _canonical(W, W.neg(x)) == tuple(-u % q for u in a)
+    assert W.sub(x, y) == W.add(x, W.neg(y))
+
+
+def _compiles(monkeypatch):
+    """Record (f, q, source) for each shape compiled from here on, from an empty cache."""
+    compiled = []
+    source = exact_arith._kernel_source
+
+    def recording(q, table):
+        compiled.append((len(table), q, source(q, table)))
+        return compiled[-1][2]
+
+    monkeypatch.setattr(exact_arith, "_KERNELS", {})
+    monkeypatch.setattr(exact_arith, "_kernel_source", recording)
+    return compiled
+
+
+def test_rings_of_one_shape_share_one_kernel(monkeypatch):
+    compiled = _compiles(monkeypatch)
+    first = WittCoefRing(2, 3, [1, 1, 1])
+    first.lower()
+    assert [c[:2] for c in compiled] == [(2, 8), (2, 4)]
+    W = WittCoefRing(2, 3, [1, 1, 1])
+    W.lower()
+    assert len(compiled) == 2
+    assert W._mul is first._mul and W.lower()._sub is first.lower()._sub
+    WittCoefRing(2, 3, [1, 1, 1], lift=[3, 1, 1])  # another lift, another table
+    assert [c[:2] for c in compiled[2:]] == [(2, 8)]
+
+
+class _Loud(int):
+    """An int whose text is not its digits."""
+
+    def __repr__(self):
+        return "__import__('os')"
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        return repr(self)
+
+
+def test_kernel_source_holds_no_text_from_the_inputs(monkeypatch):
+    table = exact_arith._structure_constants((3, 1, 4, 1), 8)
+    loud = tuple(tuple(tuple(_Loud(x) for x in triple) for triple in row) for row in table)
+    assert exact_arith._kernel_source(_Loud(8), loud) == exact_arith._kernel_source(8, table)
+    compiled = _compiles(monkeypatch)
+    WittCoefRing(_Loud(2), _Loud(3), [_Loud(c) for c in (1, 1, 0, 1)],
+                 lift=[_Loud(c) for c in (3, 1, 4, 1)])
+    WittCoefRing(_Loud(3), _Loud(2))
+    template = {"def", "return", "add", "sub", "neg", "mul", "scalar", "W", "a", "b",
+                "n", "e", "coeffs", "_new", "WittElem", "_set_ring", "_set_coeffs"}
+    assert len(compiled) == 2
+    for _, _, text in compiled:
+        assert "import" not in text
+        assert set(re.findall(r"[A-Za-z_]\w*", re.sub(r"\b[ab]\d+\b", "", text))) <= template
+        assert re.fullmatch(r"[\w\s().,:=%*+-]*", text)
+
+
 @settings(max_examples=60, deadline=None)
 @given(unramified_rings(with_f1=True), st.integers())
 def test_ring_made_constants_equal_checked_elements(W, n):
@@ -458,6 +528,7 @@ def test_ring_made_elements_are_not_validated_again(monkeypatch, ext):
     calls = _validations(monkeypatch)
     W.zero(), W.one(), W.from_int(-9), W.elem(12)
     W.add(a, b), W.mul(a, b), W.scalar(-3, a), W.scalar(W.modulus + 1, b)
+    W.sub(a, b), W.neg(a)
     assert calls == []
     # input still enters through the checks
     assert W.elem((1, 2)).coeffs == (1, 2) + (0,) * (W.f - 2)

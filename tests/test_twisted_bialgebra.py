@@ -361,3 +361,13 @@ def test_twisted_sum_applies_integer_scalars_without_products():
         del W.mul
     assert calls and all(id(b) in operands for b in calls)
     assert out == _twisted_sum_by_matmul(G23, k, g, vec, n, lambda i, j: cols[(i, j)])
+
+
+def test_passing_checks_format_no_witness_and_apply_each_counit_once(monkeypatch):
+    calls = []
+    for cls, name in ((Mat, "to_json"), (TwistedBialgebra, "counit_right")):
+        fn = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *args, _fn=fn, _name=name:
+                            calls.append(_name) or _fn(*args))
+    assert verify_bialgebra(G23).verdict
+    assert calls == ["counit_right"] * sum(G23.rank(k) for k in range(G23.kmax + 1))
