@@ -24,7 +24,7 @@ from .theta_congruence import (FrobeniusClassSpec, L1Data, PolyShape,
                                gamma_congruence_check, theta_consistency,
                                theta_of, verify_weight_p_squares,
                                wilkerson_check)
-from .twisted_bialgebra import (algebra_on_w, bialgebra_holds, dualize,
+from .twisted_bialgebra import (algebra_on_w, bialgebra_checks, dualize,
                                 height1_gamma, points_category,
                                 trivial_algebra, verify_bialgebra)
 
@@ -33,7 +33,6 @@ SEED = 20260810
 
 def criterion_1_fgl_axioms():
     """Unit, commutativity and associativity with zero residual at truncation."""
-    checks = []
     laws = {
         "multiplicative/Z16": fg.fgl_multiplicative(WittCoefRing(2, 4), 6),
         "multiplicative/Z27": fg.fgl_multiplicative(WittCoefRing(3, 3), 6),
@@ -43,12 +42,8 @@ def criterion_1_fgl_axioms():
     }
     laws["honda(2,2)/mod2"] = fg.reduce_to_residue(laws["honda(2,2)/N3"])
     laws["honda(3,1)/mod3"] = fg.reduce_to_residue(laws["honda(3,1)/N3"])
-    for name, G in laws.items():
-        for axiom, residual in G.axiom_residuals().items():
-            ok = residual.is_zero()
-            checks.append(CheckResult(f"{name}:{axiom}", ok,
-                                      None if ok else repr(residual)))
-    return CongruenceReport.from_checks(checks)
+    return CongruenceReport.from_checks(
+        [c for name, G in laws.items() for c in G.axiom_checks(name)])
 
 
 def criterion_2_heights():
@@ -108,8 +103,7 @@ def criterion_4_coherence():
     ring = WittCoefRing(2, 3)
     objs = standard_graded_objects(ring)
     rep = graded2.verify_coherence(ring, objs)
-    checks = [CheckResult("coherence suite", rep.verdict,
-                          None if rep.verdict else str(rep.witnesses[:1]))]
+    checks = [rep.as_check("coherence suite")]
     t = graded2.interchange(objs[2], objs[2])
     minus = graded2.SignedPerm(ring, (0,), (-1,))
     checks.append(CheckResult("tau on omega^(1/2) square is -id", t.m0 == minus))
@@ -139,7 +133,8 @@ def criterion_4_coherence():
             return graded2.interchange(X, Y)
 
         injected += 1
-        if not (monoidal and graded2.braiding_holds(ring, objs, tau_fn)):
+        if not (monoidal and all(c.passed for c in graded2.coherence_checks(
+                ring, objs, tau_fn, monoidal=False))):
             detected += 1
     checks.append(CheckResult("sign mutations always detected",
                               injected == 20 and detected == injected,
@@ -193,14 +188,12 @@ def _mutate_one_constant(G, rng):
 def criterion_5_bialgebra_axioms():
     """height1_gamma(2,3,2,3) passes; 50 single-constant mutations all fail."""
     G = height1_gamma(2, 3, 2, 3)
-    rep = verify_bialgebra(G)
-    checks = [CheckResult("height1_gamma(2,3,2,3) axioms", rep.verdict,
-                          None if rep.verdict else str(rep.witnesses[:1]))]
+    checks = [verify_bialgebra(G).as_check("height1_gamma(2,3,2,3) axioms")]
     rng = random.Random(SEED)
     detected = 0
     for i in range(50):
         H, what = _mutate_one_constant(G, rng)
-        if not bialgebra_holds(H):
+        if not all(c.passed for c in bialgebra_checks(H)):
             detected += 1
         else:
             checks.append(CheckResult(f"mutation[{i}] detected", False, what))
@@ -215,10 +208,7 @@ def criterion_6_dual_scheme():
     for f in (2, 1):
         G = height1_gamma(2, 3, f, 3)
         scheme = dualize(G)
-        checks.append(CheckResult(f"dualize(f={f}) structure checks",
-                                  scheme.report.verdict,
-                                  None if scheme.report.verdict
-                                  else str(scheme.report.witnesses[:1])))
+        checks.append(scheme.report.as_check(f"dualize(f={f}) structure checks"))
         iso = [c for c in scheme.report.checks if c.name == "i_star_isomorphism"]
         checks.append(CheckResult(f"i* isomorphism (f={f})",
                                   bool(iso) and iso[0].passed))
@@ -269,10 +259,8 @@ def criterion_7_wilkerson():
                               not rep3.verdict and "generator[x]" in witness_names,
                               str(rep3.witnesses[:1])))
 
-    rep4 = theta_consistency(P, samples=100, seed=SEED)
-    checks.append(CheckResult("theta addition/multiplication identities x100",
-                              rep4.verdict,
-                              None if rep4.verdict else str(rep4.witnesses[:1])))
+    checks.append(theta_consistency(P, samples=100, seed=SEED).as_check(
+        "theta addition/multiplication identities x100"))
     return CongruenceReport.from_checks(checks, meta={"seed": SEED})
 
 
@@ -282,9 +270,8 @@ def criterion_8_gamma_congruence():
     R = G.ring
     sigma = FrobeniusClassSpec(gamma=G, coords=(R.one(),))
     B = trivial_algebra(G)
-    rep = gamma_congruence_check(sigma, B, seed=SEED)
-    checks = [CheckResult("(W, psi -> sigma) passes", rep.verdict,
-                          None if rep.verdict else str(rep.witnesses[:1]))]
+    checks = [gamma_congruence_check(sigma, B, seed=SEED).as_check(
+        "(W, psi -> sigma) passes")]
 
     pert = algebra_on_w(G, {k: Mat(R, [[R.from_int(2) if k == 1 else R.one()]])
                             for k in range(G.kmax + 1)})
@@ -332,9 +319,7 @@ def criterion_9_frobenius_congruence():
 
 
 def criterion_10_weight_p_squares():
-    rep = verify_weight_p_squares(2, 4, seed=SEED)
-    checks = list(rep.checks)
-    return CongruenceReport.from_checks(checks, meta=rep.meta)
+    return verify_weight_p_squares(2, 4, seed=SEED)
 
 
 def criterion_11_critical_weights():

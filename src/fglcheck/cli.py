@@ -75,6 +75,14 @@ def height1_spec(text):
     return text
 
 
+def squares_spec(text):
+    """argparse type: "p,N" with p prime and N >= 2."""
+    p, N = (int(x) for x in text.split(","))
+    if not is_prime(p) or N < 2:
+        raise ValueError(text)
+    return text
+
+
 def _digest(payload):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -115,10 +123,7 @@ def cmd_fgl(args):
             raise ValueError(f"unknown builtin {args.builtin}")
         digest = _digest(f"{args.builtin},{args.p},{args.n},{args.precision},"
                          f"{args.u_bound},{D}")
-    checks = []
-    for axiom, residual in G.axiom_residuals().items():
-        checks.append(CheckResult(f"axiom:{axiom}", residual.is_zero(),
-                                  None if residual.is_zero() else repr(residual)))
+    checks = list(G.axiom_checks())
     p = fg.residue_char(G.ring)
     pser = fg.n_series(G, p)
     print(f"[{p}](x) = {pser!r}")
@@ -154,15 +159,12 @@ def cmd_bialg(args):
     rep = verify_bialgebra(G)
     if args.dualize and rep.verdict:
         scheme = dualize(G)
-        for c in scheme.report.checks:
-            rep.add(c)
+        rep.checks += scheme.report.checks
         if scheme.t_star_sigma_power is not None:
             rep.meta["t_star_sigma_power"] = scheme.t_star_sigma_power
         if args.points:
             Rp = ring_from_descriptor(json.loads(args.points))
-            pc = points_category(scheme, Rp)
-            for c in pc.report.checks:
-                rep.add(c)
+            rep.checks += points_category(scheme, Rp).report.checks
     return _emit(rep, args, "bialg", digest)
 
 
@@ -179,14 +181,12 @@ def cmd_theta(args):
         td = derive_theta(pres)
         for g, v in sorted(td.theta_gens.items()):
             print(f"theta({g}) = {td.lowered.A.repr_elem(v)}  (precision {td.lowered.W.N})")
-        cons = theta_consistency(pres, samples=args.samples, seed=args.seed)
-        for c in cons.checks:
-            rep.add(c)
+        rep.checks += theta_consistency(pres, samples=args.samples, seed=args.seed).checks
     return _emit(rep, args, "theta", digest)
 
 
 def cmd_congruence(args):
-    checks = CongruenceReport(verdict=True)
+    merged = CongruenceReport()
     digest_src = []
     if args.height1:
         G = _height1_args(args.height1)
@@ -195,17 +195,15 @@ def cmd_congruence(args):
         rep = gamma_congruence_check(sigma, trivial_algebra(G),
                                      degree_bound=args.degree_bound,
                                      seed=args.seed)
-        for c in rep.checks:
-            checks.add(c)
+        merged.checks += rep.checks
         if "theorem_a" in rep.meta:
-            checks.meta["theorem_a"] = rep.meta["theorem_a"]
+            merged.meta["theorem_a"] = rep.meta["theorem_a"]
     if args.squares:
         p, N = (int(x) for x in args.squares.split(","))
         digest_src.append(args.squares)
         rep = verify_weight_p_squares(p, N, seed=args.seed)
-        for c in rep.checks:
-            checks.add(c)
-        checks.meta["pullback_basis"] = rep.meta["pullback_basis"]
+        merged.checks += rep.checks
+        merged.meta["pullback_basis"] = rep.meta["pullback_basis"]
     if args.comodule_file:
         raw = json_typed(_load_json(args.comodule_file), dict, "comodule data")
         digest_src.append(json.dumps(raw, sort_keys=True))
@@ -223,13 +221,11 @@ def cmd_congruence(args):
                     raise MalformedData(f"a psi1[{g}] term is [scalar, polynomial], "
                                         f"not {t!r:.60}")
                 psi1[g].append((l1W.decode(t[0]), pres.A.decode(t[1], f"psi1[{g}]")))
-        rep = frobenius_congruence_comodule(l1, pres, psi1, seed=args.seed)
-        for c in rep.checks:
-            checks.add(c)
+        merged.checks += frobenius_congruence_comodule(l1, pres, psi1, seed=args.seed).checks
     if not digest_src:
         raise ValueError("nothing to check: pass --height1, --squares or "
                          "--comodule-file")
-    return _emit(checks, args, "congruence", _digest("|".join(digest_src)))
+    return _emit(merged, args, "congruence", _digest("|".join(digest_src)))
 
 
 def cmd_weights(args):
@@ -271,12 +267,10 @@ def cmd_selftest(args):
     checks = []
     for name, fn in CRITERIA:
         rep = fn()
-        tag = "PASS" if rep.verdict else "FAIL"
-        print(f"[{tag}] criterion {name}")
-        for wname, w in ([] if rep.verdict else rep.witnesses[:3]):
+        print(f"[{'PASS' if rep.verdict else 'FAIL'}] criterion {name}")
+        for wname, w in rep.witnesses[:3]:
             print(f"         witness {wname}: {w}")
-        checks.append(CheckResult(f"criterion {name}", rep.verdict,
-                                  None if rep.verdict else str(rep.witnesses[:1])))
+        checks.append(rep.as_check(f"criterion {name}"))
     rep = CongruenceReport.from_checks(checks)
     print(f"elapsed: {time.time() - t0:.1f}s")
     return _emit(rep, args, "selftest", _digest("selftest"))
@@ -328,7 +322,8 @@ def build_parser():
     s = sub.add_parser("congruence", help="congruence checks and weight-p squares")
     s.add_argument("--height1", type=height1_spec,
                    help="p,N,f,kmax: canonical algebra congruence")
-    s.add_argument("--squares", help="p,N: verify the weight-p module squares")
+    s.add_argument("--squares", type=squares_spec,
+                   help="p,N: verify the weight-p module squares")
     s.add_argument("--comodule-file", help="comodule congruence data JSON")
     s.add_argument("--degree-bound", type=nonnegative, default=2, dest="degree_bound")
     common(s)

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .exact_arith import (RationalField, WittCoefRing, json_names, json_typed,
                           ring_from_descriptor)
 from .linalg import FiniteAlgebra
+from .report import CheckResult
 from .series import (ContextMismatch, IdentityFailed, NotConverged,
                      PolyTruncRing, TruncSeries, reversion, substitute,
                      weierstrass_prepare)
@@ -85,8 +86,11 @@ class FormalGroupLaw:
         return {"unit_x": unit_x, "unit_y": unit_y,
                 "commutativity": comm, "associativity": assoc}
 
-    def verify(self):
-        return {name: r.is_zero() for name, r in self.axiom_residuals().items()}
+    def axiom_checks(self, label="axiom"):
+        """One check per axiom, named label:axiom; a failure's witness is its residual."""
+        for axiom, residual in self.axiom_residuals().items():
+            ok = residual.is_zero()
+            yield CheckResult(f"{label}:{axiom}", ok, None if ok else repr(residual))
 
     def to_json(self):
         return {"ring": self.ring.descriptor(), "D": self.bound,

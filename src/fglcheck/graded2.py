@@ -200,11 +200,6 @@ class GradedMap:
     def __hash__(self):
         raise TypeError("GradedMap is unhashable")
 
-    def is_identity(self):
-        ring = self.source.ring
-        return (self.m0 == SignedPerm.identity(ring, len(self.m0.perm))
-                and self.m1 == SignedPerm.identity(ring, len(self.m1.perm)))
-
 
 def _identity(obj):
     return GradedMap(obj, obj, SignedPerm.identity(obj.ring, obj.rank0),
@@ -314,8 +309,15 @@ def _unitor(M, left):
                      _signed_perm(M.ring, src.basis1, M.basis1, image))
 
 
-def _diagrams(ring, objects, tau, monoidal=True):
-    """Yield (name, lhs, rhs) for every coherence diagram, in report order.
+def _diagram_check(name, lhs, rhs):
+    ok = lhs == rhs
+    return CheckResult(name, ok, None if ok else
+                       f"lhs0={lhs.m0.to_json()} rhs0={rhs.m0.to_json()} "
+                       f"lhs1={lhs.m1.to_json()} rhs1={rhs.m1.to_json()}")
+
+
+def coherence_checks(ring, objects, tau, monoidal=True):
+    """Yield a CheckResult for every coherence diagram, in report order.
 
     The braided half (symmetry, hexagon, odd square) calls tau; the monoidal
     half (triangle, pentagon) never does and is skipped when monoidal is
@@ -329,12 +331,13 @@ def _diagrams(ring, objects, tau, monoidal=True):
 
     for i, (A, B) in enumerate(itertools.product(objects, repeat=2)):
         pair = tau(B, A).compose(tau(A, B))
-        yield f"symmetry[{i}]", pair, GradedMap.identity(twisted_tensor(A, B))
+        yield _diagram_check(f"symmetry[{i}]", pair,
+                             GradedMap.identity(twisted_tensor(A, B)))
         if monoidal:
             tri_lhs = tensor_map(GradedMap.identity(A), left_unitor(B)).compose(
                 associator(A, unit, B))
             tri_rhs = tensor_map(right_unitor(A), GradedMap.identity(B))
-            yield f"triangle[{i}]", tri_lhs, tri_rhs
+            yield _diagram_check(f"triangle[{i}]", tri_lhs, tri_rhs)
 
     for i, (A, B, C) in enumerate(itertools.product(objects, repeat=3)):
         lhs = associator(B, C, A).compose(tau(A, twisted_tensor(B, C))).compose(
@@ -342,7 +345,7 @@ def _diagrams(ring, objects, tau, monoidal=True):
         rhs = tensor_map(GradedMap.identity(B), tau(A, C)).compose(
             associator(B, A, C)).compose(
             tensor_map(tau(A, B), GradedMap.identity(C)))
-        yield f"hexagon[{i}]", lhs, rhs
+        yield _diagram_check(f"hexagon[{i}]", lhs, rhs)
 
     if monoidal:
         for i, (A, B, C, D) in enumerate(itertools.product(objects, repeat=4)):
@@ -351,36 +354,28 @@ def _diagrams(ring, objects, tau, monoidal=True):
             rhs = tensor_map(GradedMap.identity(A), associator(B, C, D)).compose(
                 associator(A, twisted_tensor(B, C), D)).compose(
                 tensor_map(associator(A, B, C), GradedMap.identity(D)))
-            yield f"pentagon[{i}]", lhs, rhs
+            yield _diagram_check(f"pentagon[{i}]", lhs, rhs)
 
     for i, X in enumerate(objects):
         if X.ranks() == (0, 1):
             t = tau(X, X)
-            yield (f"odd_square_sign[{i}]", t,
-                   GradedMap(t.source, t.target, SignedPerm(ring, (0,), (-1,)),
-                             SignedPerm.identity(ring, 0)))
+            yield _diagram_check(
+                f"odd_square_sign[{i}]", t,
+                GradedMap(t.source, t.target, SignedPerm(ring, (0,), (-1,)),
+                          SignedPerm.identity(ring, 0)))
 
 
 def verify_coherence(ring, objects, interchange_fn=None):
     """Pentagon, unit triangle, symmetry involution, hexagon and odd-sign checks.
 
-    Diagrams are compared as exact signed permutations; each failing one is
-    recorded with both composites.  interchange_fn injects faults; only the
-    braided half calls it, which braiding_holds checks on its own.
+    The report of coherence_checks: diagrams are compared as exact signed
+    permutations, and each failing one is recorded with both composites.
+    interchange_fn injects faults; only the braided half calls it.
     """
-    checks = []
-    for name, lhs, rhs in _diagrams(ring, objects, interchange_fn or interchange):
-        ok = lhs == rhs
-        checks.append(CheckResult(name, ok, None if ok else
-                                  f"lhs0={lhs.m0.to_json()} rhs0={rhs.m0.to_json()} "
-                                  f"lhs1={lhs.m1.to_json()} rhs1={rhs.m1.to_json()}"))
-    return CongruenceReport.from_checks(checks, meta={"objects": len(objects)})
-
-
-def braiding_holds(ring, objects, interchange_fn):
-    """The symmetry, hexagon and odd-square verdict, stopping at the first failure."""
-    return all(lhs == rhs for _, lhs, rhs in
-               _diagrams(ring, objects, interchange_fn, monoidal=False))
+    # drawn here, not in from_checks, so a profile charges the checks to this module
+    return CongruenceReport.from_checks(
+        list(coherence_checks(ring, objects, interchange_fn or interchange)),
+        meta={"objects": len(objects)})
 
 
 def flip_sign(gmap, degree, i, j):

@@ -1,4 +1,8 @@
-"""Pass/fail reports with replayable witnesses, shared by all checkers."""
+"""Pass/fail reports with replayable witnesses, shared by all checkers.
+
+A report stores only its checks and meta.  It passes when every check passes;
+its witnesses are the failing checks' (name, witness) pairs in check order.
+"""
 
 from __future__ import annotations
 
@@ -27,25 +31,27 @@ class CheckResult:
 
 @dataclass
 class CongruenceReport:
-    """Verdict plus per-check results; failures always carry a witness."""
+    """Checks and meta; merging two reports concatenates their checks."""
 
-    verdict: bool
     checks: list = field(default_factory=list)
-    witnesses: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     @staticmethod
     def from_checks(checks, meta=None):
-        witnesses = [(c.name, c.witness) for c in checks if not c.passed]
-        return CongruenceReport(verdict=all(c.passed for c in checks),
-                                checks=list(checks), witnesses=witnesses,
-                                meta=dict(meta or {}))
+        return CongruenceReport(checks=list(checks), meta=dict(meta or {}))
 
-    def add(self, check):
-        self.checks.append(check)
-        if not check.passed:
-            self.verdict = False
-            self.witnesses.append((check.name, check.witness))
+    @property
+    def verdict(self):
+        return all(c.passed for c in self.checks)
+
+    @property
+    def witnesses(self):
+        return [(c.name, c.witness) for c in self.checks if not c.passed]
+
+    def as_check(self, name):
+        """This report as one check of a larger one; a failure carries its first witness."""
+        ok = self.verdict
+        return CheckResult(name, ok, None if ok else str(self.witnesses[:1]))
 
     def to_json(self):
         return {"verdict": "pass" if self.verdict else "fail",

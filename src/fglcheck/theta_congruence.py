@@ -596,17 +596,13 @@ def congruence_stability_under_class_change(sigma, algebra, gammas, **kw):
     """Verdicts are unchanged when sigma moves by p * gamma inside Gamma[1]."""
     G = sigma.gamma
     R = G.ring
-
-    def holds(s):  # the verdict alone: stop at the first failing check
-        return all(c.passed for c in _congruence_checks(s, algebra, **kw))
-
-    base = holds(sigma)
+    base = all(c.passed for c in _congruence_checks(sigma, algebra, **kw))
     checks = [CheckResult("base", True)]
     for i, g in enumerate(gammas):
         shifted = FrobeniusClassSpec(
             gamma=G, coords=tuple(R.add(c, R.scalar(R.p, gc))
                                   for c, gc in zip(sigma.coords, g)))
-        verdict = holds(shifted)
+        verdict = all(c.passed for c in _congruence_checks(shifted, algebra, **kw))
         checks.append(CheckResult(f"shift[{i}]", verdict == base,
                                   None if verdict == base else
                                   f"verdict changed to {verdict}"))

@@ -320,16 +320,12 @@ def verify_bialgebra(gamma):
     rules for eps, coassociativity / cocommutativity / counit / grading of
     Delta, and multiplicativity of Delta against mu.  Structure constants
     whose shapes do not match the ranks of their weights fail
-    grading_structural, and then nothing else is checked.  bialgebra_holds
-    gives the same verdict without the report.
+    grading_structural, and then nothing else is checked.  This is the report
+    of bialgebra_checks, which a verdict-only caller reads to its first failure.
     """
-    return CongruenceReport.from_checks(list(_bialgebra_checks(gamma)),
+    # drawn here, not in from_checks, so a profile charges the checks to this module
+    return CongruenceReport.from_checks(list(bialgebra_checks(gamma)),
                                         meta={"kmax": gamma.kmax})
-
-
-def bialgebra_holds(gamma):
-    """verify_bialgebra's verdict, stopping at the first failing check."""
-    return all(c.passed for c in _bialgebra_checks(gamma))
 
 
 def _check(name, ok, witness):
@@ -337,7 +333,7 @@ def _check(name, ok, witness):
     return CheckResult(name=name, passed=ok, witness=None if ok else witness())
 
 
-def _bialgebra_checks(G):
+def bialgebra_checks(G):
     """Yield the CheckResults of verify_bialgebra in report order."""
     R = G.ring
     kmax = G.kmax

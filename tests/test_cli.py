@@ -157,6 +157,10 @@ def test_usage_errors_exit_2(capsys):
     ["congruence", "--height1", "2,1,1,1", "--degree-bound", "-1"],  # no monomials
     ["theta", "check", "--file", "unread.json", "--samples", "-3"],  # no samples
     ["fgl", "--builtin", "lubin-tate", "--n", "2", "--u-bound", "-1"],  # no u-degrees
+    ["congruence", "--squares", "2,1"],               # the squares need N >= 2
+    ["congruence", "--squares", "2"],                 # one field, not two
+    ["congruence", "--squares", "4,3"],               # not a prime
+    ["congruence", "--squares", "2,x"],               # not an integer
 ])
 def test_out_of_range_arguments_exit_2(argv, capsys):
     assert run(argv) == 2

@@ -59,3 +59,21 @@ def test_report_digest_is_pinned(name, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(argv + ["--json", str(out)]) == 0, capsys.readouterr().out
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# a comodule whose psi_1(y) = 1 (x) y breaks the congruence at y: the merged
+# report of all three congruence inputs fails, exits 1 and names its witness
+BAD_COMODULE = {"base": {"p": 2, "N": 1}, "vars": ["y"], "l1": {"ring": {"p": 2, "N": 3}},
+                "psi1": {"y": [["1", [[[1], "1"]]]]}}
+MERGED_FAILURE_DIGEST = "686afaaf218be76d0d260eb2a1e4621e03487875b806aa4a279cf2a4c8d40f50"
+
+
+def test_failing_merged_congruence_report_is_pinned(tmp_path, capsys):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(BAD_COMODULE))
+    out = tmp_path / "report.json"
+    argv = ["congruence", "--height1", "2,3,2,2", "--squares", "2,3",
+            "--comodule-file", str(src), "--json", str(out)]
+    assert run(argv) == 1, capsys.readouterr().out
+    assert json.loads(out.read_bytes())["report"]["witnesses"][0]["check"] == "generator[y]"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MERGED_FAILURE_DIGEST
