@@ -405,17 +405,34 @@ def _fp_poly_divmod(num, den, p):
 
 
 def _fp_irreducible(poly, p):
-    """Brute-force irreducibility over F_p for small degree (f <= 8)."""
+    """Irreducibility over F_p by Ben-Or's test: a monic m of degree f is
+    irreducible iff gcd(t^(p^d) - t, m) = 1 for d = 1..f/2, since every
+    irreducible factor of degree d divides t^(p^d) - t."""
     poly = [c % p for c in poly]
     f = len(poly) - 1
-    if f < 1 or poly[-1] % p != 1:
+    if f < 1 or poly[-1] != 1:
         return False
-    for d in range(1, f // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            den = list(tail) + [1]
-            _, rem = _fp_poly_divmod(poly, den, p)
-            if not rem:
-                return False
+
+    def mulmod(a, b):
+        prod = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        return _fp_poly_divmod(prod, poly, p)[1]
+
+    x = [0, 1]  # t^(p^d) mod m
+    for _ in range(f // 2):
+        y, x = x, [1]  # x = y^p by square and multiply
+        for bit in bin(p)[2:]:
+            x = mulmod(x, x)
+            if bit == "1":
+                x = mulmod(x, y)
+        a, b = poly, _fp_poly_divmod([c - (i == 1) for i, c in enumerate(x + [0, 0])],
+                                     poly, p)[1]  # (x - t) mod m
+        while b:
+            a, b = b, _fp_poly_divmod(a, b, p)[1]
+        if len(a) > 1:
+            return False
     return True
 
 

@@ -6,12 +6,12 @@ composition, reversion and Weierstrass preparation are all exact at the
 bound.  PolyTruncRing wraps these series as a coefficient ring in their own
 right, which is how Lubin-Tate style base rings W[u_1..u_{n-1}] are built.
 
-Over Z/p^N, and over a PolyTruncRing on Z/p^N, products and compositions run
-on a Kronecker-packed kernel: each operand becomes one Python int and a
-product is one int multiplication.  A one-term operand with a scalar
-coefficient is a shift instead: the other operand's exponents move and its
-values are scaled, with no packing.  Every other ring multiplies term by term;
-that dict loop is the reference the kernel is tested against.
+a * b multiplies term by term over every ring.  substitute over Z/p^N, and
+over a PolyTruncRing on Z/p^N, runs on a Kronecker-packed kernel: each operand
+becomes one Python int and a product is one int multiplication; a one-term
+operand with a scalar coefficient is a shift of the other operand's exponents,
+with no packing.  Every other ring composes through the dict loop of a * b,
+the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -135,10 +135,6 @@ class TruncSeries:
         if isinstance(other, int):
             return self.int_scalar(other)
         self.check_context(other)
-        if min(len(self.terms), len(other.terms)) >= _PACK_MIN:
-            k = _kernel(self.ring, self.vars, self.bound)
-            if k is not None:
-                return k.series(k.mul(k.raw(self), k.raw(other)))
         R = self.ring
         out = {}
         b = self.bound
@@ -482,8 +478,6 @@ def _has_chain(R):
 # largest inner indices, so an inner product never reaches the next block.  A
 # slot holds a sum of at most min(entries of A, entries of B) products of
 # values below p^N, so it needs 2 * bits(p^N - 1) + bits(that count) + 1 bits.
-
-_PACK_MIN = 8  # an operand with fewer terms stays on the dict loop of __mul__
 
 # slot widths read and written in C through array / memoryview.cast
 _WORD = ({array(t).itemsize: t for t in "QLIHB"} if sys.byteorder == "little" else {})

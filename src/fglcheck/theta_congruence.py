@@ -157,9 +157,6 @@ class PolyRing(Ring):
             bits.append(f"{c!r}*{mono}" if mono else repr(c))
         return " + ".join(bits)
 
-    def encode(self, a):
-        return [[list(e), self.W.encode(c)] for e, c in sorted(a.items())]
-
     def decode(self, data, what):
         """[[exponents], coefficient] terms; zero coefficients are dropped."""
         W = self.W
@@ -310,26 +307,6 @@ class PsiRingPresentation:
             if not A.eq(lhs, rhs):
                 return f"psi not multiplicative on basis pair ({i},{j})"
         return None
-
-    def to_json(self):
-        enc = self.W.encode
-
-        def vec(a):
-            return [enc(c) for c in a]
-
-        elem = vec
-        if isinstance(self.shape, PolyShape):
-            shape = {"kind": "poly", "vars": list(self.shape.vars)}
-            elem = self.A.encode
-        elif isinstance(self.shape, MonicQuotientShape):
-            shape = {"kind": "monic_quotient", "var": self.shape.var,
-                     "monic": vec(self.shape.monic)}
-        else:
-            shape = {"kind": "finite_free", "basis": list(self.shape.basis),
-                     "mult": [[i, j, vec(v)] for i, j, v in self.shape.mult]}
-        return {"ring": self.W.descriptor(), "shape": shape,
-                "psi_on_coeffs": self.psi_on_coeffs,
-                "psi_gen_images": {k: elem(v) for k, v in self.psi_gen_images.items()}}
 
     @staticmethod
     def from_json(data):

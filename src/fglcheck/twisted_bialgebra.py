@@ -2,9 +2,10 @@
 
 The coefficient ring R sits in Gamma through eta with a non-central image, so
 every graded piece Gamma[k] is stored as a free *right* R-module together with
-the matrix of left multiplication by the ring generator.  Scalars crossing a
-basis element twist through those matrices; all axiom checks below are exact
-identities between coordinate vectors.
+the matrix L_t of left multiplication by the ring generator.  A scalar
+r = sum_i c_i t^i crosses an element g as eta(r) g = sum_i c_i L_t^i g
+(left_mul), one sum for the product, eta, the counit, t* and the c* check;
+all axiom checks below are exact identities between coordinate vectors.
 
 Tensor squares Gamma[k] (x)_R Gamma[k] are written in the canonical form
 sum (gamma_u (x) gamma_v) . c_uv with all scalars pushed onto the right leg,
@@ -24,8 +25,8 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .exact_arith import (IdentityFailed, WittCoefRing, json_names, json_typed,
-                          ring_from_descriptor)
+from .exact_arith import (IdentityFailed, WittCoefRing, _fp_irreducible, json_names,
+                          json_typed, ring_from_descriptor)
 from .linalg import FiniteAlgebra, Mat, smith_normal_form, solve, unit_vector
 from .report import CheckResult, CongruenceReport, SizeLimit
 from .weights import _monomials
@@ -90,22 +91,13 @@ class TwistedBialgebra:
         self._left_powers[k] = (Lt, powers)
         return powers
 
-    def left_action(self, k, r):
-        """Left multiplication by r in R on Gamma[k], as a matrix in the right basis.
-
-        r = sum_i c_i t^i with integer c_i, so L_r = sum_i c_i L_t^i.
-        """
-        R = self.ring
-        n = self.rank(k)
-        out = Mat.zeros(R, n, n)
-        for power, c in zip(self.left_powers(k), r.coeffs):
-            if c:
-                out = out + power.scale(R.from_int(c))
-        return out
+    def left_mul(self, k, r, g):
+        """eta(r) g = sum_i c_i L_t^i g for r = sum_i c_i t^i in R, g in Gamma[k]."""
+        return _left_sum(self.ring, r, [P.apply(g) for P in self.left_powers(k)])
 
     def eta(self, r):
         """Coordinates of eta(r) in Gamma[0]."""
-        return self.left_action(0, r).apply(self.unit)
+        return self.left_mul(0, r, self.unit)
 
     def basis_vec(self, k, a, c=None):
         """The a-th basis vector of Gamma[k], times c when given."""
@@ -169,11 +161,11 @@ class TwistedBialgebra:
     def counit_left(self, k, D):
         """(eps (x) id) applied to a canonical tensor matrix; lands in Gamma[k].
 
-        sum_uv eta(eps(gamma_u)) gamma_v c_uv is the block row of left actions
-        [L(eps_0) ... L(eps_n-1)] applied to the rows of D laid end to end.
+        sum_uv eta(eps(gamma_u)) gamma_v c_uv = sum_u eta(eps_u) (row u of D).
         """
-        blocks = [self.left_action(k, e) for e in self.eps[k]]
-        return functools.reduce(Mat.hstack, blocks).apply(sum(D.rows, ()))
+        R = self.ring
+        rows = [self.left_mul(k, e, row) for e, row in zip(self.eps[k], D.rows)]
+        return tuple(functools.reduce(R.add, col, R.zero()) for col in zip(*rows))
 
     def counit_right(self, k, D):
         """(id (x) eps) applied to a canonical tensor matrix."""
@@ -257,17 +249,25 @@ def twisted_sum(G, k, g, vec, n, column):
             continue
         if moved is None:
             moved = [P.apply(g) for P in G.left_powers(k)]
-        # eta(c) g = sum_i c_i L_t^i g for c = sum_i c_i t^i
-        terms = [(ci, Pg) for ci, Pg in zip(c.coeffs, moved) if ci]
-        for j in range(len(g)):
-            w = R.zero()
-            for ci, Pg in terms:
-                w = R.add(w, R.scalar(ci, Pg[j]))
+        for j, w in enumerate(_left_sum(R, c, moved)):
             if R.is_zero(w):
                 continue
             col = column(i, j)
             for r in range(n):
                 out[r] = R.add(out[r], R.mul(w, col[r]))
+    return tuple(out)
+
+
+def _left_sum(R, r, moved):
+    """sum_i c_i moved[i] for r = sum_i c_i t^i, each integer c_i through R.scalar;
+    with moved[i] = L_t^i g this is eta(r) g."""
+    terms = [(c, v) for c, v in zip(r.coeffs, moved) if c]
+    out = []
+    for j in range(len(moved[0])):
+        w = R.zero()
+        for c, v in terms:
+            w = R.add(w, R.scalar(c, v[j]))
+        out.append(w)
     return tuple(out)
 
 
@@ -303,9 +303,9 @@ def height1_gamma(p, N, f, kmax, ext=None):
 
 
 def find_irreducible(p, f):
-    """Smallest monic irreducible of degree f over F_p, by brute force."""
-    from .exact_arith import _fp_irreducible
-    for tail in itertools.product(range(p), repeat=f):
+    """Smallest monic irreducible of degree f over F_p, constant term slowest;
+    at f > 1 a constant term 0 means the factor t, so the search starts at 1."""
+    for tail in itertools.product(range(f > 1, p), *[range(p)] * (f - 1)):
         poly = list(tail) + [1]
         if _fp_irreducible(poly, p):
             return poly
@@ -604,8 +604,7 @@ def dualize(gamma):
 
         def make_t(k=k):
             def t(r):
-                L = G.left_action(k, r)
-                return tuple(G.eps_elem(k, L.apply(G.basis_vec(k, a)))
+                return tuple(G.eps_elem(k, G.left_mul(k, r, G.basis_vec(k, a)))
                              for a in range(G.rank(k)))
             return t
 
@@ -694,7 +693,7 @@ def _check_c_star(G, k, l, lam):
             for v in range(G.rank(l)):
                 acc = R.zero()
                 for z in range(G.rank(l)):
-                    w = G.left_action(l, m.rows[u][z]).apply(G.basis_vec(l, v))
+                    w = G.left_mul(l, m.rows[u][z], G.basis_vec(l, v))
                     acc = R.add(acc, w[z])
                 if not R.eq(acc, G.mu[(k, l)][(u, v)][a]):
                     return False
@@ -733,7 +732,7 @@ def ring_maps(alg, Rp):
     generator pairs (integer bilinearity extends it to everything).
     """
     W = alg.ring
-    gens = [alg.scale(_tpow(W, j), unit_vector(W, len(alg.basis), i))
+    gens = [alg.scale(W.pow(W.gen(), j), unit_vector(W, len(alg.basis), i))
             for i in range(len(alg.basis)) for j in range(W.f)]
     n = len(gens)
     elems = list(Rp.elements())
@@ -789,6 +788,7 @@ def points_category(scheme, Rp):
     if any(len(scheme.A[k].basis) > POINTS_MAX_RANK for k in scheme.A):
         raise SizeLimit("dual algebra rank exceeds the enumeration guard")
 
+    tpow = [R.pow(R.gen(), j) for j in range(R.f)]  # the additive generators of R
     objects = ring_maps(presentation_of_coefficients(R), Rp)
     morphisms = {k: ring_maps(scheme.A[k], Rp) for k in scheme.A}
     checks = []
@@ -798,19 +798,18 @@ def points_category(scheme, Rp):
 
     @functools.cache
     def src(k, alpha):
-        return tuple(ev(k, alpha, scheme.s_star[k](_tpow(R, j))) for j in range(R.f))
+        return tuple(ev(k, alpha, scheme.s_star[k](t)) for t in tpow)
 
     @functools.cache
     def tgt(k, alpha):
-        return tuple(ev(k, alpha, scheme.t_star[k](_tpow(R, j))) for j in range(R.f))
+        return tuple(ev(k, alpha, scheme.t_star[k](t)) for t in tpow)
 
     def identity_of(obj):
         # id_o = o . i*, evaluated on the additive generators t^j e_a of A[0]
         n0 = len(scheme.A[0].basis)
         return tuple(
-            _evaluate(Rp, obj, R.mul(_tpow(R, j),
-                                     scheme.i_star(unit_vector(R, n0, a))).coeffs)
-            for a in range(n0) for j in range(R.f))
+            _evaluate(Rp, obj, R.mul(t, scheme.i_star(unit_vector(R, n0, a))).coeffs)
+            for a in range(n0) for t in tpow)
 
     @functools.cache
     def composite_terms(k, l):
@@ -821,8 +820,8 @@ def points_category(scheme, Rp):
         nl = len(Al.basis)
         out = []
         for a in range(len(scheme.A[k + l].basis)):
-            for j in range(R.f):
-                sr = scheme.s_star[l](_tpow(R, j))
+            for t in tpow:
+                sr = scheme.s_star[l](t)
                 terms = []
                 for u in range(nk):
                     for z in range(nl):
@@ -900,10 +899,6 @@ def points_category(scheme, Rp):
         checks, meta={"objects": len(objects),
                       "morphisms": {k: len(v) for k, v in morphisms.items()}})
     return PointsCategory(objects=objects, morphisms=morphisms, report=rep)
-
-
-def _tpow(R, j):
-    return R.pow(R.gen(), j) if R.f > 1 else R.one()
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,21 @@ def test_package_import_loads_no_module():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_height1_over_a_large_residue_field_ends_quickly():
+    # choosing the extension of F_7^12 once walked 7^11 candidates with the
+    # factor t, each through a trial-division irreducibility test
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-m", "fglcheck", "bialg", "--height1",
+                           "7,2,12,1", "--dualize"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("[PASS]")
+
+
 def test_selftest_exit_zero(capsys):
     assert run(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 import re
@@ -43,6 +44,69 @@ def test_invalid_rings():
         WittCoefRing(2, 2, ext=[1, 0, 1])  # t^2 + 1 = (t+1)^2 mod 2
     with pytest.raises(ValueError):
         WittCoefRing(3, 2, ext=[1, 1, 1])  # t^2 + t + 1 has the root 1 mod 3
+
+
+def _irreducible_by_trial_division(poly, p):
+    """Irreducibility over F_p by trying every monic divisor of degree <= f/2:
+    the brute force that Ben-Or's test replaced, kept as the oracle."""
+    poly = [c % p for c in poly]
+    f = len(poly) - 1
+    if f < 1 or poly[-1] != 1:
+        return False
+    for d in range(1, f // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            if not exact_arith._fp_poly_divmod(poly, list(tail) + [1], p)[1]:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p, fmax", [(2, 8), (3, 5), (5, 3), (7, 3)])
+def test_irreducibility_matches_trial_division(p, fmax):
+    for f in range(fmax + 1):
+        for tail in itertools.product(range(p), repeat=f):
+            for poly in (list(tail) + [1], list(tail) + [p - 1], list(tail) + [p + 1]):
+                assert (exact_arith._fp_irreducible(poly, p)
+                        == _irreducible_by_trial_division(poly, p)), poly
+
+
+@pytest.mark.parametrize("p, fmax", [(2, 8), (3, 4), (5, 3), (7, 2)])
+def test_find_irreducible_is_the_first_irreducible(p, fmax):
+    # the first in the order of the full search, constant terms 0 included
+    from fglcheck.twisted_bialgebra import find_irreducible
+    for f in range(1, fmax + 1):
+        first = next(list(tail) + [1] for tail in itertools.product(range(p), repeat=f)
+                     if _irreducible_by_trial_division(list(tail) + [1], p))
+        assert find_irreducible(p, f) == first
+
+
+def test_irreducibility_matches_sympy_to_degree_40():
+    from sympy import Poly, Symbol
+
+    from fglcheck.twisted_bialgebra import find_irreducible
+    x = Symbol("x")
+    rng = random.Random(0)
+
+    def monic(p, f):
+        return [rng.randrange(p) for _ in range(f)] + [1]
+
+    def product(a, b, p):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+        return out
+
+    cases = [(p, find_irreducible(p, f)) for p, fmax in ((2, 40), (3, 24)) for f in
+             range(1, fmax + 1)]
+    for _ in range(150):
+        p = rng.choice((2, 3, 5, 7, 11))
+        f = rng.randint(1, 40)
+        cases.append((p, monic(p, f)))
+        g = rng.randint(1, 20)
+        cases.append((p, product(monic(p, g), monic(p, rng.randint(1, 40 - g)), p)))
+    assert 40 < sum(exact_arith._fp_irreducible(m, p) for p, m in cases) < len(cases)
+    for p, m in cases:
+        assert exact_arith._fp_irreducible(m, p) == Poly(m[::-1], x, modulus=p).is_irreducible
 
 
 def test_frobenius_identity_when_f1():

