@@ -232,7 +232,7 @@ def criterion_7_wilkerson():
     checks.append(CheckResult("psi(x)=x^2 on Z/2^5[x] passes", rep.verdict))
     td = derive_theta(P)
     checks.append(CheckResult("theta(x) = 0",
-                              td.lowered.A.is_zero(td.theta_gens["x"])))
+                              td.lowered.is_zero(td.theta_gens["x"])))
 
     W4 = WittCoefRing(2, 4, ext=[1, 1, 1])
     P2 = PsiRingPresentation(W=W4, shape=PolyShape(()), psi_on_coeffs="sigma")

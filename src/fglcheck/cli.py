@@ -43,28 +43,20 @@ def prime(text):
     return p
 
 
-def positive(text):
-    """argparse type: an integer >= 1."""
-    n = int(text)
-    if n < 1:
-        raise ValueError(text)
-    return n
+def at_least(bound, name):
+    """argparse type: an integer >= bound, refused as "invalid <name> value"."""
+    def parse(text):
+        n = int(text)
+        if n < bound:
+            raise ValueError(text)
+        return n
+    parse.__name__ = name
+    return parse
 
 
-def nonnegative(text):
-    """argparse type: an integer >= 0."""
-    n = int(text)
-    if n < 0:
-        raise ValueError(text)
-    return n
-
-
-def at_least_two(text):
-    """argparse type: an integer >= 2."""
-    n = int(text)
-    if n < 2:
-        raise ValueError(text)
-    return n
+positive = at_least(1, "positive")
+nonnegative = at_least(0, "nonnegative")
+at_least_two = at_least(2, "at_least_two")
 
 
 def height1_spec(text):
@@ -157,7 +149,7 @@ def cmd_bialg(args):
         G = _height1_args(args.height1)
         digest = _digest(args.height1)
     rep = verify_bialgebra(G)
-    if args.dualize and rep.verdict:
+    if (args.dualize or args.points) and rep.verdict:
         scheme = dualize(G)
         rep.checks += scheme.report.checks
         if scheme.t_star_sigma_power is not None:
@@ -180,7 +172,7 @@ def cmd_theta(args):
     elif rep.verdict:
         td = derive_theta(pres)
         for g, v in sorted(td.theta_gens.items()):
-            print(f"theta({g}) = {td.lowered.A.repr_elem(v)}  (precision {td.lowered.W.N})")
+            print(f"theta({g}) = {td.lowered.repr_elem(v)}  (precision {td.lowered.ring.N})")
         rep.checks += theta_consistency(pres, samples=args.samples, seed=args.seed).checks
     return _emit(rep, args, "theta", digest)
 
@@ -286,7 +278,6 @@ def build_parser():
 
     def common(s):
         s.add_argument("--json", help="write the machine-readable report here")
-        s.add_argument("--seed", type=int, default=0)
 
     s = sub.add_parser("fgl", help="construct or load a formal group law and check it")
     s.add_argument("--builtin", default="multiplicative",
@@ -294,14 +285,14 @@ def build_parser():
     s.add_argument("--file", help="FGL JSON file")
     s.add_argument("--p", type=prime, default=2)
     s.add_argument("--n", type=positive, default=1, help="height parameter")
-    s.add_argument("--precision", type=int, default=4)
+    s.add_argument("--precision", type=positive, default=4)
     s.add_argument("--u-bound", type=nonnegative, default=2, dest="u_bound")
     s.add_argument("--degree-bound", type=positive, default=6, dest="degree_bound")
     common(s)
 
     s = sub.add_parser("graded", help="coherence suite for the twisted Z/2 category")
     s.add_argument("--p", type=prime, default=2)
-    s.add_argument("--precision", type=int, default=3)
+    s.add_argument("--precision", type=positive, default=3)
     common(s)
 
     s = sub.add_parser("bialg", help="verify twisted bialgebra axioms")
@@ -310,13 +301,15 @@ def build_parser():
                    help="p,N,f,kmax for the built-in height-1 bialgebra")
     s.add_argument("--dualize", action="store_true",
                    help="also build and check the dual category scheme")
-    s.add_argument("--points", help="ring descriptor JSON for point enumeration")
+    s.add_argument("--points", help="ring descriptor JSON for point enumeration "
+                                    "(implies --dualize)")
     common(s)
 
     s = sub.add_parser("theta", help="Wilkerson congruence and theta derivation")
     s.add_argument("action", choices=["check"])
     s.add_argument("--file", required=True, help="psi-ring presentation JSON")
     s.add_argument("--samples", type=nonnegative, default=25)
+    s.add_argument("--seed", type=int, default=0)
     common(s)
 
     s = sub.add_parser("congruence", help="congruence checks and weight-p squares")
@@ -326,6 +319,7 @@ def build_parser():
                    help="p,N: verify the weight-p module squares")
     s.add_argument("--comodule-file", help="comodule congruence data JSON")
     s.add_argument("--degree-bound", type=nonnegative, default=2, dest="degree_bound")
+    s.add_argument("--seed", type=int, default=0)
     common(s)
 
     s = sub.add_parser("weights", help="critical-weight arithmetic")

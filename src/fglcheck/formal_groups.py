@@ -54,6 +54,8 @@ class FormalGroupLaw:
     F: TruncSeries
 
     def __post_init__(self):
+        if self.bound < 1:  # truncation would drop every term, and every axiom would pass
+            raise ContextMismatch(f"a law needs a degree bound D >= 1, not D={self.bound}")
         if self.F.vars != ("x", "y") or self.F.bound != self.bound:
             raise ContextMismatch(f"a law at D={self.bound} needs a series in x, y "
                                   f"at that bound, got {self.F.vars}/{self.F.bound}")

@@ -361,6 +361,15 @@ class FiniteAlgebra(Ring):
         mult = {(i, j): pows[i + j] for i in range(d) for j in range(d)}
         return FiniteAlgebra(R, basis, mult, pows[0])
 
+    def lowered(self):
+        """The same algebra one precision digit down, its table reduced entry by entry."""
+        R, Rl = self.ring, self.ring.lower()
+
+        def down(v):
+            return tuple(R.truncate_to(Rl, c) for c in v)
+        return FiniteAlgebra(Rl, self.basis, {k: down(v) for k, v in self.mult.items()},
+                             down(self.unit))
+
     def zero(self):
         return (self.ring.zero(),) * len(self.basis)
 

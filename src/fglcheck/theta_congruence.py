@@ -16,10 +16,10 @@ precision.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial
 
 from .exact_arith import (MalformedData, NotDivisible, Ring, WittCoefRing, json_names,
                           json_terms, json_typed, ring_from_descriptor)
@@ -75,25 +75,29 @@ class PolyRing(Ring):
     coefficients.  Witnesses list terms in dict order, the order in which the
     loops below first meet them."""
 
-    def __init__(self, W, vars):
+    def __init__(self, ring, vars):
         if len(set(vars)) != len(vars):
             raise ValueError(f"polynomial variables {list(vars)} must name each "
                              f"variable once")
-        self.W = W
+        self.ring = ring
         self.vars = tuple(vars)
+
+    def lowered(self):
+        """The same ring one precision digit down."""
+        return PolyRing(self.ring.lower(), self.vars)
 
     def zero(self):
         return {}
 
     def one(self):
-        return {(0,) * len(self.vars): self.W.one()}
+        return {(0,) * len(self.vars): self.ring.one()}
 
     def var(self, name):
         i = self.vars.index(name)
-        return {tuple(1 if j == i else 0 for j in range(len(self.vars))): self.W.one()}
+        return {tuple(1 if j == i else 0 for j in range(len(self.vars))): self.ring.one()}
 
     def add(self, a, b):
-        W = self.W
+        W = self.ring
         out = dict(a)
         for e, c in b.items():
             s = W.add(out[e], c) if e in out else c
@@ -104,10 +108,10 @@ class PolyRing(Ring):
         return out
 
     def neg(self, a):
-        return {e: self.W.neg(c) for e, c in a.items()}
+        return {e: self.ring.neg(c) for e, c in a.items()}
 
     def mul(self, a, b):
-        W = self.W
+        W = self.ring
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -131,8 +135,8 @@ class PolyRing(Ring):
         return out
 
     def scale(self, c, a):
-        out = {e: self.W.mul(c, v) for e, v in a.items()}
-        return {e: v for e, v in out.items() if not self.W.is_zero(v)}
+        out = {e: self.ring.mul(c, v) for e, v in a.items()}
+        return {e: v for e, v in out.items() if not self.ring.is_zero(v)}
 
     def terms(self, a):
         return a.items()
@@ -145,7 +149,7 @@ class PolyRing(Ring):
         out = {}
         for _ in range(SAMPLE_TERMS):
             e = tuple(rng.randrange(SAMPLE_DEGREE + 1) for _ in self.vars)
-            out = self.add(out, {e: self.W.rand(rng)})
+            out = self.add(out, {e: self.ring.rand(rng)})
         return out
 
     def repr_elem(self, a):
@@ -159,7 +163,7 @@ class PolyRing(Ring):
 
     def decode(self, data, what):
         """[[exponents], coefficient] terms; zero coefficients are dropped."""
-        W = self.W
+        W = self.ring
         out = {e: W.decode(c) for e, c in json_terms(data, len(self.vars), what)}
         return {e: c for e, c in out.items() if not W.is_zero(c)}
 
@@ -187,38 +191,23 @@ class PsiRingPresentation:
             raise ValueError("psi_on_coeffs must be 'id' or 'sigma'")
         self._sigma = (self.W.frobenius_lift() if self.psi_on_coeffs == "sigma"
                        else None)
-        if isinstance(self.shape, PolyShape):
-            self.A = PolyRing(self.W, self.shape.vars)
-        elif isinstance(self.shape, MonicQuotientShape):
-            self.A = FiniteAlgebra.monic_quotient(self.W, self.shape.var,
-                                                  self.shape.monic)
-        else:
-            self.A = _finite_free_algebra(self.W, self.shape)
+        self.A, self._gens, self._word = _read_shape(self.W, self.shape)
+        self._psi_cache = {}
         self.refuse_non_generators(self.psi_gen_images, "psi images")
 
     def from_coeff(self, c):
         return self.A.scale(c, self.A.one())
 
     def gen(self, name):
-        if isinstance(self.shape, PolyShape):
-            return self.A.var(name)
-        if isinstance(self.shape, MonicQuotientShape):
-            if name != self.shape.var:
-                raise ValueError(f"{name!r} is not the generator {self.shape.var!r}")
-            if len(self.A.basis) == 1:  # W[x]/(x + m_0): x reduces to -m_0
-                return (self.W.neg(self.shape.monic[0]),)
-            return unit_vector(self.W, len(self.A.basis), 1)
-        return unit_vector(self.W, len(self.A.basis), self.shape.basis.index(name))
+        if name not in self._gens:
+            raise ValueError(f"{name!r} is not a generator")
+        return self._gens[name]
 
     def generators(self):
-        if isinstance(self.shape, PolyShape):
-            return list(self.shape.vars)
-        if isinstance(self.shape, MonicQuotientShape):
-            return [self.shape.var]
-        return list(self.shape.basis[1:])
+        return list(self._gens)
 
     def refuse_non_generators(self, names, what):
-        extra = sorted(set(names) - set(self.generators()))
+        extra = sorted(set(names) - set(self._gens))
         if extra:
             raise ValueError(f"{what} for {extra}, which are not generators")
 
@@ -238,25 +227,17 @@ class PsiRingPresentation:
                 out = A.add(out, term)
         return out
 
-    @cached_property
-    def _psi_factors(self):
-        """key -> the psi-images whose product is psi(key): a basis element's
-        image, or a monomial's generator images in variable order.  Scaling a
-        cached product instead would reorder terms when psi(c) is not a unit."""
-        if not isinstance(self.shape, PolyShape):
-            basis = self._psi_basis
-            return lambda i: basis[i:i + 1]
-        vars, images, one = self.shape.vars, self.psi_gen_images, [self.A.one()]
-        return lambda e: [images[v] for v, k in zip(vars, e) for _ in range(k)] or one
-
-    @cached_property
-    def _psi_basis(self):
-        """psi of each basis element of a finite shape; psi is semilinear over
-        psi_coeff, so these images fix it."""
-        A, images = self.A, self.psi_gen_images
-        if isinstance(self.shape, MonicQuotientShape):
-            return [A.pow(images[self.shape.var], i) for i in range(len(A.basis))]
-        return [A.one()] + [images[b] for b in self.shape.basis[1:]]
+    def _psi_factors(self, key):
+        """The psi-images whose product is psi(key), read from key's word once.
+        A monomial keeps its generator images apart, in variable order: scaling
+        a cached product would reorder terms when psi(c) is not a unit.  A
+        basis element of a finite algebra has one image, their product."""
+        A, cache = self.A, self._psi_cache
+        if key not in cache:
+            images = [self.psi_gen_images[g] for g in self._word(key)]
+            cache[key] = ([functools.reduce(A.mul, images, A.one())]
+                          if isinstance(A, FiniteAlgebra) else images or [A.one()])
+        return cache[key]
 
     def residues(self, a):
         """Coefficient residues mod p, keyed for witness reporting."""
@@ -264,48 +245,28 @@ class PsiRingPresentation:
         out = {e: W.residue(c) for e, c in self.A.terms(a)}
         return {e: r for e, r in out.items() if not W.residue_ring().is_zero(r)}
 
-    def lowered(self):
-        """The same presentation one precision digit down."""
-        Wl = self.W.lower()
-        down = partial(self.W.truncate_to, Wl)
-        if isinstance(self.shape, PolyShape):
-            shape = self.shape
-        elif isinstance(self.shape, MonicQuotientShape):
-            shape = MonicQuotientShape(self.shape.var,
-                                       tuple(down(c) for c in self.shape.monic))
-        else:
-            shape = FiniteFreeShape(self.shape.basis,
-                                    tuple((i, j, tuple(down(c) for c in vec))
-                                          for i, j, vec in self.shape.mult))
-        return PsiRingPresentation(
-            W=Wl, shape=shape, psi_on_coeffs=self.psi_on_coeffs,
-            psi_gen_images={k: self.A.map_coeffs(v, down) for k, v in
-                            self.psi_gen_images.items()})
-
     def verify_psi_well_defined(self):
-        """psi must preserve the relations; returns None or a description."""
+        """psi must preserve the relations; returns None or a description.
+
+        A polynomial shape has none.  Every basis element of a finite shape is
+        a word in the generators, so psi preserves its relations exactly when
+        psi(g e) = psi(g) psi(e) for every generator g and basis element e."""
         A = self.A
-        for g in self.generators():
+        finite = isinstance(A, FiniteAlgebra)
+        for g in self._gens:
             img = self.psi_gen_images.get(g)
             if img is None:
                 return f"no psi image for generator {g}"
-            if not isinstance(self.shape, PolyShape) and len(img) != len(A.basis):
+            if finite and len(img) != len(A.basis):
                 return f"psi({g}) has {len(img)} coordinates, not {len(A.basis)}"
-        if isinstance(self.shape, PolyShape):
+        if not finite:
             return None
-        if isinstance(self.shape, MonicQuotientShape):
-            # psi(m) = psi(m_0 + ... + m_(d-1) x^(d-1)) + psi(m_d) psi(x)^d
-            monic, d = self.shape.monic, len(A.basis)
-            top = A.pow(self.psi_gen_images[self.shape.var], d)
-            acc = A.add(self.psi(monic[:d]), A.scale(self.psi_coeff(monic[d]), top))
-            if not A.is_zero(acc):
-                return f"psi(monic relation) = {A.repr_elem(acc)} != 0"
-            return None
-        for (i, j), vec in A.mult.items():
-            lhs = self.psi(tuple(vec))
-            rhs = A.mul(self._psi_basis[i], self._psi_basis[j])
-            if not A.eq(lhs, rhs):
-                return f"psi not multiplicative on basis pair ({i},{j})"
+        for g, x in self._gens.items():
+            for i, name in enumerate(A.basis):
+                e = unit_vector(self.W, len(A.basis), i)
+                lhs, rhs = self.psi(A.mul(x, e)), A.mul(self.psi_gen_images[g], self.psi(e))
+                if not A.eq(lhs, rhs):
+                    return f"psi({g}*{name}) != psi({g})*psi({name})"
         return None
 
     @staticmethod
@@ -346,6 +307,24 @@ class PsiRingPresentation:
             psi_gen_images={k: elem(v, f"psi({k})") for k, v in images.items()})
 
 
+def _read_shape(W, shape):
+    """The shape read once: its algebra A, each generator as an element of A,
+    and word(key), the generators whose product is the monomial or basis
+    element key."""
+    if isinstance(shape, PolyShape):
+        A = PolyRing(W, shape.vars)
+        return (A, {v: A.var(v) for v in shape.vars},
+                lambda e: [v for v, k in zip(shape.vars, e) for _ in range(k)])
+    if isinstance(shape, MonicQuotientShape):
+        A = FiniteAlgebra.monic_quotient(W, shape.var, shape.monic)
+        d = len(A.basis)  # W[x]/(x + m_0) has basis 1, and x reduces to -m_0
+        x = (W.neg(shape.monic[0]),) if d == 1 else unit_vector(W, d, 1)
+        return A, {shape.var: x}, lambda i: [shape.var] * i
+    A = _finite_free_algebra(W, shape)
+    return (A, {b: unit_vector(W, len(A.basis), i) for i, b in enumerate(A.basis) if i},
+            lambda i: [A.basis[i]] if i else [])
+
+
 def _finite_free_algebra(W, shape):
     """A finite-free shape as a FiniteAlgebra: commutative, its basis starting with
     its unit "1"."""
@@ -380,7 +359,7 @@ class ThetaData:
     """theta on generators, at one precision digit below the presentation."""
 
     presentation: PsiRingPresentation
-    lowered: PsiRingPresentation
+    lowered: Ring  # the presentation's algebra, one precision digit down
     theta_gens: dict
 
 
@@ -454,7 +433,7 @@ def derive_theta(pres):
     if bad is not None:
         raise IllDefinedPsi(bad)
     theta = {g: theta_of(pres, pres.gen(g)) for g in pres.generators()}
-    return ThetaData(presentation=pres, lowered=pres.lowered(), theta_gens=theta)
+    return ThetaData(presentation=pres, lowered=pres.A.lowered(), theta_gens=theta)
 
 
 def theta_of(pres, elem):
@@ -477,14 +456,15 @@ def theta_consistency(pres, samples=20, seed=0):
     import math
     W, A = pres.W, pres.A
     p = W.p
-    L, Wl = pres.lowered().A, W.lower()
+    L = A.lowered()
+    Wl = L.ring
     rng = random.Random(seed)
     checks = []
     for i in range(samples):
         a = A.rand(rng)
         b = A.rand(rng)
         ta, tb = theta_of(pres, a), theta_of(pres, b)
-        al, bl = (A.map_coeffs(x, partial(W.truncate_to, Wl)) for x in (a, b))
+        al, bl = (A.map_coeffs(x, functools.partial(W.truncate_to, Wl)) for x in (a, b))
         # addition rule
         lhs = theta_of(pres, A.add(a, b))
         cross = L.zero()

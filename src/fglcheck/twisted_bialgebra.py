@@ -433,11 +433,19 @@ def bialgebra_checks(G):
 
 
 def _grading_violation(G):
-    """Describe the first structure constant whose shape does not match the
-    ranks of its weights, or return None."""
+    """Describe the first mu or delta table whose keys, or the first structure
+    constant whose shape, does not match the ranks of its weights, or return None."""
     def rank(k):
         return len(G.basis.get(k, ()))
 
+    keyed = [(f"mu[{k},{l}]", tbl, set(itertools.product(range(rank(k)), range(rank(l)))))
+             for (k, l), tbl in sorted(G.mu.items())]
+    keyed += [(f"delta[{k}]", tbl, set(range(rank(k)))) for k, tbl in sorted(G.delta.items())]
+    for name, tbl, want in keyed:
+        odd = sorted(set(tbl) ^ want)
+        if odd:
+            return (f"{name} lacks the key {odd[0]}" if odd[0] in want else
+                    f"{name} has the key {odd[0]}, which names no basis element")
     vecs = [(f"mu[{k},{l}][{i},{j}]", k + l, vec) for (k, l), tbl in sorted(G.mu.items())
             for (i, j), vec in sorted(tbl.items())]
     vecs += [("unit", 0, G.unit)] + [(f"eps[{k}]", k, v) for k, v in sorted(G.eps.items())]
@@ -622,7 +630,7 @@ def dualize(gamma):
             resid_ok = _check_c_star(G, k, l, scheme.c_star[(k, l)])
             checks.append(CheckResult(f"c_star_defining[{k},{l}]", resid_ok))
 
-    if R.f > 1 and G.rank(1) == 1 and 1 in G.basis:
+    if R.f > 1 and 1 in G.basis and G.rank(1) == 1:
         # report which power of sigma t* realizes on A[1] (paper leaves the
         # direction implicit; we compute it)
         sigma = R.frobenius_lift()

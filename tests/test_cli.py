@@ -161,6 +161,8 @@ def test_usage_errors_exit_2(capsys):
     ["congruence", "--squares", "2"],                 # one field, not two
     ["congruence", "--squares", "4,3"],               # not a prime
     ["congruence", "--squares", "2,x"],               # not an integer
+    ["fgl", "--precision", "0"],                      # Z/p^0 is the zero ring
+    ["graded", "--precision", "0"],
 ])
 def test_out_of_range_arguments_exit_2(argv, capsys):
     assert run(argv) == 2
@@ -322,6 +324,83 @@ def test_bialg_with_misshapen_constants_fails_grading(tmp_path, capsys):
     assert run(["bialg", "--file", str(f)]) == 1
     out = capsys.readouterr().out
     assert "witness (grading_structural): mu[0,1][0,0] has 2 entries" in out
+
+
+def _bialg_table_mutants():
+    from fglcheck.twisted_bialgebra import height1_gamma
+    doc = height1_gamma(2, 3, 1, 2).to_json()
+    extra_mu, extra_delta, no_mu, no_delta = (copy.deepcopy(doc) for _ in range(4))
+    extra_mu["mu"]["0,1"]["7,9"] = doc["mu"]["0,1"]["0,0"]
+    extra_delta["delta"]["1"]["4"] = doc["delta"]["1"]["0"]
+    del no_mu["mu"]["0,1"]["0,0"]
+    del no_delta["delta"]["1"]["0"]
+    return [(extra_mu, "mu[0,1] has the key (7, 9), which names no basis element"),
+            (extra_delta, "delta[1] has the key 4, which names no basis element"),
+            (no_mu, "mu[0,1] lacks the key (0, 0)"),
+            (no_delta, "delta[1] lacks the key 0")]
+
+
+@pytest.mark.parametrize("doc, witness", _bialg_table_mutants(),
+                         ids=["extra-mu", "extra-delta", "missing-mu", "missing-delta"])
+def test_bialg_tables_are_checked_by_key(tmp_path, capsys, doc, witness):
+    f = tmp_path / "bialg.json"
+    f.write_text(json.dumps(doc))
+    assert run(["bialg", "--file", str(f), "--dualize"]) == 1
+    out, err = capsys.readouterr()
+    assert f"witness (grading_structural): {witness}" in out
+    assert "Traceback" not in out + err
+
+
+def test_dualize_at_weight_zero_only_over_an_extension(capsys):
+    # kmax = 0 stores no weight 1, which the t* diagnostic must not ask for
+    assert run(["bialg", "--height1", "2,2,4,0", "--dualize"]) == 0
+    assert "[PASS]" in capsys.readouterr().out
+
+
+def test_points_imply_dualize(tmp_path):
+    reports = []
+    for extra in ([], ["--dualize"]):
+        out = tmp_path / f"r{len(extra)}.json"
+        assert run(["bialg", "--height1", "2,3,1,2", "--points", '{"p": 2, "N": 1}',
+                    *extra, "--json", str(out)]) == 0
+        reports.append(json.loads(out.read_text())["report"])
+    assert reports[0] == reports[1]
+    assert len(reports[0]["checks"]) == 90   # 47 without the dual scheme and points
+
+
+@pytest.mark.parametrize("argv", [
+    ["fgl"], ["graded"], ["bialg"], ["weights", "gcd"],
+    ["weights", "certify", "--m", "6", "--p", "3"],
+    ["weights", "epi", "--file", "unread.json"], ["selftest"]])
+def test_seed_only_where_a_command_samples(argv, capsys):
+    assert run(argv + ["--seed", "7"]) == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+def test_seed_is_echoed_where_a_command_samples(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["congruence", "--squares", "2,3", "--seed", "7", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 7
+
+
+def _law_file(tmp_path, D, terms):
+    f = tmp_path / f"law{D}.json"
+    f.write_text(json.dumps({"ring": {"p": 2, "N": 3}, "D": D,
+                             "F": {"vars": ["x", "y"], "D": D, "terms": terms}}))
+    return str(f)
+
+
+def test_law_file_with_a_bound_below_one_exits_2(tmp_path, capsys):
+    x_plus_5y = [[[1, 0], "1"], [[0, 1], "5"]]   # not a law: F(0, y) = 5y
+    for D, terms in ((0, []), (-3, x_plus_5y)):
+        assert run(["fgl", "--file", _law_file(tmp_path, D, terms)]) == 2
+        out, err = capsys.readouterr()
+        assert f"a law needs a degree bound D >= 1, not D={D}" in err
+        assert "Traceback" not in out + err
+    assert run(["fgl", "--file", _law_file(tmp_path, 1, x_plus_5y)]) == 1
+    out = capsys.readouterr().out
+    for axiom in ("unit_y", "commutativity", "associativity"):
+        assert f"witness (axiom:{axiom})" in out
 
 
 class _Overrun(BaseException):

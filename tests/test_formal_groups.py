@@ -14,6 +14,7 @@ from fglcheck.formal_groups import (FormalGroupLaw, MalformedPSeries, NotCharP,
                                     lubin_tate_deformation, n_series,
                                     reduce_to_residue, specialize_deformation)
 from fglcheck.linalg import unit_vector
+from fglcheck.twisted_bialgebra import find_irreducible
 from fglcheck.series import (ContextMismatch, PolyTruncRing, ResidueZero, TruncSeries,
                              substitute, weierstrass_prepare)
 
@@ -267,14 +268,14 @@ def _law(name):
 
 
 @st.composite
-def mutated_laws(draw):
-    """A law with one to three coefficients changed; the first off the diagonal
-    when ``off_diagonal`` is drawn, so the law is not commutative."""
-    G = _law(draw(st.sampled_from(sorted(LAWS))))
+def mutated_laws(draw, names=tuple(sorted(LAWS)), most=3):
+    """A law of ``names`` with one to ``most`` coefficients changed; the first off
+    the diagonal when ``off_diagonal`` is drawn, so the law is not commutative."""
+    G = _law(draw(st.sampled_from(names)))
     R, D = G.ring, G.bound
     off_diagonal = draw(st.booleans())
     terms = dict(G.F.terms)
-    for n in range(draw(st.integers(1, 3))):
+    for n in range(draw(st.integers(1, most))):
         a = draw(st.integers(0, D))
         b = draw(st.integers(0 if a else 1, D - a).filter(
             lambda b: b != a or not (n == 0 and off_diagonal)))
@@ -326,3 +327,36 @@ def test_associativity_composes_into_three_variables_once(monkeypatch):
     assert not H.axiom_residuals()["commutativity"].is_zero()
     # and F(y,z), comm(x,F(y,z)) as well when it is not
     assert _three_variable_compositions(monkeypatch, H) == 4
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: the residuals commute with truncation Z/p^N -> Z/p^(N-1) and
+# with base change Z/p^N -> W(F_(p^2)), which runs the dict loop
+
+def _truncation(W):
+    Wl = W.lower()
+    return Wl, lambda c: W.truncate_to(Wl, c)
+
+
+def _base_change(W):
+    W2 = WittCoefRing(W.p, W.N, ext=find_irreducible(W.p, 2))
+    return W2, lambda c: W2.from_int(c.coeffs[0])
+
+
+def _ring_map(R, base_map):
+    """The target and the coefficient map of base_map on R's base Z/p^N, applied
+    coefficient by coefficient when R is Z/p^N[u]."""
+    if isinstance(R, PolyTruncRing):
+        S, fn = base_map(R.base)
+        return PolyTruncRing(S, R.vars, R.ubound), lambda c: c.map_coefficients(fn, ring=S)
+    return base_map(R)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutated_laws(tuple(sorted(n for n in LAWS if "W(F_4)" not in n)), most=2),
+       st.sampled_from([_truncation, _base_change]))
+def test_residuals_commute_with_ring_maps(G, base_map):
+    S, fn = _ring_map(G.ring, base_map)
+    image = FormalGroupLaw(ring=S, bound=G.bound, F=G.F.map_coefficients(fn, ring=S))
+    want = {k: r.map_coefficients(fn, ring=S) for k, r in G.axiom_residuals().items()}
+    assert image.axiom_residuals() == want

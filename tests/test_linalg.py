@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fglcheck.exact_arith import WittCoefRing
 from fglcheck.linalg import (FiniteAlgebra, Mat, ShapeMismatch,
                              field_kernel_basis, field_left_kernel_vector,
-                             residue_rank, unit_vector)
+                             residue_rank, smith_normal_form, unit_vector)
 
 Z8 = WittCoefRing(2, 3)
 F2 = WittCoefRing(2, 1)
@@ -135,3 +135,23 @@ def test_monic_quotient_matches_schoolbook_product(data):
     for _ in range(n):
         power = _schoolbook_mod(R, power, a, m)
     assert A.pow(a, n) == power
+
+
+# metamorphic: truncation Z/p^N -> Z/p^(N-1) caps the elementary divisors'
+# valuations at N - 1, over Z/p^N and W(F_4)
+SMITH_RINGS = [WittCoefRing(2, 4), WittCoefRing(3, 3), WittCoefRing(2, 3, ext=[1, 1, 1])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_truncation_caps_smith_valuations(data):
+    R = data.draw(st.sampled_from(SMITH_RINGS), label="ring")
+    m, n = data.draw(st.integers(1, 4), label="m"), data.draw(st.integers(1, 4), label="n")
+    unit = st.tuples(*[st.integers(0, R.modulus - 1)] * R.f).map(R.elem)
+    entry = st.builds(lambda k, u: R.scalar(R.p ** k, u), st.integers(0, R.N), unit)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m,
+                              max_size=m), label="rows")
+    Rl = R.lower()
+    low = Mat(Rl, [[R.truncate_to(Rl, a) for a in r] for r in rows])
+    pivots = smith_normal_form(Mat(R, rows)).pivots
+    assert smith_normal_form(low).pivots == [v for v in pivots if v < R.N - 1]

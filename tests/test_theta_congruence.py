@@ -1,11 +1,12 @@
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fglcheck.exact_arith import WittCoefRing
-from fglcheck.linalg import Mat
+from fglcheck.linalg import FiniteAlgebra, Mat, unit_vector
 from fglcheck.series import TruncSeries
 from fglcheck.theta_congruence import (CharacteristicMismatch, CongruenceFails,
                                        FiniteFreeShape, FrobeniusClassSpec,
@@ -33,7 +34,7 @@ def test_frobenius_psi_passes():
     P = poly_pres(Z32, {"x": {(2,): Z32.one()}})
     assert wilkerson_check(P).verdict
     td = derive_theta(P)
-    assert td.lowered.A.is_zero(td.theta_gens["x"])
+    assert td.lowered.is_zero(td.theta_gens["x"])
 
 
 def test_identity_psi_fails_with_witness():
@@ -81,7 +82,7 @@ def test_degree_one_monic_quotient():
     assert P.gen("x") == (W.from_int(3),)
     assert wilkerson_check(P).verdict
     td = derive_theta(P)
-    assert td.theta_gens["x"] == (td.lowered.W.from_int(-3),)
+    assert td.theta_gens["x"] == (td.lowered.ring.from_int(-3),)
 
 
 def test_monic_quotient_needs_a_monic_relation():
@@ -114,7 +115,7 @@ def test_finite_free_shape():
                             psi_gen_images={"b": (z, z)})  # psi(b) = 0 = b^2
     assert wilkerson_check(P).verdict
     td = derive_theta(P)
-    assert td.lowered.A.is_zero(td.theta_gens["b"])
+    assert td.lowered.is_zero(td.theta_gens["b"])
 
 
 def test_gamma_congruence_paths():
@@ -341,3 +342,213 @@ def test_witnesses_keep_the_order_terms_appear(doc, seed, samples, check, witnes
     P = PsiRingPresentation.from_json(doc)
     rep = wilkerson_check(P, sample_bound=samples, seed=seed)
     assert dict(rep.witnesses)[check] == witness
+
+
+# ---------------------------------------------------------------------------
+# one well-definedness rule for finite shapes, against the two it replaced
+
+def _psi_by_basis_images(P, a):
+    """psi of an element of a finite shape, from basis images built here: powers
+    of psi(x) for a monic quotient, the unit and the images for a finite-free
+    shape."""
+    A = P.A
+    if isinstance(P.shape, MonicQuotientShape):
+        images = [A.pow(P.psi_gen_images[P.shape.var], i) for i in range(len(A.basis))]
+    else:
+        images = [A.one()] + [P.psi_gen_images[b] for b in P.shape.basis[1:]]
+    out = A.zero()
+    for c, img in zip(a, images):
+        out = A.add(out, A.scale(P.psi_coeff(c), img))
+    return out
+
+
+def _well_defined_by_relations(P):
+    """psi(m) = 0 for the relation m of a monic quotient; psi(e_i e_j) =
+    psi(e_i) psi(e_j) on every basis pair of a finite-free shape."""
+    A = P.A
+    if isinstance(P.shape, MonicQuotientShape):
+        m, d = P.shape.monic, len(A.basis)
+        top = A.pow(P.psi_gen_images[P.shape.var], d)
+        return A.is_zero(A.add(_psi_by_basis_images(P, m[:d]),
+                               A.scale(P.psi_coeff(m[d]), top)))
+    e = [unit_vector(P.W, len(A.basis), i) for i in range(len(A.basis))]
+    return all(A.eq(_psi_by_basis_images(P, vec),
+                    A.mul(_psi_by_basis_images(P, e[i]), _psi_by_basis_images(P, e[j])))
+               for (i, j), vec in A.mult.items())
+
+
+WELL_DEFINED_RINGS = [WittCoefRing(2, 2), WittCoefRing(2, 3), WittCoefRing(3, 2),
+                      WittCoefRing(2, 2, ext=[1, 1, 1])]
+
+
+def _coeffs(W):
+    return st.tuples(*[st.integers(0, W.modulus - 1)] * W.f).map(W.elem)
+
+
+@st.composite
+def finite_presentations(draw):
+    """A monic quotient of degree 1-3 or a rank-2 finite-free shape, with psi(x)
+    a random element, x itself or 0."""
+    W = draw(st.sampled_from(WELL_DEFINED_RINGS), label="ring")
+    c = _coeffs(W)
+    z, o = W.zero(), W.one()
+    if draw(st.booleans(), label="monic"):
+        d = draw(st.integers(1, 3), label="degree")
+        shape = MonicQuotientShape("x", tuple(draw(st.lists(c, min_size=d, max_size=d)))
+                                   + (o,))
+        x = (W.neg(shape.monic[0]),) if d == 1 else unit_vector(W, d, 1)
+    else:
+        d = 2
+        mult = ((0, 0, (o, z)), (0, 1, (z, o)), (1, 0, (z, o)),
+                (1, 1, draw(st.tuples(c, c), label="b*b")))
+        shape = FiniteFreeShape(("1", "x"), mult)
+        x = (z, o)
+    image = draw(st.one_of(st.tuples(*[c] * d), st.sampled_from([x, (z,) * d])),
+                 label="psi(x)")
+    return PsiRingPresentation(W=W, shape=shape, psi_gen_images={"x": image},
+                               psi_on_coeffs=draw(st.sampled_from(["id", "sigma"])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_presentations())
+def test_one_rule_decides_well_definedness_as_the_relations_do(P):
+    assert (P.verify_psi_well_defined() is None) == _well_defined_by_relations(P)
+
+
+def test_a_degree_one_quotient_fixes_psi_of_its_generator():
+    # W[x]/(x + m_0) with sigma on W(F_4): psi(x) = psi(-m_0) = -sigma(m_0)
+    W = WittCoefRing(2, 2, ext=[1, 1, 1])
+    m0 = W.gen()
+    shape = MonicQuotientShape("x", (m0, W.one()))
+    sigma = W.frobenius_lift()
+    good = {"x": (W.neg(sigma(m0)),)}
+    assert PsiRingPresentation(W=W, shape=shape, psi_on_coeffs="sigma",
+                               psi_gen_images=good).verify_psi_well_defined() is None
+    bad = PsiRingPresentation(W=W, shape=shape, psi_on_coeffs="sigma",
+                              psi_gen_images={"x": (W.neg(m0),)})
+    assert bad.verify_psi_well_defined() == "psi(x*1) != psi(x)*psi(1)"
+
+
+def test_psi_scales_cached_basis_images(monkeypatch):
+    # psi on a degree-6 monic quotient: once the basis images exist, an element
+    # costs d scalings and no product
+    W = WittCoefRing(2, 3)
+    rng = random.Random(6)
+    shape = MonicQuotientShape("x", tuple(W.rand(rng) for _ in range(6)) + (W.one(),))
+    P = PsiRingPresentation(W=W, shape=shape,
+                            psi_gen_images={"x": tuple(W.rand(rng) for _ in range(6))})
+    a, b = P.A.rand(rng), P.A.rand(rng)
+    assert P.psi(a) == _psi_by_basis_images(P, a)
+    want = _psi_by_basis_images(P, b)
+    calls = []
+    mul = FiniteAlgebra.mul
+    monkeypatch.setattr(FiniteAlgebra, "mul", lambda *args: calls.append(1) or mul(*args))
+    assert P.psi(b) == want and not calls
+
+
+def test_theta_builds_no_second_presentation(monkeypatch):
+    W = WittCoefRing(2, 4)
+    shape = MonicQuotientShape("x", (W.from_int(-1), W.zero(), W.one()))
+    P = PsiRingPresentation(W=W, shape=shape,
+                            psi_gen_images={"x": (W.from_int(1), W.zero())})
+
+    def refuse(self):
+        raise AssertionError("a second presentation was built")
+
+    monkeypatch.setattr(PsiRingPresentation, "__post_init__", refuse)
+    td = derive_theta(P)
+    assert td.lowered.ring is W.lower()
+    assert theta_consistency(P, samples=5).verdict
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: theta commutes with truncation Z/p^N -> Z/p^(N-1)
+
+def _down(x, R, Rl):
+    """x with each coefficient reduced from R into Rl, zero terms dropped."""
+    if isinstance(x, dict):
+        low = {e: R.truncate_to(Rl, c) for e, c in x.items()}
+        return {e: c for e, c in low.items() if not Rl.is_zero(c)}
+    return tuple(R.truncate_to(Rl, c) for c in x)
+
+
+def _truncated(P):
+    """P one precision digit down: its shape and images reduced here, entry by entry."""
+    W = P.W
+    Wl = W.lower()
+    shape = P.shape
+    if isinstance(shape, MonicQuotientShape):
+        shape = MonicQuotientShape(shape.var, _down(shape.monic, W, Wl))
+    elif isinstance(shape, FiniteFreeShape):
+        shape = FiniteFreeShape(shape.basis, tuple((i, j, _down(v, W, Wl))
+                                                   for i, j, v in shape.mult))
+    return PsiRingPresentation(W=Wl, shape=shape, psi_on_coeffs=P.psi_on_coeffs,
+                               psi_gen_images={g: _down(v, W, Wl)
+                                               for g, v in P.psi_gen_images.items()})
+
+
+THETA_RINGS = [WittCoefRing(2, 3), WittCoefRing(2, 4), WittCoefRing(3, 3),
+               WittCoefRing(2, 3, ext=[1, 1, 1])]
+
+
+@st.composite
+def theta_presentations(draw):
+    """Presentations with a Frobenius lift psi, so theta exists on every element:
+    - W[x] or W[x, y] with psi(g) = g^p + p h;
+    - W[x]/(x^d - c), c in {0, 1}, with psi(x) = x^p;
+    - W[x]/((x - r_1)...(x - r_d)), the r_i distinct mod p, with psi(x) = x
+      (the algebra is etale, and r^p = r mod p);
+    - W<1, b> with b^2 = b and psi(b) = b, or b^2 = 0 and psi(b) = p k b.
+    psi is sigma on coefficients over W(F_4), as the coefficient generator needs."""
+    W = draw(st.sampled_from(THETA_RINGS), label="ring")
+    p, z, o = W.p, W.zero(), W.one()
+    coeffs = "sigma" if W.f > 1 else draw(st.sampled_from(["id", "sigma"]))
+    kind = draw(st.sampled_from(["poly", "power", "roots", "finite_free"]), label="kind")
+    if kind == "poly":
+        vars = ("x", "y")[:draw(st.integers(1, 2), label="nvars")]
+        A = PolyRing(W, vars)
+        data = types.SimpleNamespace(draw=draw)
+        images = {v: A.add(A.pow(A.var(v), p),
+                           A.scale(W.from_int(p), _draw_poly(data, W, len(vars), f"h({v})")))
+                  for v in vars}
+        return poly_pres(W, images, coeffs, vars)
+    if kind == "power":
+        d = draw(st.integers(1, 3), label="degree")
+        c = draw(st.sampled_from([z, o]), label="c")
+        shape = MonicQuotientShape("x", (W.neg(c),) + (z,) * (d - 1) + (o,))
+        P = PsiRingPresentation(W=W, shape=shape)
+        return PsiRingPresentation(W=W, shape=P.shape, psi_on_coeffs=coeffs,
+                                   psi_gen_images={"x": P.A.pow(P.gen("x"), p)})
+    if kind == "roots":
+        roots = draw(st.lists(st.integers(0, W.modulus - 1), min_size=1, max_size=p,
+                              unique_by=lambda r: r % p), label="roots")
+        m = [o]
+        for r in roots:  # m times (x - r), low to high
+            m = [W.sub(a, W.mul(W.from_int(r), b)) for a, b in zip([z] + m, m + [z])]
+        P = PsiRingPresentation(W=W, shape=MonicQuotientShape("x", tuple(m)))
+        return PsiRingPresentation(W=W, shape=P.shape, psi_on_coeffs=coeffs,
+                                   psi_gen_images={"x": P.gen("x")})
+    k = draw(st.integers(0, W.modulus - 1), label="k")
+    idempotent = draw(st.booleans(), label="b^2 = b")
+    mult = ((0, 0, (o, z)), (0, 1, (z, o)), (1, 0, (z, o)),
+            (1, 1, (z, o) if idempotent else (z, z)))
+    image = (z, o) if idempotent else (z, W.from_int(p * k))
+    return PsiRingPresentation(W=W, shape=FiniteFreeShape(("1", "b"), mult),
+                               psi_on_coeffs=coeffs, psi_gen_images={"b": image})
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta_presentations(), st.randoms(use_true_random=False))
+def test_theta_commutes_with_truncation(P, rng):
+    """theta at N, truncated to N - 2, is theta of P truncated to N - 1, on the
+    generators and on sampled elements."""
+    PL = _truncated(P)
+    W, Wl = P.W, PL.W
+    Wll = Wl.lower()
+    td, tdl = derive_theta(P), derive_theta(PL)
+    assert td.theta_gens.keys() == tdl.theta_gens.keys()
+    for g, v in td.theta_gens.items():
+        assert _down(v, Wl, Wll) == tdl.theta_gens[g]
+    for _ in range(3):
+        a = P.A.rand(rng)
+        assert _down(theta_of(P, a), Wl, Wll) == theta_of(PL, _down(a, W, Wl))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fglcheck.exact_arith import RationalField, WittCoefRing
 from fglcheck.linalg import Mat
+from fglcheck.twisted_bialgebra import find_irreducible
 from fglcheck.weights import (EpiFamily, InvariantViolation, NotLocal,
                               WeightedMonadData, binomial_gcd,
                               brute_force_surjective, digit_sum, epi_family_check,
@@ -152,6 +153,19 @@ def epi_families(draw):
 @given(epi_families())
 def test_additive_oracle_matches_all_scalars_oracle(fam):
     assert brute_force_surjective(fam) == all_scalars_surjective(fam)
+
+
+# metamorphic: surjectivity is decided on the residue field, and base change
+# Z/p^N -> W(F_(p^2)) is faithfully flat, so it keeps the verdict
+@settings(max_examples=60, deadline=None)
+@given(epi_families().filter(lambda fam: fam.ring.f == 1))
+def test_base_change_keeps_the_epi_verdict(fam):
+    R = fam.ring
+    W2 = WittCoefRing(R.p, R.N, ext=find_irreducible(R.p, 2))
+    moved = EpiFamily(ring=W2, target_rank=fam.target_rank,
+                      maps=[m.map(lambda c: W2.from_int(c.coeffs[0]), ring=W2)
+                            for m in fam.maps])
+    assert epi_family_check(moved).surjective == epi_family_check(fam).surjective
 
 
 def rank2_algebra_data(incl_rows):
