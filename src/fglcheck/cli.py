@@ -353,6 +353,9 @@ def run(argv=None):
     except (OSError, ValueError, KeyError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: memory ran out", file=sys.stderr)
+        return 2
 
 
 def main():

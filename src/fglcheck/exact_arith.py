@@ -27,6 +27,8 @@ c*a_i*b_k) and reduces it mod p^N once.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -450,6 +452,10 @@ class WittCoefRing(Ring):
             raise ValueError(f"p={p} is not prime")
         if not isinstance(N, int) or N < 1:
             raise ValueError(f"precision N={N} must be >= 1")
+        limit = sys.get_int_max_str_digits()  # the kernels write p^N in decimal
+        digits = N * math.log10(p)  # the number of digits of p^N, to within 1
+        if limit and digits > limit - 1 and (digits > limit + 1 or p ** N >= 10 ** limit):
+            raise ValueError(f"precision N={N}: p^N = {p}^{N} has over {limit} decimal digits")
         self.p = p
         self.N = N
         self.modulus = p ** N
@@ -664,10 +670,14 @@ class WittCoefRing(Ring):
 
     def decode(self, s):
         """The element encoded as a decimal string, or as a list of them low to high in t."""
-        if isinstance(s, str):
-            s = [s]
-        if isinstance(s, list) and all(isinstance(c, str) for c in s):
-            return self.elem(tuple(int(c) for c in s))
+        words = [s] if isinstance(s, str) else s
+        if isinstance(words, list) and all(isinstance(c, str) for c in words):
+            try:
+                coeffs = tuple(int(c) for c in words)
+            except ValueError:
+                pass
+            else:
+                return self.elem(coeffs)
         raise MalformedElement(f"an element of {self!r} is a decimal string or a list "
                                f"of them, not {s!r:.60}")
 

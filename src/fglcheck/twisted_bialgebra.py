@@ -13,10 +13,8 @@ which is a free basis presentation, so equality is matrix equality.
 
 Every finite commutative algebra here is a linalg.FiniteAlgebra on coordinate
 tuples: a Gamma-algebra is one with an action matrix per basis operation of
-Gamma, the dual algebras A[k] of the category scheme and the coefficient ring
-as a W-algebra are the presentations whose points are enumerated, and a free
-Gamma-algebra is one whose product concatenates monomials instead of reading
-a table.
+Gamma, and the dual algebras A[k] of the category scheme and the coefficient
+ring as a W-algebra are the presentations whose points are enumerated.
 """
 
 from __future__ import annotations
@@ -25,17 +23,15 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .exact_arith import (IdentityFailed, WittCoefRing, _fp_irreducible, json_names,
-                          json_typed, ring_from_descriptor)
+from .exact_arith import (IdentityFailed, MalformedData, WittCoefRing, _fp_irreducible,
+                          json_names, json_typed, ring_from_descriptor)
 from .linalg import FiniteAlgebra, Mat, smith_normal_form, solve, unit_vector
 from .report import CheckResult, CongruenceReport, SizeLimit
-from .weights import _monomials
 
-# enumeration guards of points_category, ring_maps and free_algebra
+# enumeration guards of points_category and ring_maps
 POINTS_MAX_RING_SIZE = 16
 POINTS_MAX_RANK = 4
 RING_MAPS_LIMIT = 200000
-FREE_ALGEBRA_SIZE_LIMIT = 4000
 
 
 class IncompleteData(ValueError):
@@ -204,24 +200,28 @@ class TwistedBialgebra:
         def mat(rows, what):
             return Mat(R, [vec(r, f"a row of {what}") for r in json_typed(rows, list, what)])
 
-        def table(key):
-            return json_typed(data[key], dict, f"bialgebra {key}").items()
+        def table(name, tbl, width=1):
+            """(key, entry name, value) per entry; each key is width integers >= 0, as "k,l"."""
+            for key, v in json_typed(tbl, dict, f"bialgebra {name}").items():
+                try:
+                    ints = tuple(int(s) for s in key.split(","))
+                except ValueError:
+                    ints = ()
+                if len(ints) != width or min(ints) < 0:
+                    raise MalformedData(f"{name} has the key {key!r}, which is not "
+                                        f"{('an integer', 'two integers')[width - 1]} >= 0")
+                yield ints if width > 1 else ints[0], f"{name}[{key}]", v
 
-        mu = {}
-        for kl, tbl in table("mu"):
-            k, l = (int(s) for s in kl.split(","))
-            mu[(k, l)] = {tuple(int(s) for s in ij.split(",")): vec(v, f"mu[{kl}][{ij}]")
-                          for ij, v in json_typed(tbl, dict, f"mu[{kl}]").items()}
         out = TwistedBialgebra(
             ring=R, kmax=json_typed(data["kmax"], int, "bialgebra kmax"),
-            basis={int(k): json_names(v, f"basis[{k}]") for k, v in table("basis")},
+            basis={k: json_names(v, what) for k, what, v in table("basis", data["basis"])},
             unit=vec(data["unit"], "bialgebra unit"),
-            mu=mu,
-            eps={int(k): vec(v, f"eps[{k}]") for k, v in table("eps")},
-            delta={int(k): {int(a): mat(rows, f"delta[{k}][{a}]") for a, rows in
-                            json_typed(tbl, dict, f"delta[{k}]").items()}
-                   for k, tbl in table("delta")},
-            left_t=({int(k): mat(rows, f"left_t[{k}]") for k, rows in table("left_t")}
+            mu={kl: {ij: vec(v, w) for ij, w, v in table(what, tbl, 2)}
+                for kl, what, tbl in table("mu", data["mu"], 2)},
+            eps={k: vec(v, what) for k, what, v in table("eps", data["eps"])},
+            delta={k: {a: mat(rows, w) for a, w, rows in table(what, tbl)}
+                   for k, what, tbl in table("delta", data["delta"])},
+            left_t=({k: mat(rows, what) for k, what, rows in table("left_t", data["left_t"])}
                     if data.get("left_t") else None),
         )
         out.check_weights()
@@ -239,7 +239,7 @@ def twisted_sum(G, k, g, vec, n, column):
 
     g is a weight-k element; the scalar vec_i crosses it through the left
     action on Gamma[k].  This is the one bilinear loop behind the product of
-    Gamma and the actions of Gamma on Gamma-algebras and free algebras.
+    Gamma and its action on Gamma-algebras.
     """
     R = G.ring
     out = [R.zero()] * n
@@ -507,23 +507,6 @@ class GammaAlgebra(FiniteAlgebra):
                 raise IncompleteAction(f"no action stored for gamma[{k}] #{j}")
             return self.action[(k, j)].col(i)
         return twisted_sum(self.gamma, k, gcoords, v, len(self.basis), column)
-
-
-def _cartan_sum(alg, k, a, x, y):
-    """Right side of the Cartan rule: sum (x . gamma_u)(y . gamma_v c_uv) over
-    Delta(gamma^k_a) = sum gamma_u (x) gamma_v c_uv."""
-    G, R = alg.gamma, alg.gamma.ring
-    D = G.delta[k][a]
-    out = alg.zero()
-    for u in range(G.rank(k)):
-        for v in range(G.rank(k)):
-            c = D.rows[u][v]
-            if R.is_zero(c):
-                continue
-            xv = alg.act(k, G.basis_vec(k, u), x)
-            yv = alg.act(k, G.basis_vec(k, v, c), y)
-            out = alg.add(out, alg.mul(xv, yv))
-    return out
 
 
 def trivial_algebra(gamma):
@@ -907,201 +890,3 @@ def points_category(scheme, Rp):
         checks, meta={"objects": len(objects),
                       "morphisms": {k: len(v) for k, v in morphisms.items()}})
     return PointsCategory(objects=objects, morphisms=morphisms, report=rep)
-
-
-# ---------------------------------------------------------------------------
-# free Gamma-algebras
-
-
-@dataclass
-class FreeGammaAlgebra(FiniteAlgebra):
-    """Sym_R(M (x) Gamma), truncated in symmetric degree and weight.
-
-    Generators are pairs (module generator, Gamma basis element); monomials of
-    degree <= degree_bound form the algebra basis, and the product
-    concatenates monomials instead of reading a structure table.  Gamma acts
-    on a generator by right multiplication on its Gamma leg and on monomials
-    through iterated comultiplication (the Cartan rule); weights above kmax
-    raise IncompleteAction rather than silently truncating.
-    """
-
-    gamma: TwistedBialgebra
-    m_names: tuple
-    degree_bound: int
-    generators: tuple = None   # (m_name, weight, basis index)
-    basis: tuple = None        # sorted tuples of generator indices
-
-    def __post_init__(self):
-        G = self.gamma
-        if self.generators is None:
-            gens = []
-            for m in self.m_names:
-                for k in range(G.kmax + 1):
-                    for a in range(G.rank(k)):
-                        gens.append((m, k, a))
-            self.generators = tuple(gens)
-        if self.basis is None:
-            self.basis = tuple(sorted(m for d in range(self.degree_bound + 1)
-                                      for m in _monomials(len(self.generators), d)))
-        self._index = {m: i for i, m in enumerate(self.basis)}
-        FiniteAlgebra.__init__(self, G.ring, self.basis, None, self.mono_vec(()))
-
-    def dim(self):
-        return len(self.basis)
-
-    @property
-    def gens(self):
-        out = {}
-        for i, g in enumerate(self.generators):
-            name = f"{g[0]}.{self.gamma.basis[g[1]][g[2]]}"
-            out[name] = self.mono_vec((i,))
-        return out
-
-    def mono_vec(self, mono):
-        R = self.gamma.ring
-        mono = tuple(sorted(mono))
-        if len(mono) > self.degree_bound:
-            return (R.zero(),) * self.dim()
-        return unit_vector(R, self.dim(), self._index[mono])
-
-    def mul(self, v, w):
-        R = self.gamma.ring
-        out = [R.zero()] * self.dim()
-        for i, a in enumerate(v):
-            if R.is_zero(a):
-                continue
-            for j, b in enumerate(w):
-                if R.is_zero(b):
-                    continue
-                mono = tuple(sorted(self.basis[i] + self.basis[j]))
-                if len(mono) > self.degree_bound:
-                    continue
-                r = self._index[mono]
-                out[r] = R.add(out[r], R.mul(a, b))
-        return tuple(out)
-
-    def _gen_act(self, gidx, l, c):
-        """(m (x) gamma_a) . gamma^l_c, a combination of generators, as a vector."""
-        G = self.gamma
-        m, k, a = self.generators[gidx]
-        if k + l > G.kmax:
-            raise IncompleteAction(
-                f"generator weight {k} + action weight {l} exceeds kmax {G.kmax}")
-        prod = G.mul_elems(k, G.basis_vec(k, a), l, G.basis_vec(l, c))
-        out = [G.ring.zero()] * self.dim()
-        for b, coeff in enumerate(prod):
-            out[self._index[(self.generators.index((m, k + l, b)),)]] = coeff
-        return tuple(out)
-
-    def act_mono(self, l, c, mono):
-        """gamma^l_c acting on a basis monomial, as a coordinate vector."""
-        G, R = self.gamma, self.gamma.ring
-        d = len(mono)
-        if d == 0:
-            return self.scale(G.eps[l][c], self.unit)
-        terms = {(c,): R.one()}  # Delta^(d) of gamma^l_c, {(c_1..c_d): coefficient}
-        for last in range(d - 1):
-            terms = _delta_leg(G, l, terms, last)
-        out = self.zero()
-        for key, coeff in terms.items():
-            vec = self.unit
-            for gidx, ci in zip(mono, key):
-                vec = self.mul(vec, self._gen_act(gidx, l, ci))
-            out = self.add(out, self.scale(coeff, vec))
-        return out
-
-    def act(self, l, gcoords, v):
-        """Action of a weight-l element with the scalar-twist extension rule."""
-        return twisted_sum(self.gamma, l, gcoords, v, self.dim(),
-                           lambda i, j: self.act_mono(l, j, self.basis[i]))
-
-    def verify_cartan(self, weight, pairs):
-        """Cartan rule on chosen basis-vector pairs for one action weight.
-
-        A pair whose action leaves the stored weights is skipped; meta counts
-        the skips and gives their reasons.
-        """
-        G = self.gamma
-        checks = []
-        skipped = []
-        for a in range(G.rank(weight)):
-            gv = G.basis_vec(weight, a)
-            for (i, j) in pairs:
-                x = self.mono_vec(self.basis[i])
-                y = self.mono_vec(self.basis[j])
-                try:
-                    lhs = self.act(weight, gv, self.mul(x, y))
-                    rhs = _cartan_sum(self, weight, a, x, y)
-                except IncompleteAction as e:
-                    skipped.append(str(e))
-                    continue
-                ok = lhs == rhs
-                checks.append(CheckResult(f"cartan[{weight},{a};{i},{j}]", ok,
-                                          None if ok else f"{lhs} vs {rhs}"))
-        return CongruenceReport.from_checks(checks, meta=_skip_meta(skipped))
-
-
-def _skip_meta(reasons):
-    """How many checks an IncompleteAction skipped, and the distinct reasons."""
-    return {"skipped": len(reasons), "skip_reasons": sorted(set(reasons))}
-
-
-def free_algebra(gamma, m_names, degree_bound):
-    """The free Gamma-algebra on a free module with the given generator names."""
-    out = FreeGammaAlgebra(gamma=gamma, m_names=tuple(m_names),
-                           degree_bound=degree_bound)
-    if out.dim() > FREE_ALGEBRA_SIZE_LIMIT:
-        raise SizeLimit(f"free algebra has {out.dim()} monomials")
-    return out
-
-
-def induced_algebra_map(free, images, target):
-    """The algebra map out of a free algebra determined by a module map.
-
-    images: m_name -> coordinate vector in the target.  Generators go to
-    image . gamma, monomials to products; returns (map_fn, report) where the
-    report checks multiplicativity, unit and Gamma-equivariance on the basis,
-    and its meta counts the equivariance checks an IncompleteAction skipped.
-    """
-    G, R = free.gamma, free.gamma.ring
-
-    gen_images = {}
-    for gidx, (m, k, a) in enumerate(free.generators):
-        gen_images[gidx] = target.act(k, G.basis_vec(k, a), images[m])
-
-    def on_vec(v):
-        out = target.zero()
-        for i, c in enumerate(v):
-            if R.is_zero(c):
-                continue
-            acc = target.unit
-            for gidx in free.basis[i]:
-                acc = target.mul(acc, gen_images[gidx])
-            out = target.add(out, target.scale(c, acc))
-        return out
-
-    checks = [CheckResult("unit_to_unit", on_vec(free.unit) == target.unit)]
-    skipped = []
-    for i in range(free.dim()):
-        for j in range(i, free.dim()):
-            # multiplicativity only makes sense below the truncation degree
-            if len(free.basis[i]) + len(free.basis[j]) > free.degree_bound:
-                continue
-            x, y = free.mono_vec(free.basis[i]), free.mono_vec(free.basis[j])
-            ok = on_vec(free.mul(x, y)) == target.mul(on_vec(x), on_vec(y))
-            checks.append(CheckResult(f"multiplicative[{i},{j}]", ok))
-    for l in range(G.kmax + 1):
-        for c in range(G.rank(l)):
-            gv = G.basis_vec(l, c)
-            for i in range(free.dim()):
-                x = free.mono_vec(free.basis[i])
-                try:
-                    lhs = on_vec(free.act(l, gv, x))
-                except IncompleteAction as e:
-                    skipped.append(str(e))
-                    continue
-                rhs = target.act(l, gv, on_vec(x))
-                ok = lhs == rhs
-                checks.append(CheckResult(f"equivariant[{l},{c};{i}]", ok,
-                                          None if ok else f"{lhs} vs {rhs}"))
-    return on_vec, CongruenceReport.from_checks(checks, meta=_skip_meta(skipped))

@@ -6,6 +6,7 @@ import signal
 import pytest
 
 from fglcheck.cli import run
+from fglcheck.twisted_bialgebra import height1_gamma
 
 
 def test_fgl_multiplicative(capsys):
@@ -229,19 +230,62 @@ def test_package_import_loads_no_module():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_height1_over_a_large_residue_field_ends_quickly():
-    # choosing the extension of F_7^12 once walked 7^11 candidates with the
-    # factor t, each through a trial-division irreducibility test
+def _subprocess(argv, preexec_fn=None):
     import os
     import subprocess
     import sys
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run([sys.executable, "-m", "fglcheck", "bialg", "--height1",
-                           "7,2,12,1", "--dualize"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "fglcheck"] + argv, capture_output=True,
+                          text=True, env=env, timeout=60, preexec_fn=preexec_fn)
+
+
+def test_height1_over_a_large_residue_field_ends_quickly():
+    # choosing the extension of F_7^12 once walked 7^11 candidates with the
+    # factor t, each through a trial-division irreducibility test
+    proc = _subprocess(["bialg", "--height1", "7,2,12,1", "--dualize"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("[PASS]")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fgl", "--precision", "1000000000000"],
+    ["graded", "--precision", "1000000000000"],
+    ["bialg", "--height1", "2,1000000000000,1,1"],
+    ["congruence", "--squares", "2,1000000000000"],
+    ["weights", "epi", "--file", "EPI"],
+])
+def test_a_huge_precision_ends_quickly(tmp_path, argv):
+    # writing p^N in decimal fails past the interpreter's digit limit, and
+    # computing it first took longer than any timeout
+    epi = tmp_path / "epi.json"
+    epi.write_text(json.dumps(dict(FUZZ_EPI[0], ring={"p": 2, "N": 1000000000000})))
+    proc = _subprocess([str(epi) if a == "EPI" else a for a in argv])
+    assert proc.returncode == 2
+    assert "error: precision N=1000000000000" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_a_precision_past_the_digit_limit_names_it(capsys):
+    import sys
+    assert run(["fgl", "--precision", "20000"]) == 2
+    out, err = capsys.readouterr()
+    assert (f"error: precision N=20000: p^N = 2^20000 has over "
+            f"{sys.get_int_max_str_digits()} decimal digits") in err
+    assert "Traceback" not in out + err
+
+
+def test_running_out_of_memory_exits_2():
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = _subprocess(["fgl", "--builtin", "lubin-tate", "--n", "2", "--u-bound",
+                        "1000000000000", "--degree-bound", "4", "--precision", "2"], cap)
+    assert proc.returncode == 2
+    assert "error: memory ran out" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_selftest_exit_zero(capsys):
@@ -351,6 +395,30 @@ def test_bialg_tables_are_checked_by_key(tmp_path, capsys, doc, witness):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("table,key,name", [
+    (("mu", "0,1"), "a,b", "mu[0,1]"),
+    (("mu",), "x,1", "mu"),
+    (("mu",), "0", "mu"),
+    (("mu",), "0,1,2", "mu"),
+    (("basis",), "one", "basis"),
+    (("basis",), "-1", "basis"),
+    (("delta", "1"), "z", "delta[1]"),
+    (("eps",), "1.5", "eps"),
+    (("left_t",), "x", "left_t"),
+])
+def test_bialg_table_keys_are_integers(tmp_path, capsys, table, key, name):
+    doc = height1_gamma(2, 2, 2, 1).to_json()
+    entries = _at(doc, table)
+    entries[key] = copy.deepcopy(next(iter(entries.values())))
+    f = tmp_path / "bialg.json"
+    f.write_text(json.dumps(doc))
+    assert run(["bialg", "--file", str(f), "--dualize"]) == 2
+    out, err = capsys.readouterr()
+    want = "two integers" if table[0] == "mu" else "an integer"
+    assert f"error: {name} has the key {key!r}, which is not {want} >= 0" in err
+    assert "Traceback" not in out + err
+
+
 def test_dualize_at_weight_zero_only_over_an_extension(capsys):
     # kmax = 0 stores no weight 1, which the t* diagnostic must not ask for
     assert run(["bialg", "--height1", "2,2,4,0", "--dualize"]) == 0
@@ -411,7 +479,8 @@ FUZZ_CASES = 300
 FUZZ_LIMIT_S = 5
 
 # the inputs that file cases mutate: a psi-ring presentation of each shape,
-# the non-commutative table, and epimorphic families over Z/8, Z/9 and W(F_4)
+# the non-commutative table, epimorphic families over Z/8, Z/9 and W(F_4), and
+# the height-1 bialgebra over W(F_4)
 FUZZ_THETA = [
     {"ring": {"p": 2, "N": 5}, "shape": {"kind": "poly", "vars": ["x"]},
      "psi_on_coeffs": "id", "psi_gen_images": {"x": [[[2], "1"], [[1], "2"]]}},
@@ -435,6 +504,10 @@ FUZZ_EPI = [
     {"ring": {"p": 2, "N": 2, "ext": [1, 1, 1]}, "target_rank": 1,
      "maps": [[[["1", "1"]]]]},
 ]
+FUZZ_BIALG = [height1_gamma(2, 2, 2, 1).to_json()]
+# what the interpreter says when a reader hands input straight to int(), tuple
+# unpacking or an allocation; a data error must say what it read instead
+INTERPRETER_MESSAGES = ("invalid literal for int()", "values to unpack", "MemoryError")
 
 
 def _paths(doc, here=()):
@@ -488,7 +561,8 @@ def _fuzz_argv(rng, tmp_path):
     def v():
         return pick([1, 2, 3], [-1, 0])
 
-    cmd = rng.choice(["fgl", "graded", "bialg", "congruence", "weights", "theta", "epi"])
+    cmd = rng.choice(["fgl", "graded", "bialg", "bialg-file", "congruence", "weights",
+                      "theta", "epi"])
     if cmd == "fgl":
         return ["fgl", "--builtin",
                 rng.choice(["multiplicative", "additive", "honda", "lubin-tate"]),
@@ -501,6 +575,8 @@ def _fuzz_argv(rng, tmp_path):
                 "--samples", pick([0, 2, 5], [-1])]
     if cmd == "epi":
         return ["weights", "epi", "--file", _mutated_file(tmp_path, rng, FUZZ_EPI)]
+    if cmd == "bialg-file":
+        return ["bialg", "--file", _mutated_file(tmp_path, rng, FUZZ_BIALG), "--dualize"]
     spec = ",".join([p(), v(), v(), v()])
     if cmd == "bialg":
         argv = ["bialg", "--height1", spec]
@@ -539,6 +615,7 @@ def test_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys):
             out, err = capsys.readouterr()
             assert code in (0, 1, 2), argv
             assert "Traceback" not in out + err, argv
+            assert not any(m in out + err for m in INTERPRETER_MESSAGES), (argv, err)
     finally:
         signal.signal(signal.SIGALRM, old)
 
@@ -556,6 +633,13 @@ def test_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys):
      "an element of Z/2^3 is a decimal string or a list of them, not 0"),
     ("epi", [FUZZ_EPI[0]], "an epi family must be an object, not [{"),
     ("epi", dict(FUZZ_EPI[0], target_rank="1"), "target_rank must be an integer"),
+    ("theta", dict(FUZZ_THETA[2], shape=dict(FUZZ_THETA[2]["shape"], monic=["x", "7", "1"])),
+     "an element of Z/2^3 is a decimal string or a list of them, not 'x'"),
+    ("theta", dict(FUZZ_THETA[3], shape=dict(FUZZ_THETA[3]["shape"], mult=[
+        [0, 0, ["1", "0"]], [0, 1, ["0", "1"]], [1, 0, ["0", "1"]], [1, 1, ["0", "b"]]])),
+     "an element of Z/3^2 is a decimal string or a list of them, not 'b'"),
+    ("epi", dict(FUZZ_EPI[0], maps=[[["x"]]]),
+     "an element of Z/2^3 is a decimal string or a list of them, not 'x'"),
 ])
 def test_json_of_the_wrong_type_or_shape_exits_2(tmp_path, capsys, kind, doc, message):
     f = tmp_path / "typed.json"
@@ -603,6 +687,7 @@ def test_entries_of_the_wrong_json_type_end_in_an_exit_code(tmp_path, capsys):
                     pytest.fail(f"{where + [key]} = {wrong!r} raised {e!r}")
                 out, err = capsys.readouterr()
                 assert code in (0, 1, 2) and "Traceback" not in out + err, (where, key, wrong)
+                assert not any(m in out + err for m in INTERPRETER_MESSAGES), (where, err)
 
 
 def _at(doc, where):

@@ -352,11 +352,33 @@ def _ring_map(R, base_map):
     return base_map(R)
 
 
+Z_LAWS = tuple(sorted(n for n in LAWS if "W(F_4)" not in n))  # the laws over Z/p^N, Z/p^N[u1]
+
+
 @settings(max_examples=80, deadline=None)
-@given(mutated_laws(tuple(sorted(n for n in LAWS if "W(F_4)" not in n)), most=2),
-       st.sampled_from([_truncation, _base_change]))
+@given(mutated_laws(Z_LAWS, most=2), st.sampled_from([_truncation, _base_change]))
 def test_residuals_commute_with_ring_maps(G, base_map):
     S, fn = _ring_map(G.ring, base_map)
     image = FormalGroupLaw(ring=S, bound=G.bound, F=G.F.map_coefficients(fn, ring=S))
     want = {k: r.map_coefficients(fn, ring=S) for k, r in G.axiom_residuals().items()}
     assert image.axiom_residuals() == want
+
+
+def _height(G):
+    """(value, at_least) of height(G), or MalformedPSeries when height raises it."""
+    try:
+        h = height(G)
+    except MalformedPSeries:
+        return MalformedPSeries
+    return h.value, h.at_least
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from(Z_LAWS).map(_law), mutated_laws(Z_LAWS, most=2)),
+       st.sampled_from([_truncation, _base_change]))
+def test_heights_commute_with_ring_maps(G, base_map):
+    # the height is read off [p](x) over the residue field, which truncation
+    # keeps and base change only extends
+    S, fn = _ring_map(G.ring, base_map)
+    image = FormalGroupLaw(ring=S, bound=G.bound, F=G.F.map_coefficients(fn, ring=S))
+    assert _height(image) == _height(G)

@@ -14,8 +14,7 @@ from fglcheck.twisted_bialgebra import (CategorySchemeData, IncompleteAction,
                                         IncompleteData, SizeLimit,
                                         TwistedBialgebra, _square_invertible,
                                         algebra_on_w, bialgebra_checks,
-                                        dualize, free_algebra,
-                                        height1_gamma, induced_algebra_map,
+                                        dualize, height1_gamma,
                                         points_category, ring_maps,
                                         presentation_of_coefficients,
                                         trivial_algebra, twisted_sum,
@@ -120,58 +119,6 @@ def test_missing_action_matrix_raises():
     assert alg.act(0, G23.unit, (W.gen(),)) == (W.gen(),)
     with pytest.raises(IncompleteAction):
         alg.act(1, G23.basis_vec(1, 0), (W.one(),))
-
-
-def test_free_algebra_empty_module():
-    free = free_algebra(G23, [], 2)
-    assert free.dim() == 1
-    assert free.unit == (W.one(),)
-
-
-def test_free_algebra_height1():
-    G = height1_gamma(2, 3, 2, 2)
-    free = free_algebra(G, ["b"], 2)
-    assert set(free.gens) == {"b.1", "b.psi^1", "b.psi^2"}
-    pairs = [(i, j) for i in range(free.dim()) for j in range(free.dim())]
-    rep = free.verify_cartan(1, pairs[:40])
-    assert rep.verdict
-    # (b psi) * (b psi) acted by psi equals (b psi^2)^2 since psi is grouplike
-    bpsi = free.gens["b.psi^1"]
-    prod = free.mul(bpsi, bpsi)
-    acted = free.act(1, G.basis_vec(1, 0), prod)
-    bpsi2 = free.gens["b.psi^2"]
-    assert acted == free.mul(bpsi2, bpsi2)
-
-
-def test_free_algebra_universal_property():
-    G = height1_gamma(2, 3, 1, 2)
-    free = free_algebra(G, ["b"], 2)
-    target = trivial_algebra(G)
-    _, rep = induced_algebra_map(free, {"b": target.unit}, target)
-    assert rep.verdict
-
-
-def test_skipped_checks_are_counted():
-    G = height1_gamma(2, 3, 1, 2)
-    free = free_algebra(G, ["b"], 2)
-    pairs = [(i, j) for i in range(free.dim()) for j in range(free.dim())]
-    rep = free.verify_cartan(1, pairs)
-    assert rep.meta["skipped"] > 0
-    assert len(rep.checks) + rep.meta["skipped"] == G.rank(1) * len(pairs)
-    assert rep.meta["skip_reasons"] == [
-        "generator weight 2 + action weight 1 exceeds kmax 2"]
-    target = trivial_algebra(G)
-    _, rep = induced_algebra_map(free, {"b": target.unit}, target)
-    equivariant = [c for c in rep.checks if c.name.startswith("equivariant")]
-    acting = sum(G.rank(l) for l in range(G.kmax + 1))
-    assert rep.meta["skipped"] > 0
-    assert len(equivariant) + rep.meta["skipped"] == acting * free.dim()
-    assert all("exceeds kmax 2" in r for r in rep.meta["skip_reasons"])
-
-
-def test_free_algebra_size_limit():
-    with pytest.raises(SizeLimit):
-        free_algebra(G23, ["a", "b", "c"], 6)
 
 
 def test_dualize_height1():
