@@ -17,7 +17,7 @@ from .exact_arith import WittCoefRing
 from .linalg import Mat
 from .report import CheckResult, CongruenceReport
 from .series import weierstrass_prepare
-from .theta_congruence import (FrobeniusClassSpec, L1Data, PolyShape,
+from .theta_congruence import (FrobeniusClassSpec, L1Data, PolyRing, PolyShape,
                                PsiRingPresentation,
                                congruence_stability_under_class_change,
                                derive_theta, frobenius_congruence_comodule,
@@ -302,7 +302,7 @@ def criterion_8_gamma_congruence():
 def criterion_9_frobenius_congruence():
     """The section-9 comodule congruence on F_2[y]."""
     F2 = WittCoefRing(2, 1)
-    B = PsiRingPresentation(W=F2, shape=PolyShape(("y",)))
+    B = PolyRing(F2, ("y",))
     l1 = L1Data(W=WittCoefRing(2, 3))
     good = frobenius_congruence_comodule(
         l1, B, {"y": [(l1.W.one(), {(2,): F2.one()})]}, seed=SEED)

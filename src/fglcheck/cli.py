@@ -23,7 +23,7 @@ from .exact_arith import (MalformedData, WittCoefRing, is_prime, json_names, jso
                           ring_from_descriptor)
 from .linalg import Mat
 from .report import CheckResult, CongruenceReport
-from .theta_congruence import (FrobeniusClassSpec, L1Data, PolyShape,
+from .theta_congruence import (FrobeniusClassSpec, L1Data, PolyRing,
                                PsiRingPresentation, derive_theta,
                                frobenius_congruence_comodule,
                                gamma_congruence_check, theta_consistency,
@@ -184,9 +184,7 @@ def cmd_congruence(args):
         G = _height1_args(args.height1)
         digest_src.append(args.height1)
         sigma = FrobeniusClassSpec(gamma=G, coords=(G.ring.one(),))
-        rep = gamma_congruence_check(sigma, trivial_algebra(G),
-                                     degree_bound=args.degree_bound,
-                                     seed=args.seed)
+        rep = gamma_congruence_check(sigma, trivial_algebra(G), seed=args.seed)
         merged.checks += rep.checks
         if "theorem_a" in rep.meta:
             merged.meta["theorem_a"] = rep.meta["theorem_a"]
@@ -200,7 +198,7 @@ def cmd_congruence(args):
         raw = json_typed(_load_json(args.comodule_file), dict, "comodule data")
         digest_src.append(json.dumps(raw, sort_keys=True))
         base = ring_from_descriptor(raw["base"])
-        pres = PsiRingPresentation(W=base, shape=PolyShape(json_names(raw["vars"], "vars")))
+        A = PolyRing(base, json_names(raw["vars"], "vars"))
         l1raw = json_typed(raw["l1"], dict, "l1")
         l1W = ring_from_descriptor(l1raw["ring"])
         l1 = L1Data(W=l1W, can_power=json_typed(l1raw.get("can_power", 0), int,
@@ -212,8 +210,8 @@ def cmd_congruence(args):
                 if not (isinstance(t, list) and len(t) == 2):
                     raise MalformedData(f"a psi1[{g}] term is [scalar, polynomial], "
                                         f"not {t!r:.60}")
-                psi1[g].append((l1W.decode(t[0]), pres.A.decode(t[1], f"psi1[{g}]")))
-        merged.checks += frobenius_congruence_comodule(l1, pres, psi1, seed=args.seed).checks
+                psi1[g].append((l1W.decode(t[0]), A.decode(t[1], f"psi1[{g}]")))
+        merged.checks += frobenius_congruence_comodule(l1, A, psi1, seed=args.seed).checks
     if not digest_src:
         raise ValueError("nothing to check: pass --height1, --squares or "
                          "--comodule-file")
@@ -318,7 +316,6 @@ def build_parser():
     s.add_argument("--squares", type=squares_spec,
                    help="p,N: verify the weight-p module squares")
     s.add_argument("--comodule-file", help="comodule congruence data JSON")
-    s.add_argument("--degree-bound", type=nonnegative, default=2, dest="degree_bound")
     s.add_argument("--seed", type=int, default=0)
     common(s)
 

@@ -162,7 +162,7 @@ def fgl_honda(p, n, N, D):
     QQ = RationalField()
     terms = {}
     i = 0
-    while p ** (n * i) <= D:
+    while n * i < D.bit_length() and p ** (n * i) <= D:  # else p^(n i) > D
         terms[(p ** (n * i),)] = Fraction(1, p ** i)
         i += 1
     log = TruncSeries(QQ, ("x",), D, terms)

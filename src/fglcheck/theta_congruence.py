@@ -33,6 +33,8 @@ from .twisted_bialgebra import TwistedBialgebra
 # element, scalars of the general congruence, comodule and weight-p samples
 SAMPLE_TERMS, SAMPLE_DEGREE = 3, 2
 GAMMA_SCALAR_SAMPLES, COMODULE_SAMPLES, SQUARES_SAMPLES = 30, 20, 40
+# the general congruence spans the algebra by monomials up to this degree
+GAMMA_DEGREE_BOUND = 2
 
 
 class IllDefinedPsi(ValueError):
@@ -176,9 +178,10 @@ class PsiRingPresentation:
     shape, and a FiniteAlgebra, with coordinate tuples as elements, for a
     monic quotient (basis 1, x^1, ..., x^(d-1)) or a finite-free shape (whose
     basis starts with its unit "1").  psi acts on coefficients by the
-    identity or by the Frobenius lift, and on generators by the given images;
-    well-definedness (relations preserved) is a checkable property, not an
-    assumption.
+    identity or by the Frobenius lift, and on generators by the given images.
+    Construction checks that psi is well defined, so every presentation has
+    an image for each generator and preserves its relations; IllDefinedPsi
+    says which does not.
     """
 
     W: WittCoefRing
@@ -193,7 +196,7 @@ class PsiRingPresentation:
                        else None)
         self.A, self._gens, self._word = _read_shape(self.W, self.shape)
         self._psi_cache = {}
-        self.refuse_non_generators(self.psi_gen_images, "psi images")
+        self._check_well_defined()
 
     def from_coeff(self, c):
         return self.A.scale(c, self.A.one())
@@ -205,11 +208,6 @@ class PsiRingPresentation:
 
     def generators(self):
         return list(self._gens)
-
-    def refuse_non_generators(self, names, what):
-        extra = sorted(set(names) - set(self._gens))
-        if extra:
-            raise ValueError(f"{what} for {extra}, which are not generators")
 
     def psi_coeff(self, c):
         return self._sigma(c) if self._sigma is not None else c
@@ -245,29 +243,30 @@ class PsiRingPresentation:
         out = {e: W.residue(c) for e, c in self.A.terms(a)}
         return {e: r for e, r in out.items() if not W.residue_ring().is_zero(r)}
 
-    def verify_psi_well_defined(self):
-        """psi must preserve the relations; returns None or a description.
+    def _check_well_defined(self):
+        """Every generator, and no other name, has a psi image, and psi
+        preserves the relations.
 
         A polynomial shape has none.  Every basis element of a finite shape is
         a word in the generators, so psi preserves its relations exactly when
         psi(g e) = psi(g) psi(e) for every generator g and basis element e."""
         A = self.A
+        extra = sorted(set(self.psi_gen_images) - set(self._gens))
+        if extra:
+            raise ValueError(f"psi images for {extra}, which are not generators")
         finite = isinstance(A, FiniteAlgebra)
         for g in self._gens:
             img = self.psi_gen_images.get(g)
             if img is None:
-                return f"no psi image for generator {g}"
+                raise IllDefinedPsi(f"no psi image for generator {g}")
             if finite and len(img) != len(A.basis):
-                return f"psi({g}) has {len(img)} coordinates, not {len(A.basis)}"
-        if not finite:
-            return None
-        for g, x in self._gens.items():
+                raise IllDefinedPsi(f"psi({g}) has {len(img)} coordinates, not {len(A.basis)}")
+        for g, x in self._gens.items() if finite else ():
             for i, name in enumerate(A.basis):
                 e = unit_vector(self.W, len(A.basis), i)
                 lhs, rhs = self.psi(A.mul(x, e)), A.mul(self.psi_gen_images[g], self.psi(e))
                 if not A.eq(lhs, rhs):
-                    return f"psi({g}*{name}) != psi({g})*psi({name})"
-        return None
+                    raise IllDefinedPsi(f"psi({g}*{name}) != psi({g})*psi({name})")
 
     @staticmethod
     def from_json(data):
@@ -358,7 +357,6 @@ def _finite_free_algebra(W, shape):
 class ThetaData:
     """theta on generators, at one precision digit below the presentation."""
 
-    presentation: PsiRingPresentation
     lowered: Ring  # the presentation's algebra, one precision digit down
     theta_gens: dict
 
@@ -389,9 +387,6 @@ def wilkerson_check(pres, sample_bound=25, seed=0):
     """
     W, A = pres.W, pres.A
     p = W.p
-    bad = pres.verify_psi_well_defined()
-    if bad is not None:
-        raise IllDefinedPsi(bad)
     checks = []
     for g in pres.generators():
         gv = pres.gen(g)
@@ -402,9 +397,7 @@ def wilkerson_check(pres, sample_bound=25, seed=0):
                                   f"residues {res}"))
     if W.f > 1:
         t = W.gen()
-        sigma = W.frobenius_lift()
-        val = sigma(t) if pres.psi_on_coeffs == "sigma" else t
-        diff = W.sub(val, W.pow(t, p))
+        diff = W.sub(pres.psi_coeff(t), W.pow(t, p))
         ok = W.in_max_ideal(diff)
         checks.append(CheckResult("coefficient_generator[t]", ok,
                                   None if ok else f"psi(t) - t^{p} = {diff!r}"))
@@ -426,14 +419,10 @@ def wilkerson_check(pres, sample_bound=25, seed=0):
 def derive_theta(pres):
     """theta(g) = (psi(g) - g^p)/p on each generator, at precision N-1.
 
-    psi must be well defined; a generator where the division is not exact
-    raises CongruenceFails.
+    A generator where the division is not exact raises CongruenceFails.
     """
-    bad = pres.verify_psi_well_defined()
-    if bad is not None:
-        raise IllDefinedPsi(bad)
     theta = {g: theta_of(pres, pres.gen(g)) for g in pres.generators()}
-    return ThetaData(presentation=pres, lowered=pres.A.lowered(), theta_gens=theta)
+    return ThetaData(lowered=pres.A.lowered(), theta_gens=theta)
 
 
 def theta_of(pres, elem):
@@ -489,16 +478,16 @@ def theta_consistency(pres, samples=20, seed=0):
                                                       "precision": W.N - 1})
 
 
-def gamma_congruence_check(sigma, algebra, degree_bound=2, seed=0):
+def gamma_congruence_check(sigma, algebra, seed=0):
     """x . sigma = x^p mod pB over a monomial spanning set of the algebra.
 
-    The spanning set is all monomials in the declared generators up to the
-    degree bound, with coefficient multiples drawn exhaustively when the
+    The spanning set is all monomials in the declared generators up to degree
+    GAMMA_DEGREE_BOUND, with coefficient multiples drawn exhaustively when the
     coefficient ring is small and by seeded sampling otherwise.  There is one
     check per element of the spanning set.
     """
-    checks = list(_congruence_checks(sigma, algebra, degree_bound, seed))
-    meta = {"seed": seed, "degree_bound": degree_bound,
+    checks = list(_congruence_checks(sigma, algebra, seed))
+    meta = {"seed": seed, "degree_bound": GAMMA_DEGREE_BOUND,
             "spanning_size": len(checks)}
     rep = CongruenceReport.from_checks(checks, meta=meta)
     if rep.verdict:
@@ -509,7 +498,7 @@ def gamma_congruence_check(sigma, algebra, degree_bound=2, seed=0):
     return rep
 
 
-def _congruence_checks(sigma, algebra, degree_bound=2, seed=0):
+def _congruence_checks(sigma, algebra, seed=0):
     """Yield the CheckResults of gamma_congruence_check in report order."""
     G = sigma.gamma
     B = algebra
@@ -523,7 +512,7 @@ def _congruence_checks(sigma, algebra, degree_bound=2, seed=0):
     gens = list(B.gens.items())
     monomials = [("1", B.unit)]
     frontier = [("1", B.unit)]
-    for _ in range(degree_bound):
+    for _ in range(GAMMA_DEGREE_BOUND):
         new = []
         for name, vec in frontier:
             for gname, gvec in gens:
@@ -578,44 +567,39 @@ class L1Data:
     can_power: int = 0       # can* = residue composed with sigma^can_power
 
     def can_star(self, a):
-        x = a
-        if self.can_power and self.W.f > 1:
-            x = self.W.frobenius_lift().power(self.can_power)(x)
-        return self.W.residue(x)
+        return self.W.residue(self.W.frobenius_lift().power(self.can_power)(a))
 
 
-def frobenius_congruence_comodule(l1, pres, psi1_gens, seed=0):
+def frobenius_congruence_comodule(l1, A, psi1_gens, seed=0):
     """Does psi_1 followed by can* (x) id reduce to the p-th power map?
 
-    pres is a presentation over a characteristic-p field; psi1_gens maps each
-    generator to a list of (A[1] element, ring element) tensor terms.  The
-    composite is a ring map, so generators decide it; samples re-verify.
+    A is a PolyRing over a characteristic-p field k; psi1_gens maps each
+    generator to a list of (A[1] element, element of A) tensor terms.  The
+    composite is a ring map, semilinear over sigma as the p-th power map is
+    (c -> c^p on k), so it is the psi of one presentation: generators decide
+    it, and samples re-verify.
     """
-    k = pres.W
+    k = A.ring
     if k.N != 1:
         raise CharacteristicMismatch(f"base {k!r} is not of characteristic {k.p}")
     if l1.W.residue_ring().descriptor() != k.descriptor():
         raise CharacteristicMismatch("A[1] residues do not land in the base field")
-    pres.refuse_non_generators(psi1_gens, "psi1")
-    A, p = pres.A, k.p
+    composite = {g: functools.reduce(A.add, (A.scale(l1.can_star(a), b) for a, b in terms),
+                                     A.zero())
+                 for g, terms in psi1_gens.items()}
+    pres = PsiRingPresentation(W=k, shape=PolyShape(A.vars), psi_on_coeffs="sigma",
+                               psi_gen_images=composite)
+    p = k.p
     checks = []
-    composite = {}
     for g in pres.generators():
-        out = A.zero()
-        for a, b in psi1_gens[g]:
-            out = A.add(out, A.scale(l1.can_star(a), b))
-        composite[g] = out
-        ok = A.eq(out, A.pow(pres.gen(g), p))
+        ok = A.eq(composite[g], A.pow(pres.gen(g), p))
         checks.append(CheckResult(f"generator[{g}]", ok,
                                   None if ok else
-                                  f"composite({g}) = {A.repr_elem(out)} != {g}^{p}"))
-    # the composite is a ring endomorphism; extend to samples through it
+                                  f"composite({g}) = {A.repr_elem(composite[g])} != {g}^{p}"))
     rng = random.Random(seed)
-    sub = PsiRingPresentation(W=k, shape=pres.shape, psi_on_coeffs="id",
-                              psi_gen_images=composite)
     for i in range(COMODULE_SAMPLES):
         e = A.rand(rng)
-        ok = A.eq(sub.psi(e), A.pow(e, p))
+        ok = A.eq(pres.psi(e), A.pow(e, p))
         checks.append(CheckResult(f"sample[{i}]", ok,
                                   None if ok else f"element {A.repr_elem(e)}"))
     return CongruenceReport.from_checks(checks, meta={"seed": seed})

@@ -201,7 +201,9 @@ class TwistedBialgebra:
             return Mat(R, [vec(r, f"a row of {what}") for r in json_typed(rows, list, what)])
 
         def table(name, tbl, width=1):
-            """(key, entry name, value) per entry; each key is width integers >= 0, as "k,l"."""
+            """(key, entry name, value) per entry; each key is width integers >= 0, as
+            "k,l", and no two keys name the same integers."""
+            seen = {}
             for key, v in json_typed(tbl, dict, f"bialgebra {name}").items():
                 try:
                     ints = tuple(int(s) for s in key.split(","))
@@ -210,6 +212,10 @@ class TwistedBialgebra:
                 if len(ints) != width or min(ints) < 0:
                     raise MalformedData(f"{name} has the key {key!r}, which is not "
                                         f"{('an integer', 'two integers')[width - 1]} >= 0")
+                if ints in seen:
+                    raise MalformedData(f"{name} has the keys {seen[ints]!r} and {key!r}, "
+                                        f"which name the same entry")
+                seen[ints] = key
                 yield ints if width > 1 else ints[0], f"{name}[{key}]", v
 
         out = TwistedBialgebra(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .exact_arith import IdentityFailed
@@ -115,7 +116,9 @@ def regularity_certificate(m, p):
         r = 0
         while p ** (r + 1) < m:
             r += 1
-        index = math.comb(m, p ** r)
+        j = min(p ** r, m - p ** r)  # C(m, j) >= (m/j)^j
+        index = _printable_index(m, p, j, math.log10(m) - math.log10(j),
+                                 lambda: math.comb(m, p ** r))
         v1 = kummer_carries((p ** r, m - p ** r), p)
         v2 = (legendre_valuation(m, p) - legendre_valuation(p ** r, p)
               - legendre_valuation(m - p ** r, p))
@@ -125,13 +128,33 @@ def regularity_certificate(m, p):
     # p | m, m != p: the stabilizer of a partition into d = m/p blocks of
     # size p contains a p-Sylow subgroup, so its index is prime to p
     d = m // p
-    index = math.factorial(m) // (math.factorial(p) ** d * math.factorial(d))
+    # m! / (p!^d d!) is the product of C(ip - 1, p - 1) >= 2^(p - 1) over 2 <= i <= d
+    index = _printable_index(m, p, (d - 1) * (p - 1), math.log10(2),
+                             lambda: math.factorial(m) // (math.factorial(p) ** d
+                                                           * math.factorial(d)))
     v1 = kummer_carries((p,) * d, p) - legendre_valuation(d, p)
     v2 = (legendre_valuation(m, p) - d * legendre_valuation(p, p)
           - legendre_valuation(d, p))
     _check_valuations(v1, v2, m, p, "divisible")
     return RegularityCertificate(m=m, p=p, tag="DivisibleCase", d=d,
                                  index=index, valuation=v1)
+
+
+def _printable_index(m, p, count, log10_base, exact):
+    """exact(), the index the certificate prints, refused with a ValueError when
+    it has more decimal digits than sys.get_int_max_str_digits().
+
+    The index is at least base^count, so a count past limit / log10(base) is
+    refused before exact() runs; an index that passes has at most about
+    limit + 0.44 count digits, with count below limit / log10(2), and is cheap.
+    Below 2^(3 limit) < 10^limit it is printable without building 10^limit."""
+    limit = sys.get_int_max_str_digits()
+    index = None if limit and count > limit / log10_base else exact()
+    if limit and (index is None or (index.bit_length() > 3 * limit
+                                    and index >= 10 ** limit)):
+        raise ValueError(f"weight m={m}: the index at p={p} has over {limit} "
+                         f"decimal digits")
+    return index
 
 
 def _check_valuations(v1, v2, m, p, case):

@@ -103,6 +103,18 @@ def test_images_of_non_generators_exit_2(tmp_path, capsys):
         assert name in err and "not generators" in err
 
 
+def test_an_ill_defined_psi_exits_2_with_its_relation(tmp_path, capsys):
+    # x^2 = 0 but psi(x) = 1: the presentation is refused when it is read
+    f = tmp_path / "ill.json"
+    f.write_text(json.dumps({"ring": {"p": 2, "N": 3},
+                             "shape": {"kind": "monic_quotient", "var": "x",
+                                       "monic": ["0", "0", "1"]},
+                             "psi_gen_images": {"x": ["1", "0"]}}))
+    assert run(["theta", "check", "--file", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: psi(x*x^1) != psi(x)*psi(x^1)\n" and not out
+
+
 def test_weights_gcd_table(capsys):
     assert run(["weights", "gcd", "--max", "20"]) == 0
     out = capsys.readouterr().out
@@ -155,7 +167,7 @@ def test_usage_errors_exit_2(capsys):
     ["bialg", "--height1", "2,3,1"],                  # three fields, not four
     ["fgl", "--builtin", "multiplicative", "--degree-bound", "0"],  # [2](x) = 0
     ["weights", "gcd", "--max", "1"],                 # no m to check
-    ["congruence", "--height1", "2,1,1,1", "--degree-bound", "-1"],  # no monomials
+    ["graded", "--p", "4"],                           # not a prime
     ["theta", "check", "--file", "unread.json", "--samples", "-3"],  # no samples
     ["fgl", "--builtin", "lubin-tate", "--n", "2", "--u-bound", "-1"],  # no u-degrees
     ["congruence", "--squares", "2,1"],               # the squares need N >= 2
@@ -275,16 +287,41 @@ def test_a_precision_past_the_digit_limit_names_it(capsys):
     assert "Traceback" not in out + err
 
 
-def test_running_out_of_memory_exits_2():
+def _cap_address_space():
     import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+def test_running_out_of_memory_exits_2():
     proc = _subprocess(["fgl", "--builtin", "lubin-tate", "--n", "2", "--u-bound",
-                        "1000000000000", "--degree-bound", "4", "--precision", "2"], cap)
+                        "1000000000000", "--degree-bound", "4", "--precision", "2"],
+                       _cap_address_space)
     assert proc.returncode == 2
     assert "error: memory ran out" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+# psi_1(y) = 1 (x) y^2 over F_4: the p-th power map is sigma-semilinear, and with
+# the identity on coefficients every sample with a coefficient t failed (9/21)
+F4_COMODULE = {"base": {"p": 2, "N": 1, "ext": [1, 1, 1]}, "vars": ["y"],
+               "l1": {"ring": {"p": 2, "N": 3, "ext": [1, 1, 1]}},
+               "psi1": {"y": [[["1", "0"], [[[2], ["1", "0"]]]]]}}
+
+
+@pytest.mark.parametrize("argv,doc,code,message", [
+    # the Honda log stopped only once p^(n i) > D, after computing p^(n i)
+    (["fgl", "--builtin", "honda", "--n", "1000000000000"], None, 0, "[PASS] 5/5"),
+    # the certificate computed a 10^12-digit index before printing failed on it
+    (["weights", "certify", "--m", "1000000000000", "--p", "2"], None, 2,
+     "error: weight m=1000000000000: the index at p=2 has over"),
+    (["congruence", "--comodule-file", "FILE"], F4_COMODULE, 0, "[PASS] 21/21"),
+], ids=["honda", "certify", "f4-comodule"])
+def test_inputs_that_hung_or_failed_end_in_a_verdict(tmp_path, argv, doc, code, message):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(doc))
+    proc = _subprocess([str(f) if a == "FILE" else a for a in argv], _cap_address_space)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stdout + proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
 
 
@@ -416,6 +453,25 @@ def test_bialg_table_keys_are_integers(tmp_path, capsys, table, key, name):
     out, err = capsys.readouterr()
     want = "two integers" if table[0] == "mu" else "an integer"
     assert f"error: {name} has the key {key!r}, which is not {want} >= 0" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("table,entries,first,second", [
+    # the later key won: with "01" first the file passed 27/27, and last it failed 25/27
+    (("eps",), {"01": ["0"], "1": ["1"], "0": ["1"]}, "01", "1"),
+    (("eps",), {"0": ["1"], "1": ["1"], "01": ["0"]}, "1", "01"),
+    (("mu", "1,0"), {"0,0": ["1"], "00,0": ["0"]}, "0,0", "00,0"),
+])
+def test_bialg_keys_naming_one_entry_twice_exit_2(tmp_path, capsys, table, entries,
+                                                  first, second):
+    doc = height1_gamma(2, 2, 1, 1).to_json()
+    _at(doc, table[:-1])[table[-1]] = entries
+    f = tmp_path / "bialg.json"
+    f.write_text(json.dumps(doc))
+    assert run(["bialg", "--file", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert (f"error: {table[0]}{''.join(f'[{k}]' for k in table[1:])} has the keys "
+            f"{first!r} and {second!r}, which name the same entry") in err
     assert "Traceback" not in out + err
 
 
@@ -587,8 +643,7 @@ def _fuzz_argv(rng, tmp_path):
         return argv
     if cmd == "congruence":
         return ["congruence", "--height1", spec,
-                "--squares", f"{p()},{pick([1, 2, 3, 9], [-1, 0])}",
-                "--degree-bound", v()]
+                "--squares", f"{p()},{pick([1, 2, 3, 9], [-1, 0])}"]
     if rng.random() < 0.5:
         return ["weights", "gcd", "--max", pick([2, 30], [-1, 0, 1])]
     return ["weights", "certify", "--m", pick([0, 2, 5, 6, 9], [-3]), "--p", p()]

@@ -98,12 +98,15 @@ def test_theta_identities_on_poly():
 
 
 def test_ill_defined_psi():
+    # psi is checked when the presentation is built, so no check meets one
     W = WittCoefRing(2, 3)
     shape = MonicQuotientShape("x", (W.zero(), W.zero(), W.one()))  # x^2 = 0
-    P = PsiRingPresentation(W=W, shape=shape,
-                            psi_gen_images={"x": (W.one(), W.zero())})
-    with pytest.raises(IllDefinedPsi):
-        wilkerson_check(P)
+    for images, message in (({"x": (W.one(), W.zero())}, "psi(x*x^1) != psi(x)*psi(x^1)"),
+                            ({"x": (W.one(),)}, "psi(x) has 1 coordinates, not 2"),
+                            ({}, "no psi image for generator x")):
+        with pytest.raises(IllDefinedPsi) as e:
+            PsiRingPresentation(W=W, shape=shape, psi_gen_images=images)
+        assert str(e.value) == message
 
 
 def test_finite_free_shape():
@@ -162,7 +165,7 @@ def test_gamma_congruence_records_theorem_a():
 
 def test_comodule_congruence():
     F2 = WittCoefRing(2, 1)
-    B = PsiRingPresentation(W=F2, shape=PolyShape(("y",)))
+    B = PolyRing(F2, ("y",))
     l1 = L1Data(W=WittCoefRing(2, 3))
     good = frobenius_congruence_comodule(
         l1, B, {"y": [(l1.W.one(), {(2,): F2.one()})]})
@@ -172,12 +175,52 @@ def test_comodule_congruence():
     assert not bad.verdict
     assert any(n == "generator[y]" for n, _ in bad.witnesses)
     # B = F_p itself: trivially a^p = a
-    triv = PsiRingPresentation(W=F2, shape=PolyShape(()))
-    assert frobenius_congruence_comodule(l1, triv, {}).verdict
+    assert frobenius_congruence_comodule(l1, PolyRing(F2, ()), {}).verdict
+
+
+# over F_4 = F_2[t]/(t^2 + t + 1), with A[1] = W(F_4) at precision 3
+F4 = WittCoefRing(2, 1, ext=[1, 1, 1])
+L1_F4 = WittCoefRing(2, 3, ext=[1, 1, 1])
+
+
+def test_comodule_congruence_over_f4_is_sigma_semilinear(monkeypatch):
+    # the p-th power map sends c y^j to c^2 y^2j, so the composite extends to
+    # samples with sigma on coefficients; with the identity there, every
+    # sample with a coefficient t failed
+    B = PolyRing(F4, ("y",))
+    built = []
+    post_init = PsiRingPresentation.__post_init__
+    monkeypatch.setattr(PsiRingPresentation, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    good = frobenius_congruence_comodule(L1Data(W=L1_F4), B,
+                                         {"y": [(L1_F4.one(), {(2,): F4.one()})]})
+    assert good.verdict and len(good.checks) == 21
+    assert [P.psi_on_coeffs for P in built] == ["sigma"]  # one presentation
+    bad = frobenius_congruence_comodule(L1Data(W=L1_F4), B,
+                                        {"y": [(L1_F4.one(), {(1,): F4.one()})]})
+    assert not bad.verdict and bad.witnesses[0][0] == "generator[y]"
+
+
+def test_can_power_twists_the_comodule_by_sigma():
+    # psi_1(y) = t (x) t^2 y^2: can* sends t to t^(2^k), so the composite is
+    # t^(1 + 2^(k+1)) y^2, which is y^2 at even k only (t^3 = 1)
+    B = PolyRing(F4, ("y",))
+    t = L1_F4.gen()
+    psi1 = {"y": [(t, {(2,): F4.pow(F4.gen(), 2)})]}
+
+    def report(k):
+        return frobenius_congruence_comodule(L1Data(W=L1_F4, can_power=k), B, psi1)
+
+    reports = [report(k) for k in range(4)]
+    assert [r.verdict for r in reports] == [True, False, True, False]
+    for k in range(2):
+        assert reports[k].to_json() == reports[k + 2].to_json()
+    assert reports[0].to_json() != reports[1].to_json()
+    assert reports[1].witnesses[0][0] == "generator[y]"
 
 
 def test_comodule_requires_char_p():
-    B = PsiRingPresentation(W=WittCoefRing(2, 2), shape=PolyShape(("y",)))
+    B = PolyRing(WittCoefRing(2, 2), ("y",))
     with pytest.raises(CharacteristicMismatch):
         frobenius_congruence_comodule(L1Data(W=WittCoefRing(2, 3)), B, {})
 
@@ -240,7 +283,7 @@ def test_images_of_non_generators_are_refused():
     with pytest.raises(ValueError, match="not generators"):
         poly_pres(Z32, {"x": {(2,): Z32.one()}, "y": {(1,): Z32.one()}})
     F2 = WittCoefRing(2, 1)
-    B = PsiRingPresentation(W=F2, shape=PolyShape(("y",)))
+    B = PolyRing(F2, ("y",))
     l1 = L1Data(W=WittCoefRing(2, 3))
     psi1 = {"y": [(l1.W.one(), {(2,): F2.one()})], "z": [(l1.W.one(), {(1,): F2.one()})]}
     with pytest.raises(ValueError, match="not generators"):
@@ -350,7 +393,7 @@ def test_witnesses_keep_the_order_terms_appear(doc, seed, samples, check, witnes
 def _psi_by_basis_images(P, a):
     """psi of an element of a finite shape, from basis images built here: powers
     of psi(x) for a monic quotient, the unit and the images for a finite-free
-    shape."""
+    shape.  P is a presentation or the fields of one, with its algebra A."""
     A = P.A
     if isinstance(P.shape, MonicQuotientShape):
         images = [A.pow(P.psi_gen_images[P.shape.var], i) for i in range(len(A.basis))]
@@ -385,10 +428,18 @@ def _coeffs(W):
     return st.tuples(*[st.integers(0, W.modulus - 1)] * W.f).map(W.elem)
 
 
+def _monic_generator(W, monic):
+    """W[x]/(monic) as a FiniteAlgebra, and x in it."""
+    A = FiniteAlgebra.monic_quotient(W, "x", monic)
+    d = len(A.basis)  # W[x]/(x + m_0) has basis 1, and x reduces to -m_0
+    return A, ((W.neg(monic[0]),) if d == 1 else unit_vector(W, d, 1))
+
+
 @st.composite
-def finite_presentations(draw):
-    """A monic quotient of degree 1-3 or a rank-2 finite-free shape, with psi(x)
-    a random element, x itself or 0."""
+def finite_psi_data(draw):
+    """The fields of a presentation on a monic quotient of degree 1-3 or a
+    rank-2 finite-free shape, with psi(x) a random element, x itself or 0, and
+    the shape's algebra A built here."""
     W = draw(st.sampled_from(WELL_DEFINED_RINGS), label="ring")
     c = _coeffs(W)
     z, o = W.zero(), W.one()
@@ -396,23 +447,35 @@ def finite_presentations(draw):
         d = draw(st.integers(1, 3), label="degree")
         shape = MonicQuotientShape("x", tuple(draw(st.lists(c, min_size=d, max_size=d)))
                                    + (o,))
-        x = (W.neg(shape.monic[0]),) if d == 1 else unit_vector(W, d, 1)
+        A, x = _monic_generator(W, shape.monic)
     else:
         d = 2
         mult = ((0, 0, (o, z)), (0, 1, (z, o)), (1, 0, (z, o)),
                 (1, 1, draw(st.tuples(c, c), label="b*b")))
         shape = FiniteFreeShape(("1", "x"), mult)
+        A = FiniteAlgebra(ring=W, basis=shape.basis, mult={(i, j): v for i, j, v in mult},
+                          unit=(o, z))
         x = (z, o)
     image = draw(st.one_of(st.tuples(*[c] * d), st.sampled_from([x, (z,) * d])),
                  label="psi(x)")
-    return PsiRingPresentation(W=W, shape=shape, psi_gen_images={"x": image},
-                               psi_on_coeffs=draw(st.sampled_from(["id", "sigma"])))
+    coeffs = draw(st.sampled_from(["id", "sigma"]))
+    sigma = W.frobenius_lift()
+    return types.SimpleNamespace(W=W, shape=shape, A=A, psi_on_coeffs=coeffs,
+                                 psi_gen_images={"x": image},
+                                 psi_coeff=sigma if coeffs == "sigma" else (lambda c: c))
 
 
 @settings(max_examples=200, deadline=None)
-@given(finite_presentations())
-def test_one_rule_decides_well_definedness_as_the_relations_do(P):
-    assert (P.verify_psi_well_defined() is None) == _well_defined_by_relations(P)
+@given(finite_psi_data())
+def test_one_rule_decides_well_definedness_as_the_relations_do(D):
+    try:
+        PsiRingPresentation(W=D.W, shape=D.shape, psi_on_coeffs=D.psi_on_coeffs,
+                            psi_gen_images=D.psi_gen_images)
+        built = True
+    except IllDefinedPsi as e:
+        assert str(e).startswith("psi(x*")
+        built = False
+    assert built == _well_defined_by_relations(D)
 
 
 def test_a_degree_one_quotient_fixes_psi_of_its_generator():
@@ -421,22 +484,23 @@ def test_a_degree_one_quotient_fixes_psi_of_its_generator():
     m0 = W.gen()
     shape = MonicQuotientShape("x", (m0, W.one()))
     sigma = W.frobenius_lift()
-    good = {"x": (W.neg(sigma(m0)),)}
-    assert PsiRingPresentation(W=W, shape=shape, psi_on_coeffs="sigma",
-                               psi_gen_images=good).verify_psi_well_defined() is None
-    bad = PsiRingPresentation(W=W, shape=shape, psi_on_coeffs="sigma",
-                              psi_gen_images={"x": (W.neg(m0),)})
-    assert bad.verify_psi_well_defined() == "psi(x*1) != psi(x)*psi(1)"
+    good = PsiRingPresentation(W=W, shape=shape, psi_on_coeffs="sigma",
+                               psi_gen_images={"x": (W.neg(sigma(m0)),)})
+    assert good.psi(good.gen("x")) == (W.neg(sigma(m0)),)
+    with pytest.raises(IllDefinedPsi, match=r"^psi\(x\*1\) != psi\(x\)\*psi\(1\)$"):
+        PsiRingPresentation(W=W, shape=shape, psi_on_coeffs="sigma",
+                            psi_gen_images={"x": (W.neg(m0),)})
 
 
 def test_psi_scales_cached_basis_images(monkeypatch):
-    # psi on a degree-6 monic quotient: once the basis images exist, an element
-    # costs d scalings and no product
+    # psi(x) = x r on W[x]/(x^6), r random, so psi(x)^6 = 0 and the basis
+    # images are dense: once they exist, an element costs d scalings and no product
     W = WittCoefRing(2, 3)
     rng = random.Random(6)
-    shape = MonicQuotientShape("x", tuple(W.rand(rng) for _ in range(6)) + (W.one(),))
-    P = PsiRingPresentation(W=W, shape=shape,
-                            psi_gen_images={"x": tuple(W.rand(rng) for _ in range(6))})
+    monic = (W.zero(),) * 6 + (W.one(),)
+    A, x = _monic_generator(W, monic)
+    P = PsiRingPresentation(W=W, shape=MonicQuotientShape("x", monic),
+                            psi_gen_images={"x": A.mul(x, A.rand(rng))})
     a, b = P.A.rand(rng), P.A.rand(rng)
     assert P.psi(a) == _psi_by_basis_images(P, a)
     want = _psi_by_basis_images(P, b)
@@ -516,18 +580,18 @@ def theta_presentations(draw):
         d = draw(st.integers(1, 3), label="degree")
         c = draw(st.sampled_from([z, o]), label="c")
         shape = MonicQuotientShape("x", (W.neg(c),) + (z,) * (d - 1) + (o,))
-        P = PsiRingPresentation(W=W, shape=shape)
-        return PsiRingPresentation(W=W, shape=P.shape, psi_on_coeffs=coeffs,
-                                   psi_gen_images={"x": P.A.pow(P.gen("x"), p)})
+        A, x = _monic_generator(W, shape.monic)
+        return PsiRingPresentation(W=W, shape=shape, psi_on_coeffs=coeffs,
+                                   psi_gen_images={"x": A.pow(x, p)})
     if kind == "roots":
         roots = draw(st.lists(st.integers(0, W.modulus - 1), min_size=1, max_size=p,
                               unique_by=lambda r: r % p), label="roots")
         m = [o]
         for r in roots:  # m times (x - r), low to high
             m = [W.sub(a, W.mul(W.from_int(r), b)) for a, b in zip([z] + m, m + [z])]
-        P = PsiRingPresentation(W=W, shape=MonicQuotientShape("x", tuple(m)))
-        return PsiRingPresentation(W=W, shape=P.shape, psi_on_coeffs=coeffs,
-                                   psi_gen_images={"x": P.gen("x")})
+        _, x = _monic_generator(W, tuple(m))
+        return PsiRingPresentation(W=W, shape=MonicQuotientShape("x", tuple(m)),
+                                   psi_on_coeffs=coeffs, psi_gen_images={"x": x})
     k = draw(st.integers(0, W.modulus - 1), label="k")
     idempotent = draw(st.booleans(), label="b^2 = b")
     mult = ((0, 0, (o, z)), (0, 1, (z, o)), (1, 0, (z, o)),

@@ -248,3 +248,45 @@ def test_sym_matrix_functorial():
 def test_library_guards_refuse_out_of_range(call):
     with pytest.raises(ValueError):
         call()
+
+
+def _index(m, p):
+    """The certificate's index for 2 <= m != p, computed here."""
+    if m % p:
+        r = max(r for r in range(m.bit_length()) if p ** r < m)
+        return math.comb(m, p ** r)
+    d = m // p
+    return math.factorial(m) // (math.factorial(p) ** d * math.factorial(d))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_an_index_past_the_digit_limit_is_refused_exactly(monkeypatch, p):
+    # with the limit at the index's own digit count the certificate is given,
+    # and one digit lower it is refused: the index's lower bound passes both
+    import sys
+    weights = [m for m in random.Random(p).sample(range(20, 1500), 60) if m != p]
+    digits = {m: len(str(_index(m, p))) for m in weights}
+    for m in weights:
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits[m])
+        assert regularity_certificate(m, p).index == _index(m, p)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits[m] - 1)
+        with pytest.raises(ValueError, match=f"weight m={m}: the index at p={p} has over "
+                                             f"{digits[m] - 1} decimal digits"):
+            regularity_certificate(m, p)
+
+
+def test_a_huge_weight_with_a_small_index_is_certified():
+    # m = 2^2000 + 1: the index C(m, 2^2000) = m has 603 digits, though m
+    # is past what a float holds
+    m = 2 ** 2000 + 1
+    assert regularity_certificate(m, 2).index == m
+
+
+def test_the_critical_weights_criterion_is_unchanged():
+    import hashlib
+    import json
+
+    from fglcheck.acceptance import criterion_11_critical_weights
+    doc = json.dumps(criterion_11_critical_weights().to_json(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == \
+        "73d849dc2727927001e53d6adbfa31c019b45a31fd8efa776fb67909712c963f"
