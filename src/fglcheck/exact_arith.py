@@ -26,7 +26,6 @@ c*a_i*b_k) and reduces it mod p^N once.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -612,8 +611,14 @@ class WittCoefRing(Ring):
     # enumeration
 
     def elements(self):
-        for coeffs in itertools.product(range(self.modulus), repeat=self.f):
-            yield self.reduced(coeffs)
+        """Every element, in the order of itertools.product(range(p^N), repeat=f),
+        counted out one at a time: product would first copy the whole range."""
+        q = self.modulus
+        for n in range(self.size()):
+            coeffs = [0] * self.f
+            for i in reversed(range(self.f)):
+                n, coeffs[i] = divmod(n, q)
+            yield self.reduced(tuple(coeffs))
 
     def size(self):
         return self.modulus ** self.f

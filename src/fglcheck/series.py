@@ -7,15 +7,18 @@ bound.  PolyTruncRing wraps these series as a coefficient ring in their own
 right, which is how Lubin-Tate style base rings W[u_1..u_{n-1}] are built.
 
 a * b multiplies term by term over every ring.  substitute over Z/p^N, and
-over a PolyTruncRing on Z/p^N, runs on a Kronecker-packed kernel: each operand
-becomes one Python int and a product is one int multiplication; a one-term
-operand with a scalar coefficient is a shift of the other operand's exponents,
-with no packing.  Every other ring composes through the dict loop of a * b,
-the reference the kernel is tested against.
+over a PolyTruncRing on Z/p^N, runs on one Kronecker-packed kernel: each
+operand becomes one Python int and a product is one int multiplication.  Its
+raw terms are {x-exponents + u-exponents: int}, the u-exponents of a
+PolyTruncRing being more variables, laid out per product from the operands'
+exponents.  A one-term operand c * x^e * u^f is a shift of the other
+operand's exponents, with no packing.  Every other ring composes through the
+dict loop of a * b, the reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import sys
@@ -269,7 +272,7 @@ def substitute(f, gs):
                     term = pw[n] if term is None else k.mul(term, pw[n])
             yield c, (k.one() if term is None else term)
 
-    return k.sum_scaled(scaled_terms(), len(f.terms))
+    return k.sum_scaled(scaled_terms(), f, gs)
 
 
 def reversion(f):
@@ -469,15 +472,17 @@ def _has_chain(R):
 # ---------------------------------------------------------------------------
 # Kronecker-packed kernel over Z/p^N and (Z/p^N)[u]
 #
-# A series is packed into one int: the coefficient of a monomial sits in a
-# fixed-width slot at the monomial's index, so the product of two packed ints
-# holds the product series.  The index is affine in the exponents (see
-# _Layout), so a product's index is the sum of its factors' indices.  Over
-# (Z/p^N)[u] each outer slot is a block of S inner slots, indexed by the same
-# rule in the u-variables at their bound U; S exceeds the sum of the operands'
-# largest inner indices, so an inner product never reaches the next block.  A
-# slot holds a sum of at most min(entries of A, entries of B) products of
-# values below p^N, so it needs 2 * bits(p^N - 1) + bits(that count) + 1 bits.
+# A raw series is {x-exponents + u-exponents: int in [1, p^N)}, one term per
+# monomial in the x's and the u's; over Z/p^N the u-part is empty.  A product
+# packs each operand into one int, so that one int multiplication gives the
+# product series.  Two _Layouts built from the operands' exponents index the
+# x-part and the u-part; both indices are affine in the exponents, so a
+# product's index is the sum of its factors'.  Each x-slot is a block of S
+# u-slots, and S exceeds the sum of the operands' u-index spans, so no u-part
+# reaches the next block.  A u-part past the u-bound U indexes past the
+# u-layout and is dropped on unpack.  A slot holds a sum of at most min(terms
+# of A, terms of B) products of values below p^N, so it needs
+# 2 * bits(p^N - 1) + bits(that count) + 1 bits.
 
 # slot widths read and written in C through array / memoryview.cast
 _WORD = ({array(t).itemsize: t for t in "QLIHB"} if sys.byteorder == "little" else {})
@@ -485,11 +490,9 @@ _WORD = ({array(t).itemsize: t for t in "QLIHB"} if sys.byteorder == "little" el
 
 def _kernel(ring, vars, bound):
     """The packed kernel for series over ``ring``, or None for the dict loop."""
-    if isinstance(ring, WittCoefRing) and ring.f == 1:
-        return _PackedZ(ring, vars, bound)
-    if (isinstance(ring, PolyTruncRing) and isinstance(ring.base, WittCoefRing)
-            and ring.base.f == 1):
-        return _PackedPoly(ring, vars, bound)
+    W = ring.base if isinstance(ring, PolyTruncRing) else ring
+    if isinstance(W, WittCoefRing) and W.f == 1:
+        return _Packed(ring, vars, bound)
     return None
 
 
@@ -510,17 +513,25 @@ def _to_int(vals, wb):
 
 
 def _slot_values(x, wb, count):
-    """The first ``count`` wb-byte slots of the nonnegative int x."""
-    n = count * wb
-    buf = x.to_bytes((x.bit_length() + 7) // 8, "little")[:n].ljust(n, b"\0")
+    """The wb-byte slots of the nonnegative int x, the first ``count`` at most."""
+    n = (x.bit_length() + 8 * wb - 1) // (8 * wb) * wb
+    buf = x.to_bytes(n, "little")[:count * wb]
     code = _WORD.get(wb)
     if code:
         return memoryview(buf).cast(code).tolist()
-    return [int.from_bytes(buf[o:o + wb], "little") for o in range(0, n, wb)]
+    return [int.from_bytes(buf[o:o + wb], "little") for o in range(0, len(buf), wb)]
 
 
 def _dot(e, w):
     return sum(map(operator.mul, e, w))
+
+
+def _dots(cols, w):
+    """_dot(e, w) for every term e, read off the terms' columns ``cols``."""
+    dots = map(operator.mul, cols[0], itertools.repeat(w[0]))
+    for col, x in zip(cols[1:], w[1:]):
+        dots = map(operator.add, dots, map(operator.mul, col, itertools.repeat(x)))
+    return list(dots)
 
 
 class _Layout:
@@ -550,6 +561,12 @@ class _Layout:
         self.origin = _dot(emin, w) + lo * place
         self.size = (hi - lo + 1) * place
         self.fixed = sum(emin) - (emin[self.last] if var else 0)
+        self.hi = hi
+
+    def reach(self, emin, emax):
+        """Bounds on _dot(e, w) over emin <= e <= emax with |e| <= hi."""
+        return (_dot(emin, self.w),
+                _dot(emax, self.w) - max(0, sum(emax) - self.hi) * self.top)
 
     def exponent(self, x):
         """The monomial at index x < size."""
@@ -580,7 +597,7 @@ class _SeriesOps:
     def mul(self, a, b):
         return a * b
 
-    def sum_scaled(self, pairs, count):
+    def sum_scaled(self, pairs, f, gs):
         """sum c * term over (coefficient, term) pairs, as a series."""
         R = self.ring
         acc = {}
@@ -591,205 +608,150 @@ class _SeriesOps:
         return TruncSeries(R, self.vars, self.bound, acc)
 
 
-class _PackedZ:
-    """Series over Z/p^N as raw terms {exponent: int in [1, p^N)}."""
+class _Packed:
+    """Series over Z/p^N or (Z/p^N)[u] as raw terms {x + u exponents: int in [1, p^N)}."""
 
     def __init__(self, ring, vars, bound):
         self.ring, self.vars, self.bound = ring, vars, bound
-        self.q = ring.modulus
+        poly = isinstance(ring, PolyTruncRing)
+        self.W = ring.base if poly else ring
+        self.q = self.W.modulus
+        self.k = len(vars)
+        self.uvars = ring.vars if poly else ()
+        self.ubound = ring.ubound if poly else 0
 
     def raw(self, s):
-        return {e: c.coeffs[0] for e, c in s.terms.items()}
+        if not self.uvars:
+            return {e: c.coeffs[0] for e, c in s.terms.items()}
+        return {e + ue: v.coeffs[0] for e, c in s.terms.items() for ue, v in c.terms.items()}
 
     def series(self, raw):
-        R = self.ring
-        return TruncSeries._make(R, self.vars, self.bound,
-                                 {e: R.reduced((v,)) for e, v in raw.items()})
+        W, k, make = self.W, self.k, TruncSeries._make
+        if not self.uvars:
+            return make(W, self.vars, self.bound, {e: W.reduced((v,)) for e, v in raw.items()})
+        coeffs = {}
+        for e, v in raw.items():
+            x = e[:k]
+            c = coeffs.get(x)
+            if c is None:
+                c = coeffs[x] = {}
+            c[e[k:]] = W.reduced((v,))
+        return make(self.ring, self.vars, self.bound,
+                    {x: make(W, self.uvars, self.ubound, c) for x, c in coeffs.items()})
 
     def one(self):
-        return {(0,) * len(self.vars): 1}
+        return {(0,) * (self.k + len(self.uvars)): 1}
 
     def mul(self, A, B):
-        """Raw product of raw terms, truncated at the bound and reduced mod p^N.
+        """Raw product of raw terms, truncated at both bounds and reduced mod p^N.
 
-        A one-term operand c * x^e with c a scalar is a shift of the other by e,
+        A one-term operand c * x^e * u^f is a shift of the other by (e, f),
         scaled by c, with no pack and no unpack."""
         if not A or not B:
             return {}
-        for one, other in ((A, B), (B, A)):
-            if len(one) == 1:
-                (e1, c1), = one.items()
-                c = self._scalar(c1)
-                if c is not None:
-                    return self._shift(other, e1, c)
+        if len(A) == 1 or len(B) == 1:
+            one, other = (A, B) if len(A) == 1 else (B, A)
+            (e1, c), = one.items()
+            return self._shift(other, e1, c)
+        k, U = self.k, self.ubound
         cols_a, cols_b = list(zip(*A)), list(zip(*B))
-        deg_a, deg_b = list(map(sum, A)), list(map(sum, B))
-        lo = min(deg_a) + min(deg_b)
-        hi = min(self.bound, max(deg_a) + max(deg_b))
-        if lo > hi:
+        min_a, max_a = list(map(min, cols_a)), list(map(max, cols_a))
+        min_b, max_b = list(map(min, cols_b)), list(map(max, cols_b))
+        emin = list(map(operator.add, min_a[:k], min_b[:k]))
+        emax = list(map(operator.add, max_a[:k], max_b[:k]))
+        x = _Layout(sum(emin), min(self.bound, sum(emax)), emin, emax)
+        if x.size <= 0:
             return {}
-        lay = _Layout(lo, hi, [min(a) + min(b) for a, b in zip(cols_a, cols_b)],
-                      [max(a) + max(b) for a, b in zip(cols_a, cols_b)])
-        S = self._span(A) + self._span(B) + 1
-        count = min(self._count(A), self._count(B))
-        wb = _slot_bytes(2 * (self.q - 1).bit_length() + count.bit_length() + 1)
-        pos_a = [_dot(e, lay.w) for e in A]
-        pos_b = [_dot(e, lay.w) for e in B]
+        # u-digits count from 0, so every operand's u-part has its own index
+        u = _Layout(0, U, [0] * (len(min_a) - k),
+                    list(map(operator.add, max_a[k:], max_b[k:])))
+        lu_a, hu_a = u.reach(min_a[k:], max_a[k:])
+        lu_b, hu_b = u.reach(min_b[k:], max_b[k:])
+        S = hu_a - lu_a + hu_b - lu_b + 1
+        w = [wx * S for wx in x.w] + u.w
+        pos_a, pos_b = _dots(cols_a, w), _dots(cols_b, w)
         low_a, low_b = min(pos_a), min(pos_b)
-        prod = (self._pack(A, [p - low_a for p in pos_a], S, wb)
-                * self._pack(B, [p - low_b for p in pos_b], S, wb))
-        # product slot p holds the monomial of index p + shift
-        shift = low_a + low_b - lay.origin
-        if shift >= lay.size:
+        # product slot p holds x-index X - x.origin and u-index j + LU, where
+        # (X, j) = divmod(p + c0, S)
+        LU = lu_a + lu_b
+        c0 = low_a + low_b - LU
+        n = (x.origin + x.size) * S - c0
+        if n <= 0:
             return {}
-        vals = _slot_values(prod, wb, (lay.size - shift) * S)
-        return self._unpack(vals, S, lay, shift)
+        wb = _slot_bytes(2 * (self.q - 1).bit_length() + min(len(A), len(B)).bit_length() + 1)
+        prod = self._pack(A, pos_a, low_a, wb) * self._pack(B, pos_b, low_b, wb)
+        vals = _slot_values(prod, wb, n)
+        q, xo, usize = self.q, x.origin, u.size
+        x_at, u_at = x.exponent, functools.cache(u.exponent)
+        out = {}
+        here = None
+        for p in itertools.compress(range(len(vals)), vals):
+            v = vals[p] % q
+            if v:
+                X, j = divmod(p + c0, S)
+                j += LU
+                if j < usize:
+                    if X != here:
+                        here, ex = X, x_at(X - xo)
+                    out[ex + u_at(j)] = v
+        return out
 
-    def _scalar(self, v):
-        """The scalar a raw value is, or None when it is not one."""
-        return v
-
-    def _scale(self, v, c):
-        return v * c % self.q
+    @staticmethod
+    def _pack(raw, pos, low, wb):
+        vals = [0] * (max(pos) - low + 1)
+        for p, c in zip(pos, raw.values()):
+            vals[p - low] = c
+        return _to_int(vals, wb)
 
     def _shift(self, raw, e1, c):
-        """raw times c * x^e1, truncated at the bound; vanishing products drop."""
-        room, scale = self.bound - sum(e1), self._scale
+        """raw times c * x^e * u^f, truncated at both bounds; vanishing products drop."""
+        k, q = self.k, self.q
+        room, uroom = self.bound - sum(e1[:k]), self.ubound - sum(e1[k:])
+        within = uroom == self.ubound  # every u-part of raw stays within U
         out = {}
         for e, v in raw.items():
-            if sum(e) <= room:
-                v = scale(v, c)
+            if sum(e[:k]) <= room and (within or sum(e[k:]) <= uroom):
+                v = v * c % q
                 if v:
                     out[tuple(map(operator.add, e, e1))] = v
         return out
 
-    def _span(self, raw):
-        """Largest inner slot index used by ``raw``."""
-        return 0
+    def sum_scaled(self, pairs, f, gs):
+        """sum c * term over (coefficient of f, raw term) pairs, as a series.
 
-    def _count(self, raw):
-        return len(raw)
-
-    def _pack(self, raw, pos, S, wb):
-        vals = [0] * (max(pos) + 1)
-        for p, c in zip(pos, raw.values()):
-            vals[p] = c
-        return _to_int(vals, wb)
-
-    def _unpack(self, vals, S, lay, shift):
-        q, exponent = self.q, lay.exponent
-        out = {}
-        for p in itertools.compress(range(len(vals)), vals):
-            v = vals[p] % q
-            if v:
-                out[exponent(p + shift)] = v
-        return out
-
-    def sum_scaled(self, pairs, count):
-        """sum c * term over (coefficient, raw term) pairs, as a series."""
+        Every term is a product of powers of the gs, so its u-exponents lie in
+        the u-variables of the gs, each at most U.  Over (Z/p^N)[u] one
+        u-layout of the u-variables of f and the gs packs c and each
+        x-coefficient of a term, and their product is one int multiplication;
+        a slot sums at most one product per u-term of f's coefficients."""
+        q, k = self.q, self.k
         acc = {}
         get = acc.get
+        if not self.uvars:
+            for c, term in pairs:
+                c = c.coeffs[0]
+                for e, v in term.items():
+                    acc[e] = get(e, 0) + c * v
+            return self.series({e: v for e, a in acc.items() if (v := a % q)})
+        U = self.ubound
+        ues = [ue for s in (f, *gs) for c in s.terms.values() for ue in c.terms]
+        u = _Layout(0, U, [0] * len(self.uvars), [U * any(col) for col in zip(*ues)])
+        count = sum(len(c.terms) for c in f.terms.values())
+        wb = _slot_bytes(2 * (q - 1).bit_length() + count.bit_length() + 1)
+        shifts = [8 * wb * w for w in u.w]
         for c, term in pairs:
-            c = c.coeffs[0]
-            for e, v in term.items():
-                acc[e] = get(e, 0) + c * v
-        q = self.q
+            if not term:
+                continue
+            cp = sum(v.coeffs[0] << _dot(ue, shifts) for ue, v in c.terms.items())
+            xs = map(operator.getitem, term, itertools.repeat(slice(k)))
+            for x, s, v in zip(xs, _dots(list(zip(*term))[k:], shifts), term.values()):
+                acc[x] = get(x, 0) + (cp * v << s)
+        W, u_at = self.W, functools.cache(u.exponent)
         out = {}
-        for e, v in acc.items():
-            v %= q
-            if v:
-                out[e] = v
-        return self.series(out)
-
-
-class _PackedPoly(_PackedZ):
-    """Series over (Z/p^N)[u] as raw terms {exponent: {inner index: int}}.
-
-    The inner index of a u-monomial is its _Layout index over all
-    u-variables at the ring's bound U.
-    """
-
-    def __init__(self, ring, vars, bound):
-        self.ring, self.vars, self.bound = ring, vars, bound
-        self.q = ring.base.modulus
-        m, U = len(ring.vars), ring.ubound
-        self.uw = _Layout(0, U, [0] * m, [U] * m).w
-        self.uexp = {_dot(ue, self.uw): ue
-                     for ue in itertools.product(range(U + 1), repeat=m) if sum(ue) <= U}
-
-    def _inner(self, c):
-        w = self.uw
-        return {_dot(ue, w): v.coeffs[0] for ue, v in c.terms.items()}
-
-    def raw(self, s):
-        return {e: self._inner(c) for e, c in s.terms.items()}
-
-    def series(self, raw):
-        L = self.ring
-        W, uvars, U, uexp = L.base, L.vars, L.ubound, self.uexp
-        make = TruncSeries._make
-        return make(L, self.vars, self.bound,
-                    {e: make(W, uvars, U,
-                             {uexp[j]: W.reduced((v,)) for j, v in inner.items()})
-                     for e, inner in raw.items()})
-
-    def one(self):
-        return {(0,) * len(self.vars): {0: 1}}
-
-    def _scalar(self, inner):
-        return inner[0] if len(inner) == 1 and 0 in inner else None
-
-    def _scale(self, inner, c):
-        return {j: w for j, v in inner.items() if (w := v * c % self.q)}
-
-    def _span(self, raw):
-        return max(max(inner) for inner in raw.values())
-
-    def _count(self, raw):
-        return sum(map(len, raw.values()))
-
-    def _pack(self, raw, pos, S, wb):
-        vals = [0] * ((max(pos) + 1) * S)
-        for p, inner in zip(pos, raw.values()):
-            b = p * S
-            for j, c in inner.items():
-                vals[b + j] = c
-        return _to_int(vals, wb)
-
-    def _unpack(self, vals, S, lay, shift):
-        q, exponent, uexp = self.q, lay.exponent, self.uexp
-        out = {}
-        here = None
-        for p in itertools.compress(range(len(vals)), vals):
-            x, j = divmod(p, S)
-            v = vals[p] % q
-            if v and j in uexp:  # j outside uexp: u-degree beyond U
-                if x != here:
-                    here = x
-                    inner = out[exponent(x + shift)] = {}
-                inner[j] = v
-        return out
-
-    def sum_scaled(self, pairs, count):
-        """sum c * term; each inner product c * v is one packed int multiplication."""
-        n = max(self.uexp) + 1
-        wb = _slot_bytes(2 * (self.q - 1).bit_length() + (count * n).bit_length() + 1)
-        shift = 8 * wb
-        acc = {}
-        get = acc.get
-        for c, term in pairs:
-            cp = sum(v << (j * shift) for j, v in self._inner(c).items())
-            for e, inner in term.items():
-                acc[e] = get(e, 0) + cp * sum(v << (j * shift) for j, v in inner.items())
-        q, uexp = self.q, self.uexp
-        out = {}
-        for e, a in acc.items():
-            vals = _slot_values(a, wb, n)
-            inner = {}
-            for j in itertools.compress(range(n), vals):
-                v = vals[j] % q
-                if v and j in uexp:
-                    inner[j] = v
-            if inner:
-                out[e] = inner
-        return self.series(out)
+        for x, a in acc.items():
+            vals = _slot_values(a, wb, u.size)
+            c = {u_at(j): W.reduced((v,))
+                 for j in itertools.compress(range(len(vals)), vals) if (v := vals[j] % q)}
+            if c:
+                out[x] = TruncSeries._make(W, self.uvars, U, c)
+        return TruncSeries._make(self.ring, self.vars, self.bound, out)

@@ -732,9 +732,9 @@ def ring_maps(alg, Rp):
     gens = [alg.scale(W.pow(W.gen(), j), unit_vector(W, len(alg.basis), i))
             for i in range(len(alg.basis)) for j in range(W.f)]
     n = len(gens)
+    if Rp.size() ** n > RING_MAPS_LIMIT:
+        raise SizeLimit(f"{Rp.size()}^{n} candidate maps")
     elems = list(Rp.elements())
-    if len(elems) ** n > RING_MAPS_LIMIT:
-        raise SizeLimit(f"{len(elems)}^{n} candidate maps")
     pN = W.modulus
     ok_images = [x for x in elems if Rp.is_zero(Rp.scalar(pN, x))]
     unit_coords = _int_coords(alg.unit)

@@ -292,10 +292,13 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_running_out_of_memory_exits_2():
-    proc = _subprocess(["fgl", "--builtin", "lubin-tate", "--n", "2", "--u-bound",
-                        "1000000000000", "--degree-bound", "4", "--precision", "2"],
-                       _cap_address_space)
+def test_running_out_of_memory_exits_2(tmp_path):
+    # the packed products of x^20000 y^20000 within D = 10^6 outgrow a 1 GiB cap
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps({"ring": {"p": 2, "N": 2}, "D": 10 ** 6, "F": {
+        "vars": ["x", "y"], "D": 10 ** 6,
+        "terms": [[[1, 0], "1"], [[0, 1], "1"], [[20000, 20000], "1"]]}}))
+    proc = _subprocess(["fgl", "--file", str(law)], _cap_address_space)
     assert proc.returncode == 2
     assert "error: memory ran out" in proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
@@ -315,7 +318,17 @@ F4_COMODULE = {"base": {"p": 2, "N": 1, "ext": [1, 1, 1]}, "vars": ["y"],
     (["weights", "certify", "--m", "1000000000000", "--p", "2"], None, 2,
      "error: weight m=1000000000000: the index at p=2 has over"),
     (["congruence", "--comodule-file", "FILE"], F4_COMODULE, 0, "[PASS] 21/21"),
-], ids=["honda", "certify", "f4-comodule"])
+    # (Z/p^N)[u] coefficients were packed in a box of (U+1)^m slots each
+    (["fgl", "--builtin", "lubin-tate", "--n", "2", "--u-bound", "1000000000000",
+      "--degree-bound", "4", "--precision", "2"], None, 0, "[PASS] 5/5"),
+    (["fgl", "--builtin", "lubin-tate", "--n", "30", "--u-bound", "2", "--degree-bound", "4"],
+     None, 0, "[PASS] 5/5"),
+    # elements() copied range(p^N) into a tuple before the first element
+    (["congruence", "--height1", "2,2,1,1", "--squares", "2,26"], None, 0, "[PASS] 14/14"),
+    (["congruence", "--height1", "2,2,1,1", "--squares", "2,63"], None, 0, "[PASS] 14/14"),
+    (["congruence", "--height1", "2,2,1,1", "--squares", "2,100"], None, 0, "[PASS] 14/14"),
+], ids=["honda", "certify", "f4-comodule", "lubin-tate-huge-u-bound", "lubin-tate-n30",
+        "squares-26", "squares-63", "squares-100"])
 def test_inputs_that_hung_or_failed_end_in_a_verdict(tmp_path, argv, doc, code, message):
     f = tmp_path / "input.json"
     f.write_text(json.dumps(doc))
@@ -563,7 +576,8 @@ FUZZ_EPI = [
 FUZZ_BIALG = [height1_gamma(2, 2, 2, 1).to_json()]
 # what the interpreter says when a reader hands input straight to int(), tuple
 # unpacking or an allocation; a data error must say what it read instead
-INTERPRETER_MESSAGES = ("invalid literal for int()", "values to unpack", "MemoryError")
+INTERPRETER_MESSAGES = ("invalid literal for int()", "values to unpack", "MemoryError",
+                        "too large to convert")
 
 
 def _paths(doc, here=()):

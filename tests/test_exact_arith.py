@@ -127,6 +127,22 @@ def test_frobenius_f4():
     assert s(s(t)) == t
 
 
+@pytest.mark.parametrize("W", [WittCoefRing(2, 1), WittCoefRing(3, 2), WittCoefRing(2, 5),
+                               WittCoefRing(2, 1, ext=[1, 1, 1]),
+                               WittCoefRing(3, 2, ext=[2, 2, 1]),
+                               WittCoefRing(2, 1, ext=[1, 1, 0, 1]),
+                               WittCoefRing(2, 2, ext=[1, 1, 0, 1])], ids=repr)
+def test_elements_count_in_product_order(W):
+    expected = itertools.product(range(W.modulus), repeat=W.f)
+    assert [x.coeffs for x in W.elements()] == list(expected)
+    assert sum(1 for _ in W.elements()) == W.size()
+
+
+def test_elements_of_a_huge_ring_start_at_once():
+    W = WittCoefRing(2, 100)
+    assert [x.coeffs for x in itertools.islice(W.elements(), 3)] == [(0,), (1,), (2,)]
+
+
 def test_frobenius_postconditions_exhaustive():
     W = WittCoefRing(2, 3, ext=[1, 1, 1])
     s = W.frobenius_lift()

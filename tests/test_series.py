@@ -218,7 +218,8 @@ def test_negative_power_raises():
 
 # Z/5^30 needs slots wider than a machine word
 KERNEL_RINGS = [Z8, WittCoefRing(3, 4), PolyTruncRing(Z8, ("u1",), 4),
-                PolyTruncRing(Z8, ("u1", "u2"), 2), WittCoefRing(5, 30)]
+                PolyTruncRing(Z8, ("u1", "u2"), 2), WittCoefRing(5, 30),
+                PolyTruncRing(Z8, tuple(f"u{i}" for i in range(1, 7)), 2)]
 VARS = ("x", "y", "z")
 
 
@@ -398,18 +399,20 @@ def test_one_term_scalar_operand_is_a_shift(R):
 @pytest.mark.parametrize("L", [R for R in KERNEL_RINGS if isinstance(R, PolyTruncRing)],
                          ids=repr)
 def test_one_term_operand_in_u_takes_the_packed_path(L):
+    # (u1^U + 1) * y^2 is one x-term but two raw terms, so it packs; u1^U * x is
+    # one raw term, a shift
     U = L.ubound
     u1 = L.var("u1")
     top = u1 ** U
     b = _dense(L, ("x", "y"), 5, lambda e: L.add(u1, L.from_int(e[0] + 1)))
-    for m in (TruncSeries(L, ("x", "y"), 5, {(1, 0): top}),
-              TruncSeries(L, ("x", "y"), 5, {(0, 2): L.add(top, L.one())})):
+    for m, packs in ((TruncSeries(L, ("x", "y"), 5, {(1, 0): top}), False),
+                     (TruncSeries(L, ("x", "y"), 5, {(0, 2): L.add(top, L.one())}), True)):
         for x, y in ((m, b), (b, m)):
             with dict_loop():
                 ref = x * y
             with _packs() as pack:
                 got = packed_mul(x, y)
-            assert got == ref and pack.called
+            assert got == ref and pack.called == packs
             # u1^U * u1 has u-degree U + 1 and is dropped
             assert all(sum(ue) <= U for c in got.terms.values() for ue in c.terms)
             assert any(sum(ue) == U for c in got.terms.values() for ue in c.terms)
