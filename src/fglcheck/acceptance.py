@@ -246,7 +246,7 @@ def criterion_7_wilkerson():
         th = theta_of(P2, P2.from_coeff(a))
         coeffs = list(th.values())[0].coeffs if th else (0,) * W4.f
         lift = W4.elem(coeffs)
-        if sig(a) == a * a + 2 * lift:
+        if W4.eq(sig(a), W4.add(W4.mul(a, a), W4.scalar(2, lift))):
             ok += 1
     checks.append(CheckResult("psi(a) = a^2 + 2 theta(a) on 100 samples",
                               ok == 100, f"{ok}/100"))

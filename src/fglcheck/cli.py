@@ -351,8 +351,11 @@ def run(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: memory ran out", file=sys.stderr)
-        return 2
+        pass
+    # printed once the handler has ended: until then its traceback keeps the
+    # failed command's frames, and the memory they hold, alive
+    print("error: memory ran out", file=sys.stderr)
+    return 2
 
 
 def main():

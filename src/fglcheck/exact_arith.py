@@ -19,9 +19,10 @@ Every ring, f = 1 included (Z/p^N is (Z/p^N)[t]/(t)), has the structure
 constants of (Z/p^N)[t]/(m): for each coordinate j, the triples (i, k, c)
 with c != 0 the t^j coordinate of t^(i+k).  From them and p^N, Python source
 for straight-line ``add``, ``sub``, ``neg``, ``mul`` and ``scalar`` is built
-and compiled once per shape: each kernel unpacks the f coordinates, computes
-each output coordinate as one exact expression (for ``mul`` the sum of
-c*a_i*b_k) and reduces it mod p^N once.
+and compiled once per shape: each kernel unpacks the f coordinates, sums each
+output coordinate exactly, one term per statement (for ``mul`` the products
+c*a_i*b_k), and reduces it mod p^N once.  Elements have no arithmetic
+operators of their own: all arithmetic goes through the ring.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-class RingMismatch(ValueError):
-    """Operands belong to different rings."""
 
 
 class HenselFailure(ArithmeticError):
@@ -210,6 +207,9 @@ class Ring:
     def val_unit(self, a):
         raise NotImplementedError(f"{self!r} is not a chain ring")
 
+    # an n with m^n = 0 for the maximal ideal m of a local ring, which bounds
+    # the steps of Weierstrass preparation
+
     def chain_length(self):
         raise NotImplementedError
 
@@ -239,17 +239,14 @@ class Ring:
         return self is other or (isinstance(other, Ring)
                                  and self.descriptor() == other.descriptor())
 
-    def check_same(self, other):
-        if not self.same_ring(other):
-            raise RingMismatch(f"{self!r} vs {other!r}")
-
 
 @dataclass(frozen=True, slots=True)
 class WittElem:
     """Element of a WittCoefRing: tuple of residues in [0, p^N), low to high in t.
 
     Construction validates; ``WittCoefRing.reduced`` builds the results of the
-    ring's own arithmetic without the check.
+    ring's own arithmetic without the check.  There are no arithmetic
+    operators: compute through ``ring``.
     """
 
     ring: "WittCoefRing"
@@ -264,42 +261,7 @@ class WittElem:
             raise MalformedElement(f"coefficients {self.coeffs} are not integers "
                                    f"in [0, {q})")
 
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        if isinstance(other, WittElem):
-            self.ring.check_same(other.ring)
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.ring.add(self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self.ring.neg(self)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.ring.sub(self, other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.ring.mul(self, other)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
         if not isinstance(other, WittElem):
             return NotImplemented
         return self.ring.same_ring(other.ring) and self.coeffs == other.coeffs
@@ -331,24 +293,30 @@ _KERNELS = {}  # (q, structure constants) -> (add, sub, neg, mul, scalar)
 
 def _kernel_source(q, table):
     """Source of straight-line add, sub, neg, mul and scalar mod q, mul by the
-    structure constants ``table``; only ints, through int(), reach the text."""
+    structure constants ``table``; only ints, through int(), reach the text.
+
+    Each output coordinate c_j is summed one term per statement, because the
+    compiler recurses once per operator of an expression and a long row of
+    ``table`` would exceed the recursion limit; it is reduced mod q once."""
     q = int(q)
     a = [f"a{i}" for i in range(len(table))]
     b = [f"b{i}" for i in range(len(table))]
-    mul = [" + ".join(("" if c == 1 else f"{int(c)} * ") + f"a{int(i)} * b{int(k)}"
-                      for i, k, c in row) for row in table]
-    kernels = [("add", "a, b", [f"{x} + {y}" for x, y in zip(a, b)]),
-               ("sub", "a, b", [f"{x} - {y}" for x, y in zip(a, b)]),
-               ("neg", "a", [f"-{x}" for x in a]),
+    mul = [[("" if c == 1 else f"{int(c)} * ") + f"a{int(i)} * b{int(k)}" for i, k, c in row]
+           for row in table]
+    kernels = [("add", "a, b", [[f"{x} + {y}"] for x, y in zip(a, b)]),
+               ("sub", "a, b", [[f"{x} - {y}"] for x, y in zip(a, b)]),
+               ("neg", "a", [[f"-{x}"] for x in a]),
                ("mul", "a, b", mul),
-               ("scalar", "n, a", [f"n * {x}" for x in a])]
+               ("scalar", "n, a", [[f"n * {x}"] for x in a])]
     lines = []
-    for name, args, exprs in kernels:
+    for name, args, coords in kernels:
         lines += [f"def {name}(W, {args}):", f"    {', '.join(a)}, = a.coeffs"]
         if "b" in args:
             lines.append(f"    {', '.join(b)}, = b.coeffs")
+        for j, (first, *rest) in enumerate(coords):
+            lines += [f"    c{j} = {first}"] + [f"    c{j} += {t}" for t in rest]
         lines += ["    e = _new(WittElem)", "    _set_ring(e, W)",
-                  "    _set_coeffs(e, (" + "".join(f"({x}) % {q}, " for x in exprs) + "))",
+                  "    _set_coeffs(e, (" + "".join(f"c{j} % {q}, " for j in range(len(a))) + "))",
                   "    return e"]
     return "\n".join(lines) + "\n"
 

@@ -135,8 +135,6 @@ class TruncSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.int_scalar(other)
         self.check_context(other)
         R = self.ring
         out = {}
@@ -154,27 +152,10 @@ class TruncSeries:
                     out[e] = p
         return TruncSeries(R, self.vars, self.bound, out)
 
-    __rmul__ = __mul__
-
     def scalar(self, c):
         R = self.ring
         return TruncSeries(R, self.vars, self.bound,
                            {e: R.mul(c, v) for e, v in self.terms.items()})
-
-    def int_scalar(self, n):
-        return self.scalar(self.ring.from_int(n))
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError(f"negative power {n} of a series")
-        out, b = TruncSeries.one(self.ring, self.vars, self.bound), self
-        while True:
-            if n & 1:
-                out = out * b
-            n >>= 1
-            if not n:
-                return out
-            b = b * b
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -364,7 +345,7 @@ def weierstrass_prepare(f):
     Uinv = inverse(U)
     xd = TruncSeries(R, f.vars, bound, {(d,): R.one()})
     q = TruncSeries.zero(R, f.vars, bound)
-    for _ in range(_nilpotency_margin(R) + bound + 4):
+    for _ in range(R.chain_length() + bound + 6):
         q_next = highdiv(xd - q * P) * Uinv
         if q_next == q:
             break
@@ -383,14 +364,6 @@ def weierstrass_prepare(f):
     return WeierstrassFactorization(unit=unit, distinguished=distinguished, degree=d)
 
 
-def _nilpotency_margin(R):
-    try:
-        n = R.chain_length()
-    except NotImplementedError:
-        n = getattr(R, "nilpotency_hint", 8)
-    return n + 2
-
-
 class PolyTruncRing(Ring):
     """base[v_1..v_k] truncated at a total degree bound, used as a coefficient ring.
 
@@ -402,8 +375,6 @@ class PolyTruncRing(Ring):
         self.base = base
         self.vars = tuple(vars)
         self.ubound = ubound
-        self.nilpotency_hint = ubound + 1 + (base.chain_length()
-                                             if _has_chain(base) else 1)
 
     def zero(self):
         return TruncSeries.zero(self.base, self.vars, self.ubound)
@@ -445,6 +416,9 @@ class PolyTruncRing(Ring):
     def residue(self, a):
         return self.base.residue(a.constant_term())
 
+    def chain_length(self):
+        return self.ubound + 1 + self.base.chain_length()
+
     def descriptor(self):
         return {"poly_over": self.base.descriptor(), "vars": list(self.vars),
                 "ubound": self.ubound}
@@ -459,14 +433,6 @@ class PolyTruncRing(Ring):
 
     def __repr__(self):
         return f"{self.base!r}[{','.join(self.vars)}]<={self.ubound}"
-
-
-def _has_chain(R):
-    try:
-        R.chain_length()
-        return True
-    except NotImplementedError:
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -287,9 +287,9 @@ def test_a_precision_past_the_digit_limit_names_it(capsys):
     assert "Traceback" not in out + err
 
 
-def _cap_address_space():
+def _cap_address_space(limit=1 << 30):
     import resource
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def test_running_out_of_memory_exits_2(tmp_path):
@@ -302,6 +302,42 @@ def test_running_out_of_memory_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "error: memory ran out" in proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_running_out_of_memory_inside_the_handler_exits_2():
+    # printing inside the MemoryError handler, whose traceback still held the
+    # failed command's frames, ran out of memory again and exited 1
+    proc = _subprocess(["congruence", "--height1", "2,2,1,100000"],
+                       lambda: _cap_address_space(1 << 28))
+    assert proc.returncode == 2, proc.stderr
+    assert "error: memory ran out" in proc.stderr
+    assert not any(m in proc.stdout + proc.stderr
+                   for m in ("Traceback",) + INTERPRETER_MESSAGES), proc.stderr
+
+
+def test_memory_error_frees_the_command_before_printing(monkeypatch):
+    # the subprocess above exited 1 only in runs whose last failed allocation
+    # left no room to print; this sees directly that the failed command's
+    # frames are freed before the print
+    import weakref
+
+    from fglcheck import cli
+
+    class Held:
+        pass
+
+    refs, at_print = [], []
+
+    def cmd(args):
+        held = Held()
+        refs.append(weakref.ref(held))
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_weights", cmd)
+    monkeypatch.setattr(cli, "print", lambda *a, **k: at_print.append(refs[0]()),
+                        raising=False)
+    assert run(["weights", "gcd", "--max", "3"]) == 2
+    assert at_print == [None]
 
 
 # psi_1(y) = 1 (x) y^2 over F_4: the p-th power map is sigma-semilinear, and with
@@ -577,7 +613,8 @@ FUZZ_BIALG = [height1_gamma(2, 2, 2, 1).to_json()]
 # what the interpreter says when a reader hands input straight to int(), tuple
 # unpacking or an allocation; a data error must say what it read instead
 INTERPRETER_MESSAGES = ("invalid literal for int()", "values to unpack", "MemoryError",
-                        "too large to convert")
+                        "too large to convert", "Exception ignored",
+                        "maximum recursion depth")
 
 
 def _paths(doc, here=()):

@@ -280,7 +280,7 @@ def mutated_laws(draw, names=tuple(sorted(LAWS)), most=3):
         b = draw(st.integers(0 if a else 1, D - a).filter(
             lambda b: b != a or not (n == 0 and off_diagonal)))
         if isinstance(R, PolyTruncRing):
-            u = R.var("u1") ** draw(st.integers(0, R.ubound))
+            u = R.pow(R.var("u1"), draw(st.integers(0, R.ubound)))
             c = R.mul(R.from_int(draw(st.integers(1, R.base.modulus - 1))), u)
         else:
             c = R.elem(tuple(draw(st.integers(0, R.modulus - 1)) for _ in range(R.f)))

@@ -51,7 +51,7 @@ def test_psi_relation_direction():
     # the trivial algebra W is exactly the Frobenius lift
     triv = trivial_algebra(G23)
     sig = W.frobenius_lift()
-    for a in (W.gen(), W.from_int(3), W.gen() + 1):
+    for a in (W.gen(), W.from_int(3), W.add(W.gen(), W.one())):
         out = triv.act(1, G23.basis_vec(1, 0), (a,))[0]
         assert out == sig(a)
 
@@ -285,8 +285,9 @@ def test_left_powers_follow_a_replaced_left_t():
     e = G.basis_vec(1, 0)
     before = G.left_mul(1, t, e)           # fills the cache of G
     H = copy.deepcopy(G)
-    H.left_t[1] = Mat(G.ring, [[t + 1]])
-    assert H.left_mul(1, t, e) == _left_action_by_matmul(H, 1, t).apply(e) == (t + 1,)
+    t1 = G.ring.add(t, G.ring.one())
+    H.left_t[1] = Mat(G.ring, [[t1]])
+    assert H.left_mul(1, t, e) == _left_action_by_matmul(H, 1, t).apply(e) == (t1,)
     assert H.left_powers(1)[1] == H.left_t[1]
     assert G.left_mul(1, t, e) == before == G.left_t[1].apply(e)
 
