@@ -238,7 +238,6 @@ def criterion_7_wilkerson():
     P2 = PsiRingPresentation(W=W4, shape=PolyShape(()), psi_on_coeffs="sigma")
     rep2 = wilkerson_check(P2, sample_bound=50, seed=SEED)
     checks.append(CheckResult("psi=sigma on W(F_4) passes", rep2.verdict))
-    sig = W4.frobenius_lift()
     rng = random.Random(SEED)
     ok = 0
     for _ in range(100):
@@ -246,7 +245,7 @@ def criterion_7_wilkerson():
         th = theta_of(P2, P2.from_coeff(a))
         coeffs = list(th.values())[0].coeffs if th else (0,) * W4.f
         lift = W4.elem(coeffs)
-        if W4.eq(sig(a), W4.add(W4.mul(a, a), W4.scalar(2, lift))):
+        if W4.eq(W4.frobenius(a), W4.add(W4.mul(a, a), W4.scalar(2, lift))):
             ok += 1
     checks.append(CheckResult("psi(a) = a^2 + 2 theta(a) on 100 samples",
                               ok == 100, f"{ok}/100"))

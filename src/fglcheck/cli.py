@@ -236,9 +236,7 @@ def cmd_weights(args):
         return _emit(rep, args, "weights certify", _digest(f"{args.m},{args.p}"))
     raw = json_typed(_load_json(args.file), dict, "an epi family")
     ring = ring_from_descriptor(raw["ring"])
-    maps = [Mat(ring, [[ring.decode(c) for c in json_typed(row, list, "a matrix row")]
-                       for row in json_typed(m, list, "a map")])
-            for m in json_typed(raw["maps"], list, "maps")]
+    maps = [Mat.from_json(ring, m, "a map") for m in json_typed(raw["maps"], list, "maps")]
     fam = weights.EpiFamily(ring=ring, maps=maps,
                             target_rank=json_typed(raw["target_rank"], int, "target_rank"))
     r = weights.epi_family_check(fam)

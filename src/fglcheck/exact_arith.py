@@ -76,6 +76,11 @@ def json_names(data, what):
                  for v in json_typed(data, list, what))
 
 
+def json_vec(ring, data, what):
+    """A JSON list of encoded elements of ring, as a tuple."""
+    return tuple(ring.decode(c) for c in json_typed(data, list, what))
+
+
 def json_terms(data, nvars, what):
     """[[exponents], coefficient] pairs as (exponent tuple, raw coefficient) pairs;
     each term has nvars nonnegative integer exponents, and no two the same."""
@@ -617,16 +622,30 @@ class WittCoefRing(Ring):
                 raise NotDivisible(c % self.p)
         return self.lower().reduced(tuple(c // self.p for c in a.coeffs))
 
-    def frobenius_lift(self):
-        """The ring endomorphism sigma with sigma(x) = x^p mod p, sigma^f = id.
+    def frobenius(self, a, k=1):
+        """sigma^k(a), for the ring endomorphism sigma with sigma(x) = x^p mod p.
 
-        Constructed by Hensel refinement: the root t of m is moved to the root
-        congruent to t^p mod p, and sigma is evaluation of coordinates there.
-        For f = 1 this is the identity.
+        sigma^f = id, so k is taken mod f and may be negative; for f = 1 sigma
+        is the identity.  sigma(t) is the root of m congruent to t^p mod p,
+        found once by Hensel refinement, and sigma evaluates coordinates there.
         """
+        k %= self.f
+        if k == 0:
+            return a
         if self._frob is None:
-            self._frob = FrobeniusLift._build(self)
-        return self._frob
+            s = self.pow(self.gen(), self.p)
+            mprime = _poly_derivative(self.lift, self.modulus)
+            if not self.is_unit(_poly_eval(self, mprime, s)):
+                raise HenselFailure("m'(t^p) is not a unit; extension not separable?")
+            for _ in range(max(1, self.N.bit_length()) + 1):
+                fs = _poly_eval(self, self.lift, s)
+                s = self.sub(s, self.mul(fs, self.inv(_poly_eval(self, mprime, s))))
+            if not self.is_zero(_poly_eval(self, self.lift, s)):
+                raise HenselFailure("Newton iteration failed to converge")
+            self._frob = s
+        for _ in range(k):
+            a = _poly_eval(self, a.coeffs, self._frob)
+        return a
 
     def descriptor(self):
         d = {"p": self.p, "N": self.N}
@@ -670,50 +689,6 @@ def ring_from_descriptor(d):
                 json_typed(c, int, f"a coefficient of ring {key}")
     return WittCoefRing(json_typed(d["p"], int, "ring p"),
                         json_typed(d["N"], int, "ring N"), *polys)
-
-
-class FrobeniusLift:
-    """Frobenius lift on a WittCoefRing, applied by evaluating t at a Hensel root."""
-
-    def __init__(self, ring, root):
-        self.ring = ring
-        self.root = root
-
-    @staticmethod
-    def _build(ring):
-        if ring.f == 1:
-            return FrobeniusLift(ring, ring.one())
-        p, q = ring.p, ring.modulus
-        t = ring.gen()
-        s = ring.pow(t, p)
-        mprime = _poly_derivative(ring.lift, q)
-        dval = _poly_eval(ring, mprime, s)
-        if not ring.is_unit(dval):
-            raise HenselFailure("m'(t^p) is not a unit; extension not separable?")
-        for _ in range(max(1, ring.N.bit_length()) + 1):
-            fs = _poly_eval(ring, ring.lift, s)
-            ds = _poly_eval(ring, mprime, s)
-            s = ring.sub(s, ring.mul(fs, ring.inv(ds)))
-        if not ring.is_zero(_poly_eval(ring, ring.lift, s)):
-            raise HenselFailure("Newton iteration failed to converge")
-        return FrobeniusLift(ring, s)
-
-    def __call__(self, a):
-        return _poly_eval(self.ring, a.coeffs, self.root)
-
-    def power(self, k):
-        """sigma^k as a plain function (k may be negative; sigma^f = id)."""
-        k = k % self.ring.f
-
-        def apply(a, _k=k):
-            for _ in range(_k):
-                a = self(a)
-            return a
-
-        return apply
-
-    def __repr__(self):
-        return f"Frobenius lift on {self.ring!r} (t -> {self.root!r})"
 
 
 def _poly_derivative(coeffs, q):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_arith import IdentityFailed, Ring
+from .exact_arith import IdentityFailed, Ring, json_typed, json_vec
 
 
 class ShapeMismatch(ValueError):
@@ -135,6 +135,12 @@ class Mat:
     def to_json(self):
         enc = self.ring.encode
         return [[enc(a) for a in r] for r in self.rows]
+
+    @staticmethod
+    def from_json(ring, data, what):
+        """The matrix to_json wrote: a list of rows of encoded elements."""
+        return Mat(ring, [json_vec(ring, r, f"a row of {what}")
+                          for r in json_typed(data, list, what)])
 
 
 @dataclass

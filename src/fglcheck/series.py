@@ -181,15 +181,7 @@ class TruncSeries:
         return sorted(self.terms.items())
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for e, c in self.items_sorted():
-            mono = "*".join(f"{v}^{k}" if k > 1 else v
-                            for v, k in zip(self.vars, e) if k)
-            cc = repr(c)
-            chunks.append(f"{cc}*{mono}" if mono else cc)
-        return " + ".join(chunks)
+        return terms_repr(self.vars, self.terms)
 
     # coefficient maps
 
@@ -212,6 +204,17 @@ class TruncSeries:
         terms = json_terms(data["terms"], len(vars), "series terms")
         return TruncSeries(ring, vars, json_typed(data["D"], int, "series D"),
                            {e: ring.decode(c) for e, c in terms})
+
+
+def terms_repr(vars, terms):
+    """{exponents: coefficient} as c*x^i*y^j + ..., in exponent order; "0" if empty."""
+    if not terms:
+        return "0"
+    bits = []
+    for e, c in sorted(terms.items()):
+        mono = "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip(vars, e) if k)
+        bits.append(f"{c!r}*{mono}" if mono else repr(c))
+    return " + ".join(bits)
 
 
 def substitute(f, gs):

@@ -22,10 +22,11 @@ import random
 from dataclasses import dataclass, field
 
 from .exact_arith import (MalformedData, NotDivisible, Ring, WittCoefRing, json_names,
-                          json_terms, json_typed, ring_from_descriptor)
+                          json_terms, json_typed, json_vec, ring_from_descriptor)
 from .linalg import (FiniteAlgebra, Mat, ShapeMismatch, residue_rank,
                      smith_normal_form, solve, unit_vector)
 from .report import CheckResult, CongruenceReport
+from .series import terms_repr
 from .twisted_bialgebra import TwistedBialgebra
 
 
@@ -155,13 +156,7 @@ class PolyRing(Ring):
         return out
 
     def repr_elem(self, a):
-        if not a:
-            return "0"
-        bits = []
-        for e, c in sorted(a.items()):
-            mono = "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, e) if k)
-            bits.append(f"{c!r}*{mono}" if mono else repr(c))
-        return " + ".join(bits)
+        return terms_repr(self.vars, a)
 
     def decode(self, data, what):
         """[[exponents], coefficient] terms; zero coefficients are dropped."""
@@ -192,8 +187,6 @@ class PsiRingPresentation:
     def __post_init__(self):
         if self.psi_on_coeffs not in ("id", "sigma"):
             raise ValueError("psi_on_coeffs must be 'id' or 'sigma'")
-        self._sigma = (self.W.frobenius_lift() if self.psi_on_coeffs == "sigma"
-                       else None)
         self.A, self._gens, self._word = _read_shape(self.W, self.shape)
         self._psi_cache = {}
         self._check_well_defined()
@@ -210,7 +203,7 @@ class PsiRingPresentation:
         return list(self._gens)
 
     def psi_coeff(self, c):
-        return self._sigma(c) if self._sigma is not None else c
+        return self.W.frobenius(c) if self.psi_on_coeffs == "sigma" else c
 
     def psi(self, a):
         """sum psi(c) * psi(key) over the terms c * key of a."""
@@ -272,27 +265,23 @@ class PsiRingPresentation:
     def from_json(data):
         json_typed(data, dict, "a presentation")
         W = ring_from_descriptor(data["ring"])
-        dec = W.decode
         sh = json_typed(data["shape"], dict, "the shape")
         kind = json_typed(sh["kind"], str, "the shape kind")
-
-        def vec(a, what):
-            return tuple(dec(c) for c in json_typed(a, list, what))
 
         def entry(t):
             if not (isinstance(t, list) and len(t) == 3):
                 raise MalformedData(f"a table entry is [i, j, coordinates], not {t!r:.60}")
             i, j, v = t
             return (json_typed(i, int, "a table index"), json_typed(j, int, "a table index"),
-                    vec(v, f"table entry ({i},{j})"))
+                    json_vec(W, v, f"table entry ({i},{j})"))
 
-        elem = vec
+        elem = functools.partial(json_vec, W)
         if kind == "poly":
             shape = PolyShape(json_names(sh["vars"], "shape vars"))
             elem = PolyRing(W, shape.vars).decode
         elif kind == "monic_quotient":
             shape = MonicQuotientShape(json_typed(sh["var"], str, "shape var"),
-                                       vec(sh["monic"], "shape monic"))
+                                       json_vec(W, sh["monic"], "shape monic"))
         elif kind == "finite_free":
             shape = FiniteFreeShape(json_names(sh["basis"], "shape basis"),
                                     tuple(entry(t) for t in json_typed(sh["mult"], list,
@@ -567,7 +556,7 @@ class L1Data:
     can_power: int = 0       # can* = residue composed with sigma^can_power
 
     def can_star(self, a):
-        return self.W.residue(self.W.frobenius_lift().power(self.can_power)(a))
+        return self.W.residue(self.W.frobenius(a, self.can_power))
 
 
 def frobenius_congruence_comodule(l1, A, psi1_gens, seed=0):

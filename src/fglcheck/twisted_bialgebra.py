@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .exact_arith import (IdentityFailed, MalformedData, WittCoefRing, _fp_irreducible,
-                          json_names, json_typed, ring_from_descriptor)
+                          json_names, json_typed, json_vec, ring_from_descriptor)
 from .linalg import FiniteAlgebra, Mat, smith_normal_form, solve, unit_vector
 from .report import CheckResult, CongruenceReport, SizeLimit
 
@@ -194,12 +194,6 @@ class TwistedBialgebra:
         json_typed(data, dict, "a bialgebra")
         R = ring_from_descriptor(data["ring"])
 
-        def vec(v, what):
-            return tuple(R.decode(c) for c in json_typed(v, list, what))
-
-        def mat(rows, what):
-            return Mat(R, [vec(r, f"a row of {what}") for r in json_typed(rows, list, what)])
-
         def table(name, tbl, width=1):
             """(key, entry name, value) per entry; each key is width integers >= 0, as
             "k,l", and no two keys name the same integers."""
@@ -221,13 +215,14 @@ class TwistedBialgebra:
         out = TwistedBialgebra(
             ring=R, kmax=json_typed(data["kmax"], int, "bialgebra kmax"),
             basis={k: json_names(v, what) for k, what, v in table("basis", data["basis"])},
-            unit=vec(data["unit"], "bialgebra unit"),
-            mu={kl: {ij: vec(v, w) for ij, w, v in table(what, tbl, 2)}
+            unit=json_vec(R, data["unit"], "bialgebra unit"),
+            mu={kl: {ij: json_vec(R, v, w) for ij, w, v in table(what, tbl, 2)}
                 for kl, what, tbl in table("mu", data["mu"], 2)},
-            eps={k: vec(v, what) for k, what, v in table("eps", data["eps"])},
-            delta={k: {a: mat(rows, w) for a, w, rows in table(what, tbl)}
+            eps={k: json_vec(R, v, what) for k, what, v in table("eps", data["eps"])},
+            delta={k: {a: Mat.from_json(R, rows, w) for a, w, rows in table(what, tbl)}
                    for k, what, tbl in table("delta", data["delta"])},
-            left_t=({k: mat(rows, what) for k, what, rows in table("left_t", data["left_t"])}
+            left_t=({k: Mat.from_json(R, rows, what)
+                     for k, what, rows in table("left_t", data["left_t"])}
                     if data.get("left_t") else None),
         )
         out.check_weights()
@@ -292,7 +287,6 @@ def height1_gamma(p, N, f, kmax, ext=None):
     if ext is None and f > 1:
         ext = find_irreducible(p, f)
     W = WittCoefRing(p, N, ext)
-    sigma = W.frobenius_lift()
     basis = {k: (f"psi^{k}" if k else "1",) for k in range(kmax + 1)}
     mu = {}
     for k in range(kmax + 1):
@@ -303,7 +297,7 @@ def height1_gamma(p, N, f, kmax, ext=None):
     left_t = None
     if W.f > 1:
         t = W.gen()
-        left_t = {k: Mat(W, [[sigma.power(k)(t)]]) for k in range(kmax + 1)}
+        left_t = {k: Mat(W, [[W.frobenius(t, k)]]) for k in range(kmax + 1)}
     return TwistedBialgebra(ring=W, kmax=kmax, basis=basis, unit=(W.one(),),
                             mu=mu, eps=eps, delta=delta, left_t=left_t)
 
@@ -548,11 +542,20 @@ class CategorySchemeData:
 
     gamma: TwistedBialgebra
     A: dict          # weight -> FiniteAlgebra
-    s_star: dict     # weight -> (r -> vector)
-    t_star: dict     # weight -> (r -> vector)
     c_star: dict     # (k, l) -> {a: Mat lambda_uv}
     report: CongruenceReport
     t_star_sigma_power: int = None  # height-1 diagnostic, see dualize()
+
+    def s_star(self, k, r):
+        """s*: R -> A[k], the source scalar r, eps_k r."""
+        R = self.gamma.ring
+        return tuple(R.mul(e, r) for e in self.gamma.eps[k])
+
+    def t_star(self, k, r):
+        """t*: R -> A[k], the target scalar r, gamma -> eps(eta(r) gamma)."""
+        G = self.gamma
+        return tuple(G.eps_elem(k, G.left_mul(k, r, G.basis_vec(k, a)))
+                     for a in range(G.rank(k)))
 
     def i_star(self, fvec):
         """A[0] -> R, f -> f(eta(1)); an isomorphism for a unital bialgebra."""
@@ -574,8 +577,6 @@ def dualize(gamma):
     R = G.ring
     checks = []
     A = {}
-    s_star = {}
-    t_star = {}
     for k in range(G.kmax + 1):
         n = G.rank(k)
         basis = tuple(f"{name}^" for name in G.basis[k])
@@ -593,22 +594,7 @@ def dualize(gamma):
         checks.append(CheckResult(f"dual_mult_associative[{k}]", assoc))
         unit_ok = all(Ak.mul(Ak.unit, e[u]) == e[u] for u in range(n))
         checks.append(CheckResult(f"dual_unit_is_eps[{k}]", unit_ok))
-
-        def make_s(k=k):
-            def s(r):
-                return tuple(R.mul(e, r) for e in G.eps[k])
-            return s
-
-        def make_t(k=k):
-            def t(r):
-                return tuple(G.eps_elem(k, G.left_mul(k, r, G.basis_vec(k, a)))
-                             for a in range(G.rank(k)))
-            return t
-
-        s_star[k] = make_s()
-        t_star[k] = make_t()
-    scheme = CategorySchemeData(gamma=G, A=A, s_star=s_star, t_star=t_star,
-                                c_star={}, report=None)
+    scheme = CategorySchemeData(gamma=G, A=A, c_star={}, report=None)
 
     # i* is an isomorphism iff evaluating at eta(1) is invertible on A[0]
     checks.append(CheckResult("i_star_isomorphism", _square_invertible(R, G)))
@@ -622,13 +608,10 @@ def dualize(gamma):
     if R.f > 1 and 1 in G.basis and G.rank(1) == 1:
         # report which power of sigma t* realizes on A[1] (paper leaves the
         # direction implicit; we compute it)
-        sigma = R.frobenius_lift()
         t = R.gen()
-        val = t_star[1](t)[0]
-        for j in range(R.f):
-            if R.eq(val, sigma.power(j)(t)):
-                scheme.t_star_sigma_power = j
-                break
+        val = scheme.t_star(1, t)[0]
+        scheme.t_star_sigma_power = next(
+            (j for j in range(R.f) if R.eq(val, R.frobenius(t, j))), None)
     scheme.report = CongruenceReport.from_checks(checks, meta={"kmax": G.kmax})
     return scheme
 
@@ -795,11 +778,11 @@ def points_category(scheme, Rp):
 
     @functools.cache
     def src(k, alpha):
-        return tuple(ev(k, alpha, scheme.s_star[k](t)) for t in tpow)
+        return tuple(ev(k, alpha, scheme.s_star(k, t)) for t in tpow)
 
     @functools.cache
     def tgt(k, alpha):
-        return tuple(ev(k, alpha, scheme.t_star[k](t)) for t in tpow)
+        return tuple(ev(k, alpha, scheme.t_star(k, t)) for t in tpow)
 
     def identity_of(obj):
         # id_o = o . i*, evaluated on the additive generators t^j e_a of A[0]
@@ -818,11 +801,11 @@ def points_category(scheme, Rp):
         out = []
         for a in range(len(scheme.A[k + l].basis)):
             for t in tpow:
-                sr = scheme.s_star[l](t)
+                sr = scheme.s_star(l, t)
                 terms = []
                 for u in range(nk):
                     for z in range(nl):
-                        w = Al.mul(scheme.t_star[l](lam[a].rows[u][z]), unit_vector(R, nl, z))
+                        w = Al.mul(scheme.t_star(l, lam[a].rows[u][z]), unit_vector(R, nl, z))
                         terms.append((u, _int_coords(Al.mul(w, sr))))
                 out.append(terms)
         return out

@@ -344,18 +344,13 @@ class WeightedMonadData:
             for k in range(2, self.bound + 1):
                 prev = self.psi[k - 1]
                 # multiply the first k-1 letters, then fold in the last
-                lift = {}
+                heads = {h: j for j, h in enumerate(_monomials(n, k - 1))}
                 src = _monomials(n, k)
                 cols = []
                 for mono in src:
-                    head, last = mono[:-1], mono[-1]
-                    hsrc = _monomials(n, k - 1)
-                    hvec = [R.zero()] * len(hsrc)
-                    hvec[hsrc.index(head)] = R.one()
-                    hval = prev.apply(tuple(hvec))
                     vec = [R.zero()] * (n * n)
-                    for i, c in enumerate(hval):
-                        vec[i * n + last] = c
+                    for i, c in enumerate(prev.col(heads[mono[:-1]])):
+                        vec[i * n + mono[-1]] = c
                     cols.append(self.product.apply(tuple(vec)))
                 self.psi[k] = Mat(R, [[cols[j][i] for j in range(len(src))]
                                       for i in range(n)])

@@ -104,19 +104,18 @@ def test_irreducibility_matches_sympy_to_degree_40():
 
 def test_frobenius_identity_when_f1():
     W = WittCoefRing(2, 5)
-    s = W.frobenius_lift()
     for x in [W.from_int(n) for n in (0, 1, 7, 19)]:
-        assert s(x) == x
+        assert W.frobenius(x) == x
 
 
 def test_frobenius_f4():
     W = WittCoefRing(2, 3, ext=[1, 1, 1])
-    s = W.frobenius_lift()
+    s = W.frobenius
     t = W.gen()
     # sigma(t) is the Hensel root congruent to t^2 mod 2
     assert W.in_max_ideal(W.sub(s(t), W.mul(t, t)))
     from fglcheck.exact_arith import _poly_eval
-    assert W.is_zero(_poly_eval(W, W.lift, s.root))
+    assert W.is_zero(_poly_eval(W, W.lift, s(t)))
     assert s(s(t)) == t
 
 
@@ -138,7 +137,7 @@ def test_elements_of_a_huge_ring_start_at_once():
 
 def test_frobenius_postconditions_exhaustive():
     W = WittCoefRing(2, 3, ext=[1, 1, 1])
-    s = W.frobenius_lift()
+    s = W.frobenius
     elems = list(W.elements())
     for x in elems:
         assert W.in_max_ideal(W.sub(s(x), W.mul(x, x)))
@@ -151,7 +150,7 @@ def test_frobenius_postconditions_exhaustive():
 
 def test_frobenius_order_f3():
     W = WittCoefRing(2, 2, ext=[1, 1, 0, 1])  # t^3 + t + 1 irreducible mod 2
-    s = W.frobenius_lift()
+    s = W.frobenius
     t = W.gen()
     assert s(s(s(t))) == t
     assert s(t) != t
@@ -401,11 +400,20 @@ def _lifted_ring(ext, N, lift):
 def test_residue_and_frobenius_are_ring_maps(W, data):
     a, b = (W.elem(data.draw(st.tuples(*[st.integers(0, W.modulus - 1)] * W.f)))
             for _ in range(2))
-    k, sigma = W.residue_ring(), W.frobenius_lift()
+    k, sigma = W.residue_ring(), W.frobenius
     for phi, T in ((W.residue, k), (sigma, W)):
         assert T.eq(phi(W.one()), T.one())
         assert T.eq(phi(W.add(a, b)), T.add(phi(a), phi(b)))
         assert T.eq(phi(W.mul(a, b)), T.mul(phi(a), phi(b)))
+    # sigma^k is k mod f applications of sigma, and the identity when f = 1
+    n = data.draw(st.integers(-W.f, 2 * W.f), label="k")
+    iterate = a
+    for _ in range(n % W.f):
+        iterate = sigma(iterate)
+    assert W.frobenius(a, n) == iterate
+    Zp = W.ground_ring()
+    x = Zp.elem(a.coeffs[:1])
+    assert Zp.frobenius(x, n) is x and Zp.frobenius(x) is x
 
 
 @pytest.mark.parametrize("n", range(1, 18))

@@ -77,3 +77,24 @@ def test_failing_merged_congruence_report_is_pinned(tmp_path, capsys):
     assert run(argv) == 1, capsys.readouterr().out
     assert json.loads(out.read_bytes())["report"]["witnesses"][0]["check"] == "generator[y]"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MERGED_FAILURE_DIGEST
+
+
+# psi_1(y) = t (x) t^2 y^2 over F_4, l1 ring W(F_4) at precision 3: can* is
+# residue o sigma^k, so the composite is y^2 at even k only; k is taken mod f
+SIGMA_POWER_DIGESTS = {
+    1: "d5df80642de925dee86195a4bdd8a626d9bd81aec2a358a400637eacd7fa9edf",
+    -1: "da6a9c83dd770f8163d29cf331565b8472db094e48b89a5e220fd504ffb73945",
+}
+
+
+@pytest.mark.parametrize("can_power", sorted(SIGMA_POWER_DIGESTS))
+def test_comodule_report_under_a_power_of_sigma_is_pinned(can_power, tmp_path, capsys):
+    doc = {"base": {"p": 2, "N": 1, "ext": [1, 1, 1]}, "vars": ["y"],
+           "l1": {"ring": {"p": 2, "N": 3, "ext": [1, 1, 1]}, "can_power": can_power},
+           "psi1": {"y": [[["0", "1"], [[[2], ["1", "1"]]]]]}}
+    src = tmp_path / "comodule.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    argv = ["congruence", "--comodule-file", str(src), "--json", str(out)]
+    assert run(argv) == 1, capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIGMA_POWER_DIGESTS[can_power]

@@ -459,10 +459,9 @@ def finite_psi_data(draw):
     image = draw(st.one_of(st.tuples(*[c] * d), st.sampled_from([x, (z,) * d])),
                  label="psi(x)")
     coeffs = draw(st.sampled_from(["id", "sigma"]))
-    sigma = W.frobenius_lift()
     return types.SimpleNamespace(W=W, shape=shape, A=A, psi_on_coeffs=coeffs,
                                  psi_gen_images={"x": image},
-                                 psi_coeff=sigma if coeffs == "sigma" else (lambda c: c))
+                                 psi_coeff=W.frobenius if coeffs == "sigma" else (lambda c: c))
 
 
 @settings(max_examples=200, deadline=None)
@@ -483,10 +482,9 @@ def test_a_degree_one_quotient_fixes_psi_of_its_generator():
     W = WittCoefRing(2, 2, ext=[1, 1, 1])
     m0 = W.gen()
     shape = MonicQuotientShape("x", (m0, W.one()))
-    sigma = W.frobenius_lift()
     good = PsiRingPresentation(W=W, shape=shape, psi_on_coeffs="sigma",
-                               psi_gen_images={"x": (W.neg(sigma(m0)),)})
-    assert good.psi(good.gen("x")) == (W.neg(sigma(m0)),)
+                               psi_gen_images={"x": (W.neg(W.frobenius(m0)),)})
+    assert good.psi(good.gen("x")) == (W.neg(W.frobenius(m0)),)
     with pytest.raises(IllDefinedPsi, match=r"^psi\(x\*1\) != psi\(x\)\*psi\(1\)$"):
         PsiRingPresentation(W=W, shape=shape, psi_on_coeffs="sigma",
                             psi_gen_images={"x": (W.neg(m0),)})
