@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class HenselFailure(ArithmeticError):
@@ -700,46 +699,3 @@ def _poly_eval(ring, coeffs, x):
     for c in reversed(coeffs):
         out = ring.add(ring.mul(out, x), ring.from_int(c))
     return out
-
-
-class RationalField(Ring):
-    """Exact rationals (Fraction); the working field for Honda-style logarithms."""
-
-    def zero(self):
-        return Fraction(0)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def is_unit(self, a):
-        return a != 0
-
-    def inv(self, a):
-        return 1 / Fraction(a)
-
-    def descriptor(self):
-        return {"ring": "Q"}
-
-    def encode(self, a):
-        return str(a)
-
-    def decode(self, s):
-        return Fraction(s)
-
-    def rand(self, rng):
-        return Fraction(rng.randrange(-12, 13), rng.choice([1, 2, 3, 5]))
-
-    def __repr__(self):
-        return "Q"

@@ -5,28 +5,23 @@ n-series, height detection on the residue field, Frobenius isogenies, and
 E^0BC_p = R[[x]]/([p](x)), the rank-p^h linalg.FiniteAlgebra cut out by
 Weierstrass preparation of [p](x).
 
-The Honda and deformation laws are produced by the functional-equation method:
-the logarithm is solved exactly over Q (or Q[u_1..u_{n-1}] truncated), the law
-is F = log^{-1}(log x + log y), and only then are coefficients carried into
-Z/p^N, failing loudly if any denominator meets p.
+The Honda and deformation laws come from Hazewinkel's functional-equation
+lemma, run integrally: the law of the logarithm sum_j c_j x^(p^j) is built
+degree by degree in Z/p^(N+K) (or (Z/p^(N+K))[u_1..u_{n-1}] truncated), where
+p^K c_j is integral, with no rational number and no series reversion; a degree
+whose coefficients are not integral raises IdentityFailed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact_arith import (RationalField, WittCoefRing, json_names, json_typed,
-                          ring_from_descriptor)
+from .exact_arith import WittCoefRing, json_names, json_typed, ring_from_descriptor
 from .linalg import FiniteAlgebra
 from .report import CheckResult
 from .series import (ContextMismatch, IdentityFailed, NotConverged,
-                     PolyTruncRing, TruncSeries, reversion, substitute,
+                     PolyTruncRing, TruncSeries, _Packed, substitute,
                      weierstrass_prepare)
-
-
-class PrecisionExhausted(ArithmeticError):
-    """A division by p required by the construction is not exact at this precision."""
 
 
 class MalformedPSeries(ValueError):
@@ -126,50 +121,112 @@ def fgl_additive(ring, D):
     return FormalGroupLaw(ring=ring, bound=D, F=F)
 
 
-def _embed_1var(f, vars, pos):
-    n = len(vars)
-    return TruncSeries(f.ring, vars, f.bound,
-                       {tuple(e[0] if i == pos else 0 for i in range(n)): c
-                        for e, c in f.terms.items()})
+def _log_numerators(p, n, q, m, U, K):
+    """d_j = p^j c_j mod q for j <= K, as {u-exponents: int}, with u_1..u_m free.
+
+    The log sum_j c_j x^(p^j) has d_0 = 1 and
+    d_j = sum_{i=1..min(j,n)} p^(i-1) u_i sigma^i(d_(j-i)), where u_n = 1,
+    u_i = 0 for m < i < n, sigma raises each u to its p-th power, and every
+    u-degree above U is dropped.
+    """
+    d = [{(0,) * m: 1}]
+    for j in range(1, K + 1):
+        acc = {}
+        for i in range(1, min(j, n) + 1):
+            if m < i < n:
+                continue
+            for e, c in d[j - i].items():
+                e = [a * p ** i for a in e]
+                if i < n:
+                    e[i - 1] += 1
+                if sum(e) <= U:
+                    e = tuple(e)
+                    acc[e] = (acc.get(e, 0) + p ** (i - 1) * c) % q
+        d.append({e: c for e, c in acc.items() if c})
+    return d
 
 
-def _law_from_log(log):
-    """F = log^{-1}(log x + log y) over the log's own coefficient ring."""
-    explog = reversion(log)
-    lx = _embed_1var(log, ("x", "y"), 0)
-    ly = _embed_1var(log, ("x", "y"), 1)
-    return substitute(explog, [lx + ly])
+def _law_by_degree(p, n, N, uvars, U, D):
+    """The law of the log with numerators _log_numerators, over Z/p^N or
+    (Z/p^N)[uvars] truncated at u-degree U, exact up to degree D.
 
-
-def _frac_into(ring, q, context):
-    num = q.numerator
-    den = q.denominator
-    p = ring.p
-    if den % p == 0:
-        raise PrecisionExhausted(
-            f"{context}: coefficient {q} needs an inexact division by {p}")
-    return ring.mul(ring.from_int(num), ring.inv(ring.from_int(den)))
+    The functional-equation lemma, integrally: f(F) = f(x) + f(y) reads
+    F_d = sum_{1 <= j, p^j <= d} c_j ([d = p^j](x^d + y^d) - (F^(p^j))_d) for
+    d >= 2, and (F^(p^j))_d needs F only below degree d.  With K the largest j
+    such that p^j <= D, p^K c_j = p^(K-j) d_j is integral, and F = G mod p^N
+    gives F^(p^j) = G^(p^j) mod p^(N+j); so p^K F_d is known mod p^(N+K) from F
+    mod p^N below d.  It must be divisible by p^K, and IdentityFailed names the
+    first degree where it is not.  F^(p^j) = (F^(p^(j-1)))^p are kept by
+    homogeneous part, and each product gains one degree a step.
+    """
+    K = 0
+    while p ** (K + 1) <= D:
+        K += 1
+    target = WittCoefRing(p, N)
+    work = WittCoefRing(p, N + K)
+    q, pK, qN = work.modulus, p ** K, target.modulus
+    if uvars:
+        target = PolyTruncRing(target, uvars, U)
+        work = PolyTruncRing(work, uvars, U)
+    kernel = _Packed(work, ("x", "y"), D)
+    zu = (0,) * len(uvars)
+    pKc = [{(0, 0) + e: p ** (K - j) * c % q for e, c in dj.items()}  # p^K c_j
+           for j, dj in enumerate(_log_numerators(p, n, q, len(uvars), U, K))]
+    F = {1: {(1, 0) + zu: 1, (0, 1) + zu: 1}}  # degree -> raw homogeneous part
+    # each product A * B = C by degree; the last C of level j is F^(p^j)
+    products, powers = [], [F]
+    for _ in range(K):
+        A = powers[-1]
+        for _ in range(p - 1):
+            C = {}
+            products.append((A, powers[-1], C))
+            A = C
+        powers.append(A)
+    for d in range(2, D + 1):
+        for A, B, C in products:
+            acc = {}
+            for a, part in A.items():
+                b = d - a
+                if b in B and (A is not B or a <= b):  # a square sums each pair once
+                    w = 2 if A is B and a < b else 1
+                    for e, v in kernel.mul(part, B[b]).items():
+                        acc[e] = acc.get(e, 0) + w * v
+            acc = {e: r for e, v in acc.items() if (r := v % q)}
+            if acc:
+                C[d] = acc
+        S = {}
+        for j in range(1, K + 1):
+            for e, v in kernel.mul(powers[j].get(d, {}), pKc[j]).items():
+                S[e] = S.get(e, 0) - v
+            if d == p ** j:  # c_j (x^d + y^d)
+                for e, v in pKc[j].items():
+                    for x in ((d, 0), (0, d)):
+                        S[x + e[2:]] = S.get(x + e[2:], 0) + v
+        Fd = {}
+        for e, v in S.items():
+            v %= q
+            if v % pK:
+                raise IdentityFailed(f"the law's degree-{d} part is not integral: "
+                                     f"p^{K} F_d at {e} is {v} mod {p}^{N + K}")
+            if v := v // pK % qN:
+                Fd[e] = v
+        if Fd:
+            F[d] = Fd
+    law = _Packed(target, ("x", "y"), D).series(
+        {e: v for part in F.values() for e, v in part.items()})
+    return FormalGroupLaw(ring=target, bound=D, F=law)
 
 
 def fgl_honda(p, n, N, D):
     """The height-n Honda formal group law over Z/p^N, exact up to degree D.
 
-    Logarithm: sum of x^{p^{ni}} / p^i.  All coefficients of the resulting law
-    lie in Z_(p); PrecisionExhausted is raised otherwise.
+    Logarithm: sum of x^{p^{ni}} / p^i, whose law is built integrally, degree
+    by degree (_law_by_degree); a degree whose coefficients are not integral
+    raises IdentityFailed.
     """
     if n < 1:
         raise ValueError(f"height n={n} must be >= 1")
-    QQ = RationalField()
-    terms = {}
-    i = 0
-    while n * i < D.bit_length() and p ** (n * i) <= D:  # else p^(n i) > D
-        terms[(p ** (n * i),)] = Fraction(1, p ** i)
-        i += 1
-    log = TruncSeries(QQ, ("x",), D, terms)
-    FQ = _law_from_log(log)
-    W = WittCoefRing(p, N)
-    F = FQ.map_coefficients(lambda q: _frac_into(W, q, f"honda({p},{n})"), ring=W)
-    return FormalGroupLaw(ring=W, bound=D, F=F)
+    return _law_by_degree(p, n, N, (), 0, D)
 
 
 def lubin_tate_deformation(p, n, N, u_degree_bound, D):
@@ -180,48 +237,16 @@ def lubin_tate_deformation(p, n, N, u_degree_bound, D):
     u_j -> u_j^p endomorphism of the coefficient ring (the twist that makes
     the functional-equation lemma produce integral coefficients).  Setting
     every u_i = 0 and reducing mod p recovers the Honda reduction, and
-    [p](x) = x^{p^n} modulo the maximal ideal (p, u_1..u_{n-1}).
+    [p](x) = x^{p^n} modulo the maximal ideal (p, u_1..u_{n-1}).  The law is
+    built integrally, degree by degree, with u-degrees above u_degree_bound
+    dropped (_law_by_degree).
     """
     if n < 1:
         raise ValueError(f"height n={n} must be >= 1")
     if n == 1:
         return fgl_honda(p, 1, N, D)
     uvars = tuple(f"u{i}" for i in range(1, n))
-    QQ = RationalField()
-    Qu = PolyTruncRing(QQ, uvars, u_degree_bound)
-    u_over_p = [None]
-    for i in range(1, n + 1):
-        ui = Qu.var(f"u{i}") if i < n else Qu.one()
-        u_over_p.append(ui.scalar(Fraction(1, p)))
-
-    def sigma(poly, k):
-        """u_j -> u_j^{p^k}; descends to the degree-truncated ring."""
-        scale = p ** k
-        return TruncSeries(QQ, uvars, u_degree_bound,
-                           {tuple(scale * e for e in exps): cc
-                            for exps, cc in poly.terms.items()})
-
-    # logarithm coefficients c_j at x^{p^j}
-    c = {0: Qu.one()}
-    j = 1
-    while p ** j <= D:
-        acc = Qu.zero()
-        for i in range(1, min(j, n) + 1):
-            acc = Qu.add(acc, Qu.mul(u_over_p[i], sigma(c[j - i], i)))
-        c[j] = acc
-        j += 1
-    log = TruncSeries(Qu, ("x",), D, {(p ** jj,): cc for jj, cc in c.items()})
-    FQ = _law_from_log(log)
-    W = WittCoefRing(p, N)
-    L = PolyTruncRing(W, uvars, u_degree_bound)
-
-    def carry(poly_q):
-        return TruncSeries(W, uvars, u_degree_bound,
-                           {e: _frac_into(W, q, f"lubin_tate({p},{n})")
-                            for e, q in poly_q.terms.items()})
-
-    F = FQ.map_coefficients(carry, ring=L)
-    return FormalGroupLaw(ring=L, bound=D, F=F)
+    return _law_by_degree(p, n, N, uvars, u_degree_bound, D)
 
 
 def specialize_deformation(G):

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fglcheck import formal_groups
-from fglcheck.exact_arith import WittCoefRing
-from fglcheck.formal_groups import (FormalGroupLaw, MalformedPSeries, NotCharP,
-                                    PrecisionExhausted, _frac_into, bcp_module,
+from fglcheck import cli, formal_groups, series
+from fglcheck.exact_arith import IdentityFailed, WittCoefRing
+from fglcheck.formal_groups import (FormalGroupLaw, MalformedPSeries, NotCharP, bcp_module,
                                     fgl_additive, fgl_honda, fgl_multiplicative,
                                     formal_inverse, frobenius_isogeny, height,
                                     lubin_tate_deformation, n_series,
@@ -121,10 +120,37 @@ def test_lubin_tate_n1_is_honda():
     assert red.min_degree() == 3
 
 
-def test_precision_exhaustion_signal():
-    from fractions import Fraction
-    with pytest.raises(PrecisionExhausted):
-        _frac_into(WittCoefRing(2, 3), Fraction(1, 2), "test")
+def test_a_corrupt_log_is_a_witness_naming_its_degree(monkeypatch, capsys):
+    # d_1 = 1 makes the log of honda(2, 2) x + x^2/2 + x^4/2 + ..., whose law
+    # has -11/2 x^2 y^2 at degree 4
+    real = formal_groups._log_numerators
+
+    def corrupt(*args):
+        d = real(*args)
+        d[1] = {(): 1}
+        return d
+
+    monkeypatch.setattr(formal_groups, "_log_numerators", corrupt)
+    with pytest.raises(IdentityFailed, match="degree-4 part is not integral"):
+        fgl_honda(2, 2, 3, 8)
+    argv = ["fgl", "--builtin", "honda", "--p", "2", "--n", "2", "--precision", "3",
+            "--degree-bound", "8"]
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "degree-4" in err
+    assert "Traceback" not in out + err
+
+
+def test_laws_build_without_reversion_or_substitute(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the laws are built degree by degree")
+
+    for module in (series, formal_groups):
+        for name in ("reversion", "substitute"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert len(fgl_honda(2, 3, 3, 16).F.terms) > 2
+    assert len(lubin_tate_deformation(2, 3, 2, 2, 8).F.terms) > 2
 
 
 def test_frobenius_isogeny_multiplicative():

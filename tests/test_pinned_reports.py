@@ -1,9 +1,10 @@
 """sha256 digests of `--json` reports that the benchmark reference does not pin.
 
 Each case runs one CLI command whose report goes through the finite-algebra
-paths (structure-constant products, dual algebras, point enumeration) and
-compares the digest of the report bytes with the digest recorded before
-those paths were merged.  A mismatch means the output changed.
+paths (structure-constant products, dual algebras, point enumeration) or
+builds a Honda or Lubin-Tate law, and compares the digest of the report bytes
+with the digest recorded before those paths were merged.  A mismatch means the
+output changed.
 """
 
 import hashlib
@@ -46,6 +47,21 @@ CASES = {
         "88469568f40a306a2aefbaf43215dc5dbd31da72827afe9f8a1d34db5add6767"),
     "congruence-2,3,2,2": (["congruence", "--height1", "2,3,2,2"], None,
         "2f4306cfd708422b84293a0f945ba3b3f87c7641a26f5abf7471dd51e09b44f4"),
+    # Honda and Lubin-Tate laws, recorded when they were built over Q
+    "fgl-lubin-tate-3,3,2,u=2,D=12": (["fgl", "--builtin", "lubin-tate", "--p", "3",
+                                       "--n", "3", "--precision", "2", "--u-bound", "2",
+                                       "--degree-bound", "12"], None,
+        "d66f5fe61d32688d4c1c5142fd89b1cf8ada778b5b894e560aba4d417d6128af"),
+    "fgl-lubin-tate-2,4,2,u=1,D=16": (["fgl", "--builtin", "lubin-tate", "--p", "2",
+                                       "--n", "4", "--precision", "2", "--u-bound", "1",
+                                       "--degree-bound", "16"], None,
+        "34f975e5b9990d5ee6c5216a3d948285aa0a862e12aa66e8c83f2161080949d7"),
+    "fgl-honda-5,1,3,D=30": (["fgl", "--builtin", "honda", "--p", "5", "--n", "1",
+                              "--precision", "3", "--degree-bound", "30"], None,
+        "a4e67cbffe7440207b8980958972f0a0022774e45a88c2d3e5669cc03b6353a5"),
+    "fgl-honda-2,3,3,D=60": (["fgl", "--builtin", "honda", "--p", "2", "--n", "3",
+                              "--precision", "3", "--degree-bound", "60"], None,
+        "24c823abd1a97f394fd35267c04962c4f144a999975b719d11b6ff155322c9aa"),
 }
 
 

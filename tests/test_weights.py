@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fglcheck.exact_arith import RationalField, WittCoefRing
-from fglcheck.linalg import Mat
+from fglcheck.exact_arith import WittCoefRing
+from fglcheck.linalg import FiniteAlgebra, Mat
 from fglcheck.twisted_bialgebra import find_irreducible
 from fglcheck.weights import (EpiFamily, InvariantViolation, NotLocal,
                               WeightedMonadData, binomial_gcd,
@@ -89,8 +89,9 @@ def test_epi_complementary_coordinates():
 
 
 def test_epi_requires_local_ring():
-    fam = EpiFamily(ring=RationalField(), target_rank=1,
-                    maps=[Mat.from_int_rows(RationalField(), [[1]])])
+    # Z8[x]/(x^2 - x) is Z8 x Z8, which has two maximal ideals
+    A = FiniteAlgebra.monic_quotient(Z8, "x", (Z8.zero(), Z8.from_int(-1), Z8.one()))
+    fam = EpiFamily(ring=A, target_rank=1, maps=[Mat(A, [[A.one()]])])
     with pytest.raises(NotLocal):
         epi_family_check(fam)
 
