@@ -495,11 +495,20 @@ def _dot(e, w):
     return sum(map(operator.mul, e, w))
 
 
+_DOTS_CHAIN = 64
+
+
 def _dots(cols, w):
-    """_dot(e, w) for every term e, read off the terms' columns ``cols``."""
+    """_dot(e, w) for every term e, read off the terms' columns ``cols``.
+
+    Each column nests one lazy map, and a chain one map per column deep
+    overflowed the C stack at 10^5 variables; the running sums are therefore
+    materialised every _DOTS_CHAIN columns."""
     dots = map(operator.mul, cols[0], itertools.repeat(w[0]))
-    for col, x in zip(cols[1:], w[1:]):
+    for i, (col, x) in enumerate(zip(cols[1:], w[1:]), 1):
         dots = map(operator.add, dots, map(operator.mul, col, itertools.repeat(x)))
+        if i % _DOTS_CHAIN == 0:
+            dots = list(dots)
     return list(dots)
 
 

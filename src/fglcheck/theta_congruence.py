@@ -475,7 +475,8 @@ def gamma_congruence_check(sigma, algebra, seed=0):
     coefficient ring is small and by seeded sampling otherwise.  There is one
     check per element of the spanning set.
     """
-    checks = list(_congruence_checks(sigma, algebra, seed))
+    checks = list(_congruence_checks(sigma, algebra, _congruence_spanning_set(
+        sigma.gamma, algebra, seed)))
     meta = {"seed": seed, "degree_bound": GAMMA_DEGREE_BOUND,
             "spanning_size": len(checks)}
     rep = CongruenceReport.from_checks(checks, meta=meta)
@@ -487,12 +488,11 @@ def gamma_congruence_check(sigma, algebra, seed=0):
     return rep
 
 
-def _congruence_checks(sigma, algebra, seed=0):
-    """Yield the CheckResults of gamma_congruence_check in report order."""
-    G = sigma.gamma
+def _congruence_spanning_set(G, algebra, seed=0):
+    """The sigma-independent half of gamma_congruence_check: (label, x, x^p)
+    for each distinct element x of the spanning set, in report order."""
     B = algebra
     R = G.ring
-    p = R.p
     rng = random.Random(seed)
     if R.size() <= 256:
         scalars = [c for c in R.elements() if not R.is_zero(c)]
@@ -510,34 +510,46 @@ def _congruence_checks(sigma, algebra, seed=0):
         monomials.extend(new)
         frontier = new
     seen = set()
+    out = []
     for name, vec in monomials:
         for c in scalars:
             x = B.scale(c, vec)
-            if x in seen:
-                continue
-            seen.add(x)
-            lhs = B.act(1, sigma.coords, x)  # IncompleteAction propagates
-            rhs = B.pow(x, p)
-            diff = [R.sub(u, v) for u, v in zip(lhs, rhs)]
-            res = {i: R.residue(d) for i, d in enumerate(diff)
-                   if not R.residue_ring().is_zero(R.residue(d))}
-            label = f"{c!r}*{name}"
-            yield CheckResult(f"monomial[{label}]", not res,
-                              None if not res else
-                              f"x={label}: x.sigma - x^{p} residues {res}")
+            if x not in seen:
+                seen.add(x)
+                out.append((f"{c!r}*{name}", x, B.pow(x, R.p)))
+    return out
 
 
-def congruence_stability_under_class_change(sigma, algebra, gammas, **kw):
-    """Verdicts are unchanged when sigma moves by p * gamma inside Gamma[1]."""
+def _congruence_checks(sigma, algebra, spanning):
+    """Yield the CheckResults of gamma_congruence_check in report order, one per
+    (label, x, x^p) of _congruence_spanning_set; only x . sigma depends on sigma."""
+    R = sigma.gamma.ring
+    p = R.p
+    for label, x, xp in spanning:
+        lhs = algebra.act(1, sigma.coords, x)  # IncompleteAction propagates
+        diff = [R.sub(u, v) for u, v in zip(lhs, xp)]
+        res = {i: R.residue(d) for i, d in enumerate(diff)
+               if not R.residue_ring().is_zero(R.residue(d))}
+        yield CheckResult(f"monomial[{label}]", not res,
+                          None if not res else
+                          f"x={label}: x.sigma - x^{p} residues {res}")
+
+
+def congruence_stability_under_class_change(sigma, algebra, gammas, seed=0):
+    """Verdicts are unchanged when sigma moves by p * gamma inside Gamma[1].
+
+    The spanning set and its p-th powers are built once; each shift recomputes
+    only x . sigma."""
     G = sigma.gamma
     R = G.ring
-    base = all(c.passed for c in _congruence_checks(sigma, algebra, **kw))
+    spanning = _congruence_spanning_set(G, algebra, seed)
+    base = all(c.passed for c in _congruence_checks(sigma, algebra, spanning))
     checks = [CheckResult("base", True)]
     for i, g in enumerate(gammas):
         shifted = FrobeniusClassSpec(
             gamma=G, coords=tuple(R.add(c, R.scalar(R.p, gc))
                                   for c, gc in zip(sigma.coords, g)))
-        verdict = all(c.passed for c in _congruence_checks(shifted, algebra, **kw))
+        verdict = all(c.passed for c in _congruence_checks(shifted, algebra, spanning))
         checks.append(CheckResult(f"shift[{i}]", verdict == base,
                                   None if verdict == base else
                                   f"verdict changed to {verdict}"))

@@ -333,8 +333,20 @@ def _check(name, ok, witness):
     return CheckResult(name=name, passed=ok, witness=None if ok else witness())
 
 
-def bialgebra_checks(G):
-    """Yield the CheckResults of verify_bialgebra in report order."""
+def bialgebra_checks(G, touched=None):
+    """Yield the CheckResults of verify_bialgebra in report order.
+
+    touched, when given, names the one table in which G differs from a
+    bialgebra whose full run passed: ("mu", k, l), ("eps", k), ("delta", k) or
+    ("left_t", k).  Only the checks that read that table are then yielded,
+    with grading_structural, which reads every shape.  A check is a function
+    of the tables it reads, so every skipped check passes as it did in the
+    full run (weak mutation; Howden, IEEE TSE SE-8(4), 1982).  The read sets
+    follow from the weight indices: mul_elems(k, x, l, y) reads mu[k,l] and
+    left_t[l], eta reads left_t[0], eps_elem(k) and counit_right(k) read
+    eps[k], counit_left(k) reads eps[k] and left_t[k], and delta_elem(k) and
+    _delta_leg(k) read delta[k].
+    """
     R = G.ring
     kmax = G.kmax
     G.check_weights()
@@ -343,9 +355,19 @@ def bialgebra_checks(G):
         yield CheckResult("grading_structural", False, bad)
         return
 
+    def reads(*tables):
+        return touched is None or touched in tables
+
+    def mul(k, l):
+        return ("mu", k, l), ("left_t", l)
+
+    eta = ("left_t", 0)
+
     # mu unital
     for k in range(kmax + 1):
         for a in range(G.rank(k)):
+            if not reads(*mul(0, k), *mul(k, 0)):
+                continue
             v = G.basis_vec(k, a)
             left = G.mul_elems(0, G.unit, k, v)
             right = G.mul_elems(k, v, 0, G.unit)
@@ -355,6 +377,8 @@ def bialgebra_checks(G):
 
     # mu associative on basis triples
     for k, l, m in _weight_triples(kmax):
+        if not reads(*mul(k, l), *mul(k + l, m), *mul(l, m), *mul(k, l + m)):
+            continue
         for a, b, c in itertools.product(range(G.rank(k)), range(G.rank(l)),
                                          range(G.rank(m))):
             x, y, z = G.basis_vec(k, a), G.basis_vec(l, b), G.basis_vec(m, c)
@@ -369,6 +393,8 @@ def bialgebra_checks(G):
         er = G.eta(r)
         for k in range(kmax + 1):
             for l in range(kmax + 1 - k):
+                if not reads(eta, *mul(0, k), *mul(k, l), *mul(0, k + l)):
+                    continue
                 for a, b in itertools.product(range(G.rank(k)), range(G.rank(l))):
                     x, y = G.basis_vec(k, a), G.basis_vec(l, b)
                     lhs = G.mul_elems(k, G.mul_elems(0, er, k, x), l, y)
@@ -378,19 +404,25 @@ def bialgebra_checks(G):
 
     # eta is a ring homomorphism
     gens = G.ring_generators()
-    for r, s in itertools.product(gens + [R.one()], repeat=2):
-        lhs = G.mul_elems(0, G.eta(r), 0, G.eta(s))
-        rhs = G.eta(R.mul(r, s))
-        yield _check(f"eta_mult[{r!r},{s!r}]", lhs == rhs,
-                     lambda: f"eta(r)eta(s)={lhs} eta(rs)={rhs}")
-    yield _check("eta_unit", G.eta(R.one()) == G.unit, lambda: "eta(1) != 1")
+    if reads(eta, *mul(0, 0)):
+        for r, s in itertools.product(gens + [R.one()], repeat=2):
+            lhs = G.mul_elems(0, G.eta(r), 0, G.eta(s))
+            rhs = G.eta(R.mul(r, s))
+            yield _check(f"eta_mult[{r!r},{s!r}]", lhs == rhs,
+                         lambda: f"eta(r)eta(s)={lhs} eta(rs)={rhs}")
+    if reads(eta):
+        yield _check("eta_unit", G.eta(R.one()) == G.unit, lambda: "eta(1) != 1")
 
     # eps axioms: eps(eta(r)) = r and eps(xy) = eps(eta(eps(x)) y)
-    for r in gens + [R.one()]:
-        val = G.eps_elem(0, G.eta(r))
-        yield _check(f"eps_eta[{r!r}]", R.eq(val, r), lambda: f"eps(eta({r!r}))={val!r}")
+    if reads(eta, ("eps", 0)):
+        for r in gens + [R.one()]:
+            val = G.eps_elem(0, G.eta(r))
+            yield _check(f"eps_eta[{r!r}]", R.eq(val, r), lambda: f"eps(eta({r!r}))={val!r}")
     for k in range(kmax + 1):
         for l in range(kmax + 1 - k):
+            if not reads(*mul(k, l), ("eps", k + l), ("eps", k), eta, *mul(0, l),
+                         ("eps", l)):
+                continue
             for a, b in itertools.product(range(G.rank(k)), range(G.rank(l))):
                 x, y = G.basis_vec(k, a), G.basis_vec(l, b)
                 lhs = G.eps_elem(k + l, G.mul_elems(k, x, l, y))
@@ -398,28 +430,34 @@ def bialgebra_checks(G):
                 yield _check(f"eps_mu[{k},{l};{a},{b}]", R.eq(lhs, rhs),
                              lambda: f"eps(xy)={lhs!r} eps(eta(eps(x))y)={rhs!r}")
 
-    # Delta: counit, cocommutativity, coassociativity
+    # Delta: counit, cocommutativity, coassociativity; all four read D = Delta(v)
     for k in range(kmax + 1):
+        if not reads(("delta", k), ("eps", k), ("left_t", k)):
+            continue
         for a in range(G.rank(k)):
             v = G.basis_vec(k, a)
             D = G.delta_elem(k, v)
             left = G.counit_left(k, D)
             yield _check(f"delta_counit_left[{k},{a}]", left == v,
                          lambda: f"(eps x id)Delta={left} want {v}")
-            right = G.counit_right(k, D)
-            yield _check(f"delta_counit_right[{k},{a}]", right == v,
-                         lambda: f"(id x eps)Delta={right} want {v}")
-            yield _check(f"delta_cocomm[{k},{a}]", D == D.transpose(),
-                         lambda: f"Delta not symmetric: {D.to_json()}")
-            terms = _delta_leg(G, k, {(a,): R.one()}, 0)  # the terms of D
-            lhs3 = _delta_leg(G, k, terms, 0)
-            rhs3 = _delta_leg(G, k, terms, 1)
-            yield _check(f"delta_coassoc[{k},{a}]", lhs3 == rhs3,
-                         lambda: "iterated comultiplications differ")
+            if reads(("delta", k), ("eps", k)):
+                right = G.counit_right(k, D)
+                yield _check(f"delta_counit_right[{k},{a}]", right == v,
+                             lambda: f"(id x eps)Delta={right} want {v}")
+            if reads(("delta", k)):
+                yield _check(f"delta_cocomm[{k},{a}]", D == D.transpose(),
+                             lambda: f"Delta not symmetric: {D.to_json()}")
+                terms = _delta_leg(G, k, {(a,): R.one()}, 0)  # the terms of D
+                lhs3 = _delta_leg(G, k, terms, 0)
+                rhs3 = _delta_leg(G, k, terms, 1)
+                yield _check(f"delta_coassoc[{k},{a}]", lhs3 == rhs3,
+                             lambda: "iterated comultiplications differ")
 
     # Delta multiplicative against mu
     for k in range(kmax + 1):
         for l in range(kmax + 1 - k):
+            if not reads(*mul(k, l), ("delta", k + l), ("delta", k), ("delta", l)):
+                continue
             for a, b in itertools.product(range(G.rank(k)), range(G.rank(l))):
                 x, y = G.basis_vec(k, a), G.basis_vec(l, b)
                 lhs = G.delta_elem(k + l, G.mul_elems(k, x, l, y))

@@ -359,16 +359,22 @@ F4_COMODULE = {"base": {"p": 2, "N": 1, "ext": [1, 1, 1]}, "vars": ["y"],
       "--degree-bound", "4", "--precision", "2"], None, 0, "[PASS] 5/5"),
     (["fgl", "--builtin", "lubin-tate", "--n", "30", "--u-bound", "2", "--degree-bound", "4"],
      None, 0, "[PASS] 5/5"),
+    # _dots nested one lazy map per u-variable, and the chain overflowed the C stack
+    (["fgl", "--builtin", "lubin-tate", "--p", "2", "--n", "100000", "--precision", "2",
+      "--u-bound", "0", "--degree-bound", "4"], None, 0, "[PASS] 5/5"),
     # elements() copied range(p^N) into a tuple before the first element
     (["congruence", "--height1", "2,2,1,1", "--squares", "2,26"], None, 0, "[PASS] 14/14"),
     (["congruence", "--height1", "2,2,1,1", "--squares", "2,63"], None, 0, "[PASS] 14/14"),
     (["congruence", "--height1", "2,2,1,1", "--squares", "2,100"], None, 0, "[PASS] 14/14"),
 ], ids=["honda", "certify", "f4-comodule", "lubin-tate-huge-u-bound", "lubin-tate-n30",
-        "squares-26", "squares-63", "squares-100"])
+        "lubin-tate-n100000", "squares-26", "squares-63", "squares-100"])
 def test_inputs_that_hung_or_failed_end_in_a_verdict(tmp_path, argv, doc, code, message):
     f = tmp_path / "input.json"
     f.write_text(json.dumps(doc))
     proc = _subprocess([str(f) if a == "FILE" else a for a in argv], _cap_address_space)
+    # a signal shows as -11 here, or as 139 through a shell
+    assert proc.returncode >= 0 and proc.returncode != 139, \
+        f"killed by a signal ({proc.returncode})"
     assert proc.returncode == code, proc.stderr
     assert message in proc.stdout + proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr

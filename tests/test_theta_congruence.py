@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from fglcheck.exact_arith import WittCoefRing
 from fglcheck.linalg import FiniteAlgebra, Mat, unit_vector
+from fglcheck.report import CheckResult
 from fglcheck.series import PolyTruncRing, TruncSeries
-from fglcheck.theta_congruence import (CharacteristicMismatch, CongruenceFails,
+from fglcheck.theta_congruence import (GAMMA_DEGREE_BOUND, GAMMA_SCALAR_SAMPLES,
+                                       CharacteristicMismatch, CongruenceFails,
                                        FiniteFreeShape, FrobeniusClassSpec,
                                        IllDefinedPsi, L1Data,
                                        MonicQuotientShape, PolyRing, PolyShape,
@@ -154,6 +156,64 @@ def test_stability_verdicts_match_full_checks():
         assert rep.verdict == all(v == base for v in shifted)
         assert [c.passed for c in rep.checks[1:]] == [v == base for v in shifted]
     assert not base  # the perturbed action fails
+
+
+def _congruence_checks_rebuilt(sigma, B, seed=0):
+    """gamma_congruence_check's checks with the scalars, the monomials and every
+    x^p rebuilt for this one sigma, as each shift once did: the oracle of the
+    spanning set that the class-change loop builds once."""
+    R = sigma.gamma.ring
+    rng = random.Random(seed)
+    if R.size() <= 256:
+        scalars = [c for c in R.elements() if not R.is_zero(c)]
+    else:
+        scalars = [R.one()] + [R.rand(rng) for _ in range(GAMMA_SCALAR_SAMPLES)]
+    monomials = frontier = [("1", B.unit)]
+    for _ in range(GAMMA_DEGREE_BOUND):
+        frontier = [(g if name == "1" else f"{name}*{g}", B.mul(vec, gvec))
+                    for name, vec in frontier for g, gvec in B.gens.items()]
+        monomials = monomials + frontier
+    seen, out = set(), []
+    for name, vec in monomials:
+        for c in scalars:
+            x = B.scale(c, vec)
+            if x in seen:
+                continue
+            seen.add(x)
+            diff = [R.sub(u, v) for u, v in zip(B.act(1, sigma.coords, x), B.pow(x, R.p))]
+            res = {i: R.residue(d) for i, d in enumerate(diff)
+                   if not R.residue_ring().is_zero(R.residue(d))}
+            out.append(CheckResult(f"monomial[{c!r}*{name}]", not res,
+                                   None if not res else
+                                   f"x={c!r}*{name}: x.sigma - x^{R.p} residues {res}"))
+    return out
+
+
+# W(F_4) mod 8 draws its scalars exhaustively, W(F_4) mod 32 by seeded sampling
+CONGRUENCE_BASES = [height1_gamma(2, 3, 2, 3), height1_gamma(2, 5, 2, 1)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([0, 1]), st.integers(0, 2 ** 32 - 1))
+def test_shared_spanning_set_matches_rebuilding_it_per_sigma(which, seed):
+    G = CONGRUENCE_BASES[which]
+    R = G.ring
+    sigma = FrobeniusClassSpec(gamma=G, coords=(R.one(),))
+    pert = algebra_on_w(G, {k: Mat(R, [[R.from_int(2) if k == 1 else R.one()]])
+                            for k in range(G.kmax + 1)})
+    rng = random.Random(seed)
+    gammas = [(R.rand(rng),) for _ in range(4)]
+    shifted = [FrobeniusClassSpec(gamma=G, coords=(R.add(R.one(), R.scalar(2, g)),))
+               for (g,) in gammas]
+    for B in (trivial_algebra(G), pert):
+        want = _congruence_checks_rebuilt(sigma, B, seed)
+        assert gamma_congruence_check(sigma, B, seed).checks == want
+        base = all(c.passed for c in want)
+        rep = congruence_stability_under_class_change(sigma, B, gammas, seed=seed)
+        assert rep.meta["base_verdict"] == base
+        assert [c.passed for c in rep.checks[1:]] == [
+            all(c.passed for c in _congruence_checks_rebuilt(s, B, seed)) == base
+            for s in shifted]
 
 
 def test_gamma_congruence_records_theorem_a():

@@ -89,8 +89,59 @@ MUTATION_BASES = {1: height1_gamma(2, 3, 1, 3), 2: G23}
 def test_stopping_verdict_matches_full_report_on_mutants(f, mutations, rnd):
     H = MUTATION_BASES[f]
     for _ in range(mutations):
-        H, _ = _mutate_one_constant(H, rnd)
+        H, _, _ = _mutate_one_constant(H, rnd)
     assert all(c.passed for c in bialgebra_checks(H)) == verify_bialgebra(H).verdict
+
+
+def _monoid_gamma(p, N, f, kmax):
+    """The twisted monoid algebra of N x Z/2: Gamma[k] has the group-like basis
+    psi^k, psi^k s with s^2 = 1, so every weight has rank 2."""
+    H = height1_gamma(p, N, f, kmax)
+    R = H.ring
+    o, z = R.one(), R.zero()
+    basis = {k: (f"psi^{k}", f"psi^{k}s") for k in range(kmax + 1)}
+    mu = {kl: {(i, j): ((o, z), (z, o))[(i + j) % 2] for i in range(2) for j in range(2)}
+          for kl in H.mu}
+    delta = {k: {a: Mat(R, [[o if u == v == a else z for v in range(2)] for u in range(2)])
+                 for a in range(2)} for k in range(kmax + 1)}
+    left_t = H.left_t and {k: Mat(R, [[m.rows[0][0], z], [z, m.rows[0][0]]])
+                           for k, m in H.left_t.items()}
+    return TwistedBialgebra(ring=R, kmax=kmax, basis=basis, unit=(o, z), mu=mu,
+                            eps={k: (o, o) for k in range(kmax + 1)}, delta=delta,
+                            left_t=left_t)
+
+
+def _filter_agrees_with_full_run(H, touched):
+    """The filtered verdict is the full verdict, and every check that fails in the
+    full run (not stopped at its first failure) is one the filter yields."""
+    full = list(bialgebra_checks(H))
+    kept = list(bialgebra_checks(H, touched))
+    assert all(c.passed for c in kept) == all(c.passed for c in full)
+    assert {c.name for c in full if not c.passed} <= {c.name for c in kept}
+    assert [c for c in full if c.name in {k.name for k in kept}] == kept
+
+
+def test_filtered_checks_agree_on_every_criterion_5_mutant():
+    from fglcheck.acceptance import SEED
+    rng = random.Random(SEED)
+    for _ in range(50):
+        H, _, touched = _mutate_one_constant(G23, rng)
+        _filter_agrees_with_full_run(H, touched)
+
+
+FILTER_BASES = {"f=1": height1_gamma(2, 3, 1, 3), "f=2": G23,
+                "f=3": height1_gamma(2, 2, 3, 2), "rank 2": _monoid_gamma(2, 2, 2, 2)}
+
+
+def test_filter_bases_pass():
+    assert all(verify_bialgebra(G).verdict for G in FILTER_BASES.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FILTER_BASES)), st.integers(0, 2 ** 32 - 1))
+def test_filtered_checks_agree_on_drawn_mutants(shape, seed):
+    H, _, touched = _mutate_one_constant(FILTER_BASES[shape], random.Random(seed))
+    _filter_agrees_with_full_run(H, touched)
 
 
 def test_incomplete_data():
@@ -384,7 +435,7 @@ def test_a_pass_survives_truncation(p, N, f, kmax, mutate, rnd):
     # at N - 1; left_mul commutes with it
     G = height1_gamma(p, N, f, kmax)
     if mutate:
-        G, _ = _mutate_one_constant(G, rnd)
+        G, _, _ = _mutate_one_constant(G, rnd)
     H = _truncated(G)
     R, S = G.ring, H.ring
     if verify_bialgebra(G).verdict:
