@@ -75,7 +75,7 @@ def criterion_3_bcp_structure():
     R = LT.ring
     pser = fg.n_series(LT, 2)
     wf = weierstrass_prepare(pser)
-    b = fg.bcp_module(LT)
+    b = fg._monic_quotient(R, wf)  # bcp_module(LT), on the one preparation
     checks = [
         CheckResult("distinguished degree 4", wf.degree == 4),
         CheckResult("basis 1,x,x^2,x^3", b.basis == ("1", "x^1", "x^2", "x^3")),

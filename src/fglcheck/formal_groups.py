@@ -20,8 +20,8 @@ from .exact_arith import WittCoefRing, json_names, json_typed, ring_from_descrip
 from .linalg import FiniteAlgebra
 from .report import CheckResult
 from .series import (ContextMismatch, IdentityFailed, NotConverged,
-                     PolyTruncRing, TruncSeries, _Packed, substitute,
-                     weierstrass_prepare)
+                     PolyTruncRing, TruncSeries, _Packed, _raw_series,
+                     substitute, weierstrass_prepare)
 
 
 class MalformedPSeries(ValueError):
@@ -157,7 +157,8 @@ def _law_by_degree(p, n, N, uvars, U, D):
     gives F^(p^j) = G^(p^j) mod p^(N+j); so p^K F_d is known mod p^(N+K) from F
     mod p^N below d.  It must be divisible by p^K, and IdentityFailed names the
     first degree where it is not.  F^(p^j) = (F^(p^(j-1)))^p are kept by
-    homogeneous part, and each product gains one degree a step.
+    homogeneous part, each one packed int, and each product gains one degree a
+    step: a degree's pair products are summed before its one unpack.
     """
     K = 0
     while p ** (K + 1) <= D:
@@ -168,11 +169,15 @@ def _law_by_degree(p, n, N, uvars, U, D):
     if uvars:
         target = PolyTruncRing(target, uvars, U)
         work = PolyTruncRing(work, uvars, U)
-    kernel = _Packed(work, ("x", "y"), D)
+    nums = _log_numerators(p, n, q, len(uvars), U, K)
+    # a part of F^(p^j) of degree d has u-degree <= (d - 1) h, by induction on d
+    h = max(sum(e) for dj in nums for e in dj)
+    kernel = _Packed(work, ("x", "y"), D, (0, 1), [e for dj in nums for e in dj],
+                     (D - 1) * h, K)
+    pKc = [{e: p ** (K - j) * c % q for e, c in dj.items()} for j, dj in enumerate(nums)]
+    pKc_parts = [kernel.pack(((0, 0), e, c) for e, c in dj.items()) for dj in pKc]
     zu = (0,) * len(uvars)
-    pKc = [{(0, 0) + e: p ** (K - j) * c % q for e, c in dj.items()}  # p^K c_j
-           for j, dj in enumerate(_log_numerators(p, n, q, len(uvars), U, K))]
-    F = {1: {(1, 0) + zu: 1, (0, 1) + zu: 1}}  # degree -> raw homogeneous part
+    F = {1: kernel.pack([((1, 0), zu, 1), ((0, 1), zu, 1)])}  # degree -> packed part
     # each product A * B = C by degree; the last C of level j is F^(p^j)
     products, powers = [], [F]
     for _ in range(K):
@@ -182,39 +187,31 @@ def _law_by_degree(p, n, N, uvars, U, D):
             products.append((A, powers[-1], C))
             A = C
         powers.append(A)
+    law = {(1, 0): {zu: 1}, (0, 1): {zu: 1}}
     for d in range(2, D + 1):
         for A, B, C in products:
-            acc = {}
-            for a, part in A.items():
-                b = d - a
-                if b in B and (A is not B or a <= b):  # a square sums each pair once
-                    w = 2 if A is B and a < b else 1
-                    for e, v in kernel.mul(part, B[b]).items():
-                        acc[e] = acc.get(e, 0) + w * v
-            acc = {e: r for e, v in acc.items() if (r := v % q)}
-            if acc:
-                C[d] = acc
-        S = {}
+            if x := kernel.part(A, B, d):
+                C[d] = x
+        P = sum(powers[j][d] * pKc_parts[j] for j in range(1, K + 1) if d in powers[j])
+        S = {(e, ue): -v for e, ue, v in kernel.terms(P, d, (0, 0))}
         for j in range(1, K + 1):
-            for e, v in kernel.mul(powers[j].get(d, {}), pKc[j]).items():
-                S[e] = S.get(e, 0) - v
             if d == p ** j:  # c_j (x^d + y^d)
-                for e, v in pKc[j].items():
-                    for x in ((d, 0), (0, d)):
-                        S[x + e[2:]] = S.get(x + e[2:], 0) + v
-        Fd = {}
-        for e, v in S.items():
+                for ue, v in pKc[j].items():
+                    for e in ((d, 0), (0, d)):
+                        S[e, ue] = S.get((e, ue), 0) + v
+        Fd = []
+        for (e, ue), v in S.items():
             v %= q
             if v % pK:
                 raise IdentityFailed(f"the law's degree-{d} part is not integral: "
-                                     f"p^{K} F_d at {e} is {v} mod {p}^{N + K}")
+                                     f"p^{K} F_d at {e + ue} is {v} mod {p}^{N + K}")
             if v := v // pK % qN:
-                Fd[e] = v
+                Fd.append((e, ue, v))
+                law.setdefault(e, {})[ue] = v
         if Fd:
-            F[d] = Fd
-    law = _Packed(target, ("x", "y"), D).series(
-        {e: v for part in F.values() for e, v in part.items()})
-    return FormalGroupLaw(ring=target, bound=D, F=law)
+            F[d] = kernel.pack(Fd)
+    return FormalGroupLaw(ring=target, bound=D,
+                          F=_raw_series(target, ("x", "y"), D, law))
 
 
 def fgl_honda(p, n, N, D):
@@ -386,7 +383,10 @@ def frobenius_isogeny(G, r=1):
 def bcp_module(G):
     """E^0BC_p = R[[x]]/([p](x)) as the FiniteAlgebra R[x]/(g) on 1, x^1, ...,
     x^(d-1), where [p](x) = unit * g is the Weierstrass factorization."""
-    R = G.ring
-    wf = weierstrass_prepare(n_series(G, residue_char(R)))
+    return _monic_quotient(G.ring, weierstrass_prepare(n_series(G, residue_char(G.ring))))
+
+
+def _monic_quotient(R, wf):
+    """R[x]/(g) for the distinguished factor g of the factorization wf."""
     return FiniteAlgebra.monic_quotient(
         R, "x", tuple(wf.distinguished.coefficient((j,)) for j in range(wf.degree + 1)))

@@ -8,19 +8,21 @@ right, which is how Lubin-Tate style base rings W[u_1..u_{n-1}] are built.
 
 a * b multiplies term by term over every ring.  substitute over Z/p^N, and
 over a PolyTruncRing on Z/p^N, runs on one Kronecker-packed kernel: each
-operand becomes one Python int and a product is one int multiplication.  Its
-raw terms are {x-exponents + u-exponents: int}, the u-exponents of a
-PolyTruncRing being more variables, laid out per product from the operands'
-exponents.  A one-term operand c * x^e * u^f is a shift of the other
-operand's exponents, with no packing.  Every other ring composes through the
-dict loop of a * b, the reference the kernel is tested against.
+homogeneous part of a series, in the variables of the arguments that are not
+monomials, is one Python int, in one layout for the whole composition.  A
+product of two parts is one int multiplication, and each degree of a product
+or of a sum of products is one int, reduced and unpacked once.  The
+u-exponents of a PolyTruncRing are a block inside each x-slot.  A monomial
+argument c * x^e is no part at all: its coefficient scales f's terms and its
+exponents shift them.  Every other ring composes through the dict loop of
+a * b, the reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
+import math
 import sys
 from array import array
 from dataclasses import dataclass
@@ -132,7 +134,12 @@ class TruncSeries:
                            {e: R.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self.check_context(other)
+        R = self.ring
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = R.sub(out[e], c) if e in out else R.neg(c)
+        return TruncSeries(R, self.vars, self.bound, out)
 
     def __mul__(self, other):
         self.check_context(other)
@@ -221,8 +228,7 @@ def substitute(f, gs):
     """Formal composition f(g_1, .., g_k), truncated at the g's bound.
 
     Every g_i must share a context and have zero constant term, so that the
-    composition is finitely computable.  The terms c * prod g_i^{e_i} are
-    streamed into the ring's accumulator and reduced once, at the end.
+    composition is finitely computable.
     """
     gs = list(gs)
     if len(gs) != len(f.vars):
@@ -234,29 +240,87 @@ def substitute(f, gs):
     if not f.ring.same_ring(gs[0].ring):
         raise ContextMismatch("coefficient rings differ")
     ctx = gs[0]
-    R, vars, bound = ctx.ring, ctx.vars, ctx.bound
-    k = _kernel(R, vars, bound) or _SeriesOps(R, vars, bound)
-    # powers of each g_i up to the largest exponent appearing in f
-    max_e = [0] * len(gs)
-    for e in f.terms:
-        for i, n in enumerate(e):
-            max_e[i] = max(max_e[i], n)
+    make = _kernel(ctx.ring, ctx.vars, ctx.bound)
+    return _dict_loop(f, gs) if make is None else _packed_substitute(make, f, gs)
+
+
+def _dict_loop(f, gs):
+    """f(g_1, .., g_k) as sum c * prod g_i^{e_i}, every product by a * b."""
+    R, vars, bound = gs[0].ring, gs[0].vars, gs[0].bound
+    powers = [[None, g] for g in gs]
+    acc = {}
+    for e, c in f.terms.items():
+        term = None
+        for pw, n in zip(powers, e):
+            while len(pw) <= n:
+                pw.append(pw[-1] * pw[1])
+            if n:
+                term = pw[n] if term is None else term * pw[n]
+        for x, v in (term or TruncSeries.one(R, vars, bound)).terms.items():
+            p = R.mul(c, v)
+            acc[x] = R.add(acc[x], p) if x in acc else p
+    return TruncSeries(R, vars, bound, acc)
+
+
+def _packed_substitute(make, f, gs):
+    """f(g_1, .., g_k) on the packed kernel.
+
+    A g_i of one term c * x^m, or of none, is a monomial argument: a term
+    with e_i > 0 takes the factor c^(e_i) into its coefficient and the shift
+    e_i * m into its exponents, or vanishes when g_i = 0.  The other g_i are
+    kept by homogeneous part, with their powers; f's terms are then summed per
+    degree into one int for each shift, and each is unpacked once.
+    """
+    R, vars, bound = gs[0].ring, gs[0].vars, gs[0].bound
+    one = R.one()
+    mono = {i: next(iter(g.terms.items()), None) for i, g in enumerate(gs) if len(g.terms) < 2}
+    general = [i for i in range(len(gs)) if i not in mono]
+    terms = []  # (exponents of the general g_i, coefficient, shift)
+    for e, c in f.terms.items():
+        shift = [0] * len(vars)
+        for i, mc in mono.items():
+            if n := e[i]:
+                if mc is None:
+                    break
+                shift = [s + n * x for s, x in zip(shift, mc[0])]
+                if mc[1] != one:
+                    c = R.mul(c, R.pow(mc[1], n))
+        else:
+            if sum(shift) <= bound and not R.is_zero(c):
+                terms.append((tuple(e[i] for i in general), c, shift))
+    top = [max((t[0][j] for t in terms), default=0) for j in range(len(general))]
+    used = [gs[i] for i, n in zip(general, top) if n]
+    vary = sorted({v for g in used for e in g.terms for v, n in enumerate(e) if n})
+    udeg = (max((_udeg(t[1]) for t in terms), default=0)
+            + sum(n * max(map(_udeg, gs[i].terms.values())) for i, n in zip(general, top)))
+    coeffs = [t[1] for t in terms] + [c for g in used for c in g.terms.values()]
+    k = make(vary, _u_exponents(coeffs), udeg, len(terms))
     powers = []
-    for g, me in zip(gs, max_e):
-        pw = [None, k.raw(g)]
-        for _ in range(me - 1):
-            pw.append(k.mul(pw[-1], pw[1]))
-        powers.append(pw)
+    for i, n in zip(general, top):
+        powers.append([None, k.parts(gs[i])] if n else [])
+        for _ in range(n - 1):
+            powers[-1].append(k.mul(powers[-1][-1], powers[-1][1]))
+    prods = {(0,) * len(general): {0: 1}}
 
-    def scaled_terms():
-        for e, c in f.terms.items():
-            term = None
-            for pw, n in zip(powers, e):
-                if n:
-                    term = pw[n] if term is None else k.mul(term, pw[n])
-            yield c, (k.one() if term is None else term)
+    def product(ns):
+        if ns not in prods:
+            j = max(j for j, n in enumerate(ns) if n)
+            rest = ns[:j] + (0,) + ns[j + 1:]
+            pw = powers[j][ns[j]]
+            prods[ns] = pw if not any(rest) else k.mul(product(rest), pw)
+        return prods[ns]
 
-    return k.sum_scaled(scaled_terms(), f, gs)
+    acc = {}
+    for ns, c, shift in terms:
+        base = tuple(0 if v in vary else s for v, s in enumerate(shift))
+        dv = sum(shift) - sum(base)
+        room = bound - sum(shift)
+        c, bits = k.coefficient(c), k.bits(shift)
+        for d, x in product(ns).items():
+            if d <= room:
+                key = base, d + dv
+                acc[key] = acc.get(key, 0) + (c * x << bits)
+    return k.series(acc)
 
 
 def reversion(f):
@@ -394,6 +458,9 @@ class PolyTruncRing(Ring):
     def neg(self, a):
         return -a
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
 
@@ -439,297 +506,228 @@ class PolyTruncRing(Ring):
 
 
 # ---------------------------------------------------------------------------
-# Kronecker-packed kernel over Z/p^N and (Z/p^N)[u]
+# Kronecker-packed kernel over Z/p^N and (Z/p^N)[u], by homogeneous degree
 #
-# A raw series is {x-exponents + u-exponents: int in [1, p^N)}, one term per
-# monomial in the x's and the u's; over Z/p^N the u-part is empty.  A product
-# packs each operand into one int, so that one int multiplication gives the
-# product series.  Two _Layouts built from the operands' exponents index the
-# x-part and the u-part; both indices are affine in the exponents, so a
-# product's index is the sum of its factors'.  Each x-slot is a block of S
-# u-slots, and S exceeds the sum of the operands' u-index spans, so no u-part
-# reaches the next block.  A u-part past the u-bound U indexes past the
-# u-layout and is dropped on unpack.  A slot holds a sum of at most min(terms
-# of A, terms of B) products of values below p^N, so it needs
-# 2 * bits(p^N - 1) + bits(that count) + 1 bits.
+# A series is {d: int}, one int per homogeneous part in the varying variables
+# (those of the non-monomial arguments; x and y in a law).  A term sits at slot
+# head * S + j: its head is its exponents of the varying variables but the
+# last, digits in radix D+1, and j indexes its u-monomial.  Both are sums over
+# the exponents and a product's degree is at most D, so no digit carries: the
+# product of two parts is one int multiplication, in the same layout, and a
+# degree of a product or of a sum of products is one int, reduced mod p^N, cut
+# at the u-bound and unpacked once.  The u-index of e, over the u-variables
+# that occur, is w.e + |e| * T, with weights w under which the sums of H of
+# them differ (_u_monomials) and T above every such sum.  So each u-monomial
+# of degree <= H has its own index below usize = (H+1) * T, one of degree
+# above H lands at or above it and is cut, and S = 2 * usize - 1 holds a
+# product of two kept u-parts.  H is U, or less where no operand reaches U.
 
-# slot widths read and written in C through array / memoryview.cast
-_WORD = ({array(t).itemsize: t for t in "QLIHB"} if sys.byteorder == "little" else {})
+# (bytes, array code) of the smallest C word of at least wb <= 8 bytes: slots
+# are read and written in C through array / memoryview.cast, a word at a time
+_WORD = ({wb: min((array(t).itemsize, t) for t in "QLIHB" if array(t).itemsize >= wb)
+          for wb in range(1, 9)} if sys.byteorder == "little" else {})
 
 
 def _kernel(ring, vars, bound):
-    """The packed kernel for series over ``ring``, or None for the dict loop."""
+    """A maker of packed layouts for series over ``ring``, or None for the dict loop."""
     W = ring.base if isinstance(ring, PolyTruncRing) else ring
     if isinstance(W, WittCoefRing) and W.f == 1:
-        return _Packed(ring, vars, bound)
+        return functools.partial(_Packed, ring, vars, bound)
     return None
 
 
-def _slot_bytes(bits):
-    """Bytes per slot: the smallest C word that holds ``bits``, else whole bytes."""
-    for wb in (1, 2, 4, 8):
-        if 8 * wb >= bits and wb in _WORD:
-            return wb
-    return (bits + 7) // 8
+def _udeg(c):
+    """The largest u-degree of a coefficient; 0 over Z/p^N."""
+    return max(map(sum, c.terms), default=0) if isinstance(c, TruncSeries) else 0
+
+
+def _u_exponents(coeffs):
+    """The u-exponents of every term of the coefficients; none over Z/p^N."""
+    return [ue for c in coeffs if isinstance(c, TruncSeries) for ue in c.terms]
 
 
 def _to_int(vals, wb):
     """The int whose wb-byte little-endian slots hold ``vals``."""
-    code = _WORD.get(wb)
-    data = (array(code, vals).tobytes() if code
-            else b"".join(v.to_bytes(wb, "little") for v in vals))
+    if wb not in _WORD:
+        return int.from_bytes(b"".join(v.to_bytes(wb, "little") for v in vals), "little")
+    w, code = _WORD[wb]
+    data = words = array(code, vals).tobytes()
+    if w != wb:  # the low wb bytes of each word
+        data = bytearray(wb * len(vals))
+        for i in range(wb):
+            data[i::wb] = words[i::w]
     return int.from_bytes(data, "little")
 
 
-def _slot_values(x, wb, count):
-    """The wb-byte slots of the nonnegative int x, the first ``count`` at most."""
-    n = (x.bit_length() + 8 * wb - 1) // (8 * wb) * wb
-    buf = x.to_bytes(n, "little")[:count * wb]
-    code = _WORD.get(wb)
-    if code:
-        return memoryview(buf).cast(code).tolist()
-    return [int.from_bytes(buf[o:o + wb], "little") for o in range(0, len(buf), wb)]
+def _slot_values(x, wb):
+    """The wb-byte slots of the nonnegative int x."""
+    buf = x.to_bytes(-(-x.bit_length() // (8 * wb)) * wb, "little")
+    if wb not in _WORD:
+        return [int.from_bytes(buf[o:o + wb], "little") for o in range(0, len(buf), wb)]
+    w, code = _WORD[wb]
+    if w != wb:  # each slot widened to a word
+        buf, narrow = bytearray(len(buf) // wb * w), buf
+        for i in range(wb):
+            buf[i::w] = narrow[i::wb]
+    return memoryview(buf).cast(code).tolist()
 
 
-def _dot(e, w):
-    return sum(map(operator.mul, e, w))
+def _apart(top, x, H):
+    """top, {w.e: e} over the monomials of degree H, with a variable of weight x
+    more; None if two of its monomials then share their sum."""
+    sums = set(top)
+    for n in range(1, H + 1):
+        for s, e in top.items():
+            if e[0] >= n:
+                if s + n * x in sums:
+                    return None
+                sums.add(s + n * x)
+    return {s + n * x: (e[0] - n,) + e[1:] + (n,)
+            for n in range(H + 1) for s, e in top.items() if e[0] >= n}
 
 
-_DOTS_CHAIN = 64
-
-
-def _dots(cols, w):
-    """_dot(e, w) for every term e, read off the terms' columns ``cols``.
-
-    Each column nests one lazy map, and a chain one map per column deep
-    overflowed the C stack at 10^5 variables; the running sums are therefore
-    materialised every _DOTS_CHAIN columns."""
-    dots = map(operator.mul, cols[0], itertools.repeat(w[0]))
-    for i, (col, x) in enumerate(zip(cols[1:], w[1:]), 1):
-        dots = map(operator.add, dots, map(operator.mul, col, itertools.repeat(x)))
-        if i % _DOTS_CHAIN == 0:
-            dots = list(dots)
-    return list(dots)
-
-
-class _Layout:
-    """Slot indices of the monomials a product keeps.
-
-    Every monomial e of the product has e >= emin; the kept ones also have
-    e <= emax and lo <= |e| <= hi.  Every varying variable but the last is a
-    mixed-radix digit e_i - emin_i, and |e| - lo is the top digit, so
-    each kept monomial has its own index below ``size`` and each dropped one
-    (|e| > hi) lands at or above it.  The index is _dot(e, w) - origin.
-    """
-
-    def __init__(self, lo, hi, emin, emax):
-        var = [i for i, (a, b) in enumerate(zip(emin, emax)) if a < min(b, hi)]
-        self.lo, self.emin = lo, emin
-        self.last = var[-1] if var else None
-        self.heads = []  # (variable, radix), lowest digit first
-        w = [0] * len(emin)
-        place = 1
-        for i in var[:-1]:
-            radix = min(emax[i], hi) - emin[i] + 1
-            self.heads.append((i, radix))
-            w[i] = place
-            place *= radix
-        self.top = place
-        self.w = [x + place for x in w]
-        self.origin = _dot(emin, w) + lo * place
-        self.size = (hi - lo + 1) * place
-        self.fixed = sum(emin) - (emin[self.last] if var else 0)
-        self.hi = hi
-
-    def reach(self, emin, emax):
-        """Bounds on _dot(e, w) over emin <= e <= emax with |e| <= hi."""
-        return (_dot(emin, self.w),
-                _dot(emax, self.w) - max(0, sum(emax) - self.hi) * self.top)
-
-    def exponent(self, x):
-        """The monomial at index x < size."""
-        t, r = divmod(x, self.top)
-        e = list(self.emin)
-        s = self.fixed
-        for i, radix in self.heads:
-            r, d = divmod(r, radix)
-            e[i] += d
-            s += d
-        if self.last is not None:
-            e[self.last] = self.lo + t - s
-        return tuple(e)
-
-
-class _SeriesOps:
-    """Any other ring: TruncSeries multiplied by the reference dict loop."""
-
-    def __init__(self, ring, vars, bound):
-        self.ring, self.vars, self.bound = ring, vars, bound
-
-    def raw(self, s):
-        return s
-
-    def one(self):
-        return TruncSeries.one(self.ring, self.vars, self.bound)
-
-    def mul(self, a, b):
-        return a * b
-
-    def sum_scaled(self, pairs, f, gs):
-        """sum c * term over (coefficient, term) pairs, as a series."""
-        R = self.ring
-        acc = {}
-        for c, term in pairs:
-            for e, v in term.terms.items():
-                p = R.mul(c, v)
-                acc[e] = R.add(acc[e], p) if e in acc else p
-        return TruncSeries(R, self.vars, self.bound, acc)
+@functools.cache
+def _u_monomials(a, H):
+    """Weights of a variables, w_0 = 0 and each next the least that keeps the
+    sums of exactly H of them (with repeats) apart, and {w.e + |e| T: e} over
+    every monomial e of degree <= H.  Padded with w_0, a monomial of degree
+    t <= H has the sum of one of degree H, so these sums differ too."""
+    if not a:
+        return (), 1, {0: ()}
+    w, top = [0], {0: (H,)}
+    for _ in range(a - 1):
+        x = w[-1] + 1
+        while (new := _apart(top, x, H)) is None:
+            x += 1
+        w.append(x)
+        top = new
+    T = H * w[-1] + 1
+    index = {s + t * T: (e[0] - H + t,) + e[1:]
+             for s, e in top.items() for t in range(H - e[0], H + 1)}
+    return tuple(w), T, index
 
 
 class _Packed:
-    """Series over Z/p^N or (Z/p^N)[u] as raw terms {x + u exponents: int in [1, p^N)}."""
+    """Homogeneous parts over Z/p^N or (Z/p^N)[u] in the variables ``vary``, the
+    u-variables of ``ues`` and u-degrees <= udeg; a slot sums at most
+    max(2 * #monomials, nterms) products of two parts."""
 
-    def __init__(self, ring, vars, bound):
+    def __init__(self, ring, vars, bound, vary, ues, udeg, nterms):
         self.ring, self.vars, self.bound = ring, vars, bound
-        poly = isinstance(ring, PolyTruncRing)
-        self.W = ring.base if poly else ring
+        self.poly = isinstance(ring, PolyTruncRing)
+        self.W = ring.base if self.poly else ring
         self.q = self.W.modulus
-        self.k = len(vars)
-        self.uvars = ring.vars if poly else ()
-        self.ubound = ring.ubound if poly else 0
+        self.vary = list(vary)
+        cols = sorted({i for ue in ues if any(ue) for i, n in enumerate(ue) if n})
+        H = min(ring.ubound, udeg) if cols else 0
+        w, T, index = _u_monomials(len(cols), H)
+        ue, self.umono = [0] * len(ring.vars) if self.poly else [], {}
+        for j, e in index.items():  # e over cols; every other u-exponent stays 0
+            for i, n in zip(cols, e):
+                ue[i] = n
+            self.umono[j] = tuple(ue)
+        self.ucols = list(zip(cols, (x + T for x in w)))
+        self.usize = (H + 1) * T
+        self.S = 2 * self.usize - 1
+        self.radix = bound + 1
+        self.heads = [(v, self.radix ** i * self.S) for i, v in enumerate(self.vary[:-1])]
+        count = max(2 * math.comb(bound + len(self.vary), len(self.vary)), nterms) * len(index)
+        self.wb = (2 * (self.q - 1).bit_length() + count.bit_length() + 8) // 8
+        # over Z/2^N a part reduces by one AND: 2^N - 1 in each head's kept slots
+        self.block = self.W.p == 2 and _to_int([self.q - 1] * self.usize + [0] * (
+            self.usize - 1), self.wb).to_bytes(self.S * self.wb, "little")
+        self.mask = 0
 
-    def raw(self, s):
-        if not self.uvars:
-            return {e: c.coeffs[0] for e, c in s.terms.items()}
-        return {e + ue: v.coeffs[0] for e, c in s.terms.items() for ue, v in c.terms.items()}
+    def slot(self, e, ue):
+        """The slot of x^e u^ue in its homogeneous part."""
+        return (sum(e[v] * w for v, w in self.heads)
+                + sum(ue[i] * w for i, w in self.ucols))
 
-    def series(self, raw):
-        W, k, make = self.W, self.k, TruncSeries._make
-        if not self.uvars:
-            return make(W, self.vars, self.bound, {e: W.reduced((v,)) for e, v in raw.items()})
-        coeffs = {}
-        for e, v in raw.items():
-            x = e[:k]
-            c = coeffs.get(x)
-            if c is None:
-                c = coeffs[x] = {}
-            c[e[k:]] = W.reduced((v,))
-        return make(self.ring, self.vars, self.bound,
-                    {x: make(W, self.uvars, self.ubound, c) for x, c in coeffs.items()})
+    def bits(self, e):
+        """The bit shift that multiplies a part by x^e, e in the varying variables."""
+        return 8 * self.wb * sum(e[v] * w for v, w in self.heads)
 
-    def one(self):
-        return {(0,) * (self.k + len(self.uvars)): 1}
+    def pack(self, terms):
+        """The int of one homogeneous part, from (exponents, u-exponents, value < p^N)."""
+        at = {self.slot(e, ue): v for e, ue, v in terms}
+        return _to_int([at.get(i, 0) for i in range(max(at, default=0) + 1)], self.wb)
+
+    def coefficient(self, c):
+        """A coefficient as an int of degree 0."""
+        if not self.poly:
+            return c.coeffs[0]
+        return self.pack(((0,) * len(self.vars), ue, v.coeffs[0]) for ue, v in c.terms.items())
+
+    def parts(self, s):
+        """The homogeneous parts of a series in the varying variables."""
+        by = {}
+        for e, c in s.terms.items():
+            for ue, v in c.terms.items() if self.poly else [((), c)]:
+                by.setdefault(sum(e), []).append((e, ue, v.coeffs[0]))
+        return {d: self.pack(ts) for d, ts in by.items()}
+
+    def part(self, A, B, d):
+        """Degree d of A * B, reduced and cut; A is B for a square."""
+        x = 0
+        for a, pa in A.items():
+            pb = B.get(d - a)
+            if pb is not None and (A is not B or 2 * a <= d):
+                x += pa * pb << (A is B and 2 * a < d)
+        if self.block:  # over Z/2^N: one AND
+            if x.bit_length() > self.mask.bit_length():
+                self.mask = int.from_bytes(
+                    self.block * (2 * x.bit_length() // (8 * len(self.block)) + 1), "little")
+            return x & self.mask
+        n, S = self.usize, self.S  # u-indices from usize on are cut
+        return _to_int([v % self.q if i % S < n else 0
+                        for i, v in enumerate(_slot_values(x, self.wb))], self.wb)
 
     def mul(self, A, B):
-        """Raw product of raw terms, truncated at both bounds and reduced mod p^N.
-
-        A one-term operand c * x^e * u^f is a shift of the other by (e, f),
-        scaled by c, with no pack and no unpack."""
-        if not A or not B:
-            return {}
-        if len(A) == 1 or len(B) == 1:
-            one, other = (A, B) if len(A) == 1 else (B, A)
-            (e1, c), = one.items()
-            return self._shift(other, e1, c)
-        k, U = self.k, self.ubound
-        cols_a, cols_b = list(zip(*A)), list(zip(*B))
-        min_a, max_a = list(map(min, cols_a)), list(map(max, cols_a))
-        min_b, max_b = list(map(min, cols_b)), list(map(max, cols_b))
-        emin = list(map(operator.add, min_a[:k], min_b[:k]))
-        emax = list(map(operator.add, max_a[:k], max_b[:k]))
-        x = _Layout(sum(emin), min(self.bound, sum(emax)), emin, emax)
-        if x.size <= 0:
-            return {}
-        # u-digits count from 0, so every operand's u-part has its own index
-        u = _Layout(0, U, [0] * (len(min_a) - k),
-                    list(map(operator.add, max_a[k:], max_b[k:])))
-        lu_a, hu_a = u.reach(min_a[k:], max_a[k:])
-        lu_b, hu_b = u.reach(min_b[k:], max_b[k:])
-        S = hu_a - lu_a + hu_b - lu_b + 1
-        w = [wx * S for wx in x.w] + u.w
-        pos_a, pos_b = _dots(cols_a, w), _dots(cols_b, w)
-        low_a, low_b = min(pos_a), min(pos_b)
-        # product slot p holds x-index X - x.origin and u-index j + LU, where
-        # (X, j) = divmod(p + c0, S)
-        LU = lu_a + lu_b
-        c0 = low_a + low_b - LU
-        n = (x.origin + x.size) * S - c0
-        if n <= 0:
-            return {}
-        wb = _slot_bytes(2 * (self.q - 1).bit_length() + min(len(A), len(B)).bit_length() + 1)
-        prod = self._pack(A, pos_a, low_a, wb) * self._pack(B, pos_b, low_b, wb)
-        vals = _slot_values(prod, wb, n)
-        q, xo, usize = self.q, x.origin, u.size
-        x_at, u_at = x.exponent, functools.cache(u.exponent)
+        """A * B by homogeneous part."""
         out = {}
+        for d in sorted({a + b for a in A for b in B if a + b <= self.bound}):
+            if x := self.part(A, B, d):
+                out[d] = x
+        return out
+
+    def terms(self, x, d, base):
+        """(exponents, u-exponents, value) of the nonzero kept slots of x, a
+        degree-d part times the monomial base in the other variables."""
+        q, S, umono, vary, radix = self.q, self.S, self.umono, self.vary, self.radix
+        vals = _slot_values(x, self.wb)
         here = None
         for p in itertools.compress(range(len(vals)), vals):
-            v = vals[p] % q
-            if v:
-                X, j = divmod(p + c0, S)
-                j += LU
-                if j < usize:
-                    if X != here:
-                        here, ex = X, x_at(X - xo)
-                    out[ex + u_at(j)] = v
-        return out
+            if v := vals[p] % q:
+                h, j = divmod(p, S)
+                ue = umono.get(j)
+                if ue is not None:
+                    if h != here:
+                        here, e, r = h, list(base), d
+                        for i in vary[:-1]:
+                            h, digit = divmod(h, radix)
+                            e[i] += digit
+                            r -= digit
+                        if vary:
+                            e[vary[-1]] += r
+                        e = tuple(e)
+                    yield e, ue, v
 
-    @staticmethod
-    def _pack(raw, pos, low, wb):
-        vals = [0] * (max(pos) - low + 1)
-        for p, c in zip(pos, raw.values()):
-            vals[p - low] = c
-        return _to_int(vals, wb)
+    def series(self, parts):
+        """The series sum of {(base, d): x} over parts x from ``terms``."""
+        raw = {}
+        for (base, d), x in parts.items():
+            for e, ue, v in self.terms(x, d, base):
+                raw.setdefault(e, {})[ue] = v
+        return _raw_series(self.ring, self.vars, self.bound, raw)
 
-    def _shift(self, raw, e1, c):
-        """raw times c * x^e * u^f, truncated at both bounds; vanishing products drop."""
-        k, q = self.k, self.q
-        room, uroom = self.bound - sum(e1[:k]), self.ubound - sum(e1[k:])
-        within = uroom == self.ubound  # every u-part of raw stays within U
-        out = {}
-        for e, v in raw.items():
-            if sum(e[:k]) <= room and (within or sum(e[k:]) <= uroom):
-                v = v * c % q
-                if v:
-                    out[tuple(map(operator.add, e, e1))] = v
-        return out
 
-    def sum_scaled(self, pairs, f, gs):
-        """sum c * term over (coefficient of f, raw term) pairs, as a series.
-
-        Every term is a product of powers of the gs, so its u-exponents lie in
-        the u-variables of the gs, each at most U.  Over (Z/p^N)[u] one
-        u-layout of the u-variables of f and the gs packs c and each
-        x-coefficient of a term, and their product is one int multiplication;
-        a slot sums at most one product per u-term of f's coefficients."""
-        q, k = self.q, self.k
-        acc = {}
-        get = acc.get
-        if not self.uvars:
-            for c, term in pairs:
-                c = c.coeffs[0]
-                for e, v in term.items():
-                    acc[e] = get(e, 0) + c * v
-            return self.series({e: v for e, a in acc.items() if (v := a % q)})
-        U = self.ubound
-        ues = [ue for s in (f, *gs) for c in s.terms.values() for ue in c.terms]
-        u = _Layout(0, U, [0] * len(self.uvars), [U * any(col) for col in zip(*ues)])
-        count = sum(len(c.terms) for c in f.terms.values())
-        wb = _slot_bytes(2 * (q - 1).bit_length() + count.bit_length() + 1)
-        shifts = [8 * wb * w for w in u.w]
-        for c, term in pairs:
-            if not term:
-                continue
-            cp = sum(v.coeffs[0] << _dot(ue, shifts) for ue, v in c.terms.items())
-            xs = map(operator.getitem, term, itertools.repeat(slice(k)))
-            for x, s, v in zip(xs, _dots(list(zip(*term))[k:], shifts), term.values()):
-                acc[x] = get(x, 0) + (cp * v << s)
-        W, u_at = self.W, functools.cache(u.exponent)
-        out = {}
-        for x, a in acc.items():
-            vals = _slot_values(a, wb, u.size)
-            c = {u_at(j): W.reduced((v,))
-                 for j in itertools.compress(range(len(vals)), vals) if (v := vals[j] % q)}
-            if c:
-                out[x] = TruncSeries._make(W, self.uvars, U, c)
-        return TruncSeries._make(self.ring, self.vars, self.bound, out)
+def _raw_series(ring, vars, bound, raw):
+    """The series of {exponents: {u-exponents: int in [1, p^N)}} over Z/p^N,
+    where the one u-exponent is (), or over a PolyTruncRing on it."""
+    make = TruncSeries._make
+    if not isinstance(ring, PolyTruncRing):
+        return make(ring, vars, bound, {e: ring.reduced((c[()],)) for e, c in raw.items()})
+    W = ring.base
+    return make(ring, vars, bound, {
+        e: make(W, ring.vars, ring.ubound, {ue: W.reduced((v,)) for ue, v in c.items()})
+        for e, c in raw.items()})

@@ -63,6 +63,10 @@ CASES = {
     "fgl-honda-2,3,3,D=60": (["fgl", "--builtin", "honda", "--p", "2", "--n", "3",
                               "--precision", "3", "--degree-bound", "60"], None,
         "24c823abd1a97f394fd35267c04962c4f144a999975b719d11b6ff155322c9aa"),
+    # a dense law: every degree of F has terms
+    "fgl-honda-2,1,3,D=40": (["fgl", "--builtin", "honda", "--p", "2", "--n", "1",
+                              "--precision", "3", "--degree-bound", "40"], None,
+        "f9081562888416bc48c8d3711d7fc06542f2b6dd69cdc55a5dc26b03e7883339"),
     # the twelve criteria, whose mutation and class-change loops skip what
     # their perturbation cannot change
     "selftest": (["selftest"], None,
@@ -119,3 +123,33 @@ def test_comodule_report_under_a_power_of_sigma_is_pinned(can_power, tmp_path, c
     argv = ["congruence", "--comodule-file", str(src), "--json", str(out)]
     assert run(argv) == 1, capsys.readouterr().out
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIGMA_POWER_DIGESTS[can_power]
+
+
+# lubin_tate_deformation(2, 2, 3, 2, 8) with 1 added to its x*y^2 coefficient:
+# not commutative, so associativity composes comm(x, F(y, z)) as well, and the
+# report carries both residuals as witnesses
+NON_COMMUTATIVE_LAW = {
+    "ring": {"poly_over": {"p": 2, "N": 3}, "vars": ["u1"], "ubound": 2}, "D": 8,
+    "F": {"vars": ["x", "y"], "D": 8, "terms": [
+        [[0, 1], [[[0], "1"]]], [[1, 0], [[[0], "1"]]], [[1, 1], [[[1], "7"]]],
+        [[1, 2], [[[0], "1"], [[2], "1"]]], [[1, 3], [[[0], "6"]]], [[1, 4], [[[1], "4"]]],
+        [[1, 5], [[[2], "2"]]], [[1, 6], [[[0], "4"]]], [[1, 7], [[[1], "2"]]],
+        [[2, 1], [[[2], "1"]]], [[2, 2], [[[0], "5"]]], [[2, 3], [[[1], "3"]]],
+        [[2, 4], [[[2], "4"]]], [[2, 5], [[[0], "2"]]], [[2, 6], [[[1], "7"]]],
+        [[3, 1], [[[0], "6"]]], [[3, 2], [[[1], "3"]]], [[3, 3], [[[2], "5"]]],
+        [[3, 4], [[[0], "2"]]], [[3, 5], [[[1], "6"]]], [[4, 1], [[[1], "4"]]],
+        [[4, 2], [[[2], "4"]]], [[4, 3], [[[0], "2"]]], [[4, 4], [[[1], "2"]]],
+        [[5, 1], [[[2], "2"]]], [[5, 2], [[[0], "2"]]], [[5, 3], [[[1], "6"]]],
+        [[6, 1], [[[0], "4"]]], [[6, 2], [[[1], "7"]]], [[7, 1], [[[1], "2"]]]]}}
+NON_COMMUTATIVE_DIGEST = "c3af4fa318f483195029b77249b361a24df8e034cdaa1e536f39b47ee5bedd81"
+
+
+def test_non_commutative_law_report_is_pinned(tmp_path, capsys):
+    src = tmp_path / "law.json"
+    src.write_text(json.dumps(NON_COMMUTATIVE_LAW))
+    out = tmp_path / "report.json"
+    assert run(["fgl", "--file", str(src), "--json", str(out)]) == 1, capsys.readouterr().out
+    failed = [c["name"] for c in json.loads(out.read_bytes())["report"]["checks"]
+              if not c["passed"]]
+    assert failed == ["axiom:associativity", "axiom:commutativity", "height_detected"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NON_COMMUTATIVE_DIGEST

@@ -219,7 +219,8 @@ def test_negative_power_raises():
 # Z/5^30 needs slots wider than a machine word
 KERNEL_RINGS = [Z8, WittCoefRing(3, 4), PolyTruncRing(Z8, ("u1",), 4),
                 PolyTruncRing(Z8, ("u1", "u2"), 2), WittCoefRing(5, 30),
-                PolyTruncRing(Z8, tuple(f"u{i}" for i in range(1, 7)), 2)]
+                PolyTruncRing(Z8, tuple(f"u{i}" for i in range(1, 7)), 2),
+                PolyTruncRing(WittCoefRing(3, 2), tuple(f"u{i}" for i in range(1, 17)), 2)]
 VARS = ("x", "y", "z")
 
 
@@ -229,10 +230,14 @@ def dict_loop():
 
 
 def packed_mul(a, b):
-    """a * b on the packed kernel, whatever the operand sizes."""
-    k = series._kernel(a.ring, a.vars, a.bound)
-    assert k is not None
-    return k.series(k.mul(k.raw(a), k.raw(b)))
+    """a * b on the packed kernel: the per-degree product of the two series' parts."""
+    make = series._kernel(a.ring, a.vars, a.bound)
+    assert make is not None
+    U = a.ring.ubound if isinstance(a.ring, PolyTruncRing) else 0
+    k = make(range(len(a.vars)), series._u_exponents([*a.terms.values(), *b.terms.values()]),
+             U, 1)
+    parts = k.mul(k.parts(a), k.parts(b))
+    return k.series({((0,) * len(a.vars), d): x for d, x in parts.items()})
 
 
 def exponents(n, bound):
@@ -286,6 +291,85 @@ def test_packed_substitute_matches_dict_loop(data):
     with dict_loop():
         ref = substitute(f, gs)
     assert substitute(f, gs) == ref
+
+
+def _part(s, d):
+    """The homogeneous part of degree d of s."""
+    return TruncSeries(s.ring, s.vars, s.bound, {e: c for e, c in s.terms.items() if sum(e) == d})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_per_degree_product_and_sum_match_the_per_pair_dict_loop(data):
+    # one int per homogeneous part: degree d of a * b, of a * a (each pair once,
+    # doubled), and of sum c_i * a_i * b_i, each summed and unpacked once
+    R = data.draw(st.sampled_from(KERNEL_RINGS))
+    vars = VARS[:data.draw(st.integers(1, 3))]
+    D = data.draw(st.integers(0, 12))
+    n = data.draw(st.integers(1, 3))
+    pairs = [(data.draw(series_over(R, vars, D)), data.draw(series_over(R, vars, D)))
+             for _ in range(n)]
+    cs = [data.draw(coefficients(R)) for _ in range(n)]
+    U = R.ubound if isinstance(R, PolyTruncRing) else 0
+    ues = series._u_exponents([*cs, *(c for ab in pairs for s in ab for c in s.terms.values())])
+    k = series._kernel(R, vars, D)(range(len(vars)), ues, U, n)
+    (a, b), parts = pairs[0], [(k.parts(a), k.parts(b)) for a, b in pairs]
+    A, B = parts[0]
+    zero = (0,) * len(vars)
+    with dict_loop():
+        ab, aa = a * b, a * a
+        total = TruncSeries.zero(R, vars, D)
+        for c, (x, y) in zip(cs, pairs):
+            total = total + (x * y).scalar(c)
+    for d in range(D + 1):
+        assert k.series({(zero, d): k.part(A, B, d)}) == _part(ab, d)
+        assert k.series({(zero, d): k.part(A, A, d)}) == _part(aa, d)
+        acc = sum(k.coefficient(c) * k.part(X, Y, d) for c, (X, Y) in zip(cs, parts))
+        assert k.series({(zero, d): acc}) == _part(total, d)
+
+
+@st.composite
+def monomial_over(draw, R, vars, bound):
+    """c * x^e, e nonzero; the zero series when c is drawn 0."""
+    e = draw(exponents(len(vars), bound).filter(any))
+    return TruncSeries(R, vars, bound, {e: draw(coefficients(R))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_substitute_shapes_match_dict_loop(data):
+    # one general argument with a monomial, a zero series or another general
+    # one (the FglHom shape), in 2 or 3 varying variables; and f in one variable
+    R = data.draw(st.sampled_from(KERNEL_RINGS))
+    vars = VARS[:data.draw(st.integers(2, 3))]
+    D = data.draw(st.integers(1, 12))
+    general = series_over(R, vars, D, constant=False, max_terms=12)
+    other = data.draw(st.sampled_from([monomial_over(R, vars, D), general,
+                                       st.just(TruncSeries.zero(R, vars, D)), None]))
+    gs = [data.draw(general)] + ([] if other is None else [data.draw(other)])
+    gs = data.draw(st.permutations(gs))
+    f = data.draw(series_over(R, ("s", "t")[:len(gs)], data.draw(st.integers(0, 8)),
+                              max_terms=10))
+    with dict_loop():
+        ref = substitute(f, gs)
+    assert substitute(f, gs) == ref
+
+
+@pytest.mark.parametrize("R", KERNEL_RINGS, ids=repr)
+@pytest.mark.parametrize("shift", ["x", "z"])
+def test_substitute_into_three_varying_variables(R, shift):
+    # g in x, y and z packs with two head digits; the monomial x shifts a part's
+    # heads, the monomial z only its degree
+    D = 6
+    g = _dense(R, VARS, D, lambda e: R.from_int(sum(e) + e[0] + 2 * e[2]))
+    m = TruncSeries.var(R, VARS, D, shift)
+    f = _dense(R, ("s", "t"), D, lambda e: R.from_int(e[0] + 2 * e[1] + 1))
+    with mock.patch.object(series._Packed, "__init__", autospec=True,
+                           side_effect=series._Packed.__init__) as init:
+        got = substitute(f, [g, m])
+    assert list(init.call_args.args[4]) == [0, 1, 2]
+    with dict_loop():
+        assert got == substitute(f, [g, m])
 
 
 def _dense(R, vars, bound, coeff):
@@ -345,12 +429,27 @@ def test_packed_kernel_drops_inner_degree_beyond_u_bound():
     assert packed_mul(high, high).is_zero()
 
 
+@pytest.mark.parametrize("L", [PolyTruncRing(Z8, ("u1", "u2"), 2),
+                               PolyTruncRing(WittCoefRing(3, 2), ("u1", "u2"), 2)], ids=repr)
+def test_powers_past_the_u_bound_are_cut_before_the_next_product(L):
+    # g^2 reaches u-degree 4; left in its part, g^3 = g^2 * g would reach past
+    # the u-block of its head into the next one
+    u1, u2 = L.var("u1"), L.var("u2")
+    top = [L.mul(u1, u1), L.mul(u1, u2), L.mul(u2, u2)]
+    g = _dense(L, ("x", "y"), 8, lambda e: L.add(top[sum(e) % 3], L.from_int(e[0])))
+    f = _dense(L, ("s",), 8, lambda e: L.one())
+    with dict_loop():
+        ref = substitute(f, [g])
+    assert substitute(f, [g]) == ref
+
+
 # ---------------------------------------------------------------------------
-# one-term operands: shifts on the kernel, checked against the dict loop
+# one-term operands: products on the kernel, and shifts as arguments of substitute
 
 def _packs():
-    """Spy on the kernel's packing of an operand, which a shift never reaches."""
-    return mock.patch.object(series, "_to_int", wraps=series._to_int)
+    """Spy on the series the kernel packs into homogeneous parts."""
+    return mock.patch.object(series._Packed, "parts", autospec=True,
+                             side_effect=series._Packed.parts)
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,51 +467,64 @@ def test_one_term_products_match_dict_loop(data):
         assert packed_mul(a, b) == ref
 
 
+def _compose_with(f, gs):
+    """substitute(f, gs) and the dict loop's, with every series the kernel packed."""
+    with dict_loop():
+        ref = substitute(f, gs)
+    with _packs() as pack:
+        got = substitute(f, gs)
+    assert got == ref
+    return got, [call.args[1] for call in pack.call_args_list]
+
+
 @pytest.mark.parametrize("R", KERNEL_RINGS, ids=repr)
 def test_one_term_scalar_operand_is_a_shift(R):
+    # an argument c * x^e of substitute scales f's terms by powers of c and
+    # shifts their exponents; only the other arguments are packed
     D = 6
     base = R.base if isinstance(R, PolyTruncRing) else R
     p, q = base.p, base.modulus
     unit = R.add(R.one(), R.var(R.vars[0])) if isinstance(R, PolyTruncRing) else R.one()
     other = _dense(R, VARS, D, lambda e: R.mul(R.from_int(p * (sum(e) + 1)), unit))
     zero = TruncSeries.zero(R, VARS, D)
+    f = TruncSeries(R, ("s", "t"), D, {(1, 1): R.one(), (2, 1): R.from_int(3),
+                                      (0, 2): R.one()})
+    st_ = TruncSeries(R, ("s", "t"), D, {(1, 1): R.one()})
 
     def mono(e, n):
         return TruncSeries(R, VARS, D, {e: R.from_int(n)})
 
-    # (one-term operand, what the product must be, or None for the dict loop's word)
-    cases = [(mono((0, 0, 0), 1), other),  # coefficient 1 at the unit: the identity
-             (mono((1, 0, 2), 1), None),
+    # (one-term argument, what other * it must be, or None for the dict loop's word)
+    cases = [(mono((1, 0, 2), 1), None),
              (mono((0, 1, 0), 3), None),
              (mono((0, 1, 0), q // p), zero),  # p^(N-1) times multiples of p
              (mono((2, 2, 2), 5), zero)]  # degree D pushes every term past D
     for m, expect in cases:
-        for a, b in ((m, other), (other, m)):
-            with dict_loop():
-                ref = a * b
-            with _packs() as pack:
-                got = packed_mul(a, b)
-            assert got == ref and not pack.called
-            assert expect is None or got == expect
+        for gs in ([other, m], [m, other]):
+            got, packed = _compose_with(f, gs)
+            assert packed and all(s is other for s in packed)
+            prod, _ = _compose_with(st_, gs)
+            assert expect is None or prod == expect
+    # both arguments one-term: nothing is packed but the sum of f's coefficients
+    got, packed = _compose_with(f, [mono((1, 0, 0), 1), mono((0, 0, 1), 3)])
+    assert packed == [] and got.coefficient((1, 0, 1)) == R.from_int(3)
 
 
 @pytest.mark.parametrize("L", [R for R in KERNEL_RINGS if isinstance(R, PolyTruncRing)],
                          ids=repr)
-def test_one_term_operand_in_u_takes_the_packed_path(L):
-    # (u1^U + 1) * y^2 is one x-term but two raw terms, so it packs; u1^U * x is
-    # one raw term, a shift
+def test_one_term_operand_in_u_is_a_shift(L):
+    # (u1^U + 1) * y^2 is one x-term with two u-terms, and u1^U * x one term
+    # with one: both are monomial arguments, never packed
     U = L.ubound
     u1 = L.var("u1")
     top = L.pow(u1, U)
     b = _dense(L, ("x", "y"), 5, lambda e: L.add(u1, L.from_int(e[0] + 1)))
-    for m, packs in ((TruncSeries(L, ("x", "y"), 5, {(1, 0): top}), False),
-                     (TruncSeries(L, ("x", "y"), 5, {(0, 2): L.add(top, L.one())}), True)):
-        for x, y in ((m, b), (b, m)):
-            with dict_loop():
-                ref = x * y
-            with _packs() as pack:
-                got = packed_mul(x, y)
-            assert got == ref and pack.called == packs
+    f = TruncSeries(L, ("s", "t"), 5, {(1, 1): L.one(), (1, 2): u1})
+    for m in (TruncSeries(L, ("x", "y"), 5, {(1, 0): top}),
+              TruncSeries(L, ("x", "y"), 5, {(0, 2): L.add(top, L.one())})):
+        for gs in ([m, b], [b, m]):
+            got, packed = _compose_with(f, gs)
+            assert all(s is b for s in packed)
             # u1^U * u1 has u-degree U + 1 and is dropped
             assert all(sum(ue) <= U for c in got.terms.values() for ue in c.terms)
             assert any(sum(ue) == U for c in got.terms.values() for ue in c.terms)
