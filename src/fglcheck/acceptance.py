@@ -8,6 +8,7 @@ CLI (`fglcheck selftest`).  All sampling is seeded; everything else is exact.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -16,8 +17,8 @@ from . import graded2, weights
 from .exact_arith import WittCoefRing
 from .linalg import Mat
 from .report import CheckResult, CongruenceReport
-from .series import weierstrass_prepare
-from .theta_congruence import (FrobeniusClassSpec, L1Data, PolyRing, PolyShape,
+from .series import PolyTruncRing, weierstrass_prepare
+from .theta_congruence import (FrobeniusClassSpec, L1Data, PolyShape,
                                PsiRingPresentation,
                                congruence_stability_under_class_change,
                                derive_theta, frobenius_congruence_comodule,
@@ -306,7 +307,7 @@ def criterion_8_gamma_congruence():
 def criterion_9_frobenius_congruence():
     """The section-9 comodule congruence on F_2[y]."""
     F2 = WittCoefRing(2, 1)
-    B = PolyRing(F2, ("y",))
+    B = PolyTruncRing(F2, ("y",), math.inf)
     l1 = L1Data(W=WittCoefRing(2, 3))
     good = frobenius_congruence_comodule(
         l1, B, {"y": [(l1.W.one(), {(2,): F2.one()})]}, seed=SEED)

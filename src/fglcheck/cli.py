@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -23,9 +24,9 @@ from .exact_arith import (MalformedData, WittCoefRing, is_prime, json_names, jso
                           ring_from_descriptor)
 from .linalg import Mat
 from .report import CheckResult, CongruenceReport
-from .theta_congruence import (FrobeniusClassSpec, L1Data, PolyRing,
-                               PsiRingPresentation, derive_theta,
-                               frobenius_congruence_comodule,
+from .series import PolyTruncRing
+from .theta_congruence import (FrobeniusClassSpec, L1Data, PsiRingPresentation,
+                               derive_theta, frobenius_congruence_comodule,
                                gamma_congruence_check, theta_consistency,
                                verify_weight_p_squares, wilkerson_check)
 from .twisted_bialgebra import (TwistedBialgebra, dualize, height1_gamma,
@@ -198,7 +199,7 @@ def cmd_congruence(args):
         raw = json_typed(_load_json(args.comodule_file), dict, "comodule data")
         digest_src.append(json.dumps(raw, sort_keys=True))
         base = ring_from_descriptor(raw["base"])
-        A = PolyRing(base, json_names(raw["vars"], "vars"))
+        A = PolyTruncRing(base, json_names(raw["vars"], "vars"), math.inf)
         l1raw = json_typed(raw["l1"], dict, "l1")
         l1W = ring_from_descriptor(l1raw["ring"])
         l1 = L1Data(W=l1W, can_power=json_typed(l1raw.get("can_power", 0), int,

@@ -239,6 +239,9 @@ class Ring:
     def decode(self, s):
         raise NotImplementedError
 
+    def repr_elem(self, a):
+        return repr(a)
+
     def same_ring(self, other):
         return self is other or (isinstance(other, Ring)
                                  and self.descriptor() == other.descriptor())

@@ -36,7 +36,7 @@ def residue_char(ring):
     """The residue characteristic p of a (possibly polynomial) local ring."""
     base = ring
     while isinstance(base, PolyTruncRing):
-        base = base.base
+        base = base.ring
     return base.p
 
 
@@ -251,8 +251,8 @@ def specialize_deformation(G):
     L = G.ring
     if not isinstance(L, PolyTruncRing):
         return G
-    F = G.F.map_coefficients(lambda c: c.constant_term(), ring=L.base)
-    return FormalGroupLaw(ring=L.base, bound=G.bound, F=F)
+    F = G.F.map_coefficients(L.constant_term, ring=L.ring)
+    return FormalGroupLaw(ring=L.ring, bound=G.bound, F=F)
 
 
 def reduce_to_residue(G):

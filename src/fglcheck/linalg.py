@@ -412,6 +412,8 @@ class FiniteAlgebra(Ring):
         return tuple(R.mul(c, x) for x in a)
 
     def pow(self, a, n):
+        if n < 0:  # there is no inv to go through
+            raise ValueError(f"a finite algebra has no power a^{n} with n < 0")
         out = self.unit
         for _ in range(n):
             out = self.mul(out, a)

@@ -3,8 +3,12 @@
 A TruncSeries stores a sparse map from exponent tuples to nonzero
 coefficients, truncated at a fixed total degree bound D.  Multiplication,
 composition, reversion and Weierstrass preparation are all exact at the
-bound.  PolyTruncRing wraps these series as a coefficient ring in their own
-right, which is how Lubin-Tate style base rings W[u_1..u_{n-1}] are built.
+bound.  PolyTruncRing(ring, vars, ubound) is the one polynomial ring: its
+elements are {exponents: coefficient} dicts, truncated at total degree ubound,
+or not at all at math.inf.  It holds the Lubin-Tate coefficients
+W[u_1..u_{n-1}] and the polynomial psi-rings W[x_1..x_k] of theta_congruence.
+The terms of a series and the elements of the ring are added, subtracted and
+multiplied by the same three routines, sparse_add, sparse_sub and sparse_mul.
 
 a * b multiplies term by term over every ring.  substitute over Z/p^N, and
 over a PolyTruncRing on Z/p^N, runs on one Kronecker-packed kernel: each
@@ -23,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -119,45 +124,23 @@ class TruncSeries:
 
     def __add__(self, other):
         self.check_context(other)
-        R = self.ring
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                out[e] = R.add(out[e], c)
-            else:
-                out[e] = c
-        return TruncSeries(R, self.vars, self.bound, out)
+        return TruncSeries._make(self.ring, self.vars, self.bound,
+                                 sparse_add(self.ring, self.terms, other.terms))
 
     def __neg__(self):
         R = self.ring
-        return TruncSeries(R, self.vars, self.bound,
-                           {e: R.neg(c) for e, c in self.terms.items()})
+        return TruncSeries._make(R, self.vars, self.bound,
+                                 {e: R.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         self.check_context(other)
-        R = self.ring
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = R.sub(out[e], c) if e in out else R.neg(c)
-        return TruncSeries(R, self.vars, self.bound, out)
+        return TruncSeries._make(self.ring, self.vars, self.bound,
+                                 sparse_sub(self.ring, self.terms, other.terms))
 
     def __mul__(self, other):
         self.check_context(other)
-        R = self.ring
-        out = {}
-        b = self.bound
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > b:
-                    continue
-                e = tuple(a + bb for a, bb in zip(e1, e2))
-                p = R.mul(c1, c2)
-                if e in out:
-                    out[e] = R.add(out[e], p)
-                else:
-                    out[e] = p
-        return TruncSeries(R, self.vars, self.bound, out)
+        return TruncSeries._make(self.ring, self.vars, self.bound,
+                                 sparse_mul(self.ring, self.terms, other.terms, self.bound))
 
     def scalar(self, c):
         R = self.ring
@@ -188,7 +171,7 @@ class TruncSeries:
         return sorted(self.terms.items())
 
     def __repr__(self):
-        return terms_repr(self.vars, self.terms)
+        return terms_repr(self.vars, self.terms, self.ring)
 
     # coefficient maps
 
@@ -213,15 +196,64 @@ class TruncSeries:
                            {e: ring.decode(c) for e, c in terms})
 
 
-def terms_repr(vars, terms):
-    """{exponents: coefficient} as c*x^i*y^j + ..., in exponent order; "0" if empty."""
+def terms_repr(vars, terms, ring):
+    """{exponents: coefficient} as c*x^i*y^j + ..., in exponent order, each c
+    printed by ring.repr_elem; "0" if empty."""
     if not terms:
         return "0"
     bits = []
     for e, c in sorted(terms.items()):
         mono = "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip(vars, e) if k)
-        bits.append(f"{c!r}*{mono}" if mono else repr(c))
+        bits.append(f"{ring.repr_elem(c)}*{mono}" if mono else ring.repr_elem(c))
     return " + ".join(bits)
+
+
+# ---------------------------------------------------------------------------
+# sums, differences and products of {exponents: coefficient} dicts over R: a sum
+# that vanishes leaves the dict, the others keep the order that witnesses print
+
+
+def sparse_add(R, a, b):
+    """a + b."""
+    out = dict(a)
+    for e, c in b.items():
+        s = R.add(out[e], c) if e in out else c
+        if R.is_zero(s):
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def sparse_sub(R, a, b):
+    """a - b."""
+    out = dict(a)
+    for e, c in b.items():
+        s = R.sub(out[e], c) if e in out else R.neg(c)
+        if R.is_zero(s):
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def sparse_mul(R, a, b, bound=math.inf):
+    """a * b without the pairs of total degree above bound."""
+    out = {}
+    right = [(e, c, sum(e)) for e, c in b.items()]
+    for e1, c1 in a.items():
+        room = bound - sum(e1)
+        for e2, c2, d2 in right:
+            if d2 > room:
+                continue
+            e = tuple(map(operator.add, e1, e2))
+            m = R.mul(c1, c2)
+            s = R.add(out[e], m) if e in out else m
+            if R.is_zero(s):
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
 
 
 def substitute(f, gs):
@@ -256,10 +288,8 @@ def _dict_loop(f, gs):
                 pw.append(pw[-1] * pw[1])
             if n:
                 term = pw[n] if term is None else term * pw[n]
-        for x, v in (term or TruncSeries.one(R, vars, bound)).terms.items():
-            p = R.mul(c, v)
-            acc[x] = R.add(acc[x], p) if x in acc else p
-    return TruncSeries(R, vars, bound, acc)
+        acc = sparse_add(R, acc, (term or TruncSeries.one(R, vars, bound)).scalar(c).terms)
+    return TruncSeries._make(R, vars, bound, acc)
 
 
 def _packed_substitute(make, f, gs):
@@ -332,7 +362,7 @@ def reversion(f):
         raise NonzeroConstantTerm(0)
     u = f.coefficient((1,))
     if not R.is_unit(u):
-        raise NonUnitLinearCoefficient(f"linear coefficient {u!r} is not a unit")
+        raise NonUnitLinearCoefficient(f"linear coefficient {R.repr_elem(u)} is not a unit")
     uinv = R.inv(u)
     # g(f(x)) = x solved degree by degree; powers of f are reused.
     fpow = [TruncSeries.one(R, f.vars, bound), f]
@@ -355,11 +385,12 @@ def inverse(f):
     R = f.ring
     c0 = f.constant_term()
     if not R.is_unit(c0):
-        raise NonUnitLinearCoefficient(f"constant term {c0!r} is not a unit")
+        raise NonUnitLinearCoefficient(f"constant term {R.repr_elem(c0)} is not a unit")
     one = TruncSeries.one(R, f.vars, f.bound)
     b = TruncSeries.const(R, f.vars, f.bound, R.inv(c0))
     two = one + one
-    for _ in range(max(1, f.bound.bit_length()) + 2):
+    steps = f.bound if f.bound < math.inf else R.chain_length()  # f - c0 is nilpotent
+    for _ in range(max(1, steps.bit_length()) + 2):
         b = b * (two - f * b)
         if f * b == one:
             break
@@ -431,78 +462,134 @@ def weierstrass_prepare(f):
     return WeierstrassFactorization(unit=unit, distinguished=distinguished, degree=d)
 
 
-class PolyTruncRing(Ring):
-    """base[v_1..v_k] truncated at a total degree bound, used as a coefficient ring.
+# seeded sample sizes of PolyTruncRing.rand: terms, and degree in each variable
+SAMPLE_TERMS, SAMPLE_DEGREE = 3, 2
 
-    Local whenever the base is, with maximal ideal (max(base), v_1..v_k);
-    residue passes through the constant term.
+
+class PolyTruncRing(Ring):
+    """ring[v_1..v_k] truncated at a total degree bound ubound, math.inf for
+    none.  Elements are {exponents: nonzero coefficient} dicts, computed by
+    sparse_add, sparse_sub and sparse_mul.
+
+    Local when ubound is finite and the base is, with maximal ideal
+    (max(ring), v_1..v_k); residue passes through the constant term.
     """
 
-    def __init__(self, base, vars, ubound):
-        self.base = base
+    def __init__(self, ring, vars, ubound):
+        if len(set(vars)) != len(vars):
+            raise ValueError(f"polynomial variables {list(vars)} must name each "
+                             f"variable once")
+        self.ring = ring
         self.vars = tuple(vars)
         self.ubound = ubound
 
+    def lowered(self):
+        """The same ring one precision digit down."""
+        return PolyTruncRing(self.ring.lower(), self.vars, self.ubound)
+
     def zero(self):
-        return TruncSeries.zero(self.base, self.vars, self.ubound)
+        return {}
 
     def from_int(self, n):
-        return TruncSeries.const(self.base, self.vars, self.ubound, self.base.from_int(n))
+        c = self.ring.from_int(n)
+        return {} if self.ring.is_zero(c) else {(0,) * len(self.vars): c}
 
     def var(self, name):
-        return TruncSeries.var(self.base, self.vars, self.ubound, name)
+        i = self.vars.index(name)
+        e = tuple(int(j == i) for j in range(len(self.vars)))
+        return {e: self.ring.one()} if self.ubound >= 1 else {}
+
+    def constant_term(self, a):
+        return a.get((0,) * len(self.vars), self.ring.zero())
 
     def add(self, a, b):
-        return a + b
+        return sparse_add(self.ring, a, b)
 
     def neg(self, a):
-        return -a
+        return {e: self.ring.neg(c) for e, c in a.items()}
 
     def sub(self, a, b):
-        return a - b
+        return sparse_sub(self.ring, a, b)
 
     def mul(self, a, b):
-        return a * b
+        return sparse_mul(self.ring, a, b, self.ubound)
+
+    def pow(self, a, n):
+        """a^n multiplied in from the left, which fixes the order of its terms."""
+        if n < 0:
+            return self.pow(self.inv(a), -n)
+        out = self.one()
+        for _ in range(n):
+            out = self.mul(out, a)
+        return out
+
+    def scale(self, c, a):
+        R = self.ring
+        return {e: m for e, v in a.items() if not R.is_zero(m := R.mul(c, v))}
 
     def is_zero(self, a):
-        return a.is_zero()
+        return not a
 
     def is_unit(self, a):
-        return self.base.is_unit(a.constant_term())
+        """A unit constant term; with no bound, the others nilpotent too."""
+        return self.ring.is_unit(self.constant_term(a)) and (self.ubound < math.inf or all(
+            self.ring.in_max_ideal(c) for e, c in a.items() if any(e)))
 
     def inv(self, a):
-        return inverse(a)
+        return inverse(TruncSeries._make(self.ring, self.vars, self.ubound, a)).terms
 
     def is_local(self):
-        return self.base.is_local()
+        return self.ubound < math.inf and self.ring.is_local()
 
     def in_max_ideal(self, a):
-        c0 = a.constant_term()
-        return self.base.in_max_ideal(c0) if self.base.is_local() else a.is_zero()
+        c0 = self.constant_term(a)
+        return self.ring.in_max_ideal(c0) if self.ring.is_local() else not a
 
     def residue_ring(self):
-        return self.base.residue_ring()
+        return self.ring.residue_ring()
 
     def residue(self, a):
-        return self.base.residue(a.constant_term())
+        return self.ring.residue(self.constant_term(a))
 
     def chain_length(self):
-        return self.ubound + 1 + self.base.chain_length()
+        return self.ubound + 1 + self.ring.chain_length()
+
+    def terms(self, a):
+        return a.items()
+
+    def map_coeffs(self, a, fn):
+        return {e: fn(c) for e, c in a.items()}
+
+    def rand(self, rng):
+        """SAMPLE_TERMS terms of degree <= SAMPLE_DEGREE in each variable, if within the bound."""
+        out = {}
+        for _ in range(SAMPLE_TERMS):
+            e = tuple(rng.randrange(SAMPLE_DEGREE + 1) for _ in self.vars)
+            c = self.ring.rand(rng)
+            if sum(e) <= self.ubound:
+                out = self.add(out, {e: c})
+        return out
+
+    def repr_elem(self, a):
+        return terms_repr(self.vars, a, self.ring)
 
     def descriptor(self):
-        return {"poly_over": self.base.descriptor(), "vars": list(self.vars),
+        return {"poly_over": self.ring.descriptor(), "vars": list(self.vars),
                 "ubound": self.ubound}
 
     def encode(self, a):
-        return a.to_json()["terms"]
+        enc = self.ring.encode
+        return [[list(e), enc(c)] for e, c in sorted(a.items())]
 
-    def decode(self, s):
-        terms = json_terms(s, len(self.vars), f"an element of {self!r}")
-        return TruncSeries(self.base, self.vars, self.ubound,
-                           {e: self.base.decode(c) for e, c in terms})
+    def decode(self, s, what=None):
+        """[[exponents], coefficient] terms, dropping zeros and terms past the bound."""
+        R = self.ring
+        terms = json_terms(s, len(self.vars), what or f"an element of {self!r}")
+        out = {e: R.decode(c) for e, c in terms}
+        return {e: c for e, c in out.items() if sum(e) <= self.ubound and not R.is_zero(c)}
 
     def __repr__(self):
-        return f"{self.base!r}[{','.join(self.vars)}]<={self.ubound}"
+        return f"{self.ring!r}[{','.join(self.vars)}]<={self.ubound}"
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +617,7 @@ _WORD = ({wb: min((array(t).itemsize, t) for t in "QLIHB" if array(t).itemsize >
 
 def _kernel(ring, vars, bound):
     """A maker of packed layouts for series over ``ring``, or None for the dict loop."""
-    W = ring.base if isinstance(ring, PolyTruncRing) else ring
+    W = ring.ring if isinstance(ring, PolyTruncRing) else ring
     if isinstance(W, WittCoefRing) and W.f == 1:
         return functools.partial(_Packed, ring, vars, bound)
     return None
@@ -538,12 +625,12 @@ def _kernel(ring, vars, bound):
 
 def _udeg(c):
     """The largest u-degree of a coefficient; 0 over Z/p^N."""
-    return max(map(sum, c.terms), default=0) if isinstance(c, TruncSeries) else 0
+    return max(map(sum, c), default=0) if isinstance(c, dict) else 0
 
 
 def _u_exponents(coeffs):
     """The u-exponents of every term of the coefficients; none over Z/p^N."""
-    return [ue for c in coeffs if isinstance(c, TruncSeries) for ue in c.terms]
+    return [ue for c in coeffs if isinstance(c, dict) for ue in c]
 
 
 def _to_int(vals, wb):
@@ -615,7 +702,7 @@ class _Packed:
     def __init__(self, ring, vars, bound, vary, ues, udeg, nterms):
         self.ring, self.vars, self.bound = ring, vars, bound
         self.poly = isinstance(ring, PolyTruncRing)
-        self.W = ring.base if self.poly else ring
+        self.W = ring.ring if self.poly else ring
         self.q = self.W.modulus
         self.vary = list(vary)
         cols = sorted({i for ue in ues if any(ue) for i, n in enumerate(ue) if n})
@@ -656,13 +743,13 @@ class _Packed:
         """A coefficient as an int of degree 0."""
         if not self.poly:
             return c.coeffs[0]
-        return self.pack(((0,) * len(self.vars), ue, v.coeffs[0]) for ue, v in c.terms.items())
+        return self.pack(((0,) * len(self.vars), ue, v.coeffs[0]) for ue, v in c.items())
 
     def parts(self, s):
         """The homogeneous parts of a series in the varying variables."""
         by = {}
         for e, c in s.terms.items():
-            for ue, v in c.terms.items() if self.poly else [((), c)]:
+            for ue, v in c.items() if self.poly else [((), c)]:
                 by.setdefault(sum(e), []).append((e, ue, v.coeffs[0]))
         return {d: self.pack(ts) for d, ts in by.items()}
 
@@ -727,7 +814,6 @@ def _raw_series(ring, vars, bound, raw):
     make = TruncSeries._make
     if not isinstance(ring, PolyTruncRing):
         return make(ring, vars, bound, {e: ring.reduced((c[()],)) for e, c in raw.items()})
-    W = ring.base
-    return make(ring, vars, bound, {
-        e: make(W, ring.vars, ring.ubound, {ue: W.reduced((v,)) for ue, v in c.items()})
-        for e, c in raw.items()})
+    W = ring.ring
+    return make(ring, vars, bound, {e: {ue: W.reduced((v,)) for ue, v in c.items()}
+                                    for e, c in raw.items()})

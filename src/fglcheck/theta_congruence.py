@@ -1,10 +1,11 @@
 """psi-rings, theta-rings, and the congruence criteria.
 
-A psi-ring presentation does its element arithmetic in one ring, pres.A: a
-PolyRing for the polynomial shape W[x_1..x_k], and a linalg.FiniteAlgebra (the
-type of the Gamma-algebras of twisted_bialgebra) for a monic quotient W[x]/(m)
-or a finite-free algebra.  psi is one loop on both: psi(c) times the psi-image
-of each basis element or monomial.
+A psi-ring presentation does its element arithmetic in one ring, pres.A: the
+untruncated series.PolyTruncRing (bound math.inf) for the polynomial shape
+W[x_1..x_k], the ring that also holds the Lubin-Tate coefficients, and a
+linalg.FiniteAlgebra (the type of the Gamma-algebras of twisted_bialgebra) for
+a monic quotient W[x]/(m) or a finite-free algebra.  psi is one loop on both:
+psi(c) times the psi-image of each basis element or monomial.
 
 The Wilkerson check asks whether psi(x) = x^p mod p; on a pass, theta is
 derived by exact division and its forced addition/multiplication identities
@@ -18,21 +19,21 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
 from .exact_arith import (MalformedData, NotDivisible, Ring, WittCoefRing, json_names,
-                          json_terms, json_typed, json_vec, ring_from_descriptor)
+                          json_typed, json_vec, ring_from_descriptor)
 from .linalg import (FiniteAlgebra, Mat, ShapeMismatch, residue_rank,
                      smith_normal_form, solve, unit_vector)
 from .report import CheckResult, CongruenceReport
-from .series import terms_repr
+from .series import PolyTruncRing
 from .twisted_bialgebra import TwistedBialgebra
 
 
-# seeded sample sizes: terms and per-variable degree of a random polynomial
-# element, scalars of the general congruence, comodule and weight-p samples
-SAMPLE_TERMS, SAMPLE_DEGREE = 3, 2
+# seeded sample sizes: scalars of the general congruence, comodule and
+# weight-p samples
 GAMMA_SCALAR_SAMPLES, COMODULE_SAMPLES, SQUARES_SAMPLES = 30, 20, 40
 # the general congruence spans the algebra by monomials up to this degree
 GAMMA_DEGREE_BOUND = 2
@@ -73,106 +74,14 @@ class FiniteFreeShape:
     mult: tuple  # ((i, j, coordinate vector) ...), dense over basis pairs
 
 
-class PolyRing(Ring):
-    """W[vars] without truncation: dicts from exponent tuples to nonzero
-    coefficients.  Witnesses list terms in dict order, the order in which the
-    loops below first meet them."""
-
-    def __init__(self, ring, vars):
-        if len(set(vars)) != len(vars):
-            raise ValueError(f"polynomial variables {list(vars)} must name each "
-                             f"variable once")
-        self.ring = ring
-        self.vars = tuple(vars)
-
-    def lowered(self):
-        """The same ring one precision digit down."""
-        return PolyRing(self.ring.lower(), self.vars)
-
-    def zero(self):
-        return {}
-
-    def one(self):
-        return {(0,) * len(self.vars): self.ring.one()}
-
-    def var(self, name):
-        i = self.vars.index(name)
-        return {tuple(1 if j == i else 0 for j in range(len(self.vars))): self.ring.one()}
-
-    def add(self, a, b):
-        W = self.ring
-        out = dict(a)
-        for e, c in b.items():
-            s = W.add(out[e], c) if e in out else c
-            if W.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return out
-
-    def neg(self, a):
-        return {e: self.ring.neg(c) for e, c in a.items()}
-
-    def mul(self, a, b):
-        W = self.ring
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                m = W.mul(c1, c2)
-                s = W.add(out[e], m) if e in out else m
-                if W.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return out
-
-    def is_zero(self, a):
-        return not a
-
-    def pow(self, a, n):
-        """a^n multiplied in from the left, which fixes the order of its terms."""
-        out = self.one()
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
-    def scale(self, c, a):
-        out = {e: self.ring.mul(c, v) for e, v in a.items()}
-        return {e: v for e, v in out.items() if not self.ring.is_zero(v)}
-
-    def terms(self, a):
-        return a.items()
-
-    def map_coeffs(self, a, fn):
-        return {e: fn(c) for e, c in a.items()}
-
-    def rand(self, rng):
-        """SAMPLE_TERMS terms of degree at most SAMPLE_DEGREE in each variable."""
-        out = {}
-        for _ in range(SAMPLE_TERMS):
-            e = tuple(rng.randrange(SAMPLE_DEGREE + 1) for _ in self.vars)
-            out = self.add(out, {e: self.ring.rand(rng)})
-        return out
-
-    def repr_elem(self, a):
-        return terms_repr(self.vars, a)
-
-    def decode(self, data, what):
-        """[[exponents], coefficient] terms; zero coefficients are dropped."""
-        W = self.ring
-        out = {e: W.decode(c) for e, c in json_terms(data, len(self.vars), what)}
-        return {e: c for e, c in out.items() if not W.is_zero(c)}
-
-
 @dataclass
 class PsiRingPresentation:
     """A commutative W-algebra with normal forms, plus a psi endomorphism.
 
-    Its ring A does the element arithmetic: a PolyRing for the polynomial
-    shape, and a FiniteAlgebra, with coordinate tuples as elements, for a
-    monic quotient (basis 1, x^1, ..., x^(d-1)) or a finite-free shape (whose
-    basis starts with its unit "1").  psi acts on coefficients by the
+    Its ring A does the element arithmetic: an untruncated PolyTruncRing for
+    the polynomial shape, and a FiniteAlgebra, with coordinate tuples as
+    elements, for a monic quotient (basis 1, x^1, ..., x^(d-1)) or a
+    finite-free shape (whose basis starts with its unit "1").  psi acts on coefficients by the
     identity or by the Frobenius lift, and on generators by the given images.
     Construction checks that psi is well defined, so every presentation has
     an image for each generator and preserves its relations; IllDefinedPsi
@@ -278,7 +187,7 @@ class PsiRingPresentation:
         elem = functools.partial(json_vec, W)
         if kind == "poly":
             shape = PolyShape(json_names(sh["vars"], "shape vars"))
-            elem = PolyRing(W, shape.vars).decode
+            elem = PolyTruncRing(W, shape.vars, math.inf).decode
         elif kind == "monic_quotient":
             shape = MonicQuotientShape(json_typed(sh["var"], str, "shape var"),
                                        json_vec(W, sh["monic"], "shape monic"))
@@ -300,7 +209,7 @@ def _read_shape(W, shape):
     and word(key), the generators whose product is the monomial or basis
     element key."""
     if isinstance(shape, PolyShape):
-        A = PolyRing(W, shape.vars)
+        A = PolyTruncRing(W, shape.vars, math.inf)
         return (A, {v: A.var(v) for v in shape.vars},
                 lambda e: [v for v, k in zip(shape.vars, e) for _ in range(k)])
     if isinstance(shape, MonicQuotientShape):
@@ -431,7 +340,6 @@ def theta_consistency(pres, samples=20, seed=0):
     theta(ab)  = theta(a) b^p + a^p theta(b) + p theta(a) theta(b)
     verified exactly at precision N-1 on seeded random pairs.
     """
-    import math
     W, A = pres.W, pres.A
     p = W.p
     L = A.lowered()
@@ -443,12 +351,17 @@ def theta_consistency(pres, samples=20, seed=0):
         b = A.rand(rng)
         ta, tb = theta_of(pres, a), theta_of(pres, b)
         al, bl = (A.map_coeffs(x, functools.partial(W.truncate_to, Wl)) for x in (a, b))
+        # al^0 .. al^p and bl^0 .. bl^p, each multiplied in from the left as L.pow does
+        apow, bpow = [L.one()], [L.one()]
+        for _ in range(p):
+            apow.append(L.mul(apow[-1], al))
+            bpow.append(L.mul(bpow[-1], bl))
         # addition rule
         lhs = theta_of(pres, A.add(a, b))
         cross = L.zero()
         for j in range(1, p):
             coeff = Wl.from_int(math.comb(p, j) // p)
-            term = L.mul(L.pow(al, j), L.pow(bl, p - j))
+            term = L.mul(apow[j], bpow[p - j])
             cross = L.add(cross, L.scale(coeff, term))
         rhs = L.sub(L.add(ta, tb), cross)
         ok = L.eq(lhs, rhs)
@@ -457,7 +370,7 @@ def theta_consistency(pres, samples=20, seed=0):
                                   f"a={A.repr_elem(a)} b={A.repr_elem(b)}"))
         # multiplication rule
         lhs = theta_of(pres, A.mul(a, b))
-        rhs = L.add(L.add(L.mul(ta, L.pow(bl, p)), L.mul(L.pow(al, p), tb)),
+        rhs = L.add(L.add(L.mul(ta, bpow[p]), L.mul(apow[p], tb)),
                     L.scale(Wl.from_int(p), L.mul(ta, tb)))
         ok = L.eq(lhs, rhs)
         checks.append(CheckResult(f"theta_mul[{i}]", ok,
@@ -574,11 +487,11 @@ class L1Data:
 def frobenius_congruence_comodule(l1, A, psi1_gens, seed=0):
     """Does psi_1 followed by can* (x) id reduce to the p-th power map?
 
-    A is a PolyRing over a characteristic-p field k; psi1_gens maps each
-    generator to a list of (A[1] element, element of A) tensor terms.  The
-    composite is a ring map, semilinear over sigma as the p-th power map is
-    (c -> c^p on k), so it is the psi of one presentation: generators decide
-    it, and samples re-verify.
+    A is an untruncated PolyTruncRing over a characteristic-p field k;
+    psi1_gens maps each generator to a list of (A[1] element, element of A)
+    tensor terms.  The composite is a ring map, semilinear over sigma as the
+    p-th power map is (c -> c^p on k), so it is the psi of one presentation:
+    generators decide it, and samples re-verify.
     """
     k = A.ring
     if k.N != 1:

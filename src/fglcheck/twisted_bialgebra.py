@@ -132,15 +132,16 @@ class TwistedBialgebra:
         R = self.ring
         n = self.rank(k + l)
         rows = [[R.zero()] * n for _ in range(n)]
-        for u in range(self.rank(k)):
-            for v in range(self.rank(k)):
-                s = S.rows[u][v]
+        for u, row in enumerate(S.rows):
+            if all(map(R.is_zero, row)):
+                continue
+            firsts = [self.mul_elems(k, self.basis_vec(k, u), l, self.basis_vec(l, w))
+                      for w in range(self.rank(l))]  # mu(gamma_u gamma_w), for every v
+            for v, s in enumerate(row):
                 if R.is_zero(s):
                     continue
                 xsecond = self.basis_vec(k, v, s)
-                for w in range(self.rank(l)):
-                    first = self.mul_elems(k, self.basis_vec(k, u),
-                                           l, self.basis_vec(l, w))
+                for w, first in enumerate(firsts):
                     for z in range(self.rank(l)):
                         t = T.rows[w][z]
                         if R.is_zero(t):

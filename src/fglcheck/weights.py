@@ -20,6 +20,7 @@ from .exact_arith import IdentityFailed
 from .linalg import (Mat, ShapeMismatch, field_left_kernel_vector, residue_rank,
                      solve_matrix)
 from .report import CheckResult, CongruenceReport
+from .series import sparse_mul
 
 
 class NotLocal(ValueError):
@@ -264,32 +265,21 @@ def sym_rank(n, k):
 
 
 def sym_matrix(ring, k, A):
-    """Sym^k of a linear map A, on the sorted monomial bases."""
-    n_in, n_out = A.ncols, A.nrows
-    src = _monomials(n_in, k)
-    tgt = _monomials(n_out, k)
-    tgt_index = {m: i for i, m in enumerate(tgt)}
-    cols = []
-    for mono in src:
-        # product of the images of the letters, expanded into monomials
-        poly = {(): ring.one()}
+    """Sym^k of a linear map A, on the sorted monomial bases: column m is the
+    product of the images of m's letters, polynomials in the target letters."""
+    n = A.nrows
+    tgt = {m: i for i, m in enumerate(_monomials(n, k))}
+    images = [{tuple(int(r == i) for r in range(n)): a
+               for i, a in enumerate(A.col(j)) if not ring.is_zero(a)} for j in range(A.ncols)]
+    src = _monomials(A.ncols, k)
+    rows = [[ring.zero()] * len(src) for _ in tgt]
+    for j, mono in enumerate(src):
+        poly = {(0,) * n: ring.one()}
         for letter in mono:
-            new = {}
-            for mo, c in poly.items():
-                for i in range(n_out):
-                    a = A.rows[i][letter]
-                    if ring.is_zero(a):
-                        continue
-                    key = tuple(sorted(mo + (i,)))
-                    v = ring.mul(c, a)
-                    new[key] = ring.add(new.get(key, ring.zero()), v)
-            poly = new
-        col = [ring.zero()] * len(tgt)
-        for mo, c in poly.items():
-            col[tgt_index[mo]] = c
-        cols.append(col)
-    return Mat(ring, [[cols[j][i] for j in range(len(src))]
-                      for i in range(len(tgt))])
+            poly = sparse_mul(ring, poly, images[letter])
+        for e, c in poly.items():  # e as its sorted monomial
+            rows[tgt[tuple(i for i, d in enumerate(e) for _ in range(d))]][j] = c
+    return Mat(ring, rows)
 
 
 def delta_matrix(ring, n, i, j):

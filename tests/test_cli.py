@@ -84,13 +84,21 @@ def _theta_and_comodule_files(tmp_path, theta_vars, theta_images, com_vars, psi1
 
 
 def test_repeated_generator_names_exit_2(tmp_path, capsys):
-    # psi(x_2) = x_1^2 is no Frobenius lift; with both named x it used to pass
+    # psi(x_2) = x_1^2 is no Frobenius lift; with both named x it used to pass.
+    # A Lubin-Tate law over u1, u1 passed 5/5 and printed two variables as u1.
     theta, com = _theta_and_comodule_files(
         tmp_path, ["x", "x"], {"x": [[[2, 0], "1"]]},
         ["y", "y"], {"y": [["1", [[[2, 0], "1"]]]]})
-    for argv in (theta, com):
+    from fglcheck.formal_groups import lubin_tate_deformation
+    doc = lubin_tate_deformation(2, 3, 2, 2, 6).to_json()
+    doc["ring"]["vars"] = ["u1", "u1"]
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps(doc))
+    for argv in (theta, com, ["fgl", "--file", str(law)]):
         assert run(argv) == 2
-        assert "must name each variable once" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "must name each variable once" in err
+    assert "['u1', 'u1']" in err
 
 
 def test_images_of_non_generators_exit_2(tmp_path, capsys):

@@ -307,7 +307,7 @@ def mutated_laws(draw, names=tuple(sorted(LAWS)), most=3):
             lambda b: b != a or not (n == 0 and off_diagonal)))
         if isinstance(R, PolyTruncRing):
             u = R.pow(R.var("u1"), draw(st.integers(0, R.ubound)))
-            c = R.mul(R.from_int(draw(st.integers(1, R.base.modulus - 1))), u)
+            c = R.mul(R.from_int(draw(st.integers(1, R.ring.modulus - 1))), u)
         else:
             c = R.elem(tuple(draw(st.integers(0, R.modulus - 1)) for _ in range(R.f)))
         terms[(a, b)] = R.add(terms.get((a, b), R.zero()), c)
@@ -373,8 +373,9 @@ def _ring_map(R, base_map):
     """The target and the coefficient map of base_map on R's base Z/p^N, applied
     coefficient by coefficient when R is Z/p^N[u]."""
     if isinstance(R, PolyTruncRing):
-        S, fn = base_map(R.base)
-        return PolyTruncRing(S, R.vars, R.ubound), lambda c: c.map_coefficients(fn, ring=S)
+        S, fn = base_map(R.ring)
+        return PolyTruncRing(S, R.vars, R.ubound), lambda c: {
+            e: y for e, x in c.items() if not S.is_zero(y := fn(x))}
     return base_map(R)
 
 

@@ -137,6 +137,16 @@ def test_monic_quotient_matches_schoolbook_product(data):
     assert A.pow(a, n) == power
 
 
+def test_finite_algebra_refuses_a_negative_power():
+    # pow multiplies in from the unit and has no inv: a^-1 used to be the unit
+    R = WittCoefRing(2, 3)
+    A = FiniteAlgebra.monic_quotient(R, "x", (R.one(), R.zero(), R.one()))
+    x = (R.zero(), R.one())
+    assert A.pow(x, 0) == A.unit
+    with pytest.raises(ValueError, match="n < 0"):
+        A.pow(x, -1)
+
+
 # metamorphic: truncation Z/p^N -> Z/p^(N-1) caps the elementary divisors'
 # valuations at N - 1, over Z/p^N and W(F_4)
 SMITH_RINGS = [WittCoefRing(2, 4), WittCoefRing(3, 3), WittCoefRing(2, 3, ext=[1, 1, 1])]

@@ -89,7 +89,7 @@ def _got(G, n):
     if n == 1:
         return {(i, j) + pad: c.coeffs[0] for (i, j), c in G.F.terms.items()}
     return {(i, j) + e + pad: c.coeffs[0] for (i, j), s in G.F.terms.items()
-            for e, c in s.terms.items()}
+            for e, c in s.items()}
 
 
 @pytest.mark.parametrize("p, n, N, D", [(2, 1, 4, 7), (2, 2, 3, 8), (2, 3, 2, 8),

@@ -1,3 +1,4 @@
+import math
 import random
 import types
 
@@ -13,7 +14,7 @@ from fglcheck.theta_congruence import (GAMMA_DEGREE_BOUND, GAMMA_SCALAR_SAMPLES,
                                        CharacteristicMismatch, CongruenceFails,
                                        FiniteFreeShape, FrobeniusClassSpec,
                                        IllDefinedPsi, L1Data,
-                                       MonicQuotientShape, PolyRing, PolyShape,
+                                       MonicQuotientShape, PolyShape,
                                        PsiRingPresentation,
                                        congruence_stability_under_class_change,
                                        derive_theta,
@@ -225,7 +226,7 @@ def test_gamma_congruence_records_theorem_a():
 
 def test_comodule_congruence():
     F2 = WittCoefRing(2, 1)
-    B = PolyRing(F2, ("y",))
+    B = PolyTruncRing(F2, ("y",), math.inf)
     l1 = L1Data(W=WittCoefRing(2, 3))
     good = frobenius_congruence_comodule(
         l1, B, {"y": [(l1.W.one(), {(2,): F2.one()})]})
@@ -235,7 +236,7 @@ def test_comodule_congruence():
     assert not bad.verdict
     assert any(n == "generator[y]" for n, _ in bad.witnesses)
     # B = F_p itself: trivially a^p = a
-    assert frobenius_congruence_comodule(l1, PolyRing(F2, ()), {}).verdict
+    assert frobenius_congruence_comodule(l1, PolyTruncRing(F2, (), math.inf), {}).verdict
 
 
 # over F_4 = F_2[t]/(t^2 + t + 1), with A[1] = W(F_4) at precision 3
@@ -247,7 +248,7 @@ def test_comodule_congruence_over_f4_is_sigma_semilinear(monkeypatch):
     # the p-th power map sends c y^j to c^2 y^2j, so the composite extends to
     # samples with sigma on coefficients; with the identity there, every
     # sample with a coefficient t failed
-    B = PolyRing(F4, ("y",))
+    B = PolyTruncRing(F4, ("y",), math.inf)
     built = []
     post_init = PsiRingPresentation.__post_init__
     monkeypatch.setattr(PsiRingPresentation, "__post_init__",
@@ -264,7 +265,7 @@ def test_comodule_congruence_over_f4_is_sigma_semilinear(monkeypatch):
 def test_can_power_twists_the_comodule_by_sigma():
     # psi_1(y) = t (x) t^2 y^2: can* sends t to t^(2^k), so the composite is
     # t^(1 + 2^(k+1)) y^2, which is y^2 at even k only (t^3 = 1)
-    B = PolyRing(F4, ("y",))
+    B = PolyTruncRing(F4, ("y",), math.inf)
     t = L1_F4.gen()
     psi1 = {"y": [(t, {(2,): F4.pow(F4.gen(), 2)})]}
 
@@ -280,7 +281,7 @@ def test_can_power_twists_the_comodule_by_sigma():
 
 
 def test_comodule_requires_char_p():
-    B = PolyRing(WittCoefRing(2, 2), ("y",))
+    B = PolyTruncRing(WittCoefRing(2, 2), ("y",), math.inf)
     with pytest.raises(CharacteristicMismatch):
         frobenius_congruence_comodule(L1Data(W=WittCoefRing(2, 3)), B, {})
 
@@ -332,9 +333,41 @@ def test_weight_p_squares_samples_a_large_ring(monkeypatch):
     assert verify_weight_p_squares(2, 20).verdict
 
 
+def test_negative_powers_go_through_the_inverse():
+    # the untruncated ring's pow(x, -1) used to return 1
+    Z8 = WittCoefRing(2, 3)
+    for bound in (math.inf, 4):
+        A = PolyTruncRing(Z8, ("x",), bound)
+        x = A.var("x")
+        with pytest.raises(ValueError, match="not a unit"):
+            A.pow(x, -1)
+        u = A.add(A.one(), A.scale(Z8.from_int(2), x))  # 1 + 2x: (2x)^3 = 0
+        for n in (1, 2, 3):
+            assert A.mul(A.pow(u, -n), A.pow(u, n)) == A.one()
+    T = PolyTruncRing(Z8, ("x",), 4)
+    assert T.pow(T.add(T.one(), T.var("x")), -1) == {
+        (0,): Z8.one(), (1,): Z8.from_int(-1), (2,): Z8.one(), (3,): Z8.from_int(-1),
+        (4,): Z8.one()}
+
+
+def test_theta_consistency_builds_each_power_once(monkeypatch):
+    # al^0..al^p and bl^0..bl^p per sample: 2p products of the lowered ring,
+    # then p - 1 cross terms and 3 for the multiplication rule; rebuilt by pow
+    # for every term, the powers took p(p + 1)
+    W = WittCoefRing(3, 3)
+    P = poly_pres(W, {"x": {(3,): W.one()}})
+    lowered = []
+    mul = PolyTruncRing.mul
+    monkeypatch.setattr(PolyTruncRing, "mul", lambda A, a, b: (
+        lowered.append(1) if A.ring.N == W.N - 1 else None) or mul(A, a, b))
+    rep = theta_consistency(P, samples=4, seed=1)
+    p = W.p
+    assert rep.verdict and len(lowered) == 4 * (2 * p + (p - 1) + 3)
+
+
 def test_poly_ring_refuses_repeated_names():
     with pytest.raises(ValueError, match="once"):
-        PolyRing(Z32, ("x", "x"))
+        PolyTruncRing(Z32, ("x", "x"), math.inf)
     with pytest.raises(ValueError, match="once"):
         poly_pres(Z32, {"x": {(2, 0): Z32.one()}}, vars=("x", "x"))
 
@@ -343,32 +376,72 @@ def test_images_of_non_generators_are_refused():
     with pytest.raises(ValueError, match="not generators"):
         poly_pres(Z32, {"x": {(2,): Z32.one()}, "y": {(1,): Z32.one()}})
     F2 = WittCoefRing(2, 1)
-    B = PolyRing(F2, ("y",))
+    B = PolyTruncRing(F2, ("y",), math.inf)
     l1 = L1Data(W=WittCoefRing(2, 3))
     psi1 = {"y": [(l1.W.one(), {(2,): F2.one()})], "z": [(l1.W.one(), {(1,): F2.one()})]}
     with pytest.raises(ValueError, match="not generators"):
         frobenius_congruence_comodule(l1, B, psi1)
 
 
-# PolyRing against TruncSeries at a bound above every degree drawn, where
-# truncation drops nothing
+# the add, mul and pow loops of the untruncated polynomial ring that
+# PolyTruncRing replaced, kept as its oracle
 ORACLE_RINGS = [WittCoefRing(2, 3), WittCoefRing(3, 2), WittCoefRing(2, 2, ext=[1, 1, 1])]
-ORACLE_BOUND = 64
+ORACLE_COEFFS = ORACLE_RINGS + [PolyTruncRing(WittCoefRing(2, 2), ("u",), 2)]
 
 
-def _draw_poly(data, W, nvars, label):
-    coeff = st.tuples(*[st.integers(0, W.modulus - 1)] * W.f).map(W.elem)
+def _loop_add(W, a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = W.add(out[e], c) if e in out else c
+        if W.is_zero(s):
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def _loop_mul(W, a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            m = W.mul(c1, c2)
+            s = W.add(out[e], m) if e in out else m
+            if W.is_zero(s):
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def _loop_pow(W, nvars, a, n):
+    out = {(0,) * nvars: W.one()}
+    for _ in range(n):
+        out = _loop_mul(W, out, a)
+    return out
+
+
+def _coeff(W):
+    """Coefficients of W, zero among them; over a PolyTruncRing, dicts."""
+    if isinstance(W, PolyTruncRing):
+        return st.dictionaries(st.tuples(st.integers(0, W.ubound)), _coeff(W.ring),
+                               max_size=2).map(lambda t: {e: c for e, c in t.items()
+                                                          if not W.ring.is_zero(c)})
+    return st.tuples(*[st.integers(0, W.modulus - 1)] * W.f).map(W.elem)
+
+
+def _draw_poly(data, W, nvars, label, bound=math.inf):
     exps = st.tuples(*[st.integers(0, 3)] * nvars)
-    terms = data.draw(st.lists(st.tuples(exps, coeff), max_size=4), label=label)
+    terms = data.draw(st.lists(st.tuples(exps, _coeff(W)), max_size=4), label=label)
     out = {}
     for e, c in terms:
         out[e] = c
-    return {e: c for e, c in out.items() if not W.is_zero(c)}
+    return {e: c for e, c in out.items() if sum(e) <= bound and not W.is_zero(c)}
 
 
 def _psi_per_variable(P, a):
-    """psi as computed term by term before PolyRing: psi(c), then times each
-    generator image, one variable power at a time."""
+    """psi as computed term by term before the polynomial ring: psi(c), then
+    times each generator image, one variable power at a time."""
     A = P.A
     out = {}
     for e, c in a.items():
@@ -380,12 +453,45 @@ def _psi_per_variable(P, a):
     return out
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_one_ring_matches_the_poly_ring_loops(data):
+    # values and term order; at a finite bound, the loops' results cut by degree
+    W = data.draw(st.sampled_from(ORACLE_COEFFS), label="ring")
+    vars = ("x", "y")[:data.draw(st.integers(1, 2), label="nvars")]
+    bound = data.draw(st.sampled_from([math.inf, 0, 2, 3, 5]), label="bound")
+    A = PolyTruncRing(W, vars, bound)
+    a, b = (_draw_poly(data, W, len(vars), label, bound) for label in "ab")
+    n = data.draw(st.integers(0, 4), label="n")
+
+    def cut(f):
+        return list((e, c) for e, c in f.items() if sum(e) <= bound)
+
+    def series(f):
+        return TruncSeries(W, vars, bound, f)
+
+    minus_b = {e: W.neg(c) for e, c in b.items()}
+    for got, want in [(A.add(a, b), _loop_add(W, a, b)),
+                      (A.sub(a, b), _loop_add(W, a, minus_b)),
+                      (A.mul(a, b), _loop_mul(W, a, b)),
+                      (A.pow(a, n), _loop_pow(W, len(vars), a, n)),
+                      ((series(a) + series(b)).terms, _loop_add(W, a, b)),
+                      ((series(a) - series(b)).terms, _loop_add(W, a, minus_b)),
+                      ((series(a) * series(b)).terms, _loop_mul(W, a, b))]:
+        assert list(got.items()) == cut(want)
+
+
+# the ring at no bound against itself at a bound above every degree drawn,
+# where truncation drops nothing
+ORACLE_BOUND = 64
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_poly_ring_matches_truncated_series(data):
     W = data.draw(st.sampled_from(ORACLE_RINGS), label="ring")
     vars = ("x", "y")[:data.draw(st.integers(1, 2), label="nvars")]
-    A = PolyRing(W, vars)
+    A, T = PolyTruncRing(W, vars, math.inf), PolyTruncRing(W, vars, ORACLE_BOUND)
     a, b = (_draw_poly(data, W, len(vars), label) for label in "ab")
     n = data.draw(st.integers(0, 4), label="n")
 
@@ -393,10 +499,10 @@ def test_poly_ring_matches_truncated_series(data):
         return TruncSeries(W, vars, ORACLE_BOUND, f)
 
     p = W.from_int(W.p)
-    assert A.add(a, b) == (series(a) + series(b)).terms
-    assert A.sub(a, b) == (series(a) - series(b)).terms
-    assert A.mul(a, b) == (series(a) * series(b)).terms
-    assert A.pow(a, n) == PolyTruncRing(W, vars, ORACLE_BOUND).pow(series(a), n).terms
+    assert A.add(a, b) == T.add(a, b)
+    assert A.sub(a, b) == T.sub(a, b)
+    assert A.mul(a, b) == T.mul(a, b)
+    assert A.pow(a, n) == T.pow(a, n)
     assert A.scale(p, a) == series(a).map_coefficients(lambda c: W.mul(p, c)).terms
     assert A.decode([[list(e), W.encode(c)] for e, c in sorted(a.items())], "a") == a
     for c in (*A.add(a, b).values(), *A.mul(a, b).values(), *A.pow(a, n).values()):
@@ -418,7 +524,7 @@ def test_psi_on_polynomials_matches_per_variable_formula(data):
 
 
 # witnesses list residues in the order the terms first appear; these two were
-# read from the dict-loop implementation that PolyRing replaced.  The first
+# read from the dict-loop implementation that the polynomial ring replaced.  The first
 # changes if psi scales a cached monomial image (psi(c) = 12 is not a unit),
 # the second if pow squares instead of multiplying in from the left.
 PINNED_WITNESS_ORDER = [
@@ -628,7 +734,7 @@ def theta_presentations(draw):
     kind = draw(st.sampled_from(["poly", "power", "roots", "finite_free"]), label="kind")
     if kind == "poly":
         vars = ("x", "y")[:draw(st.integers(1, 2), label="nvars")]
-        A = PolyRing(W, vars)
+        A = PolyTruncRing(W, vars, math.inf)
         data = types.SimpleNamespace(draw=draw)
         images = {v: A.add(A.pow(A.var(v), p),
                            A.scale(W.from_int(p), _draw_poly(data, W, len(vars), f"h({v})")))

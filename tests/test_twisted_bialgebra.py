@@ -111,6 +111,21 @@ def _monoid_gamma(p, N, f, kmax):
                             left_t=left_t)
 
 
+def test_tensor_mul_forms_each_first_leg_once(monkeypatch):
+    # mu(gamma_u gamma_w) does not depend on v: one per nonzero row u of S and
+    # each w, where it was one per nonzero S[u][v] and each w
+    G = _monoid_gamma(2, 2, 2, 2)
+    R = G.ring
+    S = Mat(R, [[R.one(), R.gen()], [R.zero(), R.zero()]])
+    T = Mat(R, [[R.one(), R.one()], [R.gen(), R.one()]])
+    calls = []
+    mul_elems = TwistedBialgebra.mul_elems
+    monkeypatch.setattr(TwistedBialgebra, "mul_elems",
+                        lambda H, *args: calls.append(args) or mul_elems(H, *args))
+    G.tensor_mul(1, S, 1, T)
+    assert len(calls) == 1 * 2 + 2 * 4
+
+
 def _filter_agrees_with_full_run(H, touched):
     """The filtered verdict is the full verdict, and every check that fails in the
     full run (not stopped at its first failure) is one the filter yields."""
